@@ -3,7 +3,7 @@ crossing numbers of planar point sets, built on circular/allowable
 sequences, together with the bound pipelines and extremal constructions
 that go with them."""
 
-from .rat import BACKEND, R
+from .rat import R
 from .errors import (
     DirectionTieError,
     GeneralPositionError,

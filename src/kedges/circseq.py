@@ -172,16 +172,21 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
         raise InputError("need at least 2 points")
     pts = ps.points
 
+    # Directions on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
+    # Wi*Wj > 0 times pj - pi, so every angular comparison is unchanged.
+    hom = ps.homogeneous
     events = []  # (direction, i, j)
-    for i in range(n):
+    for i, (xi, yi, wi) in enumerate(hom):
         for j in range(i + 1, n):
-            d = _event_direction(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
+            xj, yj, wj = hom[j]
+            d = _event_direction(xj * wi - xi * wj, yj * wi - yi * wj)
             events.append((d, i, j))
 
     def cmp(ev1, ev2):
-        c = _angle_cmp(ev1[0], ev2[0])
-        if c:
-            return c
+        (a1, b1), (a2, b2) = ev1[0], ev2[0]
+        cross = a1 * b2 - b1 * a2
+        if cross:
+            return -1 if cross > 0 else 1
         if ev1[1:] < ev2[1:]:
             return -1
         if ev1[1:] > ev2[1:]:
@@ -334,8 +339,11 @@ def compute_s(h: Halfperiod, k: int) -> KCenterTrace:
 
 
 def read_halfperiod(path) -> Halfperiod:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     rows = [(i + 1, ln) for i, ln in enumerate(rows) if ln and not ln.startswith("#")]
     if len(rows) < 2:
         raise InputError("halfperiod file too short")

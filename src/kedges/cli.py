@@ -54,7 +54,7 @@ def _json_print(obj):
 
 def cmd_analyze(args) -> int:
     ps = read_points(args.file)
-    rep = summarize(ps, jobs=args.jobs)
+    rep = summarize(ps)
     _json_print(
         {
             "n": rep.n,
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="edge statistics and crossing number of a point file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="central-inequality classification report")

@@ -417,8 +417,8 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
             failure = "perturbed set still has collinear triples"
             eps = eps / 1000
             continue
-        ev = edge_vector_bruteforce(ps)
         levels = pair_levels(ps)
+        ev = edge_vector_bruteforce(ps, levels)
         lps = LabeledPointSet(ps, tuple(tags))
         bad = None
         for k in range(4 * r):

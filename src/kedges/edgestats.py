@@ -16,14 +16,12 @@ The identity evaluated in both closed forms:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .circseq import Halfperiod, halfperiod_from_points, require_valid
 from .errors import InputError
-from .geom import PointSet, orientation
+from .geom import PointSet
 from .rat import R, as_int
 
 
@@ -73,40 +71,39 @@ class EdgeVector:
         return self.counts[-1]
 
 
-def min_side_level(pts, i: int, j: int) -> int:
-    """The k for which line (pts[i], pts[j]) is a k-edge: points strictly
-    on the smaller side, exact orientation per point."""
-    left = 0
-    a, b = pts[i], pts[j]
-    for t, p in enumerate(pts):
-        if t == i or t == j:
-            continue
-        o = orientation(a, b, p)
-        if o == 0:
-            raise InputError(f"collinear triple ({i}, {j}, {t})")
-        if o > 0:
-            left += 1
-    return min(left, len(pts) - 2 - left)
-
-
 def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
-    """k-edge level of every unordered pair; the workhorse for labeled
-    counts (bichromatic splits) and for the brute-force edge vector."""
+    """k-edge level of every unordered pair: the points strictly on the
+    smaller side of line (i, j).  The workhorse for labeled counts
+    (bichromatic splits) and for the brute-force edge vector.
+
+    Per pair the line is formed once (PointSet.pair_lines); a point's side
+    is then the sign of a*X + b*Y + c*W on its homogeneous coordinates
+    (the points i and j give 0 and count on neither side)."""
     ps.require_general_position()
-    pts = ps.points
-    return {
-        (i, j): min_side_level(pts, i, j)
-        for i, j in combinations(range(len(pts)), 2)
-    }
+    hom = ps.homogeneous
+    n = len(hom)
+    levels = {}
+    for i, j, a, b, c in ps.pair_lines():
+        left = 0
+        for x, y, w in hom:
+            if a * x + b * y + c * w > 0:
+                left += 1
+        levels[i, j] = min(left, n - 2 - left)
+    return levels
 
 
-def edge_vector_bruteforce(ps: PointSet) -> EdgeVector:
-    """E_k by exhaustive side counting. O(n^3)."""
+def edge_vector_bruteforce(ps: PointSet, levels=None) -> EdgeVector:
+    """E_k by exhaustive side counting. O(n^3).
+
+    Pass the set's pair levels when they are already computed, so the
+    side counts are not made twice."""
     n = ps.n
     if n < 2:
         raise InputError("need at least 2 points")
+    if levels is None:
+        levels = pair_levels(ps)
     counts = [0] * (n // 2)
-    for level in pair_levels(ps).values():
+    for level in levels.values():
         counts[level] += 1
     return EdgeVector(n, tuple(counts)).validate()
 
@@ -124,47 +121,41 @@ def edge_vector_from_halfperiod(h: Halfperiod) -> EdgeVector:
     return EdgeVector(n, tuple(counts)).validate()
 
 
-def _convex_quadrilaterals(pts, first_indices) -> int:
-    count = 0
-    npts = len(pts)
-    for i in first_indices:
-        for j in range(i + 1, npts):
-            for k in range(j + 1, npts):
-                o_ijk = orientation(pts[i], pts[j], pts[k])
-                for l in range(k + 1, npts):
-                    # Convex position <=> no point inside the triangle of
-                    # the other three; equivalently the four triangle
-                    # orientations do not come out 3:1.
-                    o1 = o_ijk
-                    o2 = orientation(pts[i], pts[j], pts[l])
-                    o3 = orientation(pts[i], pts[k], pts[l])
-                    o4 = orientation(pts[j], pts[k], pts[l])
-                    if 0 in (o1, o2, o3, o4):
-                        raise InputError("collinear points in crossing count")
-                    s = o1 + o2 + o3 + o4
-                    if s in (-4, 4, 0):
-                        # 4:0 or 2:2 sign split -> convex
-                        count += 1
-    return count
-
-
-def crossings_bruteforce(ps: PointSet, jobs: int = 1) -> int:
+def crossings_bruteforce(ps: PointSet) -> int:
     """Number of crossing segment pairs = number of 4-point subsets in
-    convex position. O(n^4) exact orientation tests.
+    convex position.
 
-    jobs > 1 splits the outer index range over threads; the reduction is
-    an order-independent integer sum, so the result is deterministic.
-    """
+    One O(n^3) pass writes every triple orientation into a flat bytearray
+    (side[(i*n + j)*n + k] = 1 iff orientation(i, j, k) > 0, i < j < k).
+    Four points are in convex position iff their four triangle
+    orientations do not split 3:1, i.e. an even number of them is
+    positive.  The 4-subset loop only reads the table: for fixed i < j < k
+    the rows (i, j), (i, k), (j, k) read as little-endian ints are XORed,
+    so one popcount covers every l > k at once."""
     ps.require_general_position()
     n = ps.n
     if n < 4:
         return 0
-    pts = ps.points
-    if jobs <= 1:
-        return _convex_quadrilaterals(pts, range(n))
-    chunks = [range(i, n, jobs) for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(lambda ch: _convex_quadrilaterals(pts, ch), chunks))
+    hom = ps.homogeneous
+    side = bytearray(n * n * n)
+    for i, j, a, b, c in ps.pair_lines():
+        row = (i * n + j) * n
+        for k in range(j + 1, n):
+            xk, yk, wk = hom[k]
+            if a * xk + b * yk + c * wk > 0:
+                side[row + k] = 1
+    rows = [int.from_bytes(side[r : r + n], "little") for r in range(0, n * n * n, n)]
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = i * n + j
+            r_ij = rows[ij]
+            for k in range(j + 1, n - 1):
+                # Bytes l > k of the XOR hold o(i,j,l) ^ o(i,k,l) ^ o(j,k,l);
+                # the subset is convex iff that equals o(i,j,k).
+                ones = ((r_ij ^ rows[i * n + k] ^ rows[j * n + k]) >> (8 * k + 8)).bit_count()
+                count += ones if side[ij * n + k] else n - k - 1 - ones
+    return count
 
 
 def identity_leq_form(n: int, leq_values) -> object:
@@ -233,7 +224,7 @@ class CrossingReport:
         return self.edge_vector.halving
 
 
-def summarize(obj, jobs: int = 1) -> CrossingReport:
+def summarize(obj) -> CrossingReport:
     """CrossingReport for a PointSet or a Halfperiod.
 
     For point sets the halfperiod route is cross-checked against brute
@@ -246,7 +237,7 @@ def summarize(obj, jobs: int = 1) -> CrossingReport:
             raise AssertionError(
                 f"edge vector mismatch between brute force {v.counts} and sweep {v2.counts}"
             )
-        cr_bf = crossings_bruteforce(obj, jobs=jobs)
+        cr_bf = crossings_bruteforce(obj)
     elif isinstance(obj, Halfperiod):
         v = edge_vector_from_halfperiod(obj)
         cr_bf = None

@@ -6,6 +6,15 @@ sign of an exactly evaluated 2x2 determinant, so every downstream count
 deliberately no floating-point fast path: the kernel stays small enough
 to audit by eye.
 
+The point-set kernels (the collinear scan here, pair levels, convex
+4-subsets and the angular sweep) clear denominators once per point:
+PointSet.homogeneous holds integer (X, Y, W) with x = X/W, y = Y/W and
+W = lcm(den x, den y) > 0, and orientation(p, q, r) has the sign of the
+3x3 integer determinant of the rows (W, X, Y), since that determinant is
+the rational one times Wp*Wq*Wr > 0 (Fortune & Van Wyk 1996).  Plain int
+arithmetic decides the same signs without a gcd per operation.
+`orientation` on Points stays the exact-rational reference.
+
 The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
 cosine pair).  rotate_cw_2pi3 applies an exact *rational* linear map built
 from a rational approximation of sqrt(3); callers that need combinatorial
@@ -18,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from math import lcm
 
 from .errors import GeneralPositionError, InputError, PointFileError
 from .rat import R, fmt, sqrt3_floor
@@ -44,7 +53,7 @@ class Point:
 
 
 def P(x, y, label=None) -> Point:
-    """Point constructor that coerces ints/strings to backend rationals."""
+    """Point constructor that coerces ints/strings to exact rationals."""
     return Point(R(x), R(y), label)
 
 
@@ -78,13 +87,38 @@ def line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point:
     return Point(a.x + t * r[0], a.y + t * r[1])
 
 
+def _homogeneous(points) -> tuple[tuple[int, int, int], ...]:
+    """Integer (X, Y, W) per point: x = X/W, y = Y/W, W = lcm(den x, den y)."""
+    out = []
+    for p in points:
+        dx, dy = p.x.denominator, p.y.denominator
+        w = lcm(dx, dy)
+        out.append((p.x.numerator * (w // dx), p.y.numerator * (w // dy), w))
+    return tuple(out)
+
+
+def _pair_lines(hom):
+    """(i, j, a, b, c) for every pair i < j of homogeneous points, where
+    a*X + b*Y + c*W has the sign of orientation(p_i, p_j, (X/W, Y/W)):
+    the cofactor expansion of the (W, X, Y) determinant along its last row."""
+    for i, (xi, yi, wi) in enumerate(hom):
+        for j in range(i + 1, len(hom)):
+            xj, yj, wj = hom[j]
+            yield i, j, yi * wj - wi * yj, wi * xj - xi * wj, xi * yj - yi * xj
+
+
 def collinear_triples(points) -> list[tuple[int, int, int]]:
-    """All index triples (i<j<k) of collinear points. O(n^3)."""
-    pts = list(points)
+    """All index triples (i<j<k) of collinear points, in lexicographic
+    order.  O(n^3).  Takes a PointSet (reusing its homogeneous form) or a
+    sequence of Points."""
+    hom = points.homogeneous if isinstance(points, PointSet) else _homogeneous(points)
+    n = len(hom)
     bad = []
-    for i, j, k in combinations(range(len(pts)), 3):
-        if orientation(pts[i], pts[j], pts[k]) == 0:
-            bad.append((i, j, k))
+    for i, j, a, b, c in _pair_lines(hom):
+        for k in range(j + 1, n):
+            xk, yk, wk = hom[k]
+            if a * xk + b * yk + c * wk == 0:
+                bad.append((i, j, k))
     return bad
 
 
@@ -122,8 +156,19 @@ class PointSet:
         return len(self.points)
 
     @cached_property
+    def homogeneous(self) -> tuple[tuple[int, int, int], ...]:
+        """Integer (X, Y, W) per point, W > 0; see the module docstring."""
+        return _homogeneous(self.points)
+
+    def pair_lines(self):
+        """(i, j, a, b, c) per pair i < j: point t lies strictly left of
+        the directed line p_i -> p_j iff a*X + b*Y + c*W > 0 on its
+        homogeneous coordinates (X, Y, W), and on the line iff it is 0."""
+        return _pair_lines(self.homogeneous)
+
+    @cached_property
     def collinear_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(collinear_triples(self.points))
+        return tuple(collinear_triples(self))
 
     @property
     def general_position(self) -> bool:
@@ -229,10 +274,14 @@ def read_points(path) -> PointSet:
 
 
 def write_points(path, ps: PointSet, header: str | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"{ps.n}\n")
-        for p in ps:
-            fh.write(f"{fmt(R(p.x))} {fmt(R(p.y))}\n")
+    """Write a point file; raises PointFileError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if header:
+                for line in header.splitlines():
+                    fh.write(f"# {line}\n")
+            fh.write(f"{ps.n}\n")
+            for p in ps:
+                fh.write(f"{fmt(R(p.x))} {fmt(R(p.y))}\n")
+    except OSError as exc:
+        raise PointFileError(f"cannot write {path}: {exc}") from None

@@ -1,52 +1,23 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every decision made in this package (predicate signs, bound comparisons,
 ceilings in recursions) is carried out in exact rational arithmetic; no
-float ever sits on a decision path.  The arithmetic core is gmpy2's mpq
-when the compiled extension is importable, with fractions.Fraction as the
-pure-Python fallback.  Set KEDGES_PURE_PYTHON=1 in the environment to
-force the fallback (used by the backend benchmark and the test matrix).
-
-Both implementations expose .numerator/.denominator and mix freely with
-Python ints, which is all the rest of the package relies on.
+float ever sits on a decision path.  Rationals are fractions.Fraction;
+the point-set kernels clear denominators once per point and decide their
+predicates on plain ints (see geom.PointSet.homogeneous).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
-
-BACKEND = "fraction"
-Rat = Fraction
-
-if not os.environ.get("KEDGES_PURE_PYTHON"):
-    try:
-        from gmpy2 import mpq as _mpq
-
-        Rat = _mpq
-        BACKEND = "gmpy2"
-    except ImportError:
-        pass
 
 
 def R(num, den=None):
-    """Build a backend rational from an int, string ("p/q"), or rational."""
+    """Build a rational from an int, string ("p/q"), or rational."""
     if den is None:
-        return Rat(num)
-    return Rat(num) / Rat(den)
-
-
-RAT_ZERO = R(0)
-RAT_ONE = R(1)
-
-
-def numer(q) -> int:
-    return int(q.numerator)
-
-
-def denom(q) -> int:
-    return int(q.denominator)
+        return Fraction(num)
+    return Fraction(num) / Fraction(den)
 
 
 def is_integral(q) -> bool:
@@ -62,10 +33,6 @@ def as_int(q) -> int:
 
 def rat_floor(q) -> int:
     return int(q.numerator) // int(q.denominator)
-
-
-def rat_ceil(q) -> int:
-    return -((-int(q.numerator)) // int(q.denominator))
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -66,6 +66,19 @@ def test_classify_halfperiod_file(octagon_file, tmp_path, capsys):
     assert out["holds"] is True
 
 
+def test_classify_missing_halfperiod_file(tmp_path, capsys):
+    assert main(["classify", str(tmp_path / "nope.hp"), "--halfperiod", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_construct_unwritable_output(tmp_path, capsys):
+    out_file = str(tmp_path / "missing-dir" / "pc.pts")
+    assert main(["construct", "polygon-center", "--k", "3", "--n", "9", "-o", out_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_bounds_table(capsys):
     assert main(["bounds", "--n", "27", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -56,12 +56,6 @@ def test_crossings_small_cases():
     assert crossings_bruteforce(convex_polygon_set(6)) == 15
 
 
-def test_crossings_parallel_matches_serial():
-    rng = random.Random(23)
-    ps = random_general_position_set(11, rng)
-    assert crossings_bruteforce(ps, jobs=3) == crossings_bruteforce(ps)
-
-
 def test_identity_hand_evaluation_n6():
     v = EdgeVector(6, (6, 6, 3))
     f1, f2 = crossings_from_edge_vector(v)
