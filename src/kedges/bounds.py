@@ -10,7 +10,8 @@ Bound inventory:
 
 * aichholzer_bound   -- the closed-form 3-binomial bound,
                         3 C(k+2,2) + 3 C(k+2-floor(n/3),2)
-                        - max(0, (k+1-floor(n/3)) (n-3 floor(n/3))).
+                        - max(0, (k+1-floor(n/3)) (n-3 floor(n/3))),
+                        clamped at C(n,2).
 * u_sequence         -- the recursive improvement, seeded at
                         m-1 = ceil((4n-11)/9) - 1 with the exact-n/3
                         correction term, then
@@ -103,10 +104,14 @@ def _check_nk(n: int, k: int):
 
 
 def aichholzer_bound(n: int, k: int) -> int:
-    """Closed-form lower bound on E_{<=k}(n); exact integer."""
+    """Closed-form lower bound on E_{<=k}(n); exact integer.
+
+    Clamped at C(n,2), the number of all edges: the formula exceeds it at
+    k = n/2 - 1 for even n <= 16, where E_{<=k} = C(n,2) exactly."""
     _check_nk(n, k)
     q = n // 3
-    return 3 * comb2(k + 2) + 3 * comb2(k + 2 - q) - max(0, (k + 1 - q) * (n - 3 * q))
+    value = 3 * comb2(k + 2) + 3 * comb2(k + 2 - q) - max(0, (k + 1 - q) * (n - 3 * q))
+    return min(value, comb(n, 2))
 
 
 def m_start(n: int) -> int:

@@ -39,15 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .circseq import Halfperiod, Transposition, compute_s, require_valid, validate_allowable
+from .circseq import Halfperiod, Transposition, _check_k, compute_s, require_valid
 from .edgestats import edge_vector_from_halfperiod
-from .errors import InputError, RearrangementError
+from .errors import RearrangementError
 from .rat import R
-
-
-def _check_k(n: int, k: int):
-    if not (1 <= k and 2 * k < n):
-        raise InputError(f"k out of range: need 1 <= k < n/2, got k={k}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -81,17 +76,7 @@ class TranspositionRecord:
 def blocks(h: Halfperiod, k: int) -> list[Block]:
     """The K+1 blocks delimited by the k-critical transpositions."""
     _check_k(h.n, k)
-    require_valid(h)
-    n = h.n
-    cuts = []  # (index, entering, boundary)
-    perm = list(h.initial)
-    for idx, t in enumerate(h.transpositions):
-        j = t.position - 1
-        if t.position == k:
-            cuts.append((idx, perm[j], "k"))
-        elif t.position == n - k:
-            cuts.append((idx, perm[j + 1], "n-k"))
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    cuts = [(idx, entering, boundary) for idx, boundary, entering, _ in h.k_critical(k)]
     out = [Block(0, 0, cuts[0][0] if cuts else len(h.transpositions), None, None)]
     for bi, (idx, entering, boundary) in enumerate(cuts, start=1):
         end = cuts[bi][0] if bi < len(cuts) else len(h.transpositions)
@@ -108,7 +93,6 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
     rearrangement provably preserves).
     """
     _check_k(h.n, k)
-    require_valid(h)
     n = h.n
     if s_value is None:
         s_value = compute_s(h, k).s_value
@@ -125,21 +109,13 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
     involvements: dict[int, list[tuple[int, str]]] = {}
     c0_in_center_after = {}
     leaving_at = {}
-    perm = list(h.initial)
     cnt = len(c0)
-    for idx, t in enumerate(h.transpositions):
-        j = t.position - 1
-        if t.position in (k, n - k):
-            if t.position == k:
-                entering, leaving = perm[j], perm[j + 1]
-            else:
-                entering, leaving = perm[j + 1], perm[j]
-            cnt += (entering in c0) - (leaving in c0)
-            c0_in_center_after[idx] = cnt
-            leaving_at[idx] = leaving
-            involvements.setdefault(entering, []).append((idx, "enter"))
-            involvements.setdefault(leaving, []).append((idx, "leave"))
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    for idx, _boundary, entering, leaving in h.k_critical(k):
+        cnt += (entering in c0) - (leaving in c0)
+        c0_in_center_after[idx] = cnt
+        leaving_at[idx] = leaving
+        involvements.setdefault(entering, []).append((idx, "enter"))
+        involvements.setdefault(leaving, []).append((idx, "leave"))
 
     # Weights: center transpositions in each block not joining two C_0 labels.
     weight_of_block = {b.index: 0 for b in blks}
@@ -203,7 +179,6 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
 def _next_involvement(involvements, p, idx, h, k) -> str:
     """'opposite' if p's next k-critical involvement after idx sits on the
     other boundary than the one at idx, 'same' or 'none' otherwise."""
-    n = h.n
     here = h.transpositions[idx].position
     for later_idx, _role in involvements.get(p, []):
         if later_idx > idx:
@@ -323,7 +298,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
         h.initial,
         tuple(Transposition(i + 1, pos, pair) for i, (pos, pair) in enumerate(seq)),
     )
-    report = validate_allowable(out)
+    report = out.axiom_walk[0]
     if report:
         raise RearrangementError("rearranged halfperiod invalid: " + report[0])
     ev_in = edge_vector_from_halfperiod(h)

@@ -46,20 +46,14 @@ class Halfperiod:
     Construction does not enforce the allowable-sequence axioms; use
     validate_allowable to obtain the violation report (empty iff valid).
     Factories in this module only return validated instances.
+
+    The fields are immutable, so the axiom walk is made at most once per
+    instance (`axiom_walk`); require_valid and the kernels read it.
     """
 
     n: int
     initial: tuple[int, ...]
     transpositions: tuple[Transposition, ...]
-
-    def walk(self):
-        """Yield (step_index, permutation_after) pairs; step 0 is initial."""
-        perm = list(self.initial)
-        yield 0, tuple(perm)
-        for t in self.transpositions:
-            j = t.position - 1
-            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-            yield t.step, tuple(perm)
 
     def permutation(self, i: int) -> tuple[int, ...]:
         """The i-th permutation pi_i, 0 <= i <= C(n,2)."""
@@ -71,19 +65,37 @@ class Halfperiod:
             perm[j], perm[j + 1] = perm[j + 1], perm[j]
         return tuple(perm)
 
-    @property
-    def final(self) -> tuple[int, ...]:
-        perm = self.permutation(len(self.transpositions))
-        return perm
+    @functools.cached_property
+    def axiom_walk(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+        """(violations, slot pairs) of this instance's one validate_allowable
+        walk; slot pair t is (left, right) as the labels stood in the two
+        swapped slots just before transposition t."""
+        slots: list[tuple[int, int]] = []
+        return tuple(validate_allowable(self, slots)), tuple(slots)
+
+    def k_critical(self, k: int):
+        """(index, boundary, entering, leaving) of each k-critical
+        transposition in order: a swap in slots (k, k+1) lets the left
+        label into the k-center, one in slots (n-k, n-k+1) the right one.
+        Read from the cached walk; requires a valid halfperiod."""
+        slots = require_valid(self).axiom_walk[1]
+        n = self.n
+        for idx, (t, (left, right)) in enumerate(zip(self.transpositions, slots)):
+            if t.position == k:
+                yield idx, "k", left, right
+            elif t.position == n - k:
+                yield idx, "n-k", right, left
 
 
-def validate_allowable(h: Halfperiod) -> list[str]:
+def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
     """Check the simple-allowable-sequence axioms; returns the list of
     violations (empty iff h is a valid halfperiod).
 
-    Violations are data, not errors: axioms checked are slot adjacency of
-    the recorded pairs, every pair swapped exactly once, the expected
-    transposition count, and final permutation = reverse of initial.
+    Violations are data, not errors: axioms checked are the step numbering
+    1..C(n,2), slot adjacency of the recorded pairs, every pair swapped
+    exactly once, the expected transposition count, and final permutation
+    = reverse of initial.  When `slots` is given, the labels standing in
+    the swapped slots before each in-range transposition are appended to it.
     """
     report = []
     n = h.n
@@ -98,11 +110,15 @@ def validate_allowable(h: Halfperiod) -> list[str]:
     perm = list(h.initial)
     seen: dict[frozenset, int] = {}
     for idx, t in enumerate(h.transpositions):
+        if t.step != idx + 1:
+            report.append(f"step {idx + 1}: recorded step number {t.step}")
         if not 1 <= t.position <= n - 1:
             report.append(f"step {idx + 1}: position {t.position} out of range 1..{n - 1}")
             continue
         j = t.position - 1
         here = (perm[j], perm[j + 1])
+        if slots is not None:
+            slots.append(here)
         if set(here) != set(t.pair):
             report.append(
                 f"step {idx + 1}: recorded pair {t.pair} but slots hold {here}"
@@ -121,7 +137,9 @@ def validate_allowable(h: Halfperiod) -> list[str]:
 
 
 def require_valid(h: Halfperiod) -> Halfperiod:
-    report = validate_allowable(h)
+    """h itself if it satisfies the axioms, else InputError; walks h only
+    on the first call for the instance."""
+    report = h.axiom_walk[0]
     if report:
         raise InputError("invalid halfperiod: " + "; ".join(report[:3]))
     return h
@@ -254,17 +272,12 @@ def rotate_halfperiod(h: Halfperiod, steps: int = 1) -> Halfperiod:
     require_valid(h)
     n = h.n
     steps %= len(h.transpositions)
-    initial = list(h.initial)
-    moved = []
-    for t in h.transpositions[:steps]:
-        j = t.position - 1
-        initial[j], initial[j + 1] = initial[j + 1], initial[j]
-        moved.append(t)
     seq = list(h.transpositions[steps:]) + [
-        Transposition(0, n - t.position, (t.pair[1], t.pair[0])) for t in moved
+        Transposition(0, n - t.position, (t.pair[1], t.pair[0]))
+        for t in h.transpositions[:steps]
     ]
     seq = [Transposition(i + 1, t.position, t.pair) for i, t in enumerate(seq)]
-    return require_valid(Halfperiod(n, tuple(initial), tuple(seq)))
+    return require_valid(Halfperiod(n, h.permutation(steps), tuple(seq)))
 
 
 def reverse_halfperiod(h: Halfperiod) -> Halfperiod:
@@ -313,22 +326,14 @@ def compute_s(h: Halfperiod, k: int) -> KCenterTrace:
     the first k-critical transposition evicts a C_0 element.
     """
     _check_k(h.n, k)
-    require_valid(h)
     n = h.n
     c0 = frozenset(h.initial[k : n - k])
-    perm = list(h.initial)
-    in_center_count = len(c0)  # |C_0 ∩ center| at step 0
-    sizes = [in_center_count]
-    for t in h.transpositions:
-        j = t.position - 1
-        if t.position == k:
-            entering, leaving = perm[j], perm[j + 1]
-            in_center_count += (entering in c0) - (leaving in c0)
-        elif t.position == n - k:
-            entering, leaving = perm[j + 1], perm[j]
-            in_center_count += (entering in c0) - (leaving in c0)
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
-        sizes.append(in_center_count)
+    count = len(c0)  # |C_0 ∩ center| at step 0
+    sizes = []
+    for idx, _boundary, entering, leaving in h.k_critical(k):
+        sizes += [count] * (idx + 1 - len(sizes))
+        count += (entering in c0) - (leaving in c0)
+    sizes += [count] * (len(h.transpositions) + 1 - len(sizes))
     return KCenterTrace(k, tuple(sizes), min(sizes))
 
 

@@ -26,19 +26,16 @@ import sys
 from . import bounds as bnd
 from . import golden
 from .central import verify_central, classify as classify_records
-from .circseq import halfperiod_from_points, read_halfperiod, validate_allowable
+from .circseq import halfperiod_from_points, read_halfperiod, require_valid
 from .constructions import (
     SrConfig,
     build_cluster_polygon,
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    count_bichromatic_monochromatic,
-    sr_expected_bichromatic,
-    sr_expected_leq,
-    sr_expected_monochromatic,
+    sr_audit,
 )
-from .edgestats import pair_levels, summarize
+from .edgestats import summarize
 from .errors import InputError, KedgesError
 from .geom import read_points, write_points
 from .rat import fmt
@@ -70,14 +67,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.halfperiod:
-        h = read_halfperiod(args.file)
-        report = validate_allowable(h)
-        if report:
-            raise InputError("invalid halfperiod: " + "; ".join(report[:3]))
+        h = require_valid(read_halfperiod(args.file))
     else:
         h = halfperiod_from_points(read_points(args.file), tie_break=args.tie_break)
     rep = verify_central(h, args.k)
-    records = classify_records(h, args.k)
+    records = classify_records(h, args.k, s_value=rep.s)
     _json_print(
         {
             "n": h.n,
@@ -166,6 +160,8 @@ def cmd_cr_bound(args) -> int:
 
 
 def cmd_cr_table(args) -> int:
+    if args.end < args.start:
+        raise InputError(f"empty range: --from {args.start} is above --to {args.end}")
     ns = range(args.start, args.end + 1)
     rows = [(n, bnd.cr_lower_bound(n, args.pipeline).value) for n in ns]
     if args.format == "csv":
@@ -259,16 +255,12 @@ def cmd_verify(args) -> int:
         raise InputError(f"unknown verify target {args.kind!r}")
     res = build_sr(SrConfig(r=args.r, precision=args.precision))
     r = args.r
-    levels = pair_levels(res.perturbed.point_set)
-    ok = True
+    rows = sr_audit(res.perturbed, res.levels)
     print(f"{'k':>4} {'E_leq':>8} {'expected':>9} {'bi':>6} {'mono':>6} status")
-    for k in range(4 * r):
-        got = res.edge_vector.leq(k)
-        want = sr_expected_leq(r, k)
-        bi, mono = count_bichromatic_monochromatic(res.perturbed, k, levels)
-        row_ok = got == want and bi == sr_expected_bichromatic(r, k) and mono == sr_expected_monochromatic(r, k)
-        ok &= row_ok
-        print(f"{k:>4} {got:>8} {want:>9} {bi:>6} {mono:>6} {'ok' if row_ok else 'MISMATCH'}")
+    for row in rows:
+        print(f"{row.k:>4} {row.leq:>8} {row.want_leq:>9} {row.bi:>6} {row.mono:>6} "
+              f"{'ok' if row.ok else 'MISMATCH'}")
+    ok = all(row.ok for row in rows)
     print(f"S_{r}: tightness and split {'verified' if ok else 'FAILED'} for all k <= {4 * r - 1}")
     return 0 if ok else 1
 
@@ -286,11 +278,14 @@ def _parse_partition(spec: str, n: int):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if "-" in chunk:
-                a, b = chunk.split("-", 1)
-                idx.update(range(int(a) - 1, int(b)))
-            else:
-                idx.add(int(chunk) - 1)
+            try:
+                if "-" in chunk:
+                    a, b = chunk.split("-", 1)
+                    idx.update(range(int(a) - 1, int(b)))
+                else:
+                    idx.add(int(chunk) - 1)
+            except ValueError:
+                raise InputError(f"partition entry {chunk!r} is not an index or a-b range") from None
         if any(not 0 <= i < n for i in idx):
             raise InputError(f"partition index out of range in {part!r}")
         groups.append(sorted(idx))

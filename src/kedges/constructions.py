@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .circseq import compute_s, halfperiod_from_points
+from .bounds import comb2
+from .circseq import _angle_cmp, _event_direction, compute_s, halfperiod_from_points
 from .edgestats import edge_vector_bruteforce, pair_levels
 from .errors import InputError, VerificationError
 from .geom import (
@@ -47,12 +48,8 @@ from .geom import (
 from .rat import R, dyadic_between
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Labeled point sets
 # ---------------------------------------------------------------------------
-
-
-def comb2(x: int) -> int:
-    return x * (x - 1) // 2 if x >= 2 else 0
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,44 @@ def sr_expected_monochromatic(r: int, k: int) -> int:
     return 6 * comb2(r + 1) + 3
 
 
+@dataclass(frozen=True)
+class SrAuditRow:
+    """E_<=k of a labeled S_r set and its bichromatic / monochromatic
+    split, each next to the closed form it must meet."""
+
+    k: int
+    leq: int
+    want_leq: int
+    bi: int
+    mono: int
+    want_split: tuple[int, int]
+
+    @property
+    def tight(self) -> bool:
+        return self.leq == self.want_leq
+
+    @property
+    def split_ok(self) -> bool:
+        return (self.bi, self.mono) == self.want_split
+
+    @property
+    def ok(self) -> bool:
+        return self.tight and self.split_ok
+
+
+def sr_audit(lps: LabeledPointSet, levels) -> list[SrAuditRow]:
+    """The tightness and split audit of a labeled S_r set (n = 9r) for
+    0 <= k <= 4r-1, from its pair levels: every (<=k)-edge is either
+    bichromatic or monochromatic, so E_<=k is their sum."""
+    r = lps.n // 9
+    rows = []
+    for k in range(4 * r):
+        bi, mono = count_bichromatic_monochromatic(lps, k, levels)
+        want_split = (sr_expected_bichromatic(r, k), sr_expected_monochromatic(r, k))
+        rows.append(SrAuditRow(k, bi + mono, sr_expected_leq(r, k), bi, mono, want_split))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # The recursive family S_r
 # ---------------------------------------------------------------------------
@@ -146,7 +181,13 @@ class SrConfig:
             raise InputError("r >= 3 required")
         if not (R(0) < R(self.segment_choice) < R(1)):
             raise InputError("segment_choice must lie strictly inside (0, 1)")
-        if not R(self.perturbation_epsilon) > 0:
+        try:
+            eps = R(self.perturbation_epsilon)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(
+                f"perturbation_epsilon {self.perturbation_epsilon!r} is not a rational"
+            ) from None
+        if not eps > 0:
             raise InputError("perturbation_epsilon must be positive")
 
 
@@ -158,6 +199,7 @@ class SrResult:
     config: SrConfig          # with the values that actually certified
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
     edge_vector: object       # brute-force vector of the perturbed set
+    levels: dict              # pair levels of the perturbed set
 
 
 _BASE_A = {1: (-700, -50), 2: (-410, 150), 3: (-436, 144)}
@@ -404,9 +446,6 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     pts, tags, max1, min2 = certified
 
     raw = LabeledPointSet(PointSet(pts), tuple(tags))
-    expected = {k: sr_expected_leq(r, k) for k in range(4 * r)}
-    expected_bi = {k: sr_expected_bichromatic(r, k) for k in range(4 * r)}
-    expected_mono = {k: sr_expected_monochromatic(r, k) for k in range(4 * r)}
 
     eps = R(cfg.perturbation_epsilon)
     failure = None
@@ -420,19 +459,11 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
         levels = pair_levels(ps)
         ev = edge_vector_bruteforce(ps, levels)
         lps = LabeledPointSet(ps, tuple(tags))
-        bad = None
-        for k in range(4 * r):
-            if ev.leq(k) != expected[k]:
-                bad = f"E_<= {k}: got {ev.leq(k)}, want {expected[k]}"
-                break
-            bi, mono = count_bichromatic_monochromatic(lps, k, levels)
-            if (bi, mono) != (expected_bi[k], expected_mono[k]):
-                bad = f"split at k={k}: got {(bi, mono)}, want {(expected_bi[k], expected_mono[k])}"
-                break
-        if bad is None:
+        bad = [row for row in sr_audit(lps, levels) if not row.ok]
+        if not bad:
             used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, lps, aux, used, (max1, min2), ev)
-        failure = bad
+            return SrResult(raw, lps, aux, used, (max1, min2), ev, levels)
+        failure = f"audit mismatch {bad[0]}"
         eps = eps / 1000
     raise VerificationError(f"S_{r} count verification failed: {failure}")
 
@@ -539,22 +570,14 @@ class Decomposition3Witness:
 def _angular_directions(ps: PointSet):
     """Distinct spanned-line normals in the upper half plane, sorted by
     angle, plus midpoint directions of consecutive angular gaps."""
-    dirs = []
-    for i, j in combinations(range(ps.n), 2):
-        dx, dy = ps[j].x - ps[i].x, ps[j].y - ps[i].y
-        a, b = -dy, dx
-        if b < 0 or (b == 0 and a < 0):
-            a, b = -a, -b
-        dirs.append((a, b))
-
-    def cmp(u, v):
-        cr = u[0] * v[1] - u[1] * v[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    dirs.sort(key=functools.cmp_to_key(cmp))
+    dirs = [
+        _event_direction(ps[j].x - ps[i].x, ps[j].y - ps[i].y)
+        for i, j in combinations(range(ps.n), 2)
+    ]
+    dirs.sort(key=functools.cmp_to_key(_angle_cmp))
     uniq = [dirs[0]]
     for d in dirs[1:]:
-        if cmp(uniq[-1], d) != 0:
+        if _angle_cmp(uniq[-1], d) != 0:
             uniq.append(d)
     mids = []
     for u, v in zip(uniq, uniq[1:]):

@@ -19,11 +19,7 @@ from .constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    comb2,
-    count_bichromatic_monochromatic,
-    sr_expected_bichromatic,
-    sr_expected_leq,
-    sr_expected_monochromatic,
+    sr_audit,
     sr_letter_partition,
 )
 from .edgestats import (
@@ -31,8 +27,8 @@ from .edgestats import (
     crossings_from_edge_vector,
     edge_vector_bruteforce,
     edge_vector_from_halfperiod,
-    pair_levels,
 )
+from .errors import InputError
 from .gensets import random_general_position_set
 
 
@@ -68,6 +64,8 @@ def run_bounds_suite() -> list:
 
 
 def build_corpus(trials: int, nmin: int, nmax: int, seed: int):
+    if trials < 1 or nmax < nmin:
+        raise InputError(f"need trials >= 1 and nmax >= {nmin}, got trials={trials}, nmax={nmax}")
     rng = random.Random(seed)
     return [
         random_general_position_set(rng.randrange(nmin, nmax + 1), rng)
@@ -127,15 +125,10 @@ def run_constructions_suite(rmax: int = 4) -> list:
     out = []
     for r in range(3, rmax + 1):
         res = build_sr(SrConfig(r=r))
-        ev = res.edge_vector
-        bad = [k for k in range(4 * r) if ev.leq(k) != sr_expected_leq(r, k)]
+        rows = sr_audit(res.perturbed, res.levels)
+        bad = [row.k for row in rows if not row.tight]
         out.append(_result(f"sr-tightness-r{r}", not bad, f"bad k: {bad}"))
-        levels = pair_levels(res.perturbed.point_set)
-        split_bad = []
-        for k in range(4 * r):
-            bi, mono = count_bichromatic_monochromatic(res.perturbed, k, levels)
-            if (bi, mono) != (sr_expected_bichromatic(r, k), sr_expected_monochromatic(r, k)):
-                split_bad.append(k)
+        split_bad = [row.k for row in rows if not row.split_ok]
         out.append(_result(f"sr-split-r{r}", not split_bad, f"bad k: {split_bad}"))
         witness = check_3decomposable(res.perturbed.point_set, sr_letter_partition(r))
         out.append(_result(f"sr-3decomposable-r{r}", witness is not None))
@@ -143,7 +136,7 @@ def run_constructions_suite(rmax: int = 4) -> list:
     ps = build_polygon_center(3, 9)
     ev = edge_vector_bruteforce(ps)
     s = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
-    ok = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 and ev.geq(3) == 2 * 7 + comb2(s)
+    ok = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 and ev.geq(3) == 2 * 7 + bounds.comb2(s)
     out.append(_result("polygon-center-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
 
     ps = build_cluster_polygon(1, 3)
@@ -173,8 +166,6 @@ def run_scope(scope: str, **args) -> list:
             out.extend(SCOPES[name](args))
         return out
     if scope not in SCOPES:
-        from .errors import InputError
-
         raise InputError(f"unknown selftest scope {scope!r}; choose from "
                          f"{sorted(SCOPES)} or 'all'")
     return SCOPES[scope](args)

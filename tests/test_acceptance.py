@@ -19,7 +19,6 @@ from kedges.constructions import (
     build_cluster_polygon,
     build_polygon_center,
     build_sr,
-    comb2,
     count_bichromatic_monochromatic,
     sr_expected_bichromatic,
     sr_expected_leq,
@@ -142,7 +141,7 @@ def test_criterion_09_equality_constructions():
     ev = edge_vector_bruteforce(ps)
     s = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
     ok_pc = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 \
-        and ev.geq(3) == (9 - 2 * 3 - 1) * ev.counts[2] + comb2(s)
+        and ev.geq(3) == (9 - 2 * 3 - 1) * ev.counts[2] + bounds.comb2(s)
     ps = build_cluster_polygon(1, 3)
     ev = edge_vector_bruteforce(ps)
     s0 = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value

@@ -169,3 +169,11 @@ def test_bound_table_structure():
     assert t36.rows[16].u_prime_k == 522
     # the conditional 3-regular column never feeds `best`
     assert t36.rows[16].best == max(t36.rows[16].aichholzer, t36.rows[16].u_k)
+
+
+def test_reported_bounds_never_exceed_all_edges():
+    # E_<=k(n) <= C(n,2), with equality at k = floor(n/2) - 1
+    for n in range(5, 201):
+        for row in bound_table(n).rows:
+            assert row.aichholzer <= comb(n, 2) and row.best <= comb(n, 2), (n, row)
+    assert aichholzer_bound(12, 5) == 66 and bound_table(16).rows[7].best == 120

@@ -5,8 +5,15 @@ from math import comb
 
 import pytest
 
+import kedges.circseq as circseq
 from kedges.central import blocks, classify, rearrange_essential, verify_central
-from kedges.circseq import compute_s, halfperiod_from_points, validate_allowable
+from kedges.circseq import (
+    Halfperiod,
+    Transposition,
+    compute_s,
+    halfperiod_from_points,
+    validate_allowable,
+)
 from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
@@ -147,3 +154,78 @@ def test_odd_extreme_k():
     assert rep.all_ok
     records = [r for r in classify(h, 4) if r.kind == "k-critical"]
     assert all(r.weight == 0 for r in records)
+
+
+def _reduced_word(n, rng):
+    """A random simple allowable sequence from the identity: swap a random
+    adjacent pair still in increasing order until the order is reversed.
+    These include non-stretchable sequences."""
+    perm = list(range(1, n + 1))
+    ts = []
+    for step in range(1, comb(n, 2) + 1):
+        j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
+        ts.append(Transposition(step, j + 1, (perm[j], perm[j + 1])))
+        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    return Halfperiod(n, tuple(range(1, n + 1)), tuple(ts))
+
+
+def test_axioms_walked_once_per_halfperiod(monkeypatch):
+    walked = []
+    real = circseq.validate_allowable
+
+    def counting(h, slots=None):
+        walked.append(h)
+        return real(h, slots)
+
+    monkeypatch.setattr(circseq, "validate_allowable", counting)
+    h = _reduced_word(14, random.Random(71))
+    rep = verify_central(h, 4)
+    classify(h, 4)
+    assert rep.all_ok
+    # the input once, and the rearranged companion's output check once
+    assert len(walked) <= 2
+    assert sum(w is h for w in walked) == 1
+
+
+def _corrupt(h, how):
+    ts = list(h.transpositions)
+    t = ts[4]
+    if how == "step":
+        ts[4] = Transposition(t.step + 1, t.position, t.pair)
+    elif how == "pair":
+        other = next(lab for lab in h.initial if lab not in t.pair)
+        ts[4] = Transposition(t.step, t.position, (t.pair[0], other))
+    else:  # truncated
+        ts.pop()
+    return Halfperiod(h.n, h.initial, tuple(ts))
+
+
+@pytest.mark.parametrize("how", ["step", "pair", "truncated"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda h: compute_s(h, 2),
+        lambda h: blocks(h, 2),
+        lambda h: classify(h, 2),
+        lambda h: classify(h, 2, s_value=0),
+        lambda h: verify_central(h, 2),
+        edge_vector_from_halfperiod,
+    ],
+    ids=["compute_s", "blocks", "classify", "classify-s", "verify_central", "edge_vector"],
+)
+def test_invalid_halfperiod_rejected_by_every_kernel(kernel, how):
+    bad = _corrupt(_reduced_word(7, random.Random(73)), how)
+    assert validate_allowable(bad)
+    for _ in range(2):  # the cached verdict is the same verdict
+        with pytest.raises(InputError, match="invalid halfperiod"):
+            kernel(bad)
+
+
+def test_abstract_halfperiods_satisfy_central_checks():
+    rng = random.Random(79)
+    for n in (9, 12, 16):
+        h = _reduced_word(n, rng)
+        for k in range(1, (n - 1) // 2 + 1):
+            rep = verify_central(h, k)
+            assert rep.all_ok, (n, k, rep.aux_checks)
+            assert compute_s(h, k).s_value == rep.s

@@ -190,3 +190,66 @@ def test_selftest_deterministic(capsys):
     first = capsys.readouterr().out
     main(["selftest", "identities", "--trials", "6", "--nmax", "8"])
     assert capsys.readouterr().out == first
+
+
+def _halfperiod_lines(octagon_file, tmp_path):
+    from kedges.circseq import halfperiod_from_points, write_halfperiod
+    from kedges.geom import read_points
+
+    hp = tmp_path / "oct.hp"
+    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
+    return hp.read_text().splitlines()
+
+
+def test_classify_halfperiod_bad_step(octagon_file, tmp_path, capsys):
+    lines = _halfperiod_lines(octagon_file, tmp_path)
+    step, rest = lines[5].split(" ", 1)
+    lines[5] = f"{int(step) + 10} {rest}"
+    bad = tmp_path / "bad-step.hp"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["classify", str(bad), "--halfperiod", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: invalid halfperiod: step 4: recorded step number 14")
+
+
+def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
+    lines = _halfperiod_lines(octagon_file, tmp_path)
+    flipped = lines[:2]
+    for ln in lines[2:]:
+        step, pos, a, b = ln.split()
+        flipped.append(f"{step} {pos} {b} {a}")
+    files = []
+    for name, body in (("ordered.hp", lines), ("flipped.hp", flipped)):
+        files.append(tmp_path / name)
+        files[-1].write_text("\n".join(body) + "\n")
+
+    def report(path, k):
+        assert main(["classify", str(path), "--halfperiod", "--k", str(k)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        for r in out["records"]:
+            r["pair"] = sorted(r["pair"])
+        return out
+
+    for k in (1, 2, 3):
+        assert report(files[0], k) == report(files[1], k)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose3", "OCT", "--partition", "1-a/4-6/7-8"],
+        ["construct", "sr", "--r", "3", "--epsilon", "abc", "-o", "OUT"],
+        ["selftest", "identities", "--nmax", "4"],
+        ["selftest", "identities", "--trials", "0"],
+        ["cr-table", "--from", "99", "--to", "28"],
+    ],
+    ids=["partition", "epsilon", "nmax", "trials", "cr-table-range"],
+)
+def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
+    argv = [octagon_file if a == "OCT" else str(tmp_path / "s.pts") if a == "OUT" else a
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -11,13 +11,14 @@ from kedges.constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    comb2,
     count_bichromatic_monochromatic,
     sr_expected_bichromatic,
     sr_expected_leq,
     sr_expected_monochromatic,
+    sr_audit,
     sr_letter_partition,
 )
+from kedges.bounds import comb2
 from kedges.central import verify_central
 from kedges.edgestats import edge_vector_bruteforce, pair_levels
 from kedges.errors import InputError
@@ -92,6 +93,15 @@ def test_s3_split(s3):
     assert count_bichromatic_monochromatic(s3.perturbed, 9, levels) == (162, 6)
     for k in range(9):
         assert count_bichromatic_monochromatic(s3.perturbed, k, levels)[1] == 0
+
+
+def test_sr_audit_reuses_build_levels(s3):
+    assert s3.levels == pair_levels(s3.perturbed.point_set)
+    rows = sr_audit(s3.perturbed, s3.levels)
+    assert [row.k for row in rows] == list(range(12))
+    assert all(row.ok for row in rows)
+    assert [row.leq for row in rows] == list(s3.edge_vector.e_leq[:12])
+    assert (rows[11].bi, rows[11].mono) == (216, 39)
 
 
 def test_count_split_requires_labels(s3):
