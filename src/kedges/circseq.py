@@ -159,14 +159,47 @@ def _event_direction(dx, dy):
     return a, b
 
 
-def _angle_cmp(e1, e2) -> int:
-    """Exact angular order on upper-half-plane vectors (cross-product sign)."""
-    cross = e1[0] * e2[1] - e1[1] * e2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
+def _event_cmp(ev1, ev2) -> int:
+    """Exact angular order of two sweep events (direction, i, j) by their
+    upper-half-plane directions (cross-product sign)."""
+    (a1, b1), (a2, b2) = ev1[0], ev2[0]
+    cross = a1 * b2 - b1 * a2
+    if cross:
+        return -1 if cross > 0 else 1
     return 0
+
+
+def sorted_events(ps: PointSet) -> list[tuple]:
+    """The C(n,2) sweep events (direction, i, j), one per pair i < j,
+    sorted by angle and then by pair index.
+
+    The direction is the normal of p_j - p_i in the upper half plane,
+    formed on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
+    Wi*Wj > 0 times p_j - p_i, so every angular comparison is exact and
+    unchanged."""
+    hom = ps.homogeneous
+    events = []
+    for i, (xi, yi, wi) in enumerate(hom):
+        for j in range(i + 1, ps.n):
+            xj, yj, wj = hom[j]
+            events.append((_event_direction(xj * wi - xi * wj, yj * wi - yi * wj), i, j))
+    # Stable: equal angles keep the pair order in which they were made.
+    events.sort(key=functools.cmp_to_key(_event_cmp))
+    return events
+
+
+def angle_runs(events) -> list[list[tuple]]:
+    """Sorted events in runs of equal angle: a run holds every pair
+    spanning a line of that normal."""
+    runs = []
+    for ev in events:
+        a, b = ev[0]
+        if runs and a * b0 == b * a0:  # parallel to the run's direction
+            runs[-1].append(ev)
+        else:
+            runs.append([ev])
+            a0, b0 = a, b
+    return runs
 
 
 def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
@@ -190,46 +223,14 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
         raise InputError("need at least 2 points")
     pts = ps.points
 
-    # Directions on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
-    # Wi*Wj > 0 times pj - pi, so every angular comparison is unchanged.
-    hom = ps.homogeneous
-    events = []  # (direction, i, j)
-    for i, (xi, yi, wi) in enumerate(hom):
-        for j in range(i + 1, n):
-            xj, yj, wj = hom[j]
-            d = _event_direction(xj * wi - xi * wj, yj * wi - yi * wj)
-            events.append((d, i, j))
-
-    def cmp(ev1, ev2):
-        (a1, b1), (a2, b2) = ev1[0], ev2[0]
-        cross = a1 * b2 - b1 * a2
-        if cross:
-            return -1 if cross > 0 else 1
-        if ev1[1:] < ev2[1:]:
-            return -1
-        if ev1[1:] > ev2[1:]:
-            return 1
-        return 0
-
-    events.sort(key=functools.cmp_to_key(cmp))
-
+    events = sorted_events(ps)
     if not tie_break:
-        groups = []
-        run = [events[0]]
-        for ev in events[1:]:
-            if _angle_cmp(run[-1][0], ev[0]) == 0:
-                run.append(ev)
-            else:
-                if len(run) > 1:
-                    groups.append(tuple((i, j) for _, i, j in run))
-                run = [ev]
-        if len(run) > 1:
-            groups.append(tuple((i, j) for _, i, j in run))
-        if groups:
+        ties = [tuple((i, j) for _, i, j in run) for run in angle_runs(events) if len(run) > 1]
+        if ties:
             raise DirectionTieError(
-                f"{len(groups)} group(s) of point pairs span parallel lines "
-                f"(first group: {groups[0]}); pass tie_break=True to order them by pair index",
-                groups=groups,
+                f"{len(ties)} group(s) of point pairs span parallel lines "
+                f"(first group: {ties[0]}); pass tie_break=True to order them by pair index",
+                groups=ties,
             )
 
     # Initial order: projections onto the first event direction, tie-broken

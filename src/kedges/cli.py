@@ -279,13 +279,14 @@ def _parse_partition(spec: str, n: int):
             if not chunk:
                 continue
             try:
-                if "-" in chunk:
-                    a, b = chunk.split("-", 1)
-                    idx.update(range(int(a) - 1, int(b)))
-                else:
-                    idx.add(int(chunk) - 1)
+                a, dash, b = chunk.partition("-")
+                lo = int(a)
+                hi = int(b) if dash else lo
             except ValueError:
                 raise InputError(f"partition entry {chunk!r} is not an index or a-b range") from None
+            if hi < lo:
+                raise InputError(f"partition entry {chunk!r} is a reversed range")
+            idx.update(range(lo - 1, hi))
         if any(not 0 <= i < n for i in idx):
             raise InputError(f"partition index out of range in {part!r}")
         groups.append(sorted(idx))

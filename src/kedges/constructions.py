@@ -21,20 +21,27 @@ goes) escalate automatically until the certificate passes.
 * build_cluster_polygon: a (2t+1)-gon with each vertex replaced by m
   near-collinear points pointing at the center; equality at s = 0.
 
-check_3decomposable searches the O(n^2) critical projection directions
-for an enclosing triangle whose side projections show each class between
-the other two.
+check_3decomposable looks for one projection direction per part that
+shows that part between the other two, in a single sweep of the circular
+sequence: the projection order is sorted once and then changed only by
+the block reversals at the O(n^2) spanned-line normals, with a running
+count of part boundaries deciding each angular gap.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import comb2
-from .circseq import _angle_cmp, _event_direction, compute_s, halfperiod_from_points
+from .circseq import (
+    _event_direction,
+    angle_runs,
+    compute_s,
+    halfperiod_from_points,
+    sorted_events,
+)
 from .edgestats import edge_vector_bruteforce, pair_levels
 from .errors import InputError, VerificationError
 from .geom import (
@@ -567,42 +574,21 @@ class Decomposition3Witness:
     directions: tuple  # ((dx, dy), (dx, dy), (dx, dy))
 
 
-def _angular_directions(ps: PointSet):
-    """Distinct spanned-line normals in the upper half plane, sorted by
-    angle, plus midpoint directions of consecutive angular gaps."""
-    dirs = [
-        _event_direction(ps[j].x - ps[i].x, ps[j].y - ps[i].y)
-        for i, j in combinations(range(ps.n), 2)
-    ]
-    dirs.sort(key=functools.cmp_to_key(_angle_cmp))
-    uniq = [dirs[0]]
-    for d in dirs[1:]:
-        if _angle_cmp(uniq[-1], d) != 0:
-            uniq.append(d)
-    mids = []
-    for u, v in zip(uniq, uniq[1:]):
-        mids.append((u[0] + v[0], u[1] + v[1]))
-    u, v = uniq[-1], uniq[0]
-    mids.append((u[0] - v[0], u[1] - v[1]))  # wrap gap: between last and first+pi
-    return mids
-
-
-def _between_pattern(order_letters, target):
-    """True iff the letters split into three contiguous blocks with
-    `target` in the middle."""
-    blocks = []
-    for x in order_letters:
-        if not blocks or blocks[-1] != x:
-            blocks.append(x)
-    return len(blocks) == 3 and blocks[1] == target
-
-
 def check_3decomposable(ps: PointSet, partition):
     """Witness directions for a 3-decomposition of ps under `partition`
     (three equal, disjoint index groups), or None.
 
     The projection order of the points changes only at spanned-line
-    normals, so testing one direction per angular gap is exhaustive."""
+    normals, so one direction per open angular gap between consecutive
+    normals is exhaustive.  The search is one sweep over the circular
+    sequence (Goodman & Pollack): sort the points once for the first gap,
+    then cross each angle in turn, where every line spanned with that
+    normal reverses its points, a contiguous block of the order.  A running
+    count of part boundaries is updated at the block ends only; three
+    blocks (two boundaries) put part 3 - first - last between the others.
+    Each part's witness is its first such gap, given as the sum of the
+    rational normals of the lowest-index pairs on either side (their
+    difference for the gap that wraps past angle pi)."""
     groups = [set(g) for g in partition]
     if len(groups) != 3:
         raise InputError("partition must have exactly three parts")
@@ -610,26 +596,99 @@ def check_3decomposable(ps: PointSet, partition):
         raise InputError("parts must have equal size n/3")
     if set().union(*groups) != set(range(ps.n)) or sum(len(g) for g in groups) != ps.n:
         raise InputError("parts must be disjoint and cover all indices")
-    part_of = {}
+    part_of = [0] * ps.n
     for gi, g in enumerate(groups):
         for i in g:
             part_of[i] = gi
 
+    angles = angle_runs(sorted_events(ps))
+    if len(angles) < 2:
+        return None  # one line: only its middle part can ever be between
+    pts = ps.points
+    n = ps.n
+
+    def normal(g):
+        _, i, j = angles[g][0]
+        return _event_direction(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
+
+    def gap_direction(g):
+        u = normal(g)
+        if g + 1 < len(angles):
+            v = normal(g + 1)
+            return (u[0] + v[0], u[1] + v[1])
+        v = normal(0)
+        return (u[0] - v[0], u[1] - v[1])  # wrap gap: between last and first+pi
+
+    d = gap_direction(0)
+    order = sorted(range(n), key=lambda i: pts[i].x * d[0] + pts[i].y * d[1])
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    parts = [part_of[i] for i in order]
+
+    def cut(p):  # 1 iff slots p and p+1 hold different parts
+        return 0 <= p < n - 1 and parts[p] != parts[p + 1]
+
+    cuts = sum(cut(p) for p in range(n - 1))
     found = {}
-    for d in _angular_directions(ps):
-        keys = [(p.x * d[0] + p.y * d[1], i) for i, p in enumerate(ps)]
-        keys.sort()
-        if any(keys[a][0] == keys[a + 1][0] for a in range(len(keys) - 1)):
-            continue  # degenerate direction; gaps elsewhere still cover all orders
-        letters = [part_of[i] for _, i in keys]
-        for gi in range(3):
-            if gi not in found and _between_pattern(letters, gi):
-                found[gi] = d
-        if len(found) == 3:
-            break
-    if len(found) < 3:
-        return None
-    return Decomposition3Witness((found[0], found[1], found[2]))
+    for g in range(len(angles)):
+        if g:
+            for a, b in _reversed_blocks(angles[g], pos):
+                cuts -= cut(a - 1) + cut(b)
+                order[a:b + 1] = reversed(order[a:b + 1])
+                parts[a:b + 1] = reversed(parts[a:b + 1])
+                for p in range(a, b + 1):
+                    pos[order[p]] = p
+                cuts += cut(a - 1) + cut(b)
+        if cuts == 2:
+            found.setdefault(3 - parts[0] - parts[-1], g)
+            if len(found) == 3:
+                return Decomposition3Witness(tuple(gap_direction(found[gi]) for gi in range(3)))
+    return None
+
+
+def _reversed_blocks(angle, pos):
+    """(first, last) slot of each block the sweep reverses at one angle:
+    the points of every line spanned with that normal, which stand
+    contiguously in the order just before it (union-find over the pairs)."""
+    if len(angle) == 1:
+        _, i, j = angle[0]
+        a = min(pos[i], pos[j])
+        return ((a, a + 1),)
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for _, i, j in angle:
+        root[find(i)] = find(j)
+    span = {}
+    for x in root:
+        r, p = find(x), pos[x]
+        lo, hi = span.get(r, (p, p))
+        span[r] = (min(lo, p), max(hi, p))
+    return span.values()
+
+
+def witness_failures(ps: PointSet, partition, witness) -> list[int]:
+    """The parts (0, 1, 2) whose witness direction fails a check that does
+    not use the sweep: every point is projected onto the direction once in
+    exact rational arithmetic, the n values must be distinct, and the part
+    must lie strictly between the other two."""
+    bad = []
+    for gi, (dx, dy) in enumerate(witness.directions):
+        proj = [[ps[i].x * dx + ps[i].y * dy for i in part] for part in partition]
+        mid = proj[gi]
+        a, b = (proj[x] for x in range(3) if x != gi)
+        distinct = len({v for vs in proj for v in vs}) == ps.n
+        between = any(max(lo) < min(mid) and max(mid) < min(hi) for lo, hi in ((a, b), (b, a)))
+        if not (distinct and between):
+            bad.append(gi)
+    return bad
 
 
 def sr_letter_partition(r: int):

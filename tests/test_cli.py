@@ -1,9 +1,14 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kedges
 from kedges.cli import main
 from kedges.gensets import convex_polygon_set
 from kedges.geom import write_points
@@ -239,12 +244,13 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
     "argv",
     [
         ["decompose3", "OCT", "--partition", "1-a/4-6/7-8"],
+        ["decompose3", "OCT", "--partition", "3-1/4-6/7-8"],
         ["construct", "sr", "--r", "3", "--epsilon", "abc", "-o", "OUT"],
         ["selftest", "identities", "--nmax", "4"],
         ["selftest", "identities", "--trials", "0"],
         ["cr-table", "--from", "99", "--to", "28"],
     ],
-    ids=["partition", "epsilon", "nmax", "trials", "cr-table-range"],
+    ids=["partition", "partition-reversed", "epsilon", "nmax", "trials", "cr-table-range"],
 )
 def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     argv = [octagon_file if a == "OCT" else str(tmp_path / "s.pts") if a == "OUT" else a
@@ -253,3 +259,23 @@ def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reversed_partition_range_is_named(octagon_file, capsys):
+    assert main(["decompose3", octagon_file, "--partition", "3-1/4-6/7-8"]) == 2
+    assert capsys.readouterr().err == "error: partition entry '3-1' is a reversed range\n"
+
+
+def test_python_m_kedges_runs_the_cli():
+    src = str(Path(kedges.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kedges", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("halving-bound", "--n", "24")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "51\n", "")
+    bad = run("cr-table", "--from", "99", "--to", "28")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1

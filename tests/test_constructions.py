@@ -1,11 +1,17 @@
 """Extremal constructions and their exact certificates."""
 
 import random
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kedges.circseq import compute_s, halfperiod_from_points
 from kedges.constructions import (
+    Decomposition3Witness,
     SrConfig,
     build_cluster_polygon,
     build_polygon_center,
@@ -17,6 +23,7 @@ from kedges.constructions import (
     sr_expected_monochromatic,
     sr_audit,
     sr_letter_partition,
+    witness_failures,
 )
 from kedges.bounds import comb2
 from kedges.central import verify_central
@@ -203,6 +210,105 @@ def test_3decomposable_partition_validation(s3):
         check_3decomposable(ps, ((0,), (1,), (2,)))
     with pytest.raises(InputError):
         check_3decomposable(ps, (range(9), range(9, 18), range(17, 26)))
+
+
+def _ref_normal(p, q):
+    a, b = p.y - q.y, q.x - p.x
+    if b < 0 or (b == 0 and a < 0):
+        a, b = -a, -b
+    return a, b
+
+
+def _ref_angle_cmp(u, v):
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
+
+
+def ref_check_3decomposable(ps, partition):
+    """The exhaustive per-gap search as the reference: the distinct
+    spanned-line normals sorted by angle (the lowest index pair stands for
+    equal angles), one rational direction per gap between consecutive
+    normals (the last gap wraps past pi), every point projected onto it and
+    sorted, and each part's first gap with three part blocks and the part
+    in the middle."""
+    pts = ps.points
+    normals = sorted((_ref_normal(pts[i], pts[j]) for i, j in combinations(range(ps.n), 2)),
+                     key=cmp_to_key(_ref_angle_cmp))
+    uniq = [u for k, u in enumerate(normals) if k == 0 or _ref_angle_cmp(normals[k - 1], u)]
+    gaps = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(uniq, uniq[1:])]
+    gaps.append((uniq[-1][0] - uniq[0][0], uniq[-1][1] - uniq[0][1]))
+    part_of = {i: gi for gi, part in enumerate(partition) for i in part}
+    found = {}
+    for d in gaps:
+        keys = sorted((p.x * d[0] + p.y * d[1], i) for i, p in enumerate(pts))
+        if any(keys[k][0] == keys[k + 1][0] for k in range(len(keys) - 1)):
+            continue
+        letters = [part_of[i] for _, i in keys]
+        blocks = [x for k, x in enumerate(letters) if k == 0 or x != letters[k - 1]]
+        if len(blocks) == 3:
+            found.setdefault(blocks[1], d)
+        if len(found) == 3:
+            return Decomposition3Witness((found[0], found[1], found[2]))
+    return None
+
+
+CORNERS = ((0, 0), (24, 0), (12, 20))
+
+
+@st.composite
+def partitioned_sets(draw):
+    """(point set, partition, all on one line): three clusters at triangle
+    corners on small grids, so collinear triples and parallel pairs are
+    common, or points on one line; the partition is the clusters, the
+    clusters with two points exchanged, or random thirds."""
+    m = draw(st.integers(1, 4))
+    den = draw(st.integers(1, 3))
+    spread = draw(st.integers(1, 14))
+    line = draw(st.integers(0, 5)) == 0
+    cell = st.tuples(st.integers(-spread, spread), st.integers(-spread, spread))
+    if line:
+        dx, dy = draw(cell.filter(any))
+        ts = draw(st.lists(st.integers(-30, 30), min_size=3 * m, max_size=3 * m, unique=True))
+        xy = [(t * dx, t * dy) for t in ts]
+    else:
+        xy = [(cx * den + x, cy * den + y) for cx, cy in CORNERS
+              for x, y in draw(st.lists(cell, min_size=m, max_size=m, unique=True))]
+    assume(len(set(xy)) == len(xy))
+    ps = PointSet([P(Fraction(x, den), Fraction(y, den)) for x, y in xy])
+    kind = draw(st.sampled_from(("exact", "perturbed", "random")))
+    order = list(range(3 * m))
+    if kind == "perturbed":
+        i = draw(st.integers(0, 3 * m - 1))
+        j = draw(st.integers(0, 3 * m - 1).filter(lambda j: j // m != i // m))
+        order[i], order[j] = order[j], order[i]
+    elif kind == "random":
+        order = draw(st.permutations(order))
+    partition = tuple(tuple(sorted(order[g * m:(g + 1) * m])) for g in range(3))
+    return ps, partition, line
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(partitioned_sets())
+def test_3decomposable_sweep_matches_per_gap_reference(case):
+    ps, partition, line = case
+    w = check_3decomposable(ps, partition)
+    assert w == ref_check_3decomposable(ps, partition)
+    if line:
+        assert w is None
+    elif w is not None:
+        assert witness_failures(ps, partition, w) == []
+
+
+def test_selftest_rejects_swapped_witness(monkeypatch):
+    from kedges import selftest
+
+    def swapped(ps, partition):
+        d = check_3decomposable(ps, partition).directions
+        return Decomposition3Witness((d[1], d[0], d[2]))
+
+    monkeypatch.setattr(selftest, "check_3decomposable", swapped)
+    results = {name: (ok, detail) for name, ok, detail in selftest.run_constructions_suite(rmax=3)}
+    assert results["sr-3decomposable-r3"] == (False, "failing parts: [0, 1]")
 
 
 def test_sr_verification_failure_reports():
