@@ -27,8 +27,8 @@ Bound inventory:
                         third binomial term 18 C(m+1-floor(4n/9),2).
 * series_bound       -- the 3-decomposable series with coefficients
                         c_j = 1/2 - 1/(3j(j+1)), truncated.
-* asymptotic_constants, lemma_brackets, comparison_bounds -- numeric and
-  exact consistency checks around the asymptotic story.
+* asymptotic_constants, lemma_brackets, comparison_bounds -- exact
+  consistency checks around the asymptotic story.
 """
 
 from __future__ import annotations
@@ -243,38 +243,53 @@ def series_bound(n: int, k: int, terms: int):
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_constants(tol: float = 1e-9) -> dict:
-    """Numerically integrate the two pieces of the asymptotic crossing
-    constant and compare with their exact values 86/243 and 19/729
-    (sum 277/729); also evaluate the 3-decomposable constant
-    (2/27)(15 - pi^2)."""
-    from scipy.integrate import quad
+def _poly_mul(p, q) -> list:
+    """Coefficients (constant first) of the product of two polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
-    def f1(x):
-        return 24 * 1.5 * (1 - 2 * x) * (x * x + max(0.0, x - 1 / 3) ** 2)
 
-    def f2(x):
-        return 24 * (1 - 2 * x) * (0.5 - (5 / 9) * (1 - 2 * x) ** 0.5)
+def _poly_integral(p, a, b):
+    """Exact integral over [a, b] of the polynomial sum p[i] x^i."""
+    return sum(R(c) * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(p))
 
-    i1, _ = quad(f1, 0, 4 / 9, epsabs=1e-13, epsrel=1e-13)
-    i2, _ = quad(f2, 4 / 9, 0.5, epsabs=1e-13, epsrel=1e-13)
-    t1, t2 = 86 / 243, 19 / 729
-    total = 277 / 729
-    three_decomp = (2 / 27) * (15 - pi * pi)
+
+def asymptotic_constants() -> dict:
+    """Integrate the two pieces of the asymptotic crossing constant exactly
+    and compare them with 86/243 and 19/729 (sum 277/729); also decide
+    (2/27)(15 - pi^2) > 0.380029 from pi < 355/113.
+
+    Piece 1, 36 (1-2x)(x^2 + max(0, x-1/3)^2) on [0, 4/9], is a polynomial
+    on [0, 1/3] and on [1/3, 4/9].  Piece 2, 24 (1-2x)(1/2 - (5/9) sqrt(1-2x))
+    on [4/9, 1/2], becomes 12u (1/2 - (5/9) sqrt u) on [0, 1/9] with
+    u = 1-2x, and the polynomial 24 t^3 (1/2 - (5/9) t) on [0, 1/3] with
+    t = sqrt u (dx = -t dt)."""
+    third = R(1, 3)
+    one_minus_2x = (1, -2)
+    below = _poly_mul((0, 0, 36), one_minus_2x)  # 36 (1-2x) x^2
+    above = _poly_mul((4, -24, 72), one_minus_2x)  # 36 (1-2x)(x^2 + (x-1/3)^2)
+    i1 = _poly_integral(below, 0, third) + _poly_integral(above, third, R(4, 9))
+    i2 = _poly_integral(_poly_mul((0, 0, 0, 24), (R(1, 2), R(-5, 9))), 0, third)
+    t1, t2 = R(86, 243), R(19, 729)
+    total = R(277, 729)
     return {
         "integral1": i1,
         "integral1_target": t1,
-        "integral1_ok": abs(i1 - t1) < tol,
+        "integral1_ok": i1 == t1,
         "integral2": i2,
         "integral2_target": t2,
-        "integral2_ok": abs(i2 - t2) < tol,
+        "integral2_ok": i2 == t2,
         "sum": i1 + i2,
         "sum_target": total,
-        "sum_ok": abs(i1 + i2 - total) < tol,
+        "sum_ok": i1 + i2 == total,
         "crossing_constant": total,
-        "crossing_constant_exceeds_0.379972": total > 0.379972,
-        "three_decomposable_constant": three_decomp,
-        "three_decomposable_exceeds_0.380029": three_decomp > 0.380029,
+        "crossing_constant_exceeds_0.379972": total > R("0.379972"),
+        "three_decomposable_constant": (2 / 27) * (15 - pi * pi),
+        # pi < 355/113, so the constant exceeds (2/27)(15 - (355/113)^2) = 0.3800291...
+        "three_decomposable_exceeds_0.380029": R(2, 27) * (15 - R(355, 113) ** 2) > R("0.380029"),
     }
 
 

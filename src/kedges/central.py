@@ -200,60 +200,59 @@ def _apply(perm, pos):
 def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     """Equivalent halfperiod with every center transposition essential.
 
-    Repeatedly rebuilds the last block containing nonessential
-    transpositions: its nonessential swaps are replayed immediately before
-    tau_j (they join the previous block; the entering label's wire is
-    absent there, so the same pair order stays adjacent-realizable), then
-    tau_j, then the essential swaps replayed as p_j walks monotonically
-    across the center, then the outer-track swaps in original order.
-    Block-final permutations are preserved exactly, and so are all
-    transposition positions outside k+1..n-k-1, hence E_0..E_{k-1} and
-    E_{>=k}.  Outcome invariants are re-validated; violations raise
+    One backward pass over blocks(h, k), from the last block to block 1.
+    A block holding a nonessential center transposition is rebuilt: its
+    nonessential swaps are replayed immediately before tau_j, then tau_j,
+    then the essential swaps as p_j walks monotonically across the center,
+    then the outer-track swaps in original order.  The replayed
+    nonessential swaps join the end of the previous block (the entering
+    label's wire is absent there, so the same pair order stays
+    adjacent-realizable), which the pass visits next; a block without
+    nonessential swaps is copied unchanged, and block 0 is essential by
+    convention.  Rebuilding keeps each block's final permutation, so the
+    permutation at the start of every block is the original one, read off
+    one backward walk from the reversed initial permutation.  Every
+    position outside k+1..n-k-1 is kept, hence E_0..E_{k-1} and E_{>=k}.
+    Outcome invariants are re-validated; violations raise
     RearrangementError.
     """
     _check_k(h.n, k)
     require_valid(h)
     n = h.n
     seq = [(t.position, t.pair) for t in h.transpositions]
-    initial = list(h.initial)
-
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > len(seq) + 2:
-            raise RearrangementError("rearrangement did not converge")
-        target = _last_bad_block(seq, initial, n, k)
-        if target is None:
-            break
-        start, end, p_entering, boundary = target
-        prefix, block, suffix = seq[:start], seq[start:end], seq[end:]
-
-        perm0 = list(initial)
-        for pos, _ in prefix:
-            _apply(perm0, pos)
-        perm_end = list(perm0)
-        for pos, _ in block:
+    perm = list(reversed(h.initial))  # walked back to the current block's start
+    pieces, carry = [], []
+    for blk in reversed(blocks(h, k)):
+        block = seq[blk.start : blk.end]
+        perm_end = list(perm)
+        for pos, _ in carry:
             _apply(perm_end, pos)
+        for pos, _ in reversed(block):
+            _apply(perm, pos)
+        block += carry
 
-        tau_pos, tau_pair = block[0]
         nonessential, essential_pairs, outer = [], [], []
         for pos, pair in block[1:]:
             if k + 1 <= pos <= n - k - 1:
-                if p_entering in pair:
+                if blk.entering in pair:
                     essential_pairs.append(frozenset(pair))
                 else:
                     nonessential.append(pair)
             else:
                 outer.append((pos, pair))
+        if blk.index == 0 or not nonessential:
+            pieces.append(block)
+            carry = []
+            continue
 
-        perm = list(perm0)
-        slot = {lab: i for i, lab in enumerate(perm)}
+        cur = list(perm)
+        slot = {lab: i for i, lab in enumerate(cur)}
         rebuilt = []
 
         def swap_slots(j):
-            a, b = perm[j], perm[j + 1]
+            a, b = cur[j], cur[j + 1]
             rebuilt.append((j + 1, (a, b)))
-            perm[j], perm[j + 1] = b, a
+            cur[j], cur[j + 1] = b, a
             slot[a], slot[b] = j + 1, j
 
         for pair in nonessential:
@@ -265,17 +264,18 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
                 )
             swap_slots(min(ja, jb))
 
+        tau_pos, tau_pair = block[0]
         jt = tau_pos - 1
-        if {perm[jt], perm[jt + 1]} != set(tau_pair):
+        if {cur[jt], cur[jt + 1]} != set(tau_pair):
             raise RearrangementError("boundary transposition displaced by replay")
         swap_slots(jt)
 
         partner_sets = set(essential_pairs)
-        direction = 1 if boundary == "k" else -1
+        direction = 1 if blk.boundary == "k" else -1
         for _ in range(len(essential_pairs)):
-            jp = slot[p_entering]
+            jp = slot[blk.entering]
             jn = jp + direction
-            pair_here = frozenset((p_entering, perm[jn]))
+            pair_here = frozenset((blk.entering, cur[jn]))
             if pair_here not in partner_sets:
                 raise RearrangementError(
                     f"essential replay out of order at slot {jp + 1}"
@@ -285,14 +285,16 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
 
         for pos, pair in outer:
             j = pos - 1
-            if {perm[j], perm[j + 1]} != set(pair):
+            if {cur[j], cur[j + 1]} != set(pair):
                 raise RearrangementError(f"outer-track pair {pair} displaced")
             swap_slots(j)
 
-        if perm != perm_end:
+        if cur != perm_end:
             raise RearrangementError("block-final permutation changed by replay")
-        seq = prefix + rebuilt + suffix
+        carry = rebuilt[: len(nonessential)]
+        pieces.append(rebuilt[len(nonessential) :])
 
+    seq = [t for piece in reversed(pieces) for t in piece]
     out = Halfperiod(
         n,
         h.initial,
@@ -308,26 +310,6 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
             f"rearrangement changed protected edge counts: {ev_in.counts} -> {ev_out.counts}"
         )
     return out
-
-
-def _last_bad_block(seq, initial, n, k):
-    """(start, end, entering, boundary) of the last block with a
-    nonessential center transposition, or None."""
-    cuts = []
-    perm = list(initial)
-    for idx, (pos, _pair) in enumerate(seq):
-        if pos == k:
-            cuts.append((idx, perm[pos - 1], "k"))
-        elif pos == n - k:
-            cuts.append((idx, perm[pos], "n-k"))
-        _apply(perm, pos)
-    for bi in range(len(cuts) - 1, -1, -1):
-        start, entering, boundary = cuts[bi]
-        end = cuts[bi + 1][0] if bi + 1 < len(cuts) else len(seq)
-        for pos, pair in seq[start + 1 : end]:
-            if k + 1 <= pos <= n - k - 1 and entering not in pair:
-                return start, end, entering, boundary
-    return None
 
 
 # ---------------------------------------------------------------------------

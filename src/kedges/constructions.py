@@ -175,6 +175,11 @@ def sr_audit(lps: LabeledPointSet, levels) -> list[SrAuditRow]:
 # ---------------------------------------------------------------------------
 
 
+def _check_precision(precision: int):
+    if precision < 1:
+        raise InputError(f"precision must be a positive integer, got {precision}")
+
+
 @dataclass(frozen=True)
 class SrConfig:
     r: int
@@ -186,6 +191,7 @@ class SrConfig:
     def __post_init__(self):
         if self.r < 3:
             raise InputError("r >= 3 required")
+        _check_precision(self.precision)
         if not (R(0) < R(self.segment_choice) < R(1)):
             raise InputError("segment_choice must lie strictly inside (0, 1)")
         try:
@@ -497,6 +503,7 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> PointSet:
     E_{>=k} = (n-2k-1) E_{k-1} + C(s,2)."""
     if k < 1:
         raise InputError("k >= 1 required")
+    _check_precision(precision)
     if n < 2 * k + 3:
         raise InputError(f"need n >= 2k+3 central room, got n={n}, k={k}")
     q, c = 2 * k + 1, n - 2 * k - 1
@@ -530,6 +537,7 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> PointSet:
     E_{k-1} = n, E_{>=k} = 2(2t+1) C(m,2) = (n-2k-1) E_{k-1}, s = 0."""
     if t < 1 or m < 1:
         raise InputError("t >= 1, m >= 1 required")
+    _check_precision(precision)
     q, n, k = 2 * t + 1, (2 * t + 1) * m, t * m
     last = None
     for attempt in range(6):

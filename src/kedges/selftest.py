@@ -58,7 +58,7 @@ def run_bounds_suite() -> list:
             rep["integral1_ok"] and rep["integral2_ok"] and rep["sum_ok"]
             and rep["crossing_constant_exceeds_0.379972"]
             and rep["three_decomposable_exceeds_0.380029"],
-            f"I1={rep['integral1']:.12f} I2={rep['integral2']:.12f}",
+            f"I1={float(rep['integral1']):.12f} I2={float(rep['integral2']):.12f}",
         )
     )
     return out
@@ -123,6 +123,8 @@ def run_central_suite(trials: int = 500, nmin: int = 5, nmax: int = 12,
 def run_constructions_suite(rmax: int = 4) -> list:
     """S_r tightness and split audits for 3 <= r <= rmax, plus both
     equality constructions."""
+    if rmax < 3:
+        raise InputError(f"need rmax >= 3 (S_r exists for r >= 3), got rmax={rmax}")
     out = []
     for r in range(3, rmax + 1):
         res = build_sr(SrConfig(r=r))

@@ -131,9 +131,9 @@ def test_series_bound():
 
 def test_asymptotic_constants():
     rep = asymptotic_constants()
-    assert abs(rep["integral1"] - 86 / 243) < 1e-9
-    assert abs(rep["integral2"] - 19 / 729) < 1e-9
-    assert abs(rep["sum"] - 277 / 729) < 1e-9
+    assert rep["integral1"] == R(86, 243)
+    assert rep["integral2"] == R(19, 729)
+    assert rep["sum"] == R(277, 729)
     assert rep["crossing_constant_exceeds_0.379972"]
     assert rep["three_decomposable_exceeds_0.380029"]
 

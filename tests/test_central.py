@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kedges.circseq as circseq
 from kedges.central import blocks, classify, rearrange_essential, verify_central
@@ -229,3 +231,72 @@ def test_abstract_halfperiods_satisfy_central_checks():
             rep = verify_central(h, k)
             assert rep.all_ok, (n, k, rep.aux_checks)
             assert compute_s(h, k).s_value == rep.s
+
+
+def ref_rearrange_essential(h, k):
+    """Reference: the fixpoint rearrangement.  Each round replays the whole
+    rewritten sequence to find the last block (j >= 1) holding a
+    nonessential center transposition, and rebuilds it: nonessential swaps
+    first, then tau_j, then p_j's essential walk, then the outer swaps."""
+    n = h.n
+    seq = [(t.position, t.pair) for t in h.transpositions]
+
+    def swap(perm, pos):
+        perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
+
+    while True:
+        cuts, perm = [], list(h.initial)
+        for idx, (pos, _) in enumerate(seq):
+            if pos in (k, n - k):
+                cuts.append((idx, perm[pos - 1] if pos == k else perm[pos], pos == k))
+            swap(perm, pos)
+        ends = [c[0] for c in cuts[1:]] + [len(seq)]
+        bad = [(start, end, p, at_k) for (start, p, at_k), end in zip(cuts, ends)
+               if any(k < pos < n - k and p not in pair for pos, pair in seq[start + 1 : end])]
+        if not bad:
+            return tuple(Transposition(i + 1, pos, pair) for i, (pos, pair) in enumerate(seq))
+        start, end, p, at_k = bad[-1]
+        perm = list(h.initial)
+        for pos, _ in seq[:start]:
+            swap(perm, pos)
+        block = seq[start:end]
+        center = [pair for pos, pair in block[1:] if k < pos < n - k]
+        rebuilt = []
+
+        def swap_slots(j):
+            rebuilt.append((j + 1, (perm[j], perm[j + 1])))
+            swap(perm, j + 1)
+
+        essential = [pair for pair in center if p in pair]
+        for a, b in [pair for pair in center if p not in pair]:
+            swap_slots(min(perm.index(a), perm.index(b)))
+        swap_slots(block[0][0] - 1)
+        for _ in essential:  # p walks right from slot k, left from slot n-k
+            swap_slots(perm.index(p) - (0 if at_k else 1))
+        for pos, _ in block[1:]:
+            if not k < pos < n - k:
+                swap_slots(pos - 1)
+        seq = seq[:start] + rebuilt + seq[end:]
+
+
+@st.composite
+def halfperiods(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        return halfperiod_from_points(
+            random_general_position_set(draw(st.integers(5, 14)), rng), tie_break=True
+        )
+    return _reduced_word(draw(st.integers(5, 30)), rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(halfperiods())
+def test_rearrangement_matches_fixpoint_reference(h):
+    for k in range(1, (h.n - 1) // 2 + 1):
+        lam = rearrange_essential(h, k)
+        assert lam.transpositions == ref_rearrange_essential(h, k), (h.n, k)
+        assert validate_allowable(lam) == []
+        assert all(r.essential for r in classify(lam, k) if r.kind == "center")
+        assert compute_s(lam, k).s_value == compute_s(h, k).s_value
+        ev, evl = edge_vector_from_halfperiod(h), edge_vector_from_halfperiod(lam)
+        assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k)

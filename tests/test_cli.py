@@ -249,8 +249,19 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
         ["selftest", "identities", "--nmax", "4"],
         ["selftest", "identities", "--trials", "0"],
         ["cr-table", "--from", "99", "--to", "28"],
+        ["construct", "sr", "--r", "3", "--precision", "0", "-o", "OUT"],
+        ["construct", "sr", "--r", "3", "--precision", "-5", "-o", "OUT"],
+        ["verify", "sr", "--r", "3", "--precision", "0"],
+        ["construct", "cluster-polygon", "--t", "1", "--m", "3", "--precision", "0", "-o", "OUT"],
+        ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "0", "-o", "OUT"],
+        ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "-1", "-o", "OUT"],
+        ["selftest", "constructions", "--rmax", "2"],
+        ["selftest", "all", "--trials", "1", "--rmax", "0"],
     ],
-    ids=["partition", "partition-reversed", "epsilon", "nmax", "trials", "cr-table-range"],
+    ids=["partition", "partition-reversed", "epsilon", "nmax", "trials", "cr-table-range",
+         "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
+         "precision-cluster-polygon-0", "precision-polygon-center-0",
+         "precision-polygon-center-negative", "rmax-constructions", "rmax-all"],
 )
 def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     argv = [octagon_file if a == "OCT" else str(tmp_path / "s.pts") if a == "OUT" else a
