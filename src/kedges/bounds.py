@@ -163,6 +163,14 @@ class CrBoundResult:
     pipeline: str
 
 
+def _best(aichholzer: int, u: int | None) -> tuple[int, str]:
+    """(bound, source): u_k where it is defined and beats the closed form,
+    otherwise the closed form."""
+    if u is not None and u > aichholzer:
+        return u, "u_k"
+    return aichholzer, "aichholzer"
+
+
 def leq_lower_bounds(n: int, pipeline: str) -> list[tuple[int, int, str]]:
     """Per-k lower bounds on E_{<=k} for k = 0..floor(n/2)-2.
 
@@ -179,12 +187,7 @@ def leq_lower_bounds(n: int, pipeline: str) -> list[tuple[int, int, str]]:
     elif pipeline == "section5":
         useq = u_sequence(n)
         for k in range(top + 1):
-            a = aichholzer_bound(n, k)
-            u = useq.get(k)
-            if u is not None and u > a:
-                rows.append((k, u, "u_k"))
-            else:
-                rows.append((k, a, "aichholzer"))
+            rows.append((k, *_best(aichholzer_bound(n, k), useq.get(k))))
     else:
         raise InputError(f"unknown pipeline {pipeline!r}")
     return rows
@@ -434,10 +437,7 @@ def bound_table(n: int, with_u_prime: bool = False) -> BoundTable:
     for k in range(n // 2):
         a = aichholzer_bound(n, k)
         u = useq.get(k)
-        if u is not None and u > a:
-            best, source = u, "u_k"
-        else:
-            best, source = a, "aichholzer"
+        best, source = _best(a, u)
         expl = None
         if m - 1 <= k and 2 * k <= n - 2:
             expl = explicit_bound(n, k).to_float()

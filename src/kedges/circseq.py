@@ -47,8 +47,9 @@ class Halfperiod:
     validate_allowable to obtain the violation report (empty iff valid).
     Factories in this module only return validated instances.
 
-    The fields are immutable, so the axiom walk is made at most once per
-    instance (`axiom_walk`); require_valid and the kernels read it.
+    The fields are immutable, so the axiom walk and the per-level tally
+    are made at most once per instance (`axiom_walk`, `level_counts`);
+    require_valid and the kernels read them.
     """
 
     n: int
@@ -72,6 +73,18 @@ class Halfperiod:
         swapped slots just before transposition t."""
         slots: list[tuple[int, int]] = []
         return tuple(validate_allowable(self, slots)), tuple(slots)
+
+    @functools.cached_property
+    def level_counts(self) -> tuple[int, ...]:
+        """(E_0, ..., E_{floor(n/2)-1}) tallied once per instance from the
+        transposition positions: a swap at slots (j, j+1) is a
+        (min(j, n-j) - 1)-edge.  Requires a valid halfperiod."""
+        require_valid(self)
+        n = self.n
+        counts = [0] * (n // 2)
+        for t in self.transpositions:
+            counts[min(t.position, n - t.position) - 1] += 1
+        return tuple(counts)
 
     def k_critical(self, k: int):
         """(index, boundary, entering, leaving) of each k-critical

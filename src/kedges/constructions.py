@@ -81,26 +81,6 @@ class LabeledPointSet:
         return self.class_tags[i][0]
 
 
-def count_bichromatic_monochromatic(lps: LabeledPointSet, k: int, levels=None):
-    """(bichromatic, monochromatic) (<=k)-edge counts of a labeled set.
-
-    An edge is bichromatic when its endpoints carry different letters.
-    Pass precomputed pair levels to amortize the O(n^3) scan over many k.
-    """
-    if not isinstance(lps, LabeledPointSet):
-        raise InputError("labeled point set required")
-    if levels is None:
-        levels = pair_levels(lps.point_set)
-    bi = mono = 0
-    for (i, j), lev in levels.items():
-        if lev <= k:
-            if lps.letter(i) == lps.letter(j):
-                mono += 1
-            else:
-                bi += 1
-    return bi, mono
-
-
 # ---------------------------------------------------------------------------
 # Expected counts for the recursive family (n = 9r)
 # ---------------------------------------------------------------------------
@@ -160,11 +140,19 @@ class SrAuditRow:
 def sr_audit(lps: LabeledPointSet, levels) -> list[SrAuditRow]:
     """The tightness and split audit of a labeled S_r set (n = 9r) for
     0 <= k <= 4r-1, from its pair levels: every (<=k)-edge is either
-    bichromatic or monochromatic, so E_<=k is their sum."""
+    bichromatic or monochromatic, so E_<=k is their sum.  One pass makes
+    per-level (bichromatic, monochromatic) histograms; rows read their
+    prefix sums."""
     r = lps.n // 9
+    top = 4 * r
+    hist = [[0, 0] for _ in range(top)]  # per level: [bichromatic, monochromatic]
+    for (i, j), lev in levels.items():
+        if lev < top:
+            hist[lev][lps.letter(i) == lps.letter(j)] += 1
     rows = []
-    for k in range(4 * r):
-        bi, mono = count_bichromatic_monochromatic(lps, k, levels)
+    bi = mono = 0
+    for k, (bi_k, mono_k) in enumerate(hist):
+        bi, mono = bi + bi_k, mono + mono_k
         want_split = (sr_expected_bichromatic(r, k), sr_expected_monochromatic(r, k))
         rows.append(SrAuditRow(k, bi + mono, sr_expected_leq(r, k), bi, mono, want_split))
     return rows

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .circseq import Halfperiod, halfperiod_from_points, require_valid
+from .circseq import Halfperiod, halfperiod_from_points
 from .errors import InputError
 from .geom import PointSet
 from .rat import R, as_int
@@ -111,14 +111,9 @@ def edge_vector_bruteforce(ps: PointSet, levels=None) -> EdgeVector:
 def edge_vector_from_halfperiod(h: Halfperiod) -> EdgeVector:
     """E_k from transposition positions: a swap at slots (j, j+1) is a
     (min(j, n-j) - 1)-edge, so E_k counts positions k+1 and n-k-1 (the
-    central position n/2 of an even n counts once)."""
-    require_valid(h)
-    n = h.n
-    counts = [0] * (n // 2)
-    for t in h.transpositions:
-        level = min(t.position, n - t.position) - 1
-        counts[level] += 1
-    return EdgeVector(n, tuple(counts)).validate()
+    central position n/2 of an even n counts once).  The tally is the
+    instance's cached `level_counts`."""
+    return EdgeVector(h.n, h.level_counts).validate()
 
 
 def crossings_bruteforce(ps: PointSet) -> int:

@@ -23,12 +23,7 @@ from .constructions import (
     sr_letter_partition,
     witness_failures,
 )
-from .edgestats import (
-    crossings_bruteforce,
-    crossings_from_edge_vector,
-    edge_vector_bruteforce,
-    edge_vector_from_halfperiod,
-)
+from .edgestats import edge_vector_bruteforce, summarize
 from .errors import InputError
 from .gensets import random_general_position_set
 
@@ -64,29 +59,23 @@ def run_bounds_suite() -> list:
     return out
 
 
-def build_corpus(trials: int, nmin: int, nmax: int, seed: int):
-    if trials < 1 or nmax < nmin:
-        raise InputError(f"need trials >= 1 and nmax >= {nmin}, got trials={trials}, nmax={nmax}")
+def build_corpus(trials: int, nmax: int, seed: int):
+    """`trials` random general-position sets, 5 <= n <= nmax, from one
+    seeded generator."""
     rng = random.Random(seed)
-    return [
-        random_general_position_set(rng.randrange(nmin, nmax + 1), rng)
-        for _ in range(trials)
-    ]
+    return [random_general_position_set(rng.randrange(5, nmax + 1), rng) for _ in range(trials)]
 
 
-def run_identity_suite(trials: int = 500, nmin: int = 5, nmax: int = 12,
-                       seed: int = 20240901, corpus=None) -> list:
-    """Brute-force crossings vs both identity forms, and halfperiod edge
-    vectors vs brute-force edge vectors, on random sets.  Zero tolerance."""
-    corpus = corpus if corpus is not None else build_corpus(trials, nmin, nmax, seed)
+def run_identity_suite(corpus) -> list:
+    """edgestats.summarize on every corpus set: brute-force crossings vs
+    both identity forms, and sweep edge vectors vs brute-force edge
+    vectors.  Zero tolerance; a raised AssertionError is a failure."""
     fails = []
     for idx, ps in enumerate(corpus):
-        ev = edge_vector_bruteforce(ps)
-        ev2 = edge_vector_from_halfperiod(halfperiod_from_points(ps, tie_break=True))
-        cr = crossings_bruteforce(ps)
-        f1, f2 = crossings_from_edge_vector(ev)
-        if ev != ev2 or cr != f1 or cr != f2:
-            fails.append((idx, ps.n, ev.counts, ev2.counts, cr, f1, f2))
+        try:
+            summarize(ps)
+        except AssertionError as exc:
+            fails.append((idx, ps.n, str(exc)))
     return [
         _result(
             f"identity-suite-{len(corpus)}-sets",
@@ -96,12 +85,10 @@ def run_identity_suite(trials: int = 500, nmin: int = 5, nmax: int = 12,
     ]
 
 
-def run_central_suite(trials: int = 500, nmin: int = 5, nmax: int = 12,
-                      seed: int = 20240901, corpus=None) -> list:
+def run_central_suite(corpus) -> list:
     """verify_central on every corpus instance for every admissible k,
     including all auxiliary weight/cutting checks on the rearranged
     halfperiods.  Zero violations expected."""
-    corpus = corpus if corpus is not None else build_corpus(trials, nmin, nmax, seed)
     fails = []
     instances = 0
     for idx, ps in enumerate(corpus):
@@ -120,11 +107,9 @@ def run_central_suite(trials: int = 500, nmin: int = 5, nmax: int = 12,
     ]
 
 
-def run_constructions_suite(rmax: int = 4) -> list:
+def run_constructions_suite(rmax: int) -> list:
     """S_r tightness and split audits for 3 <= r <= rmax, plus both
     equality constructions."""
-    if rmax < 3:
-        raise InputError(f"need rmax >= 3 (S_r exists for r >= 3), got rmax={rmax}")
     out = []
     for r in range(3, rmax + 1):
         res = build_sr(SrConfig(r=r))
@@ -152,25 +137,30 @@ def run_constructions_suite(rmax: int = 4) -> list:
     return out
 
 
-SCOPES = {
-    "bounds": lambda args: run_bounds_suite(),
-    "identities": lambda args: run_identity_suite(
-        trials=args.get("trials", 500), nmax=args.get("nmax", 12), seed=args.get("seed", 20240901)
-    ),
-    "central": lambda args: run_central_suite(
-        trials=args.get("trials", 500), nmax=args.get("nmax", 12), seed=args.get("seed", 20240901)
-    ),
-    "constructions": lambda args: run_constructions_suite(rmax=args.get("rmax", 4)),
-}
+SUITES = ("bounds", "identities", "central", "constructions")
 
 
-def run_scope(scope: str, **args) -> list:
-    if scope == "all":
-        out = []
-        for name in ("bounds", "identities", "central", "constructions"):
-            out.extend(SCOPES[name](args))
-        return out
-    if scope not in SCOPES:
+def run_scope(scope: str, trials: int, nmax: int, rmax: int, seed: int) -> list:
+    """Run one suite, or all four in order.  Every argument the chosen
+    suites use is checked before any of them runs, and the identity and
+    central suites share one corpus."""
+    if scope != "all" and scope not in SUITES:
         raise InputError(f"unknown selftest scope {scope!r}; choose from "
-                         f"{sorted(SCOPES)} or 'all'")
-    return SCOPES[scope](args)
+                         f"{sorted(SUITES)} or 'all'")
+    names = SUITES if scope == "all" else (scope,)
+    uses_corpus = "identities" in names or "central" in names
+    if uses_corpus and (trials < 1 or nmax < 5):
+        raise InputError(f"need trials >= 1 and nmax >= 5, got trials={trials}, nmax={nmax}")
+    if "constructions" in names and rmax < 3:
+        raise InputError(f"need rmax >= 3 (S_r exists for r >= 3), got rmax={rmax}")
+    corpus = build_corpus(trials, nmax, seed) if uses_corpus else None
+    out = []
+    if "bounds" in names:
+        out += run_bounds_suite()
+    if "identities" in names:
+        out += run_identity_suite(corpus)
+    if "central" in names:
+        out += run_central_suite(corpus)
+    if "constructions" in names:
+        out += run_constructions_suite(rmax)
+    return out

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines, or via the CLI (`kedges selftest all`) for the same checks in
-suite form.  Every comparison is exact; the only tolerances are the
-wall-clock budgets stated alongside each criterion.
+lines.  Criteria 5-9 read the selftest runners and `sr_audit`, so these
+tests and `kedges selftest all` run one implementation of each check.
+Every comparison is exact; the only tolerances are the wall-clock budgets
+stated alongside each criterion.
 """
 
 import time
@@ -11,33 +12,30 @@ import time
 import pytest
 
 from kedges import bounds, golden
-from kedges.central import verify_central
-from kedges.circseq import compute_s, halfperiod_from_points
-from kedges.constructions import (
-    SrConfig,
-    build_cluster_polygon,
-    build_polygon_center,
-    build_sr,
-    count_bichromatic_monochromatic,
-    sr_expected_bichromatic,
-    sr_expected_leq,
-    sr_expected_monochromatic,
+from kedges.constructions import sr_audit
+from kedges.edgestats import pair_levels
+from kedges.selftest import (
+    build_corpus,
+    run_central_suite,
+    run_constructions_suite,
+    run_identity_suite,
 )
-from kedges.edgestats import (
-    crossings_bruteforce,
-    crossings_from_edge_vector,
-    edge_vector_bruteforce,
-    edge_vector_from_halfperiod,
-    pair_levels,
-)
-from kedges.selftest import build_corpus
 
 CORPUS_SEED = 20240901
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return build_corpus(trials=500, nmin=5, nmax=12, seed=CORPUS_SEED)
+    return build_corpus(trials=500, nmax=12, seed=CORPUS_SEED)
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    """One run of the constructions suite (S_3..S_5 and both equality
+    constructions): its checks by name, and its wall time."""
+    t0 = time.time()
+    results = run_constructions_suite(rmax=5)
+    return {name: (ok, detail) for name, ok, detail in results}, time.time() - t0
 
 
 def _report(num, ok, budget, elapsed, desc):
@@ -78,74 +76,43 @@ def test_criterion_04_section5_table():
     _report(4, ok, 5.0, time.time() - t0, "all 72 published values for 28 <= n <= 99")
 
 
-def test_criterion_05_sr_tightness():
-    t0 = time.time()
-    bad = []
-    for r in (3, 4, 5):
-        res = build_sr(SrConfig(r=r))
-        for k in range(4 * r):
-            if res.edge_vector.leq(k) != sr_expected_leq(r, k):
-                bad.append((r, k))
-    _report(5, not bad, 120.0, time.time() - t0,
+def test_criterion_05_sr_tightness(constructions):
+    results, elapsed = constructions
+    tight = (results["sr-tightness-r3"], results["sr-tightness-r4"], results["sr-tightness-r5"])
+    _report(5, tight == ((True, "bad k: []"),) * 3, 120.0, elapsed,
             "brute-force E_<=k of perturbed S_r equals the closed form for all "
-            f"k <= 4r-1, r in (3,4,5); mismatches: {bad}")
+            f"k <= 4r-1, r in (3,4,5); {tight}")
 
 
 def test_criterion_06_bichromatic_split(s3):
     t0 = time.time()
-    levels = pair_levels(s3.perturbed.point_set)
-    bad = []
-    for k in range(12):
-        bi, mono = count_bichromatic_monochromatic(s3.perturbed, k, levels)
-        if (bi, mono) != (sr_expected_bichromatic(3, k), sr_expected_monochromatic(3, k)):
-            bad.append((k, bi, mono))
-    anchor = count_bichromatic_monochromatic(s3.perturbed, 11, levels)
-    _report(6, not bad and anchor == (216, 39), 5.0, time.time() - t0,
+    rows = sr_audit(s3.perturbed, pair_levels(s3.perturbed.point_set))
+    anchor = (rows[11].bi, rows[11].mono)
+    _report(6, len(rows) == 12 and all(row.split_ok for row in rows) and anchor == (216, 39),
+            5.0, time.time() - t0,
             f"S_3 split matches for all k <= 11 (k=11: {anchor[0]} + {anchor[1]} = {sum(anchor)})")
 
 
 def test_criterion_07_identity_suite(corpus):
     t0 = time.time()
-    fails = 0
-    for ps in corpus:
-        ev = edge_vector_bruteforce(ps)
-        h = halfperiod_from_points(ps, tie_break=True)
-        f1, f2 = crossings_from_edge_vector(ev)
-        if edge_vector_from_halfperiod(h) != ev or crossings_bruteforce(ps) != f1 or f1 != f2:
-            fails += 1
-    _report(7, fails == 0, 60.0, time.time() - t0,
+    [(name, ok, detail)] = run_identity_suite(corpus)
+    _report(7, ok and name == "identity-suite-500-sets", 60.0, time.time() - t0,
             f"{len(corpus)} random sets, 5 <= n <= 12: brute force = identity form1 = form2, "
-            "sweep edge vectors = brute force (zero tolerance)")
+            f"sweep edge vectors = brute force (zero tolerance); {detail}")
 
 
 def test_criterion_08_central_sweep(corpus):
     t0 = time.time()
-    violations = 0
-    instances = 0
-    for ps in corpus:
-        h = halfperiod_from_points(ps, tie_break=True)
-        for k in range(1, (ps.n - 1) // 2 + 1):
-            instances += 1
-            rep = verify_central(h, k)
-            if not (rep.holds and all(rep.aux_checks.values())):
-                violations += 1
-    _report(8, violations == 0, 120.0, time.time() - t0,
-            f"central inequality + weight/cutting checks on {instances} (halfperiod, k) "
-            "instances (zero violations)")
+    [(_, ok, detail)] = run_central_suite(corpus)
+    _report(8, ok, 120.0, time.time() - t0,
+            f"central inequality + weight/cutting checks on {detail} (zero violations)")
 
 
-def test_criterion_09_equality_constructions():
-    t0 = time.time()
-    ps = build_polygon_center(3, 9)
-    ev = edge_vector_bruteforce(ps)
-    s = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
-    ok_pc = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 \
-        and ev.geq(3) == (9 - 2 * 3 - 1) * ev.counts[2] + bounds.comb2(s)
-    ps = build_cluster_polygon(1, 3)
-    ev = edge_vector_bruteforce(ps)
-    s0 = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
-    ok_cp = ev.counts[2] == 9 and ev.geq(3) == 18 and s0 == 0
-    _report(9, ok_pc and ok_cp, 5.0, time.time() - t0,
+def test_criterion_09_equality_constructions(constructions):
+    results, elapsed = constructions
+    ok = (results["polygon-center-9"] == (True, "E_2=7 E_>=3=15 s=2")
+          and results["cluster-polygon-9"] == (True, "E_2=9 E_>=3=18 s=0"))
+    _report(9, ok, 5.0, elapsed,
             "polygon-center(k=3,n=9): E_2=7, E_>=3=15, s=2 with corollary equality; "
             "cluster-polygon(t=1,m=3): E_2=9, E_>=3=18, s=0")
 

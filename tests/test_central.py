@@ -1,5 +1,6 @@
 """Blocks, classification, rearrangement, and the central inequality."""
 
+import functools
 import random
 from math import comb
 
@@ -187,6 +188,26 @@ def test_axioms_walked_once_per_halfperiod(monkeypatch):
     # the input once, and the rearranged companion's output check once
     assert len(walked) <= 2
     assert sum(w is h for w in walked) == 1
+
+
+def test_edge_levels_tallied_once_per_halfperiod(monkeypatch):
+    tallied = []
+    real = Halfperiod.level_counts.func
+
+    def counting(h):
+        tallied.append(h)
+        return real(h)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(Halfperiod, "level_counts")
+    monkeypatch.setattr(Halfperiod, "level_counts", prop)
+    h = _reduced_word(14, random.Random(71))
+    rep = verify_central(h, 4)
+    classify(h, 4)
+    assert rep.all_ok
+    # the input once, and the rearranged companion's protected-count check once
+    assert len(tallied) <= 2
+    assert sum(t is h for t in tallied) == 1
 
 
 def _corrupt(h, how):

@@ -272,6 +272,23 @@ def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--rmax", "0"], ["--trials", "1", "--rmax", "0"]],
+                         ids=["rmax", "trials-rmax"])
+def test_selftest_all_checks_arguments_before_any_suite(argv, monkeypatch, capsys):
+    from kedges import selftest
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for runner in ("run_bounds_suite", "run_identity_suite", "run_central_suite",
+                   "run_constructions_suite"):
+        monkeypatch.setattr(selftest, runner, ran)
+    assert main(["selftest", "all", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_reversed_partition_range_is_named(octagon_file, capsys):
     assert main(["decompose3", octagon_file, "--partition", "3-1/4-6/7-8"]) == 2
     assert capsys.readouterr().err == "error: partition entry '3-1' is a reversed range\n"

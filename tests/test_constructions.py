@@ -17,7 +17,6 @@ from kedges.constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    count_bichromatic_monochromatic,
     sr_expected_bichromatic,
     sr_expected_leq,
     sr_expected_monochromatic,
@@ -93,13 +92,18 @@ def test_s3_halfperiod_cross_check(s3):
 
 def test_s3_split(s3):
     levels = pair_levels(s3.perturbed.point_set)
-    for k in range(12):
-        bi, mono = count_bichromatic_monochromatic(s3.perturbed, k, levels)
-        assert (bi, mono) == (sr_expected_bichromatic(3, k), sr_expected_monochromatic(3, k))
-    assert count_bichromatic_monochromatic(s3.perturbed, 11, levels) == (216, 39)
-    assert count_bichromatic_monochromatic(s3.perturbed, 9, levels) == (162, 6)
-    for k in range(9):
-        assert count_bichromatic_monochromatic(s3.perturbed, k, levels)[1] == 0
+    rows = sr_audit(s3.perturbed, levels)
+    assert [(row.bi, row.mono) for row in rows] == [
+        (sr_expected_bichromatic(3, k), sr_expected_monochromatic(3, k)) for k in range(12)
+    ]
+    # the one-pass histograms agree with a direct per-k count
+    for row in rows:
+        same = [s3.perturbed.letter(i) == s3.perturbed.letter(j)
+                for (i, j), lev in levels.items() if lev <= row.k]
+        assert (row.bi, row.mono) == (same.count(False), same.count(True))
+    assert (rows[11].bi, rows[11].mono) == (216, 39)
+    assert (rows[9].bi, rows[9].mono) == (162, 6)
+    assert all(row.mono == 0 for row in rows[:9])
 
 
 def test_sr_audit_reuses_build_levels(s3):
@@ -109,11 +113,6 @@ def test_sr_audit_reuses_build_levels(s3):
     assert all(row.ok for row in rows)
     assert [row.leq for row in rows] == list(s3.edge_vector.e_leq[:12])
     assert (rows[11].bi, rows[11].mono) == (216, 39)
-
-
-def test_count_split_requires_labels(s3):
-    with pytest.raises(InputError):
-        count_bichromatic_monochromatic(s3.perturbed.point_set, 3)
 
 
 def test_s4_tightness():
