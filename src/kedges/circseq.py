@@ -163,58 +163,6 @@ def require_valid(h: Halfperiod) -> Halfperiod:
 # ---------------------------------------------------------------------------
 
 
-def _event_direction(dx, dy):
-    """Perpendicular of (dx, dy) normalized into the closed upper half plane
-    (angle in [0, pi)): returns (a, b) with b > 0, or b == 0 and a > 0."""
-    a, b = -dy, dx
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
-    return a, b
-
-
-def _event_cmp(ev1, ev2) -> int:
-    """Exact angular order of two sweep events (direction, i, j) by their
-    upper-half-plane directions (cross-product sign)."""
-    (a1, b1), (a2, b2) = ev1[0], ev2[0]
-    cross = a1 * b2 - b1 * a2
-    if cross:
-        return -1 if cross > 0 else 1
-    return 0
-
-
-def sorted_events(ps: PointSet) -> list[tuple]:
-    """The C(n,2) sweep events (direction, i, j), one per pair i < j,
-    sorted by angle and then by pair index.
-
-    The direction is the normal of p_j - p_i in the upper half plane,
-    formed on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
-    Wi*Wj > 0 times p_j - p_i, so every angular comparison is exact and
-    unchanged."""
-    hom = ps.homogeneous
-    events = []
-    for i, (xi, yi, wi) in enumerate(hom):
-        for j in range(i + 1, ps.n):
-            xj, yj, wj = hom[j]
-            events.append((_event_direction(xj * wi - xi * wj, yj * wi - yi * wj), i, j))
-    # Stable: equal angles keep the pair order in which they were made.
-    events.sort(key=functools.cmp_to_key(_event_cmp))
-    return events
-
-
-def angle_runs(events) -> list[list[tuple]]:
-    """Sorted events in runs of equal angle: a run holds every pair
-    spanning a line of that normal."""
-    runs = []
-    for ev in events:
-        a, b = ev[0]
-        if runs and a * b0 == b * a0:  # parallel to the run's direction
-            runs[-1].append(ev)
-        else:
-            runs.append([ev])
-            a0, b0 = a, b
-    return runs
-
-
 def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     """Halfperiod of the circular sequence of a point set.
 
@@ -222,6 +170,7 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     permutation sorts the points by projection onto the first event
     direction, ties broken by the order just before that event.  Labels
     1..n are assigned in that initial order, so `initial` is the identity.
+    The events are the set's own sorted angle runs (`PointSet.angles`).
 
     Point pairs spanning parallel lines swap at the same direction; by
     default that is a hard error listing the clashing pairs (silently
@@ -236,9 +185,9 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
         raise InputError("need at least 2 points")
     pts = ps.points
 
-    events = sorted_events(ps)
+    angles = ps.angles
     if not tie_break:
-        ties = [tuple((i, j) for _, i, j in run) for run in angle_runs(events) if len(run) > 1]
+        ties = [tuple((i, j) for _, i, j in run) for run in angles if len(run) > 1]
         if ties:
             raise DirectionTieError(
                 f"{len(ties)} group(s) of point pairs span parallel lines "
@@ -248,7 +197,7 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
 
     # Initial order: projections onto the first event direction, tie-broken
     # by the clockwise-rotated direction (the order just before the event).
-    e1 = events[0][0]
+    e1 = angles[0][0][0]
     tiebreak_dir = (e1[1], -e1[0])
 
     def sort_key(idx):
@@ -261,6 +210,7 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     perm = list(range(1, n + 1))
     slot_of = {lab: i for i, lab in enumerate(perm)}
     trans = []
+    events = (ev for run in angles for ev in run)
     for step, (_, i, j) in enumerate(events, start=1):
         la, lb = label_of[i], label_of[j]
         sa, sb = slot_of[la], slot_of[lb]

@@ -381,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--precision", type=int, default=10**12)
     c.add_argument("--epsilon", help="perturbation size as a rational, e.g. 1/10000000")
     c.add_argument("-o", "--output", required=True)
-    grp = c.add_mutually_exclusive_group()
-    grp.add_argument("--raw", action="store_true", help="emit the unperturbed, collinear set")
-    grp.add_argument("--perturbed", action="store_true", help="emit the general-position set (default)")
+    c.add_argument("--raw", action="store_true", help="emit the unperturbed, collinear set")
     c.set_defaults(func=cmd_construct)
     c = csub.add_parser("polygon-center", help="(2k+1)-gon plus central points")
     c.add_argument("--k", type=int, required=True)

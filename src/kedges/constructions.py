@@ -35,19 +35,14 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import comb2
-from .circseq import (
-    _event_direction,
-    angle_runs,
-    compute_s,
-    halfperiod_from_points,
-    sorted_events,
-)
+from .circseq import compute_s, halfperiod_from_points
 from .edgestats import edge_vector_bruteforce, pair_levels
 from .errors import InputError, VerificationError
 from .geom import (
     Point,
     PointSet,
-    collinear_triples,
+    _event_direction,
+    _lines,
     line_intersection,
     orientation,
     rotation_cw_2pi3_maps,
@@ -168,11 +163,15 @@ def _check_precision(precision: int):
         raise InputError(f"precision must be a positive integer, got {precision}")
 
 
+# Where each recursive step places its new point inside the admissible
+# segment: the fraction of the way from the cut point to the family's end.
+SEGMENT_CHOICE = R(1, 2)
+
+
 @dataclass(frozen=True)
 class SrConfig:
     r: int
     far_factor: object = field(default_factory=lambda: R(10**4))
-    segment_choice: object = field(default_factory=lambda: R(1, 2))
     perturbation_epsilon: object = field(default_factory=lambda: R(1, 10**7))
     precision: int = 10**12
 
@@ -180,8 +179,6 @@ class SrConfig:
         if self.r < 3:
             raise InputError("r >= 3 required")
         _check_precision(self.precision)
-        if not (R(0) < R(self.segment_choice) < R(1)):
-            raise InputError("segment_choice must lie strictly inside (0, 1)")
         try:
             eps = R(self.perturbation_epsilon)
         except (ValueError, ZeroDivisionError):
@@ -251,7 +248,7 @@ def _point_on_line_at_x(p1: Point, p2: Point, x, label=None) -> Point:
     return Point(x, p1.y + slope * (x - p1.x), label)
 
 
-def _build_sr_family(r: int, segment_choice, precision: int):
+def _build_sr_family(r: int, precision: int):
     """The A and A' families plus auxiliary points, recursively."""
     rot, rot_inv = rotation_cw_2pi3_maps(precision)
     A = {i: Point(R(x), R(y), f"a_{i}") for i, (x, y) in _BASE_A.items()}
@@ -262,7 +259,7 @@ def _build_sr_family(r: int, segment_choice, precision: int):
     b_inf = rot(a_inf)
     _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, 3)
 
-    sigma = R(segment_choice)
+    sigma = SEGMENT_CHOICE
     for t in range(3, r):
         b_t = rot(A[t])
         x_cut = line_intersection(Ap[t], A[2], b_t, b_inf)
@@ -343,39 +340,28 @@ def _assemble_sr(A, Ap, app, rot, r):
     return pts, tags
 
 
-def _line_key(p: Point, q: Point):
-    a, b = q.y - p.y, p.x - q.x  # normal of the direction
-    c = a * p.x + b * p.y
-    if a != 0:
-        return (R(1), b / a, c / a)
-    return (R(0), R(1), c / b)
-
-
-def perturb_collinear_families(points, epsilon):
-    """Break every maximal collinear family: its i-th point (ordered along
-    the line) moves off the line by i*epsilon, directed away from the
-    configuration's centroid.  Exactness of the off-line displacement is
-    what the downstream predicates certify."""
-    triples = collinear_triples(points)
-    if not triples:
-        return list(points)
-    groups: dict = {}
-    for i, j, _k in triples:
-        groups.setdefault(_line_key(points[i], points[j]), set()).update((i, j, _k))
-    member_of = {}
-    for key, members in groups.items():
+def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
+    """Break every maximal collinear family (`ps.collinear_lines`): its
+    i-th point (ordered along the line) moves off the line by i*epsilon,
+    directed away from the configuration's centroid.  Exactness of the
+    off-line displacement is what the downstream predicates certify."""
+    families = ps.collinear_lines
+    if not families:
+        return ps
+    seen = set()
+    for members in families:
         for i in members:
-            if i in member_of:
+            if i in seen:
                 raise VerificationError(
                     f"point {i} lies on two collinear families; cannot perturb independently"
                 )
-            member_of[i] = key
-    n = len(points)
-    cx = sum((p.x for p in points), R(0)) / n
-    cy = sum((p.y for p in points), R(0)) / n
+            seen.add(i)
+    points = ps.points
+    cx = sum((p.x for p in points), R(0)) / ps.n
+    cy = sum((p.y for p in points), R(0)) / ps.n
     eps = R(epsilon)
     out = list(points)
-    for key, members in groups.items():
+    for members in families:
         ordered = sorted(members, key=lambda i: (points[i].x, points[i].y))
         first, second = points[ordered[0]], points[ordered[1]]
         dx, dy = second.x - first.x, second.y - first.y
@@ -387,7 +373,7 @@ def perturb_collinear_families(points, epsilon):
             sign = -1 if side < 0 else 1
             off = sign * rank * eps
             out[i] = Point(p.x + perp[0] * off, p.y + perp[1] * off, p.label)
-    return out
+    return PointSet(out)
 
 
 def build_sr(cfg: SrConfig) -> SrResult:
@@ -415,7 +401,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
 def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     r = cfg.r
     n = 9 * r
-    A, Ap, aux, rot, rot_inv = _build_sr_family(r, cfg.segment_choice, precision)
+    A, Ap, aux, rot, rot_inv = _build_sr_family(r, precision)
 
     inner = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
     inner += [rot(p) for p in inner] + [rot(rot(p)) for p in inner[: 2 * r]]
@@ -451,8 +437,7 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     eps = R(cfg.perturbation_epsilon)
     failure = None
     for _ in range(5):
-        moved = perturb_collinear_families(pts, eps)
-        ps = PointSet(moved)
+        ps = perturb_collinear_families(raw.point_set, eps)
         if not ps.general_position:
             failure = "perturbed set still has collinear triples"
             eps = eps / 1000
@@ -578,9 +563,10 @@ def check_3decomposable(ps: PointSet, partition):
     normals, so one direction per open angular gap between consecutive
     normals is exhaustive.  The search is one sweep over the circular
     sequence (Goodman & Pollack): sort the points once for the first gap,
-    then cross each angle in turn, where every line spanned with that
-    normal reverses its points, a contiguous block of the order.  A running
-    count of part boundaries is updated at the block ends only; three
+    then cross the set's angle runs (`PointSet.angles`) in turn, where
+    every line spanned with that normal reverses its points, a contiguous
+    block of the order whose ends are the line's first and last slots.  A
+    running count of part boundaries is updated at the block ends only; three
     blocks (two boundaries) put part 3 - first - last between the others.
     Each part's witness is its first such gap, given as the sum of the
     rational normals of the lowest-index pairs on either side (their
@@ -597,7 +583,7 @@ def check_3decomposable(ps: PointSet, partition):
         for i in g:
             part_of[i] = gi
 
-    angles = angle_runs(sorted_events(ps))
+    angles = ps.angles
     if len(angles) < 2:
         return None  # one line: only its middle part can ever be between
     pts = ps.points
@@ -629,7 +615,9 @@ def check_3decomposable(ps: PointSet, partition):
     found = {}
     for g in range(len(angles)):
         if g:
-            for a, b in _reversed_blocks(angles[g], pos):
+            for line in _lines(angles[g]):
+                a = min(map(pos.__getitem__, line))
+                b = a + len(line) - 1  # a line's points stand contiguously
                 cuts -= cut(a - 1) + cut(b)
                 order[a:b + 1] = reversed(order[a:b + 1])
                 parts[a:b + 1] = reversed(parts[a:b + 1])
@@ -641,33 +629,6 @@ def check_3decomposable(ps: PointSet, partition):
             if len(found) == 3:
                 return Decomposition3Witness(tuple(gap_direction(found[gi]) for gi in range(3)))
     return None
-
-
-def _reversed_blocks(angle, pos):
-    """(first, last) slot of each block the sweep reverses at one angle:
-    the points of every line spanned with that normal, which stand
-    contiguously in the order just before it (union-find over the pairs)."""
-    if len(angle) == 1:
-        _, i, j = angle[0]
-        a = min(pos[i], pos[j])
-        return ((a, a + 1),)
-    root = {}
-
-    def find(x):
-        root.setdefault(x, x)
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for _, i, j in angle:
-        root[find(i)] = find(j)
-    span = {}
-    for x in root:
-        r, p = find(x), pos[x]
-        lo, hi = span.get(r, (p, p))
-        span[r] = (min(lo, p), max(hi, p))
-    return span.values()
 
 
 def witness_failures(ps: PointSet, partition, witness) -> list[int]:

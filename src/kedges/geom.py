@@ -6,14 +6,22 @@ sign of an exactly evaluated 2x2 determinant, so every downstream count
 deliberately no floating-point fast path: the kernel stays small enough
 to audit by eye.
 
-The point-set kernels (the collinear scan here, pair levels, convex
-4-subsets and the angular sweep) clear denominators once per point:
-PointSet.homogeneous holds integer (X, Y, W) with x = X/W, y = Y/W and
-W = lcm(den x, den y) > 0, and orientation(p, q, r) has the sign of the
-3x3 integer determinant of the rows (W, X, Y), since that determinant is
-the rational one times Wp*Wq*Wr > 0 (Fortune & Van Wyk 1996).  Plain int
-arithmetic decides the same signs without a gcd per operation.
-`orientation` on Points stays the exact-rational reference.
+The point-set kernels (the sorted sweep events here, pair levels, convex
+4-subsets) clear denominators once per point: PointSet.homogeneous holds
+integer (X, Y, W) with x = X/W, y = Y/W and W = lcm(den x, den y) > 0,
+and orientation(p, q, r) has the sign of the 3x3 integer determinant of
+the rows (W, X, Y), since that determinant is the rational one times
+Wp*Wq*Wr > 0 (Fortune & Van Wyk 1996).  Plain int arithmetic decides the
+same signs without a gcd per operation.  `orientation` on Points stays
+the exact-rational reference.
+
+A PointSet sorts its sweep events once (`PointSet.angles`, the circular
+sequence of Goodman & Pollack in runs of equal angle).  The points of a
+spanned line swap at one angle, so the runs hold every collinearity: the
+general-position certificate, the collinear families of the S_r
+construction and the blocks of the 3-decomposition sweep are the lines
+of those runs.  collinear_triples(ps) is the O(n^3) scan kept as their
+oracle.
 
 The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
 cosine pair).  rotate_cw_2pi3 applies an exact *rational* linear map built
@@ -26,7 +34,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from itertools import combinations
 from math import lcm
 
 from .errors import GeneralPositionError, InputError, PointFileError
@@ -87,35 +96,56 @@ def line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point:
     return Point(a.x + t * r[0], a.y + t * r[1])
 
 
-def _homogeneous(points) -> tuple[tuple[int, int, int], ...]:
-    """Integer (X, Y, W) per point: x = X/W, y = Y/W, W = lcm(den x, den y)."""
-    out = []
-    for p in points:
-        dx, dy = p.x.denominator, p.y.denominator
-        w = lcm(dx, dy)
-        out.append((p.x.numerator * (w // dx), p.y.numerator * (w // dy), w))
-    return tuple(out)
+def _event_direction(dx, dy):
+    """Perpendicular of (dx, dy) normalized into the closed upper half plane
+    (angle in [0, pi)): returns (a, b) with b > 0, or b == 0 and a > 0."""
+    a, b = -dy, dx
+    if b < 0 or (b == 0 and a < 0):
+        a, b = -a, -b
+    return a, b
 
 
-def _pair_lines(hom):
-    """(i, j, a, b, c) for every pair i < j of homogeneous points, where
-    a*X + b*Y + c*W has the sign of orientation(p_i, p_j, (X/W, Y/W)):
-    the cofactor expansion of the (W, X, Y) determinant along its last row."""
-    for i, (xi, yi, wi) in enumerate(hom):
-        for j in range(i + 1, len(hom)):
-            xj, yj, wj = hom[j]
-            yield i, j, yi * wj - wi * yj, wi * xj - xi * wj, xi * yj - yi * xj
+def _event_cmp(ev1, ev2) -> int:
+    """Exact angular order of two sweep events (direction, i, j) by their
+    upper-half-plane directions (cross-product sign)."""
+    (a1, b1), (a2, b2) = ev1[0], ev2[0]
+    cross = a1 * b2 - b1 * a2
+    if cross:
+        return -1 if cross > 0 else 1
+    return 0
 
 
-def collinear_triples(points) -> list[tuple[int, int, int]]:
+def _lines(run):
+    """The point indices of each line spanned at one angle: the pairs of
+    an angle run joined by union-find (parallel lines share no point)."""
+    if len(run) == 1:
+        _, i, j = run[0]
+        return ((i, j),)
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for _, i, j in run:
+        root[find(i)] = find(j)
+    lines = {}
+    for x in root:
+        lines.setdefault(find(x), []).append(x)
+    return lines.values()
+
+
+def collinear_triples(ps: PointSet) -> list[tuple[int, int, int]]:
     """All index triples (i<j<k) of collinear points, in lexicographic
-    order.  O(n^3).  Takes a PointSet (reusing its homogeneous form) or a
-    sequence of Points."""
-    hom = points.homogeneous if isinstance(points, PointSet) else _homogeneous(points)
-    n = len(hom)
+    order, by the exhaustive O(n^3) scan: the oracle for
+    PointSet.collinear_triples, which reads them off the angle runs."""
+    hom = ps.homogeneous
     bad = []
-    for i, j, a, b, c in _pair_lines(hom):
-        for k in range(j + 1, n):
+    for i, j, a, b, c in ps.pair_lines():
+        for k in range(j + 1, ps.n):
             xk, yk, wk = hom[k]
             if a * xk + b * yk + c * wk == 0:
                 bad.append((i, j, k))
@@ -127,7 +157,8 @@ class PointSet:
     """Ordered list of distinct points with a general-position certificate.
 
     The certificate is computed, never assumed: `general_position` is True
-    iff an exhaustive exact scan found no collinear triple.
+    iff no line spanned by the set holds three of its points, read exactly
+    off the sorted sweep events (`angles`).
     """
 
     points: tuple[Point, ...]
@@ -158,17 +189,69 @@ class PointSet:
     @cached_property
     def homogeneous(self) -> tuple[tuple[int, int, int], ...]:
         """Integer (X, Y, W) per point, W > 0; see the module docstring."""
-        return _homogeneous(self.points)
+        out = []
+        for p in self.points:
+            dx, dy = p.x.denominator, p.y.denominator
+            w = lcm(dx, dy)
+            out.append((p.x.numerator * (w // dx), p.y.numerator * (w // dy), w))
+        return tuple(out)
 
     def pair_lines(self):
         """(i, j, a, b, c) per pair i < j: point t lies strictly left of
         the directed line p_i -> p_j iff a*X + b*Y + c*W > 0 on its
-        homogeneous coordinates (X, Y, W), and on the line iff it is 0."""
-        return _pair_lines(self.homogeneous)
+        homogeneous coordinates (X, Y, W), and on the line iff it is 0:
+        the cofactor expansion of the (W, X, Y) determinant along its
+        last row."""
+        hom = self.homogeneous
+        for i, (xi, yi, wi) in enumerate(hom):
+            for j in range(i + 1, len(hom)):
+                xj, yj, wj = hom[j]
+                yield i, j, yi * wj - wi * yj, wi * xj - xi * wj, xi * yj - yi * xj
+
+    @cached_property
+    def angles(self) -> tuple[tuple[tuple, ...], ...]:
+        """The C(n,2) sweep events (direction, i, j), one per pair i < j,
+        sorted by angle in [0, pi) and grouped into runs of equal angle;
+        within a run the pairs keep index order.  A run holds every pair
+        spanning a line of that normal, so every collinearity of the set
+        is in one run.
+
+        The direction is the normal of p_j - p_i in the upper half plane,
+        formed on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
+        Wi*Wj > 0 times p_j - p_i, so every angular comparison is exact."""
+        hom = self.homogeneous
+        events = []
+        for i, (xi, yi, wi) in enumerate(hom):
+            for j in range(i + 1, len(hom)):
+                xj, yj, wj = hom[j]
+                events.append((_event_direction(xj * wi - xi * wj, yj * wi - yi * wj), i, j))
+        # Stable: equal angles keep the pair order in which they were made.
+        events.sort(key=cmp_to_key(_event_cmp))
+        runs = []
+        for ev in events:
+            a, b = ev[0]
+            if runs and a * b0 == b * a0:  # parallel to the run's direction
+                runs[-1].append(ev)
+            else:
+                runs.append([ev])
+                a0, b0 = a, b
+        return tuple(map(tuple, runs))
+
+    @cached_property
+    def collinear_lines(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted point indices of each spanned line with >= 3 points,
+        in angle order (such a line has C(m,2) >= 3 pairs in its run)."""
+        return tuple(
+            tuple(sorted(line))
+            for run in self.angles if len(run) >= 3
+            for line in _lines(run) if len(line) >= 3
+        )
 
     @cached_property
     def collinear_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(collinear_triples(self))
+        """All index triples (i<j<k) of collinear points, in lexicographic
+        order: the C(m,3) triples of each line in `collinear_lines`."""
+        return tuple(sorted(t for line in self.collinear_lines for t in combinations(line, 3)))
 
     @property
     def general_position(self) -> bool:

@@ -17,6 +17,7 @@ from kedges.constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
+    perturb_collinear_families,
     sr_expected_bichromatic,
     sr_expected_leq,
     sr_expected_monochromatic,
@@ -27,7 +28,7 @@ from kedges.constructions import (
 from kedges.bounds import comb2
 from kedges.central import verify_central
 from kedges.edgestats import edge_vector_bruteforce, pair_levels
-from kedges.errors import InputError
+from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
 from kedges.geom import P, PointSet
 
@@ -35,8 +36,6 @@ from kedges.geom import P, PointSet
 def test_sr_config_validation():
     with pytest.raises(InputError):
         SrConfig(r=2)
-    with pytest.raises(InputError):
-        SrConfig(r=3, segment_choice=1)
     with pytest.raises(InputError):
         SrConfig(r=3, perturbation_epsilon=0)
 
@@ -49,6 +48,20 @@ def test_s3_raw_collinearities(s3):
     assert all(tags[i] == "A''" for i in (6, 7, 8))
     assert all(tags[i] == "B''" for i in (15, 16, 17))
     assert all(tags[i] == "C''" for i in (24, 25, 26))
+
+
+def test_perturb_moves_exactly_the_flat_families(s3):
+    raw = s3.raw.point_set
+    moved = perturb_collinear_families(raw, s3.config.perturbation_epsilon)
+    changed = {i for i in range(raw.n) if moved[i] != raw[i]}
+    assert changed == {6, 7, 8, 15, 16, 17, 24, 25, 26}
+    assert moved.general_position
+
+
+def test_perturb_rejects_a_point_on_two_families():
+    plus = PointSet([P(0, 0), P(1, 0), P(2, 0), P(0, 1), P(0, 2)])
+    with pytest.raises(VerificationError, match="two collinear families"):
+        perturb_collinear_families(plus, Fraction(1, 100))
 
 
 def test_s3_class_structure(s3):

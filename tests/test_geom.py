@@ -10,6 +10,7 @@ from kedges.geom import (
     P,
     PointSet,
     check_general_position,
+    collinear_triples,
     line_intersection,
     orientation,
     read_points,
@@ -128,6 +129,17 @@ def test_pointset_rejects_duplicates_and_certifies():
     with pytest.raises(GeneralPositionError) as exc:
         bad.require_general_position()
     assert exc.value.triples == ((0, 1, 2),)
+    # A 4-point line (y = 0) and two parallel 3-point lines (slope 1), with
+    # interleaved indices: the triples read off the angle runs are the
+    # O(n^3) scan's, in the same lexicographic order.
+    deg = PointSet([P(3, 0), P(0, 5), P(5, 1), P(0, 0), P(1, 6),
+                    P(6, 2), P(2, 0), P(2, 7), P(7, 3), P(1, 0)])
+    want = ((0, 3, 6), (0, 3, 9), (0, 6, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9))
+    assert deg.collinear_triples == tuple(collinear_triples(deg)) == want
+    with pytest.raises(GeneralPositionError) as exc:
+        deg.require_general_position()
+    assert exc.value.triples == want
+    assert str(exc.value) == "not in general position: 6 collinear triple(s), first (0, 3, 6)"
 
 
 def test_rational_canonical_equality():

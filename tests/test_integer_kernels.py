@@ -117,7 +117,7 @@ def ref_sweep(pts):
 def test_integer_kernels_match_rational_reference(ps):
     pts = ps.points
     bad = ref_collinear(pts)
-    assert collinear_triples(list(pts)) == bad
+    assert collinear_triples(ps) == bad
     assert list(ps.collinear_triples) == bad
     if bad:
         for kernel in (pair_levels, crossings_bruteforce, halfperiod_from_points):
