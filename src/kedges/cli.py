@@ -14,14 +14,19 @@ Subcommands:
   selftest          verification suites (bounds | identities | central | constructions | all)
 
 Exit codes: 0 success, 1 internal/assertion failure, 2 input error.
+
+The parser is built once per process, on the first call of main, so handlers
+get everything through args; main calls cmd_<command> ('-' read as '_').
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bnd
 from . import golden
@@ -36,14 +41,48 @@ from .constructions import (
     sr_audit,
 )
 from .edgestats import summarize
-from .errors import InputError, KedgesError
+from .errors import GeneralPositionError, InputError, KedgesError
 from .geom import read_points, write_points
 from .rat import fmt
 from .selftest import run_scope
 
 
+def _json_text(obj, pad="\n") -> str:
+    """The text of json.dumps(obj, indent=2) without json's pure-Python
+    indent encoder.  Types are taken in json's order, so a bool never prints
+    as an int; a non-finite float, a non-str dict key (encode_basestring_ascii
+    rejects it) or any other type raises TypeError.  Reports are trees, so
+    there is no cycle check."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise TypeError(f"{obj!r} has no JSON text")
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_print(obj):
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +269,7 @@ def cmd_construct(args) -> int:
         cfg = SrConfig(
             r=args.r,
             precision=args.precision,
-            **({"perturbation_epsilon": args.epsilon} if args.epsilon else {}),
+            **({"perturbation_epsilon": args.epsilon} if args.epsilon is not None else {}),
         )
         res = build_sr(cfg)
         lps = res.raw if args.raw else res.perturbed
@@ -323,6 +362,7 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kedges",
@@ -332,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="edge statistics and crossing number of a point file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="central-inequality classification report")
     p.add_argument("file")
@@ -341,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat FILE as a halfperiod file instead of a point file")
     p.add_argument("--tie-break", action="store_true",
                    help="order parallel-pair events by pair index instead of failing")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bounds", help="per-k lower bounds for E_<=k(n)")
     p.add_argument("--n", type=int, required=True)
@@ -349,30 +387,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--with-u-prime", action="store_true",
                    help="include the 3-regular-only recursion column (36 | n)")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("halving-bound", help="upper bound on halving lines")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_halving_bound)
 
     p = sub.add_parser("cr-bound", help="crossing-number lower bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pipeline", choices=("table1", "section5"), default="section5")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cr_bound)
 
     p = sub.add_parser("cr-table", help="crossing-number bounds over a range")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
     p.add_argument("--pipeline", choices=("table1", "section5"), default="section5")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_cr_table)
 
     p = sub.add_parser("tables", help="reproduce the published tables")
     p.add_argument("which", choices=("table1", "table2", "section5"))
     p.add_argument("--check", action="store_true", help="compare against embedded golden values")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("construct", help="emit a construction as a point file")
     csub = p.add_subparsers(dest="kind", required=True)
@@ -382,32 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", help="perturbation size as a rational, e.g. 1/10000000")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--raw", action="store_true", help="emit the unperturbed, collinear set")
-    c.set_defaults(func=cmd_construct)
     c = csub.add_parser("polygon-center", help="(2k+1)-gon plus central points")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--precision", type=int, default=10**6)
     c.add_argument("-o", "--output", required=True)
-    c.set_defaults(func=cmd_construct)
     c = csub.add_parser("cluster-polygon", help="(2t+1)-gon with m-point clusters")
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--precision", type=int, default=10**6)
     c.add_argument("-o", "--output", required=True)
-    c.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="re-run a construction's count audit")
     vsub = p.add_subparsers(dest="kind", required=True)
     v = vsub.add_parser("sr")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--precision", type=int, default=10**12)
-    v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose3", help="3-decomposition witness search")
     p.add_argument("file")
     p.add_argument("--partition", required=True,
                    help="three '/'-separated groups of 1-based indices, e.g. 1-9/10-18/19-27")
-    p.set_defaults(func=cmd_decompose3)
 
     p = sub.add_parser("selftest", help="verification suites")
     p.add_argument("scope", choices=("bounds", "identities", "central", "constructions", "all"))
@@ -415,19 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--rmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=20240901)
-    p.set_defaults(func=cmd_selftest)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so a handler rebound on this module after the
+    # parser was built (by a tracer or a test) is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        from .errors import GeneralPositionError
-
         if isinstance(exc, GeneralPositionError) and exc.triples:
             print(f"collinear triples: {list(exc.triples)}", file=sys.stderr)
         return 2

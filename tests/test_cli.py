@@ -1,15 +1,20 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kedges
-from kedges.cli import main
+from kedges.bounds import bound_table
+from kedges.cli import _json_text, build_parser, main
 from kedges.gensets import convex_polygon_set
 from kedges.geom import write_points
 
@@ -246,6 +251,7 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
         ["decompose3", "OCT", "--partition", "1-a/4-6/7-8"],
         ["decompose3", "OCT", "--partition", "3-1/4-6/7-8"],
         ["construct", "sr", "--r", "3", "--epsilon", "abc", "-o", "OUT"],
+        ["construct", "sr", "--r", "3", "--epsilon", "", "-o", "OUT"],
         ["selftest", "identities", "--nmax", "4"],
         ["selftest", "identities", "--trials", "0"],
         ["cr-table", "--from", "99", "--to", "28"],
@@ -258,8 +264,8 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
         ["selftest", "constructions", "--rmax", "2"],
         ["selftest", "all", "--trials", "1", "--rmax", "0"],
     ],
-    ids=["partition", "partition-reversed", "epsilon", "nmax", "trials", "cr-table-range",
-         "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
+    ids=["partition", "partition-reversed", "epsilon", "epsilon-empty", "nmax", "trials",
+         "cr-table-range", "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
          "precision-polygon-center-negative", "rmax-constructions", "rmax-all"],
 )
@@ -294,16 +300,126 @@ def test_reversed_partition_range_is_named(octagon_file, capsys):
     assert capsys.readouterr().err == "error: partition entry '3-1' is a reversed range\n"
 
 
-def test_python_m_kedges_runs_the_cli():
+def _run_python(*argv):
     src = str(Path(kedges.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
 
+
+def test_python_m_kedges_runs_the_cli():
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "kedges", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        return _run_python("-m", "kedges", *argv)
 
     ok = run("halving-bound", "--n", "24")
     assert (ok.returncode, ok.stdout, ok.stderr) == (0, "51\n", "")
     bad = run("cr-table", "--from", "99", "--to", "28")
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+
+def test_import_builds_no_parser():
+    done = _run_python("-c", "import kedges.cli as c; print(c.build_parser.cache_info().currsize)")
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_parser_keeps_nothing_between_calls(octagon_file, capsys):
+    assert build_parser() is build_parser()
+    assert main(["bounds", "--n", "10", "--k", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["bounds", "--n", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(bound_table(10).rows)
+
+    # the octagon has parallel pairs: only --tie-break orders them
+    assert main(["classify", octagon_file, "--k", "2", "--tie-break"]) == 0
+    capsys.readouterr()
+    assert main(["classify", octagon_file, "--k", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: 12 group(s) of point pairs")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", octagon_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kedges classify") and "--k" in err
+    assert main(["halving-bound", "--n", "24"]) == 0
+    assert capsys.readouterr().out == "51\n"
+
+
+def test_handlers_are_found_by_name_at_call_time(monkeypatch, capsys):
+    from kedges import cli
+
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert all(callable(getattr(cli, "cmd_" + c.replace("-", "_"), None)) for c in commands)
+    monkeypatch.setattr(cli, "cmd_halving_bound", lambda args: print("rebound", args.n) or 0)
+    assert main(["halving-bound", "--n", "24"]) == 0
+    assert capsys.readouterr().out == "rebound 24\n"
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 0.1, 1e16]),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\r\u00e9\u20ac\U0001f600ab '),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(alphabet='"\\\x01\u00e9k0 ', max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [math.nan, math.inf, -math.inf, [1, math.nan], {"a": [math.inf]}, {1: "a"}, {True: 1},
+     {None: 1}, {1.5: 2}, {"a": {2: 3}}, {(1, 2): 3}, Fraction(1, 2), {1, 2}, b"x", object()],
+    ids=repr,
+)
+def test_json_text_uncovered_values(obj):
+    try:
+        want = json.dumps(obj, indent=2)
+    except TypeError:
+        want = TypeError
+    try:
+        got = _json_text(obj)
+    except TypeError:
+        return
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "OCT"],
+        ["classify", "OCT", "--k", "2", "--tie-break"],
+        ["classify", "HP", "--halfperiod", "--k", "3"],
+        ["bounds", "--n", "60", "--format", "json"],
+        ["bounds", "--n", "36", "--with-u-prime", "--format", "json"],
+        ["cr-bound", "--n", "28", "--format", "json"],
+    ],
+    ids=["analyze", "classify", "classify-halfperiod", "bounds", "bounds-u-prime", "cr-bound"],
+)
+def test_json_reports_print_as_json_dumps(argv, octagon_file, tmp_path, capsys):
+    from kedges.circseq import halfperiod_from_points, write_halfperiod
+    from kedges.geom import read_points
+
+    hp = tmp_path / "oct.hp"
+    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
+    argv = [octagon_file if a == "OCT" else str(hp) if a == "HP" else a for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
