@@ -119,6 +119,15 @@ def m_start(n: int) -> int:
     return ceil_div(4 * n - 11, 9)
 
 
+def _u_recursion(n: int, m: int, seed: int) -> dict[int, int]:
+    """u_{m-1} = seed, then u_k = ceil((C(n,2) + (n-2k-3) u_{k-1}) / (n-2k-2))
+    up to k = floor((n-3)/2)."""
+    out = {m - 1: seed}
+    for k in range(m, (n - 3) // 2 + 1):
+        out[k] = ceil_div(comb(n, 2) + (n - 2 * k - 3) * out[k - 1], n - 2 * k - 2)
+    return out
+
+
 def u_sequence(n: int) -> dict[int, int]:
     """u_k for m-1 <= k <= floor((n-3)/2), as exact integers.
 
@@ -130,11 +139,7 @@ def u_sequence(n: int) -> dict[int, int]:
     m = m_start(n)
     q = n // 3
     seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q) - as_int(3 * (m - q) * (R(n, 3) - q))
-    out = {m - 1: seed}
-    top = (n - 3) // 2
-    for k in range(m, top + 1):
-        out[k] = ceil_div(comb(n, 2) + (n - 2 * k - 3) * out[k - 1], n - 2 * k - 2)
-    return out
+    return _u_recursion(n, m, seed)
 
 
 def explicit_bound(n: int, k: int) -> SqrtExpr:
@@ -212,11 +217,7 @@ def u_prime_sequence(n: int) -> dict[int, int]:
     m = 17 * n // 36
     q3, q49 = n // 3, (4 * n) // 9
     seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q3) + 18 * comb2(m + 1 - q49)
-    out = {m - 1: seed}
-    top = (n - 3) // 2
-    for k in range(m, top + 1):
-        out[k] = ceil_div(comb(n, 2) + (n - 2 * k - 3) * out[k - 1], n - 2 * k - 2)
-    return out
+    return _u_recursion(n, m, seed)
 
 
 def series_coefficient(j: int):

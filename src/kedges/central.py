@@ -27,6 +27,12 @@ Terminology (for a fixed k, writing K = E_{k-1}):
 * weight w(tau_j) = number of center transpositions in B_j not joining
   two C_0 labels; light means w <= n-2k-1-s.
 
+classify states these definitions in one pass over the blocks: each block
+is weighed over its own slice of transpositions, the C_0 overlap behind
+aug_m is a running count over the k-critical transpositions, and the
+cutting test reads the next k-critical boundary of each entering label
+from one backward pass over the same list.
+
 The verifier recomputes everything from scratch on each call and checks
 the inequality together with the per-class weight bounds, the cutting
 bound 2C <= 4k + K - n + s, the augmenting coverage, and the two summed
@@ -86,7 +92,14 @@ def blocks(h: Halfperiod, k: int) -> list[Block]:
 
 def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[TranspositionRecord]:
     """Per-transposition records: block membership, class, weight, and
-    essentiality, straight from the definitions.
+    essentiality, straight from the definitions, one block of blocks(h, k)
+    at a time.
+
+    tau_j's weight counts the center transpositions in B_j's own slice
+    that do not join two C_0 labels; aug_m is the C_0 overlap right after
+    tau_j, a running count over h.k_critical(k); the cutting test compares
+    tau_j's boundary with the next k-critical boundary p_j stands at, read
+    off one backward pass over the same list.
 
     Heaviness needs s(k, pi); it is computed here unless the caller passes
     it in (verify_central reuses the original halfperiod's value, which
@@ -98,93 +111,59 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
         s_value = compute_s(h, k).s_value
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
+    crit = list(h.k_critical(k))
 
-    blks = blocks(h, k)
-    block_of = {}
-    for b in blks:
-        for idx in range(b.start, b.end):
-            block_of[idx] = b.index
-
-    # Per-label timeline of k-critical involvements, for the cutting test.
-    involvements: dict[int, list[tuple[int, str]]] = {}
-    c0_in_center_after = {}
-    leaving_at = {}
-    cnt = len(c0)
-    for idx, _boundary, entering, leaving in h.k_critical(k):
-        cnt += (entering in c0) - (leaving in c0)
-        c0_in_center_after[idx] = cnt
-        leaving_at[idx] = leaving
-        involvements.setdefault(entering, []).append((idx, "enter"))
-        involvements.setdefault(leaving, []).append((idx, "leave"))
-
-    # Weights: center transpositions in each block not joining two C_0 labels.
-    weight_of_block = {b.index: 0 for b in blks}
-    for idx, t in enumerate(h.transpositions):
-        if k + 1 <= t.position <= n - k - 1:
-            if not (t.pair[0] in c0 and t.pair[1] in c0):
-                weight_of_block[block_of[idx]] += 1
+    # next_boundary[j]: where p_j is next involved in a k-critical swap.
+    next_boundary, upcoming = [None] * len(crit), {}
+    for j in reversed(range(len(crit))):
+        _idx, boundary, entering, leaving = crit[j]
+        next_boundary[j] = upcoming.get(entering)
+        upcoming[entering] = upcoming[leaving] = boundary
 
     records = []
-    for idx, t in enumerate(h.transpositions):
-        bi = block_of[idx]
-        if t.position in (k, n - k):
-            b = blks[bi]
-            assert b.start == idx
-            p = b.entering
-            boundary = b.boundary
-            w = weight_of_block[bi]
+    overlap = len(c0)
+    for b in blocks(h, k):
+        ts = h.transpositions[b.start : b.end]
+        if b.index:
+            _idx, boundary, p, leaving = crit[b.index - 1]
+            overlap += (p in c0) - (leaving in c0)
+            w = sum(
+                k < t.position < n - k and not (t.pair[0] in c0 and t.pair[1] in c0)
+                for t in ts
+            )
             aug_m = None
             if p in c0:
-                if leaving_at[idx] in c0:
+                if leaving in c0:
                     cls = "arriving-neutral"
                 else:
                     cls = "arriving-augmenting"
-                    aug_m = c0_in_center_after[idx]
+                    aug_m = overlap
+            elif (boundary == "k") == (p not in l0):
+                cls = "returning"
+            elif next_boundary[b.index - 1] not in (None, boundary):
+                cls = "departing-cutting"
             else:
-                going_home = (boundary == "k") == (p not in l0)
-                if going_home:
-                    cls = "returning"
-                else:
-                    nxt = _next_involvement(involvements, p, idx, h, k)
-                    cls = "departing-cutting" if nxt == "opposite" else "departing-stalling"
+                cls = "departing-stalling"
+            t = ts[0]
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    step=t.step, position=t.position, pair=t.pair, block_index=b.index,
                     kind="k-critical", cls=cls, entering=p, boundary=boundary,
                     aug_m=aug_m, weight=w, heavy=w > n - 2 * k - 1 - s_value,
                     essential=True,
                 )
             )
-        elif k + 1 <= t.position <= n - k - 1:
-            if bi == 0:
-                essential = True
-            else:
-                essential = blks[bi].entering in t.pair
+            ts = ts[1:]
+        for t in ts:
+            center = k < t.position < n - k
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
-                    kind="center", cls="non-critical", essential=essential,
-                )
-            )
-        else:
-            records.append(
-                TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
-                    kind="outer", cls="non-critical", essential=True,
+                    step=t.step, position=t.position, pair=t.pair, block_index=b.index,
+                    kind="center" if center else "outer", cls="non-critical",
+                    essential=not center or b.index == 0 or b.entering in t.pair,
                 )
             )
     return records
-
-
-def _next_involvement(involvements, p, idx, h, k) -> str:
-    """'opposite' if p's next k-critical involvement after idx sits on the
-    other boundary than the one at idx, 'same' or 'none' otherwise."""
-    here = h.transpositions[idx].position
-    for later_idx, _role in involvements.get(p, []):
-        if later_idx > idx:
-            there = h.transpositions[later_idx].position
-            return "opposite" if there != here else "same"
-    return "none"
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
     """
     report = []
     n = h.n
-    if sorted(h.initial) != list(range(1, n + 1)):
+    if len(h.initial) != n or sorted(h.initial) != list(range(1, n + 1)):
         report.append(f"initial is not a permutation of 1..{n}")
         return report
     expected = comb(n, 2)
@@ -311,7 +311,7 @@ def read_halfperiod(path) -> Halfperiod:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     rows = [(i + 1, ln) for i, ln in enumerate(rows) if ln and not ln.startswith("#")]
     if len(rows) < 2:

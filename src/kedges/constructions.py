@@ -193,7 +193,6 @@ class SrConfig:
 class SrResult:
     raw: LabeledPointSet
     perturbed: LabeledPointSet
-    aux: dict
     config: SrConfig          # with the values that actually certified
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
     edge_vector: object       # brute-force vector of the perturbed set
@@ -249,7 +248,7 @@ def _point_on_line_at_x(p1: Point, p2: Point, x, label=None) -> Point:
 
 
 def _build_sr_family(r: int, precision: int):
-    """The A and A' families plus auxiliary points, recursively."""
+    """The A and A' families, recursively, and the rotation they use."""
     rot, rot_inv = rotation_cw_2pi3_maps(precision)
     A = {i: Point(R(x), R(y), f"a_{i}") for i, (x, y) in _BASE_A.items()}
     Ap = {i: Point(R(x), R(y), f"a'_{i}") for i, (x, y) in _BASE_AP.items()}
@@ -278,12 +277,7 @@ def _build_sr_family(r: int, precision: int):
         )
         _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t + 1)
 
-    aux = {
-        "a_inf": a_inf, "ap_inf": ap_inf,
-        "b_inf": b_inf, "bp_inf": rot(ap_inf),
-        "c_inf": rot(b_inf), "cp_inf": rot(rot(ap_inf)),
-    }
-    return A, Ap, aux, rot, rot_inv
+    return A, Ap, rot
 
 
 def _abs_slope(p: Point, q: Point):
@@ -401,7 +395,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
 def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     r = cfg.r
     n = 9 * r
-    A, Ap, aux, rot, rot_inv = _build_sr_family(r, precision)
+    A, Ap, rot = _build_sr_family(r, precision)
 
     inner = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
     inner += [rot(p) for p in inner] + [rot(rot(p)) for p in inner[: 2 * r]]
@@ -448,7 +442,7 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
         bad = [row for row in sr_audit(lps, levels) if not row.ok]
         if not bad:
             used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, lps, aux, used, (max1, min2), ev, levels)
+            return SrResult(raw, lps, used, (max1, min2), ev, levels)
         failure = f"audit mismatch {bad[0]}"
         eps = eps / 1000
     raise VerificationError(f"S_{r} count verification failed: {failure}")

@@ -332,7 +332,7 @@ def read_points(path) -> PointSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PointFileError(f"cannot read {path}: {exc}") from None
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
     rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]

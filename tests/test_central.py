@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kedges.circseq as circseq
-from kedges.central import blocks, classify, rearrange_essential, verify_central
+from kedges.central import (
+    TranspositionRecord,
+    blocks,
+    classify,
+    rearrange_essential,
+    verify_central,
+)
 from kedges.circseq import (
     Halfperiod,
     Transposition,
@@ -321,3 +327,103 @@ def test_rearrangement_matches_fixpoint_reference(h):
         assert compute_s(lam, k).s_value == compute_s(h, k).s_value
         ev, evl = edge_vector_from_halfperiod(h), edge_vector_from_halfperiod(lam)
         assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k)
+
+
+def ref_classify(h, k, s_value=None):
+    """Reference: the per-index classification.  Block membership, the
+    k-critical involvements of every label, the C_0 overlap after each
+    tau_j, the label leaving at it, and every block's weight are each kept
+    in a map over transposition indices before any record is built."""
+    n = h.n
+    if s_value is None:
+        s_value = compute_s(h, k).s_value
+    c0 = frozenset(h.initial[k : n - k])
+    l0 = frozenset(h.initial[:k])
+
+    blks = blocks(h, k)
+    block_of = {}
+    for b in blks:
+        for idx in range(b.start, b.end):
+            block_of[idx] = b.index
+
+    involvements = {}
+    c0_in_center_after = {}
+    leaving_at = {}
+    cnt = len(c0)
+    for idx, _boundary, entering, leaving in h.k_critical(k):
+        cnt += (entering in c0) - (leaving in c0)
+        c0_in_center_after[idx] = cnt
+        leaving_at[idx] = leaving
+        involvements.setdefault(entering, []).append((idx, "enter"))
+        involvements.setdefault(leaving, []).append((idx, "leave"))
+
+    weight_of_block = {b.index: 0 for b in blks}
+    for idx, t in enumerate(h.transpositions):
+        if k + 1 <= t.position <= n - k - 1:
+            if not (t.pair[0] in c0 and t.pair[1] in c0):
+                weight_of_block[block_of[idx]] += 1
+
+    def next_involvement(p, idx):
+        here = h.transpositions[idx].position
+        for later_idx, _role in involvements.get(p, []):
+            if later_idx > idx:
+                there = h.transpositions[later_idx].position
+                return "opposite" if there != here else "same"
+        return "none"
+
+    records = []
+    for idx, t in enumerate(h.transpositions):
+        bi = block_of[idx]
+        if t.position in (k, n - k):
+            b = blks[bi]
+            p = b.entering
+            boundary = b.boundary
+            w = weight_of_block[bi]
+            aug_m = None
+            if p in c0:
+                if leaving_at[idx] in c0:
+                    cls = "arriving-neutral"
+                else:
+                    cls = "arriving-augmenting"
+                    aug_m = c0_in_center_after[idx]
+            else:
+                going_home = (boundary == "k") == (p not in l0)
+                if going_home:
+                    cls = "returning"
+                else:
+                    nxt = next_involvement(p, idx)
+                    cls = "departing-cutting" if nxt == "opposite" else "departing-stalling"
+            records.append(
+                TranspositionRecord(
+                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    kind="k-critical", cls=cls, entering=p, boundary=boundary,
+                    aug_m=aug_m, weight=w, heavy=w > n - 2 * k - 1 - s_value,
+                    essential=True,
+                )
+            )
+        elif k + 1 <= t.position <= n - k - 1:
+            essential = True if bi == 0 else blks[bi].entering in t.pair
+            records.append(
+                TranspositionRecord(
+                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    kind="center", cls="non-critical", essential=essential,
+                )
+            )
+        else:
+            records.append(
+                TranspositionRecord(
+                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    kind="outer", cls="non-critical", essential=True,
+                )
+            )
+    return records
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(halfperiods(), st.integers(0, 2**16))
+def test_classification_matches_per_index_reference(h, salt):
+    for k in range(1, (h.n - 1) // 2 + 1):
+        s_other = (salt + k) % (h.n - 2 * k)  # any s in 0..n-2k-1 moves heaviness
+        for g in (h, rearrange_essential(h, k)):
+            assert classify(g, k) == ref_classify(g, k), (h.n, k)
+            assert classify(g, k, s_value=s_other) == ref_classify(g, k, s_other), (h.n, k)

@@ -245,6 +245,15 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
         assert report(files[0], k) == report(files[1], k)
 
 
+# Input files no reader may turn into a traceback: a byte that is not
+# UTF-8, and a halfperiod header far too large to allocate 1..n for.
+_BAD_FILES = {
+    "NON_UTF8_PTS": b"3\n0 0\n1 \xff\n0 1\n",
+    "NON_UTF8_HP": b"3\n1 2 3\n1 1 1 \xff\n",
+    "HUGE_HP": b"%d\n1 2 3\n" % 10**18,
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -263,15 +272,22 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "-1", "-o", "OUT"],
         ["selftest", "constructions", "--rmax", "2"],
         ["selftest", "all", "--trials", "1", "--rmax", "0"],
+        ["analyze", "NON_UTF8_PTS"],
+        ["classify", "NON_UTF8_HP", "--halfperiod", "--k", "1"],
+        ["classify", "HUGE_HP", "--halfperiod", "--k", "1"],
     ],
     ids=["partition", "partition-reversed", "epsilon", "epsilon-empty", "nmax", "trials",
          "cr-table-range", "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
-         "precision-polygon-center-negative", "rmax-constructions", "rmax-all"],
+         "precision-polygon-center-negative", "rmax-constructions", "rmax-all",
+         "analyze-non-utf8", "classify-non-utf8", "classify-huge-header"],
 )
 def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
-    argv = [octagon_file if a == "OCT" else str(tmp_path / "s.pts") if a == "OUT" else a
-            for a in argv]
+    files = {"OCT": octagon_file, "OUT": str(tmp_path / "s.pts")}
+    for name, body in _BAD_FILES.items():
+        files[name] = str(tmp_path / name)
+        Path(files[name]).write_bytes(body)
+    argv = [files.get(a, a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
