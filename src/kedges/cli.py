@@ -272,13 +272,12 @@ def cmd_construct(args) -> int:
             **({"perturbation_epsilon": args.epsilon} if args.epsilon is not None else {}),
         )
         res = build_sr(cfg)
-        lps = res.raw if args.raw else res.perturbed
         header = (
             f"S_{args.r}: 9r = {9 * args.r} points, "
             f"{'raw (intentionally collinear families)' if args.raw else 'perturbed, general position'}; "
-            f"order: A-letter block, B-letter block, C-letter block (classes {lps.class_tags[0]}..)"
+            "order: A-letter block, B-letter block, C-letter block (classes A..)"
         )
-        write_points(args.output, lps.point_set, header=header)
+        write_points(args.output, res.raw if args.raw else res.perturbed, header=header)
     elif args.kind == "polygon-center":
         ps = build_polygon_center(args.k, args.n, precision=args.precision)
         write_points(args.output, ps, header=f"{2 * args.k + 1}-gon plus {args.n - 2 * args.k - 1} central points")
@@ -290,8 +289,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.kind != "sr":
-        raise InputError(f"unknown verify target {args.kind!r}")
     res = build_sr(SrConfig(r=args.r, precision=args.precision))
     r = args.r
     rows = sr_audit(res.perturbed, res.levels)

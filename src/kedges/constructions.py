@@ -8,7 +8,8 @@ goes) escalate automatically until the certificate passes.
 
 * build_sr: the recursive 9r-point family whose (<=k)-edge counts meet the
   closed-form lower bound for every k <= 4r-1.  Nine classes of size r
-  (A, A', A'', and their images under rotation by 2*pi/3); the A'' points
+  (A, A', A'', and their images under rotation by 2*pi/3), emitted as plain
+  point sets in the fixed order `sr_class_tags` states; the A'' points
   sit on the x-axis far to the left, so far that any line through one of
   them and a non-rotated-double-prime point is flatter than any line
   avoiding A'' entirely (certified by exact slope comparison).  The raw
@@ -50,30 +51,16 @@ from .geom import (
 from .rat import R, dyadic_between
 
 # ---------------------------------------------------------------------------
-# Labeled point sets
+# The S_r layout
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledPointSet:
-    """A point set plus one class tag per point (A, A', A'', B, ..., C'').
-
-    The tag's first letter is the color used by the bichromatic /
+def sr_class_tags(r: int) -> tuple[str, ...]:
+    """The class tag of each point of an S_r set (n = 9r) in emitted order:
+    for each letter A, B, C, first r plain points, then r primed, then r
+    double-primed.  A tag's letter is the color used by the bichromatic /
     monochromatic split."""
-
-    point_set: PointSet
-    class_tags: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.class_tags) != self.point_set.n:
-            raise InputError("one class tag per point required")
-
-    @property
-    def n(self) -> int:
-        return self.point_set.n
-
-    def letter(self, i: int) -> str:
-        return self.class_tags[i][0]
+    return tuple(letter + prime for letter in "ABC" for prime in ("", "'", "''") for _ in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +96,7 @@ def sr_expected_monochromatic(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class SrAuditRow:
-    """E_<=k of a labeled S_r set and its bichromatic / monochromatic
+    """E_<=k of an S_r set and its bichromatic / monochromatic
     split, each next to the closed form it must meet."""
 
     k: int
@@ -132,18 +119,21 @@ class SrAuditRow:
         return self.tight and self.split_ok
 
 
-def sr_audit(lps: LabeledPointSet, levels) -> list[SrAuditRow]:
-    """The tightness and split audit of a labeled S_r set (n = 9r) for
-    0 <= k <= 4r-1, from its pair levels: every (<=k)-edge is either
-    bichromatic or monochromatic, so E_<=k is their sum.  One pass makes
-    per-level (bichromatic, monochromatic) histograms; rows read their
-    prefix sums."""
-    r = lps.n // 9
+def sr_audit(ps: PointSet, levels) -> list[SrAuditRow]:
+    """The tightness and split audit of an S_r set (n = 9r, in the
+    `sr_class_tags` layout) for 0 <= k <= 4r-1, from its pair levels: every
+    (<=k)-edge is either bichromatic or monochromatic, so E_<=k is their
+    sum.  One pass makes per-level (bichromatic, monochromatic) histograms;
+    rows read their prefix sums."""
+    if ps.n % 9:
+        raise InputError(f"an S_r set has 9r points, got {ps.n}")
+    r = ps.n // 9
+    letter = [tag[0] for tag in sr_class_tags(r)]
     top = 4 * r
     hist = [[0, 0] for _ in range(top)]  # per level: [bichromatic, monochromatic]
     for (i, j), lev in levels.items():
         if lev < top:
-            hist[lev][lps.letter(i) == lps.letter(j)] += 1
+            hist[lev][letter[i] == letter[j]] += 1
     rows = []
     bi = mono = 0
     for k, (bi_k, mono_k) in enumerate(hist):
@@ -171,7 +161,7 @@ SEGMENT_CHOICE = R(1, 2)
 @dataclass(frozen=True)
 class SrConfig:
     r: int
-    far_factor: object = field(default_factory=lambda: R(10**4))
+    far_factor: object = field(default_factory=lambda: R(2 * 10**4))
     perturbation_epsilon: object = field(default_factory=lambda: R(1, 10**7))
     precision: int = 10**12
 
@@ -191,8 +181,8 @@ class SrConfig:
 
 @dataclass(frozen=True)
 class SrResult:
-    raw: LabeledPointSet
-    perturbed: LabeledPointSet
+    raw: PointSet             # both in the `sr_class_tags` layout
+    perturbed: PointSet
     config: SrConfig          # with the values that actually certified
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
     edge_vector: object       # brute-force vector of the perturbed set
@@ -240,18 +230,18 @@ def _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t: int):
         _require_interior(b[t], b_inf, z, f"(IV) j={j}")
 
 
-def _point_on_line_at_x(p1: Point, p2: Point, x, label=None) -> Point:
+def _point_on_line_at_x(p1: Point, p2: Point, x) -> Point:
     if p1.x == p2.x:
         raise VerificationError("family line is vertical; cannot parametrize by x")
     slope = (p2.y - p1.y) / (p2.x - p1.x)
-    return Point(x, p1.y + slope * (x - p1.x), label)
+    return Point(x, p1.y + slope * (x - p1.x))
 
 
 def _build_sr_family(r: int, precision: int):
     """The A and A' families, recursively, and the rotation they use."""
     rot, rot_inv = rotation_cw_2pi3_maps(precision)
-    A = {i: Point(R(x), R(y), f"a_{i}") for i, (x, y) in _BASE_A.items()}
-    Ap = {i: Point(R(x), R(y), f"a'_{i}") for i, (x, y) in _BASE_AP.items()}
+    A = {i: Point(R(x), R(y)) for i, (x, y) in _BASE_A.items()}
+    Ap = {i: Point(R(x), R(y)) for i, (x, y) in _BASE_AP.items()}
     c2, c3 = rot(rot(A[2])), rot(rot(A[3]))
     a_inf = line_intersection(A[2], A[3], c2, c3)
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
@@ -266,15 +256,13 @@ def _build_sr_family(r: int, precision: int):
         lo, hi = sorted((x_cut.x, b_inf.x))
         target = x_cut.x + sigma * (b_inf.x - x_cut.x)
         b_new = _point_on_line_at_x(b_t, b_inf, dyadic_between(lo, hi, target))
-        A[t + 1] = rot_inv(b_new, f"a_{t + 1}")
+        A[t + 1] = rot_inv(b_new)
 
         y_cut = line_intersection(b_new, a_inf, Ap[t], ap_inf)
         _require_interior(Ap[t], ap_inf, y_cut, f"extension t={t}: prime cut point")
         lo, hi = sorted((y_cut.x, ap_inf.x))
         target = y_cut.x + sigma * (ap_inf.x - y_cut.x)
-        Ap[t + 1] = _point_on_line_at_x(
-            Ap[t], ap_inf, dyadic_between(lo, hi, target), f"a'_{t + 1}"
-        )
+        Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, dyadic_between(lo, hi, target))
         _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t + 1)
 
     return A, Ap, rot
@@ -287,10 +275,11 @@ def _abs_slope(p: Point, q: Point):
     return abs((p.y - q.y) / (p.x - q.x))
 
 
-def _certify_app_slopes(points, tags):
+def _certify_app_slopes(points, r):
     """max |slope| over lines (A'' x non-double-prime-rotate) must stay
     below min |slope| over lines avoiding A''.  Returns (ok, max1, min2,
     blocking_is_far_independent)."""
+    tags = sr_class_tags(r)
     app = [i for i, t in enumerate(tags) if t == "A''"]
     bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
     others = [i for i in range(len(points)) if i not in app]
@@ -315,23 +304,6 @@ def _certify_app_slopes(points, tags):
             min2_inner = not ({a, b} & bpp_cpp)
     ok = min2 is not None and max1 < min2
     return ok, max1, min2, min2_inner
-
-
-def _assemble_sr(A, Ap, app, rot, r):
-    """Raw point list in letter-major order: all A-letter points, then
-    their rotations, then the double rotations."""
-    base = (
-        [A[i] for i in range(1, r + 1)]
-        + [Ap[i] for i in range(1, r + 1)]
-        + list(app)
-    )
-    tags_a = ["A"] * r + ["A'"] * r + ["A''"] * r
-    pts, tags = list(base), list(tags_a)
-    for letter in ("b", "c"):
-        base = [rot(p, p.label and p.label.replace("a", letter).replace("b", letter)) for p in base]
-        pts += base
-        tags += [t.replace("A", letter.upper()) for t in tags_a]
-    return pts, tags
 
 
 def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
@@ -366,7 +338,7 @@ def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
             side = (p.x - cx) * perp[0] + (p.y - cy) * perp[1]
             sign = -1 if side < 0 else 1
             off = sign * rank * eps
-            out[i] = Point(p.x + perp[0] * off, p.y + perp[1] * off, p.label)
+            out[i] = Point(p.x + perp[0] * off, p.y + perp[1] * off)
     return PointSet(out)
 
 
@@ -394,26 +366,26 @@ def build_sr(cfg: SrConfig) -> SrResult:
 
 def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     r = cfg.r
-    n = 9 * r
     A, Ap, rot = _build_sr_family(r, precision)
-
-    inner = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
-    inner += [rot(p) for p in inner] + [rot(rot(p)) for p in inner[: 2 * r]]
-    min_inner_x = min(p.x for p in inner)
+    # The 6r points off the flat family (A, A' and their two rotations) are
+    # rotated once; each far-factor attempt rotates only the r points of A''.
+    inner_a = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
+    inner_b = [rot(p) for p in inner_a]
+    inner_c = [rot(p) for p in inner_b]
+    min_inner_x = min(p.x for p in inner_a + inner_b + inner_c)
 
     far = R(cfg.far_factor)
     certified = None
     for _ in range(60):
-        app = [
-            Point(-(far * (1 << (r - i))) / 1, R(0), f"a''_{i}") for i in range(1, r + 1)
-        ]
-        if not max(p.x for p in app) < min_inner_x:
+        if not -far < min_inner_x:  # -far is the rightmost A'' point
             far = far * 2
             continue
-        pts, tags = _assemble_sr(A, Ap, app, rot, r)
-        ok, max1, min2, inner_block = _certify_app_slopes(pts, tags)
+        app_a = [Point(-far * (1 << (r - i)), R(0)) for i in range(1, r + 1)]
+        app_b = [rot(p) for p in app_a]
+        pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
+        ok, max1, min2, inner_block = _certify_app_slopes(pts, r)
         if ok:
-            certified = (pts, tags, max1, min2)
+            certified = (pts, max1, min2)
             break
         if min2 is not None and min2 == 0 and inner_block:
             # A horizontal line between two far-independent points can never
@@ -424,25 +396,23 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
         far = far * 2
     if certified is None:
         raise VerificationError("slope certificate failed after 60 doublings")
-    pts, tags, max1, min2 = certified
-
-    raw = LabeledPointSet(PointSet(pts), tuple(tags))
+    pts, max1, min2 = certified
+    raw = PointSet(pts)
 
     eps = R(cfg.perturbation_epsilon)
     failure = None
     for _ in range(5):
-        ps = perturb_collinear_families(raw.point_set, eps)
+        ps = perturb_collinear_families(raw, eps)
         if not ps.general_position:
             failure = "perturbed set still has collinear triples"
             eps = eps / 1000
             continue
         levels = pair_levels(ps)
         ev = edge_vector_bruteforce(ps, levels)
-        lps = LabeledPointSet(ps, tuple(tags))
-        bad = [row for row in sr_audit(lps, levels) if not row.ok]
+        bad = [row for row in sr_audit(ps, levels) if not row.ok]
         if not bad:
             used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, lps, used, (max1, min2), ev, levels)
+            return SrResult(raw, ps, used, (max1, min2), ev, levels)
         failure = f"audit mismatch {bad[0]}"
         eps = eps / 1000
     raise VerificationError(f"S_{r} count verification failed: {failure}")
@@ -478,8 +448,8 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> PointSet:
     for attempt in range(6):
         scale = precision * 10**attempt
         ring = _ring(q, scale, phase=1.0 / (7 + attempt))
-        pts = [Point(R(x), R(y), f"v_{i}") for i, (x, y) in enumerate(ring)]
-        pts += [Point(R(j), R(j * j), f"c_{j}") for j in range(1, c + 1)]
+        pts = [Point(R(x), R(y)) for x, y in ring]
+        pts += [Point(R(j), R(j * j)) for j in range(1, c + 1)]
         try:
             ps = PointSet(pts).require_general_position()
             ev = edge_vector_bruteforce(ps)
@@ -513,13 +483,13 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> PointSet:
         shrink = R(1, 100 * (attempt + 1))
         wobble = R(1, 10**4)
         pts = []
-        for i, (x, y) in enumerate(ring):
+        for x, y in ring:
             vx, vy = R(x), R(y)
             for j in range(m):
                 radial = 1 - j * shrink
                 px = vx * radial - vy * (j * j) * wobble / scale
                 py = vy * radial + vx * (j * j) * wobble / scale
-                pts.append(Point(px, py, f"v_{i}.{j}"))
+                pts.append(Point(px, py))
         try:
             ps = PointSet(pts).require_general_position()
             ev = edge_vector_bruteforce(ps)
@@ -643,11 +613,7 @@ def witness_failures(ps: PointSet, partition, witness) -> list[int]:
 
 
 def sr_letter_partition(r: int):
-    """Index partition of an S_r point list (letter-major order) into the
-    three rotation classes."""
-    size = 3 * r
-    return (
-        tuple(range(0, size)),
-        tuple(range(size, 2 * size)),
-        tuple(range(2 * size, 3 * size)),
-    )
+    """Index partition of an S_r point list (`sr_class_tags` layout) into
+    the three rotation classes, one per letter."""
+    letters = [tag[0] for tag in sr_class_tags(r)]
+    return tuple(tuple(i for i, t in enumerate(letters) if t == letter) for letter in "ABC")

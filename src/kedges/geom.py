@@ -33,7 +33,7 @@ escalate the approximation precision on failure (see constructions).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import lcm
@@ -46,24 +46,18 @@ DEFAULT_ROTATION_PRECISION = 10**12
 
 @dataclass(frozen=True)
 class Point:
-    """Planar point with exact rational coordinates.
-
-    The optional label is a display tag (construction bookkeeping such as
-    "a_3" or "b''_2") and does not take part in equality or hashing.
-    """
+    """Planar point with exact rational coordinates."""
 
     x: object
     y: object
-    label: str | None = field(default=None, compare=False)
 
     def __repr__(self):
-        tag = f", {self.label!r}" if self.label else ""
-        return f"Point({fmt(R(self.x))}, {fmt(R(self.y))}{tag})"
+        return f"Point({fmt(R(self.x))}, {fmt(R(self.y))})"
 
 
-def P(x, y, label=None) -> Point:
+def P(x, y) -> Point:
     """Point constructor that coerces ints/strings to exact rationals."""
-    return Point(R(x), R(y), label)
+    return Point(R(x), R(y))
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -292,11 +286,11 @@ def rotation_cw_2pi3_maps(precision: int = DEFAULT_ROTATION_PRECISION):
     c, d = -s * half, -half         # row 2: (c, d)
     det = a * d - b * c
 
-    def apply(p: Point, label=None) -> Point:
-        return Point(a * p.x + b * p.y, c * p.x + d * p.y, label)
+    def apply(p: Point) -> Point:
+        return Point(a * p.x + b * p.y, c * p.x + d * p.y)
 
-    def apply_inverse(p: Point, label=None) -> Point:
-        return Point((d * p.x - b * p.y) / det, (a * p.y - c * p.x) / det, label)
+    def apply_inverse(p: Point) -> Point:
+        return Point((d * p.x - b * p.y) / det, (a * p.y - c * p.x) / det)
 
     return apply, apply_inverse
 
@@ -306,7 +300,7 @@ def rotate_cw_2pi3(p: Point, precision: int = DEFAULT_ROTATION_PRECISION) -> Poi
     around the origin, accurate to within 1/precision per coordinate
     (for |p| bounded by ~precision^(1/2); exact scaling is |p|/precision)."""
     apply, _ = rotation_cw_2pi3_maps(precision)
-    return apply(p, p.label)
+    return apply(p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +316,12 @@ _COORD_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_coord(tok: str, lineno: int):
     if not _COORD_RE.match(tok):
         raise PointFileError(f"line {lineno}: bad coordinate {tok!r}")
-    if "/" in tok and int(tok.split("/")[1]) == 0:
-        raise PointFileError(f"line {lineno}: zero denominator in {tok!r}")
-    return R(tok)
+    try:
+        return R(tok)
+    except ZeroDivisionError:
+        raise PointFileError(f"line {lineno}: zero denominator in {tok!r}") from None
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise PointFileError(f"line {lineno}: coordinate too long ({len(tok)} characters)") from None
 
 
 def read_points(path) -> PointSet:

@@ -118,7 +118,7 @@ def run_constructions_suite(rmax: int) -> list:
         out.append(_result(f"sr-tightness-r{r}", not bad, f"bad k: {bad}"))
         split_bad = [row.k for row in rows if not row.split_ok]
         out.append(_result(f"sr-split-r{r}", not split_bad, f"bad k: {split_bad}"))
-        ps, partition = res.perturbed.point_set, sr_letter_partition(r)
+        ps, partition = res.perturbed, sr_letter_partition(r)
         witness = check_3decomposable(ps, partition)
         bad = [0, 1, 2] if witness is None else witness_failures(ps, partition, witness)
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))

@@ -86,7 +86,7 @@ def test_criterion_05_sr_tightness(constructions):
 
 def test_criterion_06_bichromatic_split(s3):
     t0 = time.time()
-    rows = sr_audit(s3.perturbed, pair_levels(s3.perturbed.point_set))
+    rows = sr_audit(s3.perturbed, pair_levels(s3.perturbed))
     anchor = (rows[11].bi, rows[11].mono)
     _report(6, len(rows) == 12 and all(row.split_ok for row in rows) and anchor == (216, 39),
             5.0, time.time() - t0,

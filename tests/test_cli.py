@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -147,6 +148,18 @@ def test_construct_raw_has_collinear_families(tmp_path, capsys):
     assert main(["analyze", out_file]) == 2  # raw family is intentionally degenerate
 
 
+@pytest.mark.parametrize("flags, digest", [
+    ([], "082878abdf8b5d2ac4c9b0d6e63ea00a2760306e0a15c44abe3e34c6bf140ebf"),
+    (["--raw"], "f968388e0f9c8c43ebb98a31bf06279cf837386a72f7e2ed9ce6ff26eaebbbcb"),
+], ids=["perturbed", "raw"])
+def test_construct_sr_bytes_are_pinned(flags, digest, tmp_path, capsys):
+    # The certified coordinates and the letter-major layout (sr_class_tags),
+    # byte for byte: decompose3's 1-9/10-18/19-27 partition relies on it.
+    out_file = tmp_path / "s3.pts"
+    assert main(["construct", "sr", "--r", "3", *flags, "-o", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 def test_construct_polygon_center(tmp_path, capsys):
     out_file = str(tmp_path / "pc.pts")
     assert main(["construct", "polygon-center", "--k", "3", "--n", "9", "-o", out_file]) == 0
@@ -251,6 +264,7 @@ _BAD_FILES = {
     "NON_UTF8_PTS": b"3\n0 0\n1 \xff\n0 1\n",
     "NON_UTF8_HP": b"3\n1 2 3\n1 1 1 \xff\n",
     "HUGE_HP": b"%d\n1 2 3\n" % 10**18,
+    "HUGE_COORD": b"1\n" + b"1" * 5000 + b" 0\n",
 }
 
 
@@ -275,12 +289,14 @@ _BAD_FILES = {
         ["analyze", "NON_UTF8_PTS"],
         ["classify", "NON_UTF8_HP", "--halfperiod", "--k", "1"],
         ["classify", "HUGE_HP", "--halfperiod", "--k", "1"],
+        ["analyze", "HUGE_COORD"],
     ],
     ids=["partition", "partition-reversed", "epsilon", "epsilon-empty", "nmax", "trials",
          "cr-table-range", "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
          "precision-polygon-center-negative", "rmax-constructions", "rmax-all",
-         "analyze-non-utf8", "classify-non-utf8", "classify-huge-header"],
+         "analyze-non-utf8", "classify-non-utf8", "classify-huge-header",
+         "analyze-huge-coordinate"],
 )
 def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     files = {"OCT": octagon_file, "OUT": str(tmp_path / "s.pts")}

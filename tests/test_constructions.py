@@ -22,6 +22,7 @@ from kedges.constructions import (
     sr_expected_leq,
     sr_expected_monochromatic,
     sr_audit,
+    sr_class_tags,
     sr_letter_partition,
     witness_failures,
 )
@@ -30,7 +31,7 @@ from kedges.central import verify_central
 from kedges.edgestats import edge_vector_bruteforce, pair_levels
 from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
-from kedges.geom import P, PointSet
+from kedges.geom import P, PointSet, rotation_cw_2pi3_maps
 
 
 def test_sr_config_validation():
@@ -42,16 +43,16 @@ def test_sr_config_validation():
 
 def test_s3_raw_collinearities(s3):
     # exactly the three flat families (one per rotation class) are collinear
-    triples = s3.raw.point_set.collinear_triples
+    triples = s3.raw.collinear_triples
     assert set(triples) == {(6, 7, 8), (15, 16, 17), (24, 25, 26)}
-    tags = s3.raw.class_tags
+    tags = sr_class_tags(3)
     assert all(tags[i] == "A''" for i in (6, 7, 8))
     assert all(tags[i] == "B''" for i in (15, 16, 17))
     assert all(tags[i] == "C''" for i in (24, 25, 26))
 
 
 def test_perturb_moves_exactly_the_flat_families(s3):
-    raw = s3.raw.point_set
+    raw = s3.raw
     moved = perturb_collinear_families(raw, s3.config.perturbation_epsilon)
     changed = {i for i in range(raw.n) if moved[i] != raw[i]}
     assert changed == {6, 7, 8, 15, 16, 17, 24, 25, 26}
@@ -65,14 +66,21 @@ def test_perturb_rejects_a_point_on_two_families():
 
 
 def test_s3_class_structure(s3):
-    tags = s3.raw.class_tags
-    assert len(tags) == 27
-    for cls in ("A", "A'", "A''", "B", "B'", "B''", "C", "C'", "C''"):
-        assert tags.count(cls) == 3
-    # letter-major order: thirds by rotation class
-    assert {t[0] for t in tags[:9]} == {"A"}
-    assert {t[0] for t in tags[9:18]} == {"B"}
-    assert {t[0] for t in tags[18:]} == {"C"}
+    tags = sr_class_tags(3)
+    assert len(tags) == s3.raw.n == s3.perturbed.n == 27
+    # letter-major order: per letter, r plain, r primed, r double-primed
+    for start, cls in zip(range(0, 27, 3), ("A", "A'", "A''", "B", "B'", "B''", "C", "C'", "C''")):
+        assert tags[start:start + 3] == (cls,) * 3
+    # each letter's points are the previous letter's rotated by 2*pi/3
+    rot, _ = rotation_cw_2pi3_maps(s3.config.precision)
+    assert [rot(p) for p in s3.raw[:18]] == list(s3.raw[9:])
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_sr_letter_partition_follows_class_tags(r):
+    tags, part = sr_class_tags(r), sr_letter_partition(r)
+    assert [[tags[i][0] for i in g] for g in part] == [[x] * (3 * r) for x in "ABC"]
+    assert sorted(i for g in part for i in g) == list(range(9 * r))
 
 
 def test_s3_slope_certificate(s3):
@@ -81,7 +89,7 @@ def test_s3_slope_certificate(s3):
 
 
 def test_s3_tightness(s3):
-    assert s3.perturbed.point_set.general_position
+    assert s3.perturbed.general_position
     ev = s3.edge_vector
     for k in range(12):
         assert ev.leq(k) == sr_expected_leq(3, k)
@@ -96,7 +104,7 @@ def test_s3_halfperiod_cross_check(s3):
     from kedges.central import blocks
     from kedges.edgestats import edge_vector_from_halfperiod
 
-    h = halfperiod_from_points(s3.perturbed.point_set, tie_break=True)
+    h = halfperiod_from_points(s3.perturbed, tie_break=True)
     assert len(h.transpositions) == comb(27, 2) == 351
     assert edge_vector_from_halfperiod(h) == s3.edge_vector
     # k = 12: one block per (k-1)-edge boundary crossing, plus the prefix
@@ -104,15 +112,15 @@ def test_s3_halfperiod_cross_check(s3):
 
 
 def test_s3_split(s3):
-    levels = pair_levels(s3.perturbed.point_set)
+    levels = pair_levels(s3.perturbed)
     rows = sr_audit(s3.perturbed, levels)
     assert [(row.bi, row.mono) for row in rows] == [
         (sr_expected_bichromatic(3, k), sr_expected_monochromatic(3, k)) for k in range(12)
     ]
     # the one-pass histograms agree with a direct per-k count
+    tags = sr_class_tags(3)
     for row in rows:
-        same = [s3.perturbed.letter(i) == s3.perturbed.letter(j)
-                for (i, j), lev in levels.items() if lev <= row.k]
+        same = [tags[i][0] == tags[j][0] for (i, j), lev in levels.items() if lev <= row.k]
         assert (row.bi, row.mono) == (same.count(False), same.count(True))
     assert (rows[11].bi, rows[11].mono) == (216, 39)
     assert (rows[9].bi, rows[9].mono) == (162, 6)
@@ -120,7 +128,7 @@ def test_s3_split(s3):
 
 
 def test_sr_audit_reuses_build_levels(s3):
-    assert s3.levels == pair_levels(s3.perturbed.point_set)
+    assert s3.levels == pair_levels(s3.perturbed)
     rows = sr_audit(s3.perturbed, s3.levels)
     assert [row.k for row in rows] == list(range(12))
     assert all(row.ok for row in rows)
@@ -192,7 +200,7 @@ def test_cluster_polygon_validation():
 
 
 def test_3decomposable_sr(s3):
-    w = check_3decomposable(s3.perturbed.point_set, sr_letter_partition(3))
+    w = check_3decomposable(s3.perturbed, sr_letter_partition(3))
     assert w is not None
     assert len(w.directions) == 3
 
@@ -217,7 +225,7 @@ def test_3decomposable_random_failure():
 
 
 def test_3decomposable_partition_validation(s3):
-    ps = s3.perturbed.point_set
+    ps = s3.perturbed
     with pytest.raises(InputError):
         check_3decomposable(ps, ((0,), (1,), (2,)))
     with pytest.raises(InputError):

@@ -193,6 +193,8 @@ def test_point_file_roundtrip(tmp_path):
         ("1\n0\n", "expected 'x y'"),
         ("1\n0 1/0\n", "zero denominator"),
         ("1\n0 1.5\n", "bad coordinate"),
+        pytest.param("1\n0 1/" + "0" * 5000 + "\n", r"^line 2: coordinate too long \(5002 characters\)$",
+                     id="huge-denominator"),
     ],
 )
 def test_point_file_errors(tmp_path, content, msg):
