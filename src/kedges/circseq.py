@@ -15,11 +15,11 @@ that correspondence is what turns sweep combinatorics into edge counts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .errors import DirectionTieError, InputError
-from .geom import PointSet
+from .geom import PointSet, _ratio_key, _sort_exact
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,16 @@ class Halfperiod:
     The fields are immutable, so the axiom walk and the per-level tally
     are made at most once per instance (`axiom_walk`, `level_counts`);
     require_valid and the kernels read them.
+
+    A halfperiod swept from a point set also records the point index
+    behind each label (`point_index`, label l is point point_index[l-1]);
+    it takes no part in equality.
     """
 
     n: int
     initial: tuple[int, ...]
     transpositions: tuple[Transposition, ...]
+    point_index: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def permutation(self, i: int) -> tuple[int, ...]:
         """The i-th permutation pi_i, 0 <= i <= C(n,2)."""
@@ -85,6 +90,22 @@ class Halfperiod:
         for t in self.transpositions:
             counts[min(t.position, n - t.position) - 1] += 1
         return tuple(counts)
+
+    @functools.cached_property
+    def point_levels(self) -> dict[tuple[int, int], int]:
+        """The level of every point pair (i, j), i < j, of a swept point
+        set: the pair swapped at slots (j, j+1) is a (min(j, n-j) - 1)-edge,
+        its labels mapped back to point indices.  Requires a valid
+        halfperiod with a `point_index`."""
+        if self.point_index is None:
+            raise InputError("an abstract halfperiod has no point pairs")
+        require_valid(self)
+        n, index = self.n, self.point_index
+        levels = {}
+        for t in self.transpositions:
+            i, j = index[t.pair[0] - 1], index[t.pair[1] - 1]
+            levels[(i, j) if i < j else (j, i)] = min(t.position, n - t.position) - 1
+        return levels
 
     def k_critical(self, k: int):
         """(index, boundary, entering, leaving) of each k-critical
@@ -183,8 +204,6 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     n = ps.n
     if n < 2:
         raise InputError("need at least 2 points")
-    pts = ps.points
-
     angles = ps.angles
     if not tie_break:
         ties = [tuple((i, j) for _, i, j in run) for run in angles if len(run) > 1]
@@ -197,18 +216,21 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
 
     # Initial order: projections onto the first event direction, tie-broken
     # by the clockwise-rotated direction (the order just before the event).
-    e1 = angles[0][0][0]
-    tiebreak_dir = (e1[1], -e1[0])
+    # On homogeneous coordinates the projections of point i are
+    # proj[i] / W_i, compared exactly by cross-multiplying.
+    ea, eb = angles[0][0][0]
+    hom = ps.homogeneous
+    proj = [(x * ea + y * eb, x * eb - y * ea, w) for x, y, w in hom]
 
-    def sort_key(idx):
-        p = pts[idx]
-        return (p.x * e1[0] + p.y * e1[1], p.x * tiebreak_dir[0] + p.y * tiebreak_dir[1])
+    def cmp(i, j):
+        (p1, t1, w1), (p2, t2, w2) = proj[i], proj[j]
+        d = p1 * w2 - p2 * w1 or t1 * w2 - t2 * w1
+        return (d > 0) - (d < 0)
 
-    order = sorted(range(n), key=sort_key)
+    order = _sort_exact(list(range(n)), [_ratio_key(p, w) for p, _, w in proj], cmp)
     label_of = {pt_index: lab + 1 for lab, pt_index in enumerate(order)}
 
-    perm = list(range(1, n + 1))
-    slot_of = {lab: i for i, lab in enumerate(perm)}
+    slot_of = {lab: lab - 1 for lab in range(1, n + 1)}
     trans = []
     events = (ev for run in angles for ev in run)
     for step, (_, i, j) in enumerate(events, start=1):
@@ -222,10 +244,9 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
                 "(unexpected degeneracy)"
             )
         trans.append(Transposition(step, sa + 1, (la, lb)))
-        perm[sa], perm[sb] = perm[sb], perm[sa]
         slot_of[la], slot_of[lb] = sb, sa
 
-    h = Halfperiod(n, tuple(range(1, n + 1)), tuple(trans))
+    h = Halfperiod(n, tuple(range(1, n + 1)), tuple(trans), tuple(order))
     return require_valid(h)
 
 

@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .bounds import comb2
 from .circseq import compute_s, halfperiod_from_points
-from .edgestats import edge_vector_bruteforce, pair_levels
+from .edgestats import check_routes, edge_vector_from_halfperiod
 from .errors import InputError, VerificationError
 from .geom import (
     Point,
@@ -185,8 +185,8 @@ class SrResult:
     perturbed: PointSet
     config: SrConfig          # with the values that actually certified
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
-    edge_vector: object       # brute-force vector of the perturbed set
-    levels: dict              # pair levels of the perturbed set
+    edge_vector: object       # edge vector of the perturbed set
+    levels: dict              # pair levels of the perturbed set (both routes agree)
 
 
 _BASE_A = {1: (-700, -50), 2: (-410, 150), 3: (-436, 144)}
@@ -407,12 +407,15 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
             failure = "perturbed set still has collinear triples"
             eps = eps / 1000
             continue
-        levels = pair_levels(ps)
-        ev = edge_vector_bruteforce(ps, levels)
-        bad = [row for row in sr_audit(ps, levels) if not row.ok]
+        # Each attempt is audited on the sweep's levels; the radial orders
+        # recount only the set that is kept.
+        h = halfperiod_from_points(ps, tie_break=True)
+        bad = [row for row in sr_audit(ps, h.point_levels) if not row.ok]
         if not bad:
+            check_routes(ps, h)
             used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, ps, used, (max1, min2), ev, levels)
+            return SrResult(raw, ps, used, (max1, min2), edge_vector_from_halfperiod(h),
+                            h.point_levels)
         failure = f"audit mismatch {bad[0]}"
         eps = eps / 1000
     raise VerificationError(f"S_{r} count verification failed: {failure}")
@@ -452,16 +455,18 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> PointSet:
         pts += [Point(R(j), R(j * j)) for j in range(1, c + 1)]
         try:
             ps = PointSet(pts).require_general_position()
-            ev = edge_vector_bruteforce(ps)
+            h = halfperiod_from_points(ps, tie_break=True)
+            ev = edge_vector_from_halfperiod(h)
             if any(ev.counts[j] != q for j in range(k)):
                 raise VerificationError(f"outer edge counts wrong: {ev.counts[:k]}")
             if ev.geq(k) != comb2(c) + q * c:
                 raise VerificationError(f"E_>=k = {ev.geq(k)}, want {comb2(c) + q * c}")
-            s = compute_s(halfperiod_from_points(ps, tie_break=True), k).s_value
+            s = compute_s(h, k).s_value
             if s != c:
                 raise VerificationError(f"s = {s}, want {c}")
             if ev.geq(k) != (n - 2 * k - 1) * ev.counts[k - 1] + comb2(s):
                 raise VerificationError("equality case failed")
+            check_routes(ps, h)
             return ps
         except (VerificationError, InputError) as exc:
             last = exc
@@ -492,14 +497,16 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> PointSet:
                 pts.append(Point(px, py))
         try:
             ps = PointSet(pts).require_general_position()
-            ev = edge_vector_bruteforce(ps)
+            h = halfperiod_from_points(ps, tie_break=True)
+            ev = edge_vector_from_halfperiod(h)
             if ev.counts[k - 1] != n:
                 raise VerificationError(f"E_(k-1) = {ev.counts[k - 1]}, want {n}")
             if ev.geq(k) != 2 * q * comb2(m):
                 raise VerificationError(f"E_>=k = {ev.geq(k)}, want {2 * q * comb2(m)}")
-            s = compute_s(halfperiod_from_points(ps, tie_break=True), k).s_value
+            s = compute_s(h, k).s_value
             if s != 0:
                 raise VerificationError(f"s = {s}, want 0")
+            check_routes(ps, h)
             return ps
         except (VerificationError, InputError) as exc:
             last = exc

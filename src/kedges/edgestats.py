@@ -1,11 +1,27 @@
 """k-edge vectors, halving lines, and rectilinear crossing numbers.
 
-Two independent routes are kept available at all times:
+Every count of a point set is made by two independent O(n^2 log n)
+routes, and a point set's report is only given when they agree:
 
-* brute force over point sets (side counts per pair for E_k, convex
-  4-subsets for cr) -- the ground-truth oracle, O(n^3) and O(n^4);
-* the halfperiod route (transposition positions for E_k, the classical
-  identity linking cr to the edge vector) -- the fast path.
+* route A, the circular sequence: the sweep's halfperiod labels each pair
+  with its level (`Halfperiod.point_levels`: a swap at slots (j, j+1) is a
+  (min(j, n-j) - 1)-edge), and cr follows from the edge vector by the
+  identity below;
+* route B, radial orders (`radial_counts`): around each point p the others
+  are sorted by angle, and L_p(q), the points strictly left of p -> q, is
+  a half-turn window of that order, so level(p, q) = min(L, n-2-L) and
+
+      cr = C(n,4) - sum_p [C(n-1,3) - sum_q C(L_p(q), 2)],
+
+  since a 4-set is not convex iff one of its points lies in the triangle
+  of the other three, and the triangles around p that miss it are counted
+  once each by their first vertex counterclockwise (Rote, Woeginger, Zhu &
+  Wang 1991, "Counting k-subsets and convex k-gons in the plane").
+
+Route B shares no code with the sweep (`PointSet.angles`).  The O(n^3)
+side count (`pair_levels`) and the convex 4-subset count
+(`crossings_bruteforce`) are kept as oracles for the tests and one
+small-n selftest check.
 
 The identity evaluated in both closed forms:
 
@@ -16,11 +32,15 @@ The identity evaluated in both closed forms:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb
+from functools import cmp_to_key
+from itertools import groupby
+from math import comb, inf
+from operator import itemgetter
 
 from .circseq import Halfperiod, halfperiod_from_points
-from .errors import InputError
+from .errors import GeneralPositionError, InputError
 from .geom import PointSet
 from .rat import R, as_int
 
@@ -73,8 +93,8 @@ class EdgeVector:
 
 def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
     """k-edge level of every unordered pair: the points strictly on the
-    smaller side of line (i, j).  The workhorse for labeled counts
-    (bichromatic splits) and for the brute-force edge vector.
+    smaller side of line (i, j), by exhaustive side counting; the O(n^3)
+    oracle for both routes.
 
     Per pair the line is formed once (PointSet.pair_lines); a point's side
     is then the sign of a*X + b*Y + c*W on its homogeneous coordinates
@@ -92,20 +112,109 @@ def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
     return levels
 
 
-def edge_vector_bruteforce(ps: PointSet, levels=None) -> EdgeVector:
-    """E_k by exhaustive side counting. O(n^3).
-
-    Pass the set's pair levels when they are already computed, so the
-    side counts are not made twice."""
+def edge_vector_bruteforce(ps: PointSet) -> EdgeVector:
+    """E_k by exhaustive side counting (`pair_levels`). O(n^3)."""
     n = ps.n
     if n < 2:
         raise InputError("need at least 2 points")
-    if levels is None:
-        levels = pair_levels(ps)
     counts = [0] * (n // 2)
-    for level in levels.values():
+    for level in pair_levels(ps).values():
         counts[level] += 1
     return EdgeVector(n, tuple(counts)).validate()
+
+
+def _collinear(p, q, r):
+    return GeneralPositionError(
+        f"not in general position: points {p}, {q}, {r} are collinear",
+        triples=(tuple(sorted((p, q, r))),),
+    )
+
+
+def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
+    """Route B: the level of every pair (i, j), i < j, and the crossing
+    number, from the radial order of the other points around each point
+    (see the module docstring).  O(n^2 log n).
+
+    Around p the direction to q is (Xq*Wp - Xp*Wq, Yq*Wp - Yp*Wq) on the
+    homogeneous coordinates, Wp*Wq > 0 times q - p.  The directions are
+    split into the half turns [0, pi) and [pi, 2*pi) and each half is
+    sorted on the float key -dx/dy (-inf at dy = 0), which increases with
+    the angle.  The key is a correctly rounded quotient of ints, so keys
+    that differ are in exact order; runs of equal keys are re-sorted by
+    exact cross products.  The antipode of q's direction has q's key in the
+    other half, so L_p(q) is the rest of q's half plus a bisection of the
+    other half, again with equal keys decided exactly.  Any exact tie is a
+    collinear triple: GeneralPositionError."""
+    hom = ps.homogeneous
+    n = len(hom)
+    levels = {}
+    inside = 0  # sum over p of the triangles of other points that contain p
+    for p, (xp, yp, wp) in enumerate(hom):
+        halves = ([], [])
+        for q, (xq, yq, wq) in enumerate(hom):
+            if q == p:
+                continue
+            dx, dy = xq * wp - xp * wq, yq * wp - yp * wq
+            if dy:
+                try:
+                    key = -dx / dy
+                except OverflowError:
+                    key = inf if (dx < 0) == (dy > 0) else -inf
+            else:
+                key = -inf
+            halves[dy < 0 or (dy == 0 and dx < 0)].append((key, dx, dy, q))
+        for half in halves:
+            half.sort(key=itemgetter(0))
+            if len({item[0] for item in half}) < len(half):
+                runs = [list(run) for _, run in groupby(half, key=itemgetter(0))]
+                for run in runs:
+                    if len(run) > 1:
+                        run.sort(key=cmp_to_key(lambda u, v: _radial_cmp(p, u, v)))
+                half[:] = [item for run in runs for item in run]
+        keys = ([item[0] for item in halves[0]], [item[0] for item in halves[1]])
+        triangles = comb(n - 1, 3)
+        for h in (0, 1):
+            mine, other, other_keys = halves[h], halves[1 - h], keys[1 - h]
+            rest = len(mine)
+            for key, dx, dy, q in mine:
+                rest -= 1
+                at = bisect_left(other_keys, key)
+                end = bisect_right(other_keys, key, at)
+                for _, rx, ry, r in other[at:end]:  # equal keys: count those before -d
+                    cross = ry * dx - rx * dy
+                    if not cross:
+                        raise _collinear(p, q, r)
+                    at += cross > 0
+                left = rest + at
+                triangles -= left * (left - 1) // 2
+                if p < q:
+                    levels[p, q] = min(left, n - 2 - left)
+        inside += triangles
+    return levels, comb(n, 4) - inside
+
+
+def _radial_cmp(p, u, v) -> int:
+    """Exact order of two directions around p in one half turn."""
+    cross = u[1] * v[2] - u[2] * v[1]
+    if not cross:
+        raise _collinear(p, u[3], v[3])
+    return -1 if cross > 0 else 1
+
+
+def check_routes(ps: PointSet, h: Halfperiod) -> int:
+    """Compare route A's pair levels (h, swept from ps) with route B's and
+    return route B's crossing number.  Any difference is a kernel bug, not
+    bad input, so it raises AssertionError."""
+    levels, cr = radial_counts(ps)
+    swept = h.point_levels
+    if swept != levels:
+        pair = next(pair for pair in sorted(levels.keys() | swept.keys())
+                    if swept.get(pair) != levels.get(pair))
+        raise AssertionError(
+            f"pair {pair} has level {swept.get(pair)} in the sweep and "
+            f"{levels.get(pair)} in the radial orders"
+        )
+    return cr
 
 
 def edge_vector_from_halfperiod(h: Halfperiod) -> EdgeVector:
@@ -191,13 +300,13 @@ def crossings_from_edge_vector(v: EdgeVector) -> tuple[int, int]:
 class CrossingReport:
     """Crossing number by all available routes plus the edge vector.
 
-    cr_bruteforce is None when the input was an abstract halfperiod (the
-    4-subset count needs coordinates); the two identity forms must agree
-    in every case, and all three must agree for point sets.
+    cr_radial is None when the input was an abstract halfperiod (route B
+    needs coordinates); the two identity forms must agree in every case,
+    and all three must agree for point sets.
     """
 
     n: int
-    cr_bruteforce: int | None
+    cr_radial: int | None
     cr_identity_form1: int
     cr_identity_form2: int
     edge_vector: EdgeVector
@@ -206,7 +315,7 @@ class CrossingReport:
     def consistent(self) -> bool:
         if self.cr_identity_form1 != self.cr_identity_form2:
             return False
-        if self.cr_bruteforce is not None and self.cr_bruteforce != self.cr_identity_form1:
+        if self.cr_radial is not None and self.cr_radial != self.cr_identity_form1:
             return False
         return True
 
@@ -219,29 +328,27 @@ class CrossingReport:
         return self.edge_vector.halving
 
 
-def summarize(obj) -> CrossingReport:
+def summarize(obj, h: Halfperiod | None = None) -> CrossingReport:
     """CrossingReport for a PointSet or a Halfperiod.
 
-    For point sets the halfperiod route is cross-checked against brute
-    force; any disagreement raises (it would mean a kernel bug, not bad
-    input)."""
+    For a point set the sweep's halfperiod (route A; pass it as `h` when
+    it is already built with tie_break=True) is checked against the radial
+    orders (route B) pair by pair, and route B's crossing number against
+    the identity; any disagreement raises AssertionError (it would mean a
+    kernel bug, not bad input)."""
     if isinstance(obj, PointSet):
-        v = edge_vector_bruteforce(obj)
-        v2 = edge_vector_from_halfperiod(halfperiod_from_points(obj, tie_break=True))
-        if v != v2:
-            raise AssertionError(
-                f"edge vector mismatch between brute force {v.counts} and sweep {v2.counts}"
-            )
-        cr_bf = crossings_bruteforce(obj)
+        if h is None:
+            h = halfperiod_from_points(obj, tie_break=True)
+        cr_radial = check_routes(obj, h)
     elif isinstance(obj, Halfperiod):
-        v = edge_vector_from_halfperiod(obj)
-        cr_bf = None
+        h, cr_radial = obj, None
     else:
         raise InputError(f"cannot summarize {type(obj).__name__}")
+    v = edge_vector_from_halfperiod(h)
     f1, f2 = crossings_from_edge_vector(v)
-    report = CrossingReport(v.n, cr_bf, f1, f2, v)
+    report = CrossingReport(v.n, cr_radial, f1, f2, v)
     if not report.consistent:
         raise AssertionError(
-            f"crossing identity mismatch: brute={cr_bf} form1={f1} form2={f2}"
+            f"crossing identity mismatch: radial={cr_radial} form1={f1} form2={f2}"
         )
     return report

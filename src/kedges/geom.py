@@ -2,9 +2,13 @@
 
 Points carry exact rational coordinates; the orientation predicate is the
 sign of an exactly evaluated 2x2 determinant, so every downstream count
-(side counts, convex-position tests, sweep orders) is exact.  There is
-deliberately no floating-point fast path: the kernel stays small enough
-to audit by eye.
+(side counts, convex-position tests, sweep orders) is exact.  Floats
+appear only as sort keys, in an exact filter (Shewchuk 1997): a key is
+the correctly rounded quotient of two ints (CPython's int / int), and
+rounding is monotone, so keys that differ order their exact values the
+same way.  Only keys that compare equal are re-sorted with the exact
+integer comparator (`_sort_exact`); a quotient too large for a float keys
+as +-inf and is decided the same way.
 
 The point-set kernels (the sorted sweep events here, pair levels, convex
 4-subsets) clear denominators once per point: PointSet.homogeneous holds
@@ -35,8 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import combinations
-from math import lcm
+from itertools import combinations, groupby
+from math import inf, lcm
 
 from .errors import GeneralPositionError, InputError, PointFileError
 from .rat import R, fmt, sqrt3_floor
@@ -97,6 +101,32 @@ def _event_direction(dx, dy):
     if b < 0 or (b == 0 and a < 0):
         a, b = -a, -b
     return a, b
+
+
+def _ratio_key(num: int, den: int) -> float:
+    """num / den (den > 0) correctly rounded, +-inf beyond the float range:
+    a key that never orders two quotients against their exact order."""
+    try:
+        return num / den
+    except OverflowError:
+        return inf if num > 0 else -inf
+
+
+def _sort_exact(items, keys, cmp) -> list:
+    """`items` in the stable order of the exact comparator `cmp`, given
+    the float key of each item (`keys[i]` for `items[i]`, see _ratio_key).
+    The items are sorted on the keys alone; only runs of equal keys are
+    re-sorted with `cmp`, so exactly equal items keep their input order."""
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    if len(set(keys)) == len(keys):
+        return [items[i] for i in order]
+    out = []
+    for _, run in groupby(order, key=keys.__getitem__):
+        run = [items[i] for i in run]
+        if len(run) > 1:
+            run.sort(key=cmp_to_key(cmp))
+        out += run
+    return out
 
 
 def _event_cmp(ev1, ev2) -> int:
@@ -212,15 +242,20 @@ class PointSet:
 
         The direction is the normal of p_j - p_i in the upper half plane,
         formed on the homogeneous coordinates: (Xj*Wi - Xi*Wj, ...) is
-        Wi*Wj > 0 times p_j - p_i, so every angular comparison is exact."""
+        Wi*Wj > 0 times p_j - p_i, so every angular comparison is exact.
+        The sort key of (a, b) is -a/b (-inf at b = 0), increasing with
+        the angle; `_sort_exact` decides equal keys with `_event_cmp`."""
         hom = self.homogeneous
-        events = []
+        events, keys = [], []
         for i, (xi, yi, wi) in enumerate(hom):
             for j in range(i + 1, len(hom)):
                 xj, yj, wj = hom[j]
-                events.append((_event_direction(xj * wi - xi * wj, yj * wi - yi * wj), i, j))
-        # Stable: equal angles keep the pair order in which they were made.
-        events.sort(key=cmp_to_key(_event_cmp))
+                a, b = _event_direction(xj * wi - xi * wj, yj * wi - yi * wj)
+                events.append(((a, b), i, j))
+                keys.append(_ratio_key(-a, b) if b else -inf)
+        events = _sort_exact(events, keys, _event_cmp)
+        if len(set(keys)) == len(keys):  # distinct keys: every angle differs
+            return tuple((ev,) for ev in events)
         runs = []
         for ev in events:
             a, b = ev[0]
@@ -313,13 +348,21 @@ def rotate_cw_2pi3(p: Point, precision: int = DEFAULT_ROTATION_PRECISION) -> Poi
 _COORD_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _excerpt(text: str, width: int = 20) -> str:
+    """repr(text), or for longer text the repr of its first `width`
+    characters and its length, so an error message stays one short line."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
 def _parse_coord(tok: str, lineno: int):
     if not _COORD_RE.match(tok):
-        raise PointFileError(f"line {lineno}: bad coordinate {tok!r}")
+        raise PointFileError(f"line {lineno}: bad coordinate {_excerpt(tok)}")
     try:
         return R(tok)
     except ZeroDivisionError:
-        raise PointFileError(f"line {lineno}: zero denominator in {tok!r}") from None
+        raise PointFileError(f"line {lineno}: zero denominator in {_excerpt(tok)}") from None
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
         raise PointFileError(f"line {lineno}: coordinate too long ({len(tok)} characters)") from None
 
@@ -339,7 +382,7 @@ def read_points(path) -> PointSet:
     try:
         n = int(head)
     except ValueError:
-        raise PointFileError(f"line {no0}: expected point count, got {head!r}") from None
+        raise PointFileError(f"line {no0}: expected point count, got {_excerpt(head)}") from None
     if n < 1:
         raise PointFileError(f"line {no0}: point count must be positive")
     if len(rows) - 1 != n:
@@ -348,7 +391,7 @@ def read_points(path) -> PointSet:
     for no, ln in rows[1:]:
         toks = ln.split()
         if len(toks) != 2:
-            raise PointFileError(f"line {no}: expected 'x y', got {ln!r}")
+            raise PointFileError(f"line {no}: expected 'x y', got {_excerpt(ln)}")
         pts.append(Point(_parse_coord(toks[0], no), _parse_coord(toks[1], no)))
     return PointSet(pts)
 

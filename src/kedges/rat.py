@@ -1,10 +1,12 @@
 """Exact rational arithmetic.
 
 Every decision made in this package (predicate signs, bound comparisons,
-ceilings in recursions) is carried out in exact rational arithmetic; no
-float ever sits on a decision path.  Rationals are fractions.Fraction;
-the point-set kernels clear denominators once per point and decide their
-predicates on plain ints (see geom.PointSet.homogeneous).
+ceilings in recursions) is carried out in exact rational arithmetic.  A
+float appears only as a sort key that orders values exactly wherever two
+keys differ (see the geom docstring); equal keys are decided in integers.
+Rationals are fractions.Fraction; the point-set kernels clear
+denominators once per point and decide their predicates on plain ints
+(see geom.PointSet.homogeneous).
 """
 
 from __future__ import annotations

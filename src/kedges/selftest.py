@@ -23,7 +23,7 @@ from .constructions import (
     sr_letter_partition,
     witness_failures,
 )
-from .edgestats import edge_vector_bruteforce, summarize
+from .edgestats import crossings_bruteforce, edge_vector_from_halfperiod, pair_levels, summarize
 from .errors import InputError
 from .gensets import random_general_position_set
 
@@ -61,19 +61,32 @@ def run_bounds_suite() -> list:
 
 def build_corpus(trials: int, nmax: int, seed: int):
     """`trials` random general-position sets, 5 <= n <= nmax, from one
-    seeded generator."""
+    seeded generator, each with its halfperiod (tie_break=True): the
+    identity and central suites share one sweep per set."""
     rng = random.Random(seed)
-    return [random_general_position_set(rng.randrange(5, nmax + 1), rng) for _ in range(trials)]
+    sets = [random_general_position_set(rng.randrange(5, nmax + 1), rng) for _ in range(trials)]
+    return [(ps, halfperiod_from_points(ps, tie_break=True)) for ps in sets]
+
+
+# Corpus sets up to this size are also checked against the O(n^3) and
+# O(n^4) oracles (pair_levels, crossings_bruteforce).
+ORACLE_NMAX = 8
 
 
 def run_identity_suite(corpus) -> list:
-    """edgestats.summarize on every corpus set: brute-force crossings vs
-    both identity forms, and sweep edge vectors vs brute-force edge
-    vectors.  Zero tolerance; a raised AssertionError is a failure."""
+    """edgestats.summarize on every corpus set: the sweep's pair levels vs
+    the radial orders', and the radial crossing count vs both identity
+    forms; sets with n <= ORACLE_NMAX are also checked against brute
+    force.  Zero tolerance; a raised AssertionError is a failure."""
     fails = []
-    for idx, ps in enumerate(corpus):
+    for idx, (ps, h) in enumerate(corpus):
         try:
-            summarize(ps)
+            rep = summarize(ps, h)
+            if ps.n <= ORACLE_NMAX:
+                if pair_levels(ps) != h.point_levels:
+                    raise AssertionError("pair levels differ from brute force")
+                if crossings_bruteforce(ps) != rep.crossings:
+                    raise AssertionError("crossings differ from brute force")
         except AssertionError as exc:
             fails.append((idx, ps.n, str(exc)))
     return [
@@ -91,8 +104,7 @@ def run_central_suite(corpus) -> list:
     halfperiods.  Zero violations expected."""
     fails = []
     instances = 0
-    for idx, ps in enumerate(corpus):
-        h = halfperiod_from_points(ps, tie_break=True)
+    for idx, (ps, h) in enumerate(corpus):
         for k in range(1, (ps.n - 1) // 2 + 1):
             instances += 1
             rep = verify_central(h, k)
@@ -124,14 +136,16 @@ def run_constructions_suite(rmax: int) -> list:
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
     ps = build_polygon_center(3, 9)
-    ev = edge_vector_bruteforce(ps)
-    s = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
+    h = halfperiod_from_points(ps, tie_break=True)
+    ev = edge_vector_from_halfperiod(h)
+    s = compute_s(h, 3).s_value
     ok = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 and ev.geq(3) == 2 * 7 + bounds.comb2(s)
     out.append(_result("polygon-center-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
 
     ps = build_cluster_polygon(1, 3)
-    ev = edge_vector_bruteforce(ps)
-    s = compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value
+    h = halfperiod_from_points(ps, tie_break=True)
+    ev = edge_vector_from_halfperiod(h)
+    s = compute_s(h, 3).s_value
     ok = ev.counts[2] == 9 and ev.geq(3) == 18 and s == 0
     out.append(_result("cluster-polygon-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
     return out

@@ -80,7 +80,7 @@ def test_criterion_05_sr_tightness(constructions):
     results, elapsed = constructions
     tight = (results["sr-tightness-r3"], results["sr-tightness-r4"], results["sr-tightness-r5"])
     _report(5, tight == ((True, "bad k: []"),) * 3, 120.0, elapsed,
-            "brute-force E_<=k of perturbed S_r equals the closed form for all "
+            "E_<=k of perturbed S_r (sweep = radial orders) equals the closed form for all "
             f"k <= 4r-1, r in (3,4,5); {tight}")
 
 
@@ -97,8 +97,9 @@ def test_criterion_07_identity_suite(corpus):
     t0 = time.time()
     [(name, ok, detail)] = run_identity_suite(corpus)
     _report(7, ok and name == "identity-suite-500-sets", 60.0, time.time() - t0,
-            f"{len(corpus)} random sets, 5 <= n <= 12: brute force = identity form1 = form2, "
-            f"sweep edge vectors = brute force (zero tolerance); {detail}")
+            f"{len(corpus)} random sets, 5 <= n <= 12: radial cr = identity form1 = form2, "
+            f"sweep pair levels = radial pair levels, brute force too for n <= 8 "
+            f"(zero tolerance); {detail}")
 
 
 def test_criterion_08_central_sweep(corpus):

@@ -215,6 +215,41 @@ def test_selftest_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_selftest_all_sweeps_each_corpus_set_once(monkeypatch, capsys):
+    """The identity and central suites share one halfperiod per corpus
+    set: every halfperiod_from_points call on a corpus set is counted,
+    wherever in the package it is made."""
+    import kedges.circseq
+    from kedges.selftest import build_corpus
+
+    argv = ["--trials", "15", "--nmax", "8", "--rmax", "3", "--seed", "3"]
+    corpus = [ps.points for ps, _ in build_corpus(trials=15, nmax=8, seed=3)]
+    calls = []
+    sweep = kedges.circseq.halfperiod_from_points
+
+    def counted(ps, *args, **kwargs):
+        calls.append(ps.points)
+        return sweep(ps, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "kedges" and getattr(mod, "halfperiod_from_points", None) is sweep:
+            monkeypatch.setattr(mod, "halfperiod_from_points", counted)
+    assert main(["selftest", "all", *argv]) == 0
+    assert "[PASS] central-theorem-sweep" in capsys.readouterr().out
+    assert [pts for pts in calls if pts in corpus] == corpus
+
+
+def test_identity_suite_checks_small_sets_against_brute_force(monkeypatch):
+    from kedges import selftest
+
+    corpus = selftest.build_corpus(trials=10, nmax=selftest.ORACLE_NMAX, seed=1)
+    [(_, ok, _)] = selftest.run_identity_suite(corpus)
+    assert ok
+    monkeypatch.setattr(selftest, "crossings_bruteforce", lambda ps: -1)
+    [(_, ok, detail)] = selftest.run_identity_suite(corpus)
+    assert not ok and "crossings differ from brute force" in detail
+
+
 def _halfperiod_lines(octagon_file, tmp_path):
     from kedges.circseq import halfperiod_from_points, write_halfperiod
     from kedges.geom import read_points
@@ -259,12 +294,17 @@ def test_classify_halfperiod_reversed_pairs(octagon_file, tmp_path, capsys):
 
 
 # Input files no reader may turn into a traceback: a byte that is not
-# UTF-8, and a halfperiod header far too large to allocate 1..n for.
+# UTF-8, and a halfperiod header far too large to allocate 1..n for; and
+# point files whose bad token is 5000 characters long, which no message
+# may quote in full.
 _BAD_FILES = {
     "NON_UTF8_PTS": b"3\n0 0\n1 \xff\n0 1\n",
     "NON_UTF8_HP": b"3\n1 2 3\n1 1 1 \xff\n",
     "HUGE_HP": b"%d\n1 2 3\n" % 10**18,
     "HUGE_COORD": b"1\n" + b"1" * 5000 + b" 0\n",
+    "LONG_BAD_COORD": b"1\n0 1." + b"5" * 5000 + b"\n",
+    "LONG_COUNT": b"1" * 5000 + b"\n0 0\n",
+    "LONG_XY_LINE": b"1\n0 0 " + b"7" * 5000 + b"\n",
 }
 
 
@@ -290,13 +330,17 @@ _BAD_FILES = {
         ["classify", "NON_UTF8_HP", "--halfperiod", "--k", "1"],
         ["classify", "HUGE_HP", "--halfperiod", "--k", "1"],
         ["analyze", "HUGE_COORD"],
+        ["analyze", "LONG_BAD_COORD"],
+        ["analyze", "LONG_COUNT"],
+        ["analyze", "LONG_XY_LINE"],
     ],
     ids=["partition", "partition-reversed", "epsilon", "epsilon-empty", "nmax", "trials",
          "cr-table-range", "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
          "precision-polygon-center-negative", "rmax-constructions", "rmax-all",
          "analyze-non-utf8", "classify-non-utf8", "classify-huge-header",
-         "analyze-huge-coordinate"],
+         "analyze-huge-coordinate", "analyze-long-bad-coordinate", "analyze-long-point-count",
+         "analyze-long-x-y-line"],
 )
 def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     files = {"OCT": octagon_file, "OUT": str(tmp_path / "s.pts")}
@@ -308,6 +352,7 @@ def test_bad_input_exits_2_with_one_line(argv, octagon_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", [["--rmax", "0"], ["--trials", "1", "--rmax", "0"]],

@@ -106,7 +106,7 @@ def test_s3_halfperiod_cross_check(s3):
 
     h = halfperiod_from_points(s3.perturbed, tie_break=True)
     assert len(h.transpositions) == comb(27, 2) == 351
-    assert edge_vector_from_halfperiod(h) == s3.edge_vector
+    assert edge_vector_from_halfperiod(h) == s3.edge_vector == edge_vector_bruteforce(s3.perturbed)
     # k = 12: one block per (k-1)-edge boundary crossing, plus the prefix
     assert len(blocks(h, 12)) == s3.edge_vector.counts[11] + 1
 

@@ -102,13 +102,13 @@ def test_summarize_convex_octagon():
     assert rep.crossings == 70
     assert rep.halving_lines == 4
     assert rep.consistent
-    assert rep.cr_bruteforce == 70
+    assert rep.cr_radial == 70
 
 
 def test_summarize_halfperiod_input():
     ps = convex_polygon_set(7)
     rep = summarize(halfperiod_from_points(ps, tie_break=True))
-    assert rep.cr_bruteforce is None
+    assert rep.cr_radial is None
     assert rep.cr_identity_form1 == rep.cr_identity_form2 == comb(7, 4)
     assert rep.consistent
 
