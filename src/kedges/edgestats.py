@@ -18,9 +18,10 @@ routes, and a point set's report is only given when they agree:
   once each by their first vertex counterclockwise (Rote, Woeginger, Zhu &
   Wang 1991, "Counting k-subsets and convex k-gons in the plane").
 
-Route B shares no code with the sweep (`PointSet.angles`).  The O(n^3)
-side count (`pair_levels`) and the convex 4-subset count
-(`crossings_bruteforce`) are kept as oracles for the tests and one
+Route B does not use the sweep's geometry (`PointSet.angles`); it shares
+only the generic exact sort (`geom._sort_exact` on `geom._ratio_key`
+keys).  The O(n^3) side count (`pair_levels`) and the convex 4-subset
+count (`crossings_bruteforce`) are kept as oracles for the tests and one
 small-n selftest check.
 
 The identity evaluated in both closed forms:
@@ -34,14 +35,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import groupby
 from math import comb, inf
-from operator import itemgetter
 
 from .circseq import Halfperiod, halfperiod_from_points
 from .errors import GeneralPositionError, InputError
-from .geom import PointSet
+from .geom import PointSet, _ratio_key, _sort_exact
 from .rat import R, as_int
 
 
@@ -140,8 +138,8 @@ def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
     split into the half turns [0, pi) and [pi, 2*pi) and each half is
     sorted on the float key -dx/dy (-inf at dy = 0), which increases with
     the angle.  The key is a correctly rounded quotient of ints, so keys
-    that differ are in exact order; runs of equal keys are re-sorted by
-    exact cross products.  The antipode of q's direction has q's key in the
+    that differ are in exact order; `_sort_exact` re-sorts runs of equal
+    keys by exact cross products.  The antipode of q's direction has q's key in the
     other half, so L_p(q) is the rest of q's half plus a bisection of the
     other half, again with equal keys decided exactly.  Any exact tie is a
     collinear triple: GeneralPositionError."""
@@ -155,22 +153,16 @@ def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
             if q == p:
                 continue
             dx, dy = xq * wp - xp * wq, yq * wp - yp * wq
-            if dy:
-                try:
-                    key = -dx / dy
-                except OverflowError:
-                    key = inf if (dx < 0) == (dy > 0) else -inf
+            if dy > 0:
+                key = _ratio_key(-dx, dy)
+            elif dy < 0:
+                key = _ratio_key(dx, -dy)
             else:
                 key = -inf
             halves[dy < 0 or (dy == 0 and dx < 0)].append((key, dx, dy, q))
         for half in halves:
-            half.sort(key=itemgetter(0))
-            if len({item[0] for item in half}) < len(half):
-                runs = [list(run) for _, run in groupby(half, key=itemgetter(0))]
-                for run in runs:
-                    if len(run) > 1:
-                        run.sort(key=cmp_to_key(lambda u, v: _radial_cmp(p, u, v)))
-                half[:] = [item for run in runs for item in run]
+            half[:] = _sort_exact(half, [item[0] for item in half],
+                                  lambda u, v: _radial_cmp(p, u, v))
         keys = ([item[0] for item in halves[0]], [item[0] for item in halves[1]])
         triangles = comb(n - 1, 3)
         for h in (0, 1):

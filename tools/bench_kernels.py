@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the point-set kernels and a few CLI calls of one kedges source tree.
 
-    python3 tools/bench_kernels.py --src DIR --label NAME -o FILE [--repeats 5]
+    python3 tools/bench_kernels.py --src DIR --label NAME -o FILE
 
 DIR is a source checkout (kedges is imported from DIR/src).  Each figure
-is the median wall time in seconds of --repeats runs:
+is the median wall time in seconds of REPEATS (5) runs:
 
 * kernels, in this process, on the S_5, S_10 and S_20 sets that DIR's
   build_sr emits: `PointSet.angles` on a fresh PointSet (the event sort),
@@ -33,18 +33,19 @@ from pathlib import Path
 from time import perf_counter
 
 SIZES = (5, 10, 20)
+REPEATS = 5
 
 
-def median_time(fn, repeats: int) -> float:
+def median_time(fn) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = perf_counter()
         fn()
         times.append(perf_counter() - t0)
     return statistics.median(times)
 
 
-def kernel_times(repeats: int) -> dict:
+def kernel_times() -> dict:
     from kedges import circseq, constructions, edgestats
     from kedges.geom import PointSet
 
@@ -55,16 +56,16 @@ def kernel_times(repeats: int) -> dict:
         warm = PointSet(ps.points)
         warm.angles  # noqa: B018 -- cache the event sort the other kernels read
         row = {"n": ps.n}
-        row["PointSet.angles"] = median_time(lambda: PointSet(ps.points).angles, repeats)
+        row["PointSet.angles"] = median_time(lambda: PointSet(ps.points).angles)
         row["halfperiod_from_points"] = median_time(
-            lambda: circseq.halfperiod_from_points(warm, tie_break=True), repeats)
-        row["radial_counts"] = None if radial is None else median_time(lambda: radial(warm), repeats)
-        row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm), repeats)
+            lambda: circseq.halfperiod_from_points(warm, tie_break=True))
+        row["radial_counts"] = None if radial is None else median_time(lambda: radial(warm))
+        row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
         out[f"S_{r}"] = row
     return out
 
 
-def cli_times(src: Path, repeats: int) -> dict:
+def cli_times(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
 
     def run(*argv):
@@ -76,8 +77,8 @@ def cli_times(src: Path, repeats: int) -> dict:
         for r in SIZES:
             path = str(Path(tmp) / f"s{r}.pts")
             out[f"construct sr --r {r}"] = median_time(
-                lambda: run("construct", "sr", "--r", str(r), "-o", path), repeats)
-            out[f"analyze S_{r}"] = median_time(lambda: run("analyze", path), repeats)
+                lambda: run("construct", "sr", "--r", str(r), "-o", path))
+            out[f"analyze S_{r}"] = median_time(lambda: run("analyze", path))
     return out
 
 
@@ -95,16 +96,15 @@ def main(argv=None) -> int:
     ap.add_argument("--src", required=True, type=Path, help="source checkout to time")
     ap.add_argument("--label", required=True, help="key of this tree's figures in FILE")
     ap.add_argument("-o", "--output", required=True, type=Path)
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src / "src"))
 
     result = {
         "env": environment(src),
-        "repeats": args.repeats,
-        "kernels_s": kernel_times(args.repeats),
-        "cli_s": cli_times(src, args.repeats),
+        "repeats": REPEATS,
+        "kernels_s": kernel_times(),
+        "cli_s": cli_times(src),
     }
     data = json.loads(args.output.read_text()) if args.output.exists() else {}
     data.setdefault("what", "median wall seconds; see tools/bench_kernels.py")
