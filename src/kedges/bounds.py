@@ -25,10 +25,9 @@ Bound inventory:
                         recursion) ("section5").
 * u_prime_sequence   -- the 3-regular variant seeded at m = 17n/36 with a
                         third binomial term 18 C(m+1-floor(4n/9),2).
-* series_bound       -- the 3-decomposable series with coefficients
-                        c_j = 1/2 - 1/(3j(j+1)), truncated.
-* asymptotic_constants, lemma_brackets, comparison_bounds -- exact
-  consistency checks around the asymptotic story.
+* asymptotic_constants, lemma_brackets -- exact consistency checks
+  around the asymptotic story.
+* bound_table        -- every per-k bound above for one n, side by side.
 """
 
 from __future__ import annotations
@@ -48,18 +47,6 @@ from .rat import R, as_int, ceil_div, rat_floor, to_float
 def comb2(x: int) -> int:
     """C(x,2) with C(x,2) = 0 for x < 2."""
     return x * (x - 1) // 2 if x >= 2 else 0
-
-
-def comb2_rat(x):
-    """Generalized x(x-1)/2 for rational x, clamped to 0 for x < 1.
-
-    The clamp point x = 1 keeps the term continuous and nonnegative; it
-    only matters for the series evaluator, whose upper arguments can be
-    fractional."""
-    one = R(1)
-    if x < one:
-        return R(0)
-    return x * (x - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -220,28 +207,6 @@ def u_prime_sequence(n: int) -> dict[int, int]:
     return _u_recursion(n, m, seed)
 
 
-def series_coefficient(j: int):
-    """c_j = 1/2 - 1/(3j(j+1))."""
-    return R(1, 2) - R(1, 3 * j * (j + 1))
-
-
-def series_bound(n: int, k: int, terms: int):
-    """Truncated 3-decomposable series bound, exact rational:
-
-        3 C(k+2,2) + 3 C(k+2-n/3,2)
-        + 3 sum_{j=2}^{terms} j(j+1) C(k+2-c_j n, 2)
-
-    with the generalized clamped binomial; terms = 1 keeps only the first
-    two terms.  Nondecreasing in `terms`."""
-    if terms < 1:
-        raise InputError("terms must be >= 1")
-    _check_nk(n, k)
-    total = 3 * comb2_rat(R(k + 2)) + 3 * comb2_rat(R(k + 2) - R(n, 3))
-    for j in range(2, terms + 1):
-        total += 3 * j * (j + 1) * comb2_rat(R(k + 2) - series_coefficient(j) * n)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Asymptotic constants
 # ---------------------------------------------------------------------------
@@ -329,18 +294,15 @@ def lemma_brackets(n: int) -> LemmaBracketReport:
     useq = u_sequence(n)
     total = comb(n, 2)
     d0 = total - useq[m - 1]
-    top = (n - 5) // 2
+    checked = tuple(range(m - 1, (n - 5) // 2 + 1))
+    if d0 <= 0:
+        seed_fails = tuple(f"k={k}: seed bound reaches C(n,2)" for k in checked)
+        return LemmaBracketReport(n, checked, seed_fails)
     violations = []
-    checked = []
-    for k in range(m - 1, top + 1):
-        checked.append(k)
-        lo_sq = 9 * R(n - 2 * k, 1) - R(81, 2)  # 9n(1-(2k+9/2)/n) = 9(n-2k) - 81/2
-        lo_sq = lo_sq / n
+    for k in checked:
+        lo_sq = R(18 * (n - 2 * k) - 81, 2 * n)  # 9(1-(2k+9/2)/n)
         hi_sq = R(9 * (n - 2 * k - 2), n)
-        ratio = R(total - useq[k], d0) if d0 > 0 else None
-        if ratio is None or d0 <= 0:
-            violations.append(f"k={k}: seed bound reaches C(n,2)")
-            continue
+        ratio = R(total - useq[k], d0)
         if not (ratio > 0 and lo_sq < ratio * ratio):
             violations.append(f"k={k}: lower bracket fails")
         if not (ratio * ratio <= hi_sq):
@@ -349,58 +311,7 @@ def lemma_brackets(n: int) -> LemmaBracketReport:
             rhs = (n - 1) * (n - 2 * k - 3)
             if not (lo_sq * d0 * d0 >= R(rhs) * rhs):
                 violations.append(f"k={k}: estimate lemma fails")
-    return LemmaBracketReport(n, tuple(checked), tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# Comparison with the earlier near-halving bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    n: int
-    k: int
-    envelope_f1: float
-    envelope_f2: float
-    explicit: float
-    f1_le_f2: bool
-    f1_le_explicit: bool
-    f2_le_explicit: bool
-
-
-def comparison_bounds(n: int, k: int) -> ComparisonReport:
-    """Compare the two published near-halving envelopes
-
-        F1: C(n,2) - (sqrt(2)/2)   n^(3/2) sqrt(n-2k)
-        F2: C(n,2) - (13 sqrt3/36) n^(3/2) sqrt(n-2k)
-
-    against the explicit bound, deciding every inequality by exact
-    squaring.  Valid for n/3 <= k <= n/2; past k = (n-2)/2 the explicit
-    bound is taken at its domain-end value C(n,2)."""
-    if not (3 * k >= n and 2 * k <= n):
-        raise InputError(f"k out of range: need n/3 <= k <= n/2, got k={k}, n={n}")
-    total = comb(n, 2)
-    x_sq = R(n) ** 3 * (n - 2 * k)  # X^2 for X = n^(3/2) sqrt(n-2k)
-    c1_sq, c2_sq = R(1, 2), R(169, 432)  # (sqrt2/2)^2, (13 sqrt3/36)^2
-    if 2 * k <= n - 2:
-        expl = explicit_bound(n, k)
-        b_sq = expl.b * expl.b * expl.r  # B^2 for B = (1/9) sqrt(...) (5n^2+..)
-        expl_float = expl.to_float()
-    else:
-        b_sq = R(0)
-        expl_float = float(total)
-    xf = to_float(x_sq) ** 0.5
-    return ComparisonReport(
-        n=n,
-        k=k,
-        envelope_f1=total - (0.5 ** 0.5) * xf,
-        envelope_f2=total - (13 * 3 ** 0.5 / 36) * xf,
-        explicit=expl_float,
-        f1_le_f2=bool(c1_sq >= c2_sq or x_sq == 0),
-        f1_le_explicit=bool(c1_sq * x_sq >= b_sq),
-        f2_le_explicit=bool(c2_sq * x_sq >= b_sq),
-    )
+    return LemmaBracketReport(n, checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +341,9 @@ def bound_table(n: int, with_u_prime: bool = False) -> BoundTable:
 
     `best` is the max of the unconditional bounds (closed form and u_k);
     u'_k applies only to 3-regular sets and is reported as a reference
-    column, never folded into `best`."""
+    column, never folded into `best`; with_u_prime needs 36 | n."""
     useq = u_sequence(n)
-    upseq = u_prime_sequence(n) if (with_u_prime and n % 36 == 0) else {}
+    upseq = u_prime_sequence(n) if with_u_prime else {}
     m = m_start(n)
     rows = []
     for k in range(n // 2):

@@ -108,7 +108,7 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
     _check_k(h.n, k)
     n = h.n
     if s_value is None:
-        s_value = compute_s(h, k).s_value
+        s_value = compute_s(h, k)
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
     crit = list(h.k_critical(k))
@@ -333,12 +333,12 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
     ev = edge_vector_from_halfperiod(h)
     K = ev.counts[k - 1]
     E_geq = ev.geq(k)
-    s = compute_s(h, k).s_value
+    s = compute_s(h, k)
     bound = (n - 2 * k - 1) * R(K) - R(s, 2) * (K - n + 1)
     holds = R(E_geq) <= bound
 
     lam = rearrange_essential(h, k)
-    if compute_s(lam, k).s_value != s:
+    if compute_s(lam, k) != s:
         raise RearrangementError("rearrangement changed s(k, pi)")
     records = [r for r in classify(lam, k, s_value=s) if r.kind == "k-critical"]
 

@@ -294,17 +294,8 @@ def k_center(h: Halfperiod, i: int, k: int) -> frozenset:
     return frozenset(perm[k : h.n - k])
 
 
-@dataclass(frozen=True)
-class KCenterTrace:
-    """|C_0 ∩ C(k, pi_i)| for every i, and its minimum s(k, pi)."""
-
-    k: int
-    sizes: tuple[int, ...]
-    s_value: int
-
-
-def compute_s(h: Halfperiod, k: int) -> KCenterTrace:
-    """Trace of the k-center's overlap with C_0 over the halfperiod.
+def compute_s(h: Halfperiod, k: int) -> int:
+    """s(k, pi): the least |C_0 ∩ C(k, pi_i)| over the halfperiod.
 
     Maintained incrementally: only k-critical transpositions (positions k
     or n-k) change center membership.  s(k, pi) <= n-2k-1 always, since
@@ -313,13 +304,11 @@ def compute_s(h: Halfperiod, k: int) -> KCenterTrace:
     _check_k(h.n, k)
     n = h.n
     c0 = frozenset(h.initial[k : n - k])
-    count = len(c0)  # |C_0 ∩ center| at step 0
-    sizes = []
-    for idx, _boundary, entering, leaving in h.k_critical(k):
-        sizes += [count] * (idx + 1 - len(sizes))
+    count = s = len(c0)  # |C_0 ∩ center| at step 0
+    for _idx, _boundary, entering, leaving in h.k_critical(k):
         count += (entering in c0) - (leaving in c0)
-    sizes += [count] * (len(h.transpositions) + 1 - len(sizes))
-    return KCenterTrace(k, tuple(sizes), min(sizes))
+        s = min(s, count)
+    return s
 
 
 # ---------------------------------------------------------------------------

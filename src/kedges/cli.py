@@ -166,12 +166,16 @@ def cmd_bounds(args) -> int:
             ]
         )
     else:
+        def line(k, a, u, u_prime, e, best, source):
+            u_prime = f" {u_prime:>9}" if args.with_u_prime else ""
+            return f"{k:>4} {a:>11} {u:>9}{u_prime} {e:>12} {best:>9} {source}"
+
         print(f"lower bounds for E_<=k({args.n})")
-        print(f"{'k':>4} {'closedform':>11} {'u_k':>9} {'explicit':>12} {'best':>9} source")
+        print(line("k", "closedform", "u_k", "u'_k", "explicit", "best", "source"))
         for r in rows:
-            u = "" if r.u_k is None else str(r.u_k)
+            u, u_prime = ("" if v is None else v for v in (r.u_k, r.u_prime_k))
             e = "" if r.explicit is None else f"{r.explicit:.2f}"
-            print(f"{r.k:>4} {r.aichholzer:>11} {u:>9} {e:>12} {r.best:>9} {r.source}")
+            print(line(r.k, r.aichholzer, u, u_prime, e, r.best, r.source))
     return 0
 
 
@@ -279,10 +283,10 @@ def cmd_construct(args) -> int:
         )
         write_points(args.output, res.raw if args.raw else res.perturbed, header=header)
     elif args.kind == "polygon-center":
-        ps = build_polygon_center(args.k, args.n, precision=args.precision)
+        ps, _ = build_polygon_center(args.k, args.n, precision=args.precision)
         write_points(args.output, ps, header=f"{2 * args.k + 1}-gon plus {args.n - 2 * args.k - 1} central points")
     else:  # cluster-polygon
-        ps = build_cluster_polygon(args.t, args.m, precision=args.precision)
+        ps, _ = build_cluster_polygon(args.t, args.m, precision=args.precision)
         write_points(args.output, ps, header=f"{2 * args.t + 1}-gon, vertices replaced by {args.m}-point clusters")
     print(f"wrote {args.output}")
     return 0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import comb2
-from .circseq import compute_s, halfperiod_from_points
+from .circseq import Halfperiod, compute_s, halfperiod_from_points
 from .edgestats import check_routes, edge_vector_from_halfperiod
 from .errors import InputError, VerificationError
 from .geom import (
@@ -435,8 +435,9 @@ def _ring(q: int, scale: int, phase: float):
     return out
 
 
-def build_polygon_center(k: int, n: int, precision: int = 10**6) -> PointSet:
-    """2k+1 regular-polygon vertices plus n-2k-1 points near the center.
+def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointSet, Halfperiod]:
+    """2k+1 regular-polygon vertices plus n-2k-1 points near the center,
+    returned with the halfperiod the certificate was read from.
 
     Certified properties: E_j = 2k+1 for every j < k, E_{>=k} =
     C(n-2k-1,2) + (2k+1)(n-2k-1), s(k, pi) = n-2k-1, and equality
@@ -461,22 +462,23 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> PointSet:
                 raise VerificationError(f"outer edge counts wrong: {ev.counts[:k]}")
             if ev.geq(k) != comb2(c) + q * c:
                 raise VerificationError(f"E_>=k = {ev.geq(k)}, want {comb2(c) + q * c}")
-            s = compute_s(h, k).s_value
+            s = compute_s(h, k)
             if s != c:
                 raise VerificationError(f"s = {s}, want {c}")
             if ev.geq(k) != (n - 2 * k - 1) * ev.counts[k - 1] + comb2(s):
                 raise VerificationError("equality case failed")
             check_routes(ps, h)
-            return ps
+            return ps, h
         except (VerificationError, InputError) as exc:
             last = exc
     raise VerificationError(f"polygon-center construction failed: {last}")
 
 
-def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> PointSet:
+def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[PointSet, Halfperiod]:
     """(2t+1)-gon with each vertex replaced by m points on a small segment
-    pointing at the center.  With n = (2t+1)m and k = tm, certifies
-    E_{k-1} = n, E_{>=k} = 2(2t+1) C(m,2) = (n-2k-1) E_{k-1}, s = 0."""
+    pointing at the center, returned with the halfperiod the certificate
+    was read from.  With n = (2t+1)m and k = tm, certifies E_{k-1} = n,
+    E_{>=k} = 2(2t+1) C(m,2) = (n-2k-1) E_{k-1}, s = 0."""
     if t < 1 or m < 1:
         raise InputError("t >= 1, m >= 1 required")
     _check_precision(precision)
@@ -503,11 +505,11 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> PointSet:
                 raise VerificationError(f"E_(k-1) = {ev.counts[k - 1]}, want {n}")
             if ev.geq(k) != 2 * q * comb2(m):
                 raise VerificationError(f"E_>=k = {ev.geq(k)}, want {2 * q * comb2(m)}")
-            s = compute_s(h, k).s_value
+            s = compute_s(h, k)
             if s != 0:
                 raise VerificationError(f"s = {s}, want 0")
             check_routes(ps, h)
-            return ps
+            return ps, h
         except (VerificationError, InputError) as exc:
             last = exc
     raise VerificationError(f"cluster-polygon construction failed: {last}")

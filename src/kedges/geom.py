@@ -28,10 +28,11 @@ of those runs.  collinear_triples(ps) is the O(n^3) scan kept as their
 oracle.
 
 The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
-cosine pair).  rotate_cw_2pi3 applies an exact *rational* linear map built
-from a rational approximation of sqrt(3); callers that need combinatorial
-guarantees re-verify them with exact predicates on the emitted points and
-escalate the approximation precision on failure (see constructions).
+cosine pair).  rotation_cw_2pi3_maps builds it as an exact *rational*
+linear map from a rational approximation of sqrt(3); callers that need
+combinatorial guarantees re-verify them with exact predicates on the
+emitted points and escalate the approximation precision on failure (see
+constructions).
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from math import inf, lcm
 
 from .errors import GeneralPositionError, InputError, PointFileError
 from .rat import R, fmt, sqrt3_floor
-
-DEFAULT_ROTATION_PRECISION = 10**12
 
 
 @dataclass(frozen=True)
@@ -297,14 +296,7 @@ class PointSet:
         return self
 
 
-def check_general_position(ps: PointSet) -> list[tuple[int, int, int]]:
-    """All collinear index triples of the set; empty iff general position."""
-    if ps.n < 3:
-        raise InputError("need at least 3 points")
-    return list(ps.collinear_triples)
-
-
-def rotation_cw_2pi3_maps(precision: int = DEFAULT_ROTATION_PRECISION):
+def rotation_cw_2pi3_maps(precision: int):
     """The clockwise 2*pi/3 rotation as an exact rational matrix pair.
 
     Returns (apply, apply_inverse) where apply is built from a rational
@@ -328,14 +320,6 @@ def rotation_cw_2pi3_maps(precision: int = DEFAULT_ROTATION_PRECISION):
         return Point((d * p.x - b * p.y) / det, (a * p.y - c * p.x) / det)
 
     return apply, apply_inverse
-
-
-def rotate_cw_2pi3(p: Point, precision: int = DEFAULT_ROTATION_PRECISION) -> Point:
-    """Rational approximation of the clockwise rotation of p by 2*pi/3
-    around the origin, accurate to within 1/precision per coordinate
-    (for |p| bounded by ~precision^(1/2); exact scaling is |p|/precision)."""
-    apply, _ = rotation_cw_2pi3_maps(precision)
-    return apply(p)
 
 
 # ---------------------------------------------------------------------------

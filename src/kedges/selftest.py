@@ -135,17 +135,15 @@ def run_constructions_suite(rmax: int) -> list:
         bad = [0, 1, 2] if witness is None else witness_failures(ps, partition, witness)
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
-    ps = build_polygon_center(3, 9)
-    h = halfperiod_from_points(ps, tie_break=True)
+    _, h = build_polygon_center(3, 9)
     ev = edge_vector_from_halfperiod(h)
-    s = compute_s(h, 3).s_value
+    s = compute_s(h, 3)
     ok = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 and ev.geq(3) == 2 * 7 + bounds.comb2(s)
     out.append(_result("polygon-center-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
 
-    ps = build_cluster_polygon(1, 3)
-    h = halfperiod_from_points(ps, tie_break=True)
+    _, h = build_cluster_polygon(1, 3)
     ev = edge_vector_from_halfperiod(h)
-    s = compute_s(h, 3).s_value
+    s = compute_s(h, 3)
     ok = ev.counts[2] == 9 and ev.geq(3) == 18 and s == 0
     out.append(_result("cluster-polygon-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
     return out

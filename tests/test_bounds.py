@@ -8,14 +8,11 @@ from kedges.bounds import (
     aichholzer_bound,
     asymptotic_constants,
     bound_table,
-    comparison_bounds,
     cr_lower_bound,
     explicit_bound,
     halving_upper_bound,
     lemma_brackets,
     m_start,
-    series_bound,
-    series_coefficient,
     u_prime_sequence,
     u_sequence,
 )
@@ -119,16 +116,6 @@ def test_u_prime_sequence():
         u_prime_sequence(27)
 
 
-def test_series_bound():
-    assert series_coefficient(2) == R(4, 9)
-    assert series_bound(36, 15, 2) == 438  # matches the 3-regular third-binomial value
-    assert series_bound(45, 10, 5) == 3 * comb(12, 2)  # early k: only the first term
-    vals = [series_bound(54, 25, t) for t in range(1, 10)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(InputError):
-        series_bound(36, 15, 0)
-
-
 def test_asymptotic_constants():
     rep = asymptotic_constants()
     assert rep["integral1"] == R(86, 243)
@@ -144,18 +131,6 @@ def test_lemma_brackets_spot():
     for n in range(6, 41):
         # small-n range is empty or a single k; both must pass
         assert lemma_brackets(n).ok
-
-
-def test_comparison_bounds():
-    rep = comparison_bounds(900, 430)
-    assert rep.f1_le_f2 and rep.f1_le_explicit and rep.f2_le_explicit
-    assert rep.envelope_f1 < rep.envelope_f2 < rep.explicit
-    rep = comparison_bounds(90, 40)
-    assert rep.f1_le_f2 and rep.f1_le_explicit and rep.f2_le_explicit
-    rep = comparison_bounds(90, 45)  # boundary: radicands vanish
-    assert rep.envelope_f1 == rep.envelope_f2 == rep.explicit == comb(90, 2)
-    with pytest.raises(InputError):
-        comparison_bounds(90, 20)
 
 
 def test_bound_table_structure():

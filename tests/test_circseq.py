@@ -110,18 +110,16 @@ def test_compute_s_trace_shape():
     ps = random_general_position_set(9, rng)
     h = halfperiod_from_points(ps, tie_break=True)
     for k in range(1, 5):
-        tr = compute_s(h, k)
-        assert len(tr.sizes) == comb(9, 2) + 1
-        assert tr.sizes[0] == 9 - 2 * k
-        assert tr.sizes[-1] == 9 - 2 * k
-        assert tr.s_value <= 9 - 2 * k - 1
-        assert tr.s_value == min(tr.sizes)
+        c0 = k_center(h, 0, k)
+        sizes = [len(c0 & k_center(h, i, k)) for i in range(comb(9, 2) + 1)]
+        assert sizes[0] == sizes[-1] == 9 - 2 * k
+        assert compute_s(h, k) == min(sizes) <= 9 - 2 * k - 1
 
 
 def test_convex_s_upper_bound():
     ps = convex_polygon_set(9)
     h = halfperiod_from_points(ps, tie_break=True)
-    assert compute_s(h, 1).s_value <= 9 - 3
+    assert compute_s(h, 1) <= 9 - 3
 
 
 def test_rotation_and_reversal_preserve_statistics():

@@ -98,6 +98,25 @@ def test_bounds_table(capsys):
     assert "207" in capsys.readouterr().out
 
 
+def test_bounds_with_u_prime_column(capsys):
+    assert main(["bounds", "--n", "36"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["bounds", "--n", "36", "--with-u-prime"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["k", "closedform", "u_k", "u'_k", "explicit", "best", "source"]
+    assert lines[2 + 16].split() == ["16", "504", "536", "522", "443.19", "536", "u_k"]
+    # the column is 10 characters inserted after u_k; the rest is the plain table
+    assert [ln[:26] + ln[36:] for ln in lines[1:]] == plain[1:] and lines[0] == plain[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_with_u_prime_needs_36_divides_n(fmt, capsys):
+    assert main(["bounds", "--n", "27", "--with-u-prime", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: u' sequence needs 36 | n, got 27\n"
+
+
 def test_halving_and_cr_bound(capsys):
     assert main(["halving-bound", "--n", "24"]) == 0
     assert capsys.readouterr().out.strip() == "51"
@@ -215,15 +234,11 @@ def test_selftest_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_selftest_all_sweeps_each_corpus_set_once(monkeypatch, capsys):
-    """The identity and central suites share one halfperiod per corpus
-    set: every halfperiod_from_points call on a corpus set is counted,
+def _count_sweeps(monkeypatch) -> list:
+    """The points of every halfperiod_from_points call from now on,
     wherever in the package it is made."""
     import kedges.circseq
-    from kedges.selftest import build_corpus
 
-    argv = ["--trials", "15", "--nmax", "8", "--rmax", "3", "--seed", "3"]
-    corpus = [ps.points for ps, _ in build_corpus(trials=15, nmax=8, seed=3)]
     calls = []
     sweep = kedges.circseq.halfperiod_from_points
 
@@ -234,9 +249,31 @@ def test_selftest_all_sweeps_each_corpus_set_once(monkeypatch, capsys):
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "kedges" and getattr(mod, "halfperiod_from_points", None) is sweep:
             monkeypatch.setattr(mod, "halfperiod_from_points", counted)
+    return calls
+
+
+def test_selftest_all_sweeps_each_corpus_set_once(monkeypatch, capsys):
+    """The identity and central suites share one halfperiod per corpus
+    set."""
+    from kedges.selftest import build_corpus
+
+    argv = ["--trials", "15", "--nmax", "8", "--rmax", "3", "--seed", "3"]
+    corpus = [ps.points for ps, _ in build_corpus(trials=15, nmax=8, seed=3)]
+    calls = _count_sweeps(monkeypatch)
     assert main(["selftest", "all", *argv]) == 0
     assert "[PASS] central-theorem-sweep" in capsys.readouterr().out
     assert [pts for pts in calls if pts in corpus] == corpus
+
+
+def test_selftest_constructions_sweeps_each_built_set_once(monkeypatch, capsys):
+    """S_3 and both equality builders are certified on one sweep each, and
+    the suite reads its details from the builders' halfperiods."""
+    calls = _count_sweeps(monkeypatch)
+    assert main(["selftest", "constructions", "--rmax", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] polygon-center-9  (E_2=7 E_>=3=15 s=2)" in out
+    assert "[PASS] cluster-polygon-9  (E_2=9 E_>=3=18 s=0)" in out
+    assert len(calls) == 3
 
 
 def test_identity_suite_checks_small_sets_against_brute_force(monkeypatch):

@@ -153,12 +153,12 @@ def test_sr_expected_consistency():
 
 
 def test_polygon_center_9():
-    ps = build_polygon_center(3, 9)
+    ps, h = build_polygon_center(3, 9)
+    assert h == halfperiod_from_points(ps, tie_break=True)
     ev = edge_vector_bruteforce(ps)
     assert ev.counts[2] == 7
     assert ev.geq(3) == 15
-    h = halfperiod_from_points(ps, tie_break=True)
-    s = compute_s(h, 3).s_value
+    s = compute_s(h, 3)
     assert s == 2
     assert ev.geq(3) == (9 - 7) * ev.counts[2] + comb2(s)  # corollary equality
     rep = verify_central(h, 3)
@@ -166,11 +166,11 @@ def test_polygon_center_9():
 
 
 def test_polygon_center_15():
-    ps = build_polygon_center(6, 15)
+    ps, h = build_polygon_center(6, 15)
     ev = edge_vector_bruteforce(ps)
     assert ev.counts[5] == 13
     assert ev.geq(6) == comb2(2) + 13 * 2 == 27
-    assert compute_s(halfperiod_from_points(ps, tie_break=True), 6).s_value == 2
+    assert compute_s(h, 6) == 2
 
 
 def test_polygon_center_degenerate_rejected():
@@ -179,17 +179,18 @@ def test_polygon_center_degenerate_rejected():
 
 
 def test_cluster_polygon_cases():
-    ps = build_cluster_polygon(1, 3)
+    ps, h = build_cluster_polygon(1, 3)
+    assert h == halfperiod_from_points(ps, tie_break=True)
     ev = edge_vector_bruteforce(ps)
     assert (ev.counts[2], ev.geq(3)) == (9, 18)
-    assert compute_s(halfperiod_from_points(ps, tie_break=True), 3).s_value == 0
+    assert compute_s(h, 3) == 0
 
-    ps = build_cluster_polygon(2, 2)
+    ps, _ = build_cluster_polygon(2, 2)
     ev = edge_vector_bruteforce(ps)
     assert (ev.counts[3], ev.geq(4)) == (10, 2 * 5 * comb2(2))
     assert ev.geq(4) == 10
 
-    ps = build_cluster_polygon(2, 1)  # plain pentagon
+    ps, _ = build_cluster_polygon(2, 1)  # plain pentagon
     ev = edge_vector_bruteforce(ps)
     assert ev.counts[1] == 5 and ev.geq(2) == 0
 

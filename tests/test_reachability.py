@@ -1,0 +1,68 @@
+"""Every public top-level function or class of the package is reached from
+the package itself (by a CLI handler, a selftest suite or another kernel),
+or is one of the few names kept only for the tests."""
+
+import ast
+from pathlib import Path
+
+import kedges
+
+PKG = Path(kedges.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+# Test oracles and the halfperiod tools the property tests use; nothing in
+# the package calls them.
+TEST_SUPPORT = ("k_center", "rotate_halfperiod", "reverse_halfperiod", "write_halfperiod",
+                "edge_vector_bruteforce", "convex_polygon_set", "P")
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PKG.glob("*.py"))}
+
+
+def _referenced(modules) -> set:
+    """Every name read (Name), looked up (Attribute) or imported (ImportFrom)
+    by a package module other than __init__.py."""
+    names = set()
+    for filename, tree in modules.items():
+        if filename == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _public_defs(modules):
+    for filename, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield filename, node.name
+
+
+def test_every_public_name_is_reached():
+    modules = _modules()
+    referenced = _referenced(modules)
+    unreached = [
+        f"{filename}:{name}" for filename, name in _public_defs(modules)
+        if not (name in referenced or name.startswith("cmd_") or name == "main"
+                or name in TEST_SUPPORT)
+    ]
+    assert unreached == []
+
+
+def test_test_support_names_are_test_only_and_used():
+    modules = _modules()
+    defined = {name for _, name in _public_defs(modules)}
+    referenced = _referenced(modules)
+    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
+                      if path.name != Path(__file__).name)
+    for name in TEST_SUPPORT:
+        assert name in defined, name
+        assert name not in referenced, f"{name} is reached from the package; drop it here"
+        assert f"{name}(" in tests, f"{name} is used by no test"
