@@ -1,10 +1,11 @@
 """Lower-bound formulas for E_{<=k}(n) and the crossing-number pipelines.
 
-Everything here is exact: the recursions run over big rationals with exact
-ceilings, and every comparison against a square root is decided by signed
-squaring, never by floating point.  The ceiling/floor boundaries are
-off-by-one sensitive (n = 29 hits the halving formula exactly at
-1926/18 = 107), which is why no float is trusted anywhere.
+Everything here is exact: the recursions run over ints with exact
+ceilings, the rational values are fractions.Fraction, and every comparison
+against a square root is decided by signed squaring, never by floating
+point.  The ceiling/floor boundaries are off-by-one sensitive (n = 29 hits
+the halving formula exactly at 1926/18 = 107), which is why no float is
+trusted anywhere.
 
 Bound inventory:
 
@@ -33,11 +34,11 @@ Bound inventory:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, pi
 
 from .edgestats import identity_leq_form
 from .errors import InputError
-from .rat import R, as_int, ceil_div, rat_floor, to_float
 
 # ---------------------------------------------------------------------------
 # Small helpers
@@ -61,18 +62,18 @@ class SqrtExpr:
     r: object
 
     def to_float(self) -> float:
-        return to_float(self.a) - to_float(self.b) * (to_float(self.r) ** 0.5)
+        return float(self.a) - float(self.b) * (float(self.r) ** 0.5)
 
     def le(self, q) -> bool:
         """self <= q, exactly."""
-        diff = self.a - R(q)  # need diff <= b sqrt(r)
+        diff = self.a - Fraction(q)  # need diff <= b sqrt(r)
         if diff <= 0:
             return True
         return diff * diff <= self.b * self.b * self.r
 
     def ge(self, q) -> bool:
         """self >= q, exactly."""
-        diff = self.a - R(q)  # need b sqrt(r) <= diff
+        diff = self.a - Fraction(q)  # need b sqrt(r) <= diff
         if diff < 0:
             return False
         return self.b * self.b * self.r <= diff * diff
@@ -103,7 +104,7 @@ def aichholzer_bound(n: int, k: int) -> int:
 
 def m_start(n: int) -> int:
     """ceil((4n-11)/9), the first index the recursion improves from."""
-    return ceil_div(4 * n - 11, 9)
+    return -(-(4 * n - 11) // 9)
 
 
 def _u_recursion(n: int, m: int, seed: int) -> dict[int, int]:
@@ -111,21 +112,20 @@ def _u_recursion(n: int, m: int, seed: int) -> dict[int, int]:
     up to k = floor((n-3)/2)."""
     out = {m - 1: seed}
     for k in range(m, (n - 3) // 2 + 1):
-        out[k] = ceil_div(comb(n, 2) + (n - 2 * k - 3) * out[k - 1], n - 2 * k - 2)
+        out[k] = -(-(comb(n, 2) + (n - 2 * k - 3) * out[k - 1]) // (n - 2 * k - 2))
     return out
 
 
 def u_sequence(n: int) -> dict[int, int]:
     """u_k for m-1 <= k <= floor((n-3)/2), as exact integers.
 
-    The seed term 3 (m - floor(n/3)) (n/3 - floor(n/3)) uses the exact
-    rational n/3; it reduces to (m - floor(n/3)) (n mod 3), so the seed is
-    always integral (asserted)."""
+    The seed term 3 (m - floor(n/3)) (n/3 - floor(n/3)) reduces to the
+    integer (m - floor(n/3)) (n - 3 floor(n/3))."""
     if n < 3:
         raise InputError(f"n too small for the recursion: {n}")
     m = m_start(n)
     q = n // 3
-    seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q) - as_int(3 * (m - q) * (R(n, 3) - q))
+    seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q) - (m - q) * (n - 3 * q)
     return _u_recursion(n, m, seed)
 
 
@@ -135,16 +135,18 @@ def explicit_bound(n: int, k: int) -> SqrtExpr:
         raise InputError(f"k below range: need k >= {m_start(n) - 1}, got {k}")
     if 2 * k > n - 2:
         raise InputError(f"k above range: need k <= (n-2)/2, got {k}")
-    return SqrtExpr(R(comb(n, 2)), R(5 * n * n + 19 * n - 31, 9), R(n - 2 * k - 2, n))
+    return SqrtExpr(Fraction(comb(n, 2)), Fraction(5 * n * n + 19 * n - 31, 9),
+                    Fraction(n - 2 * k - 2, n))
 
 
 def halving_upper_bound(n: int) -> int:
-    """Upper bound on the halving-line count, exact floor arithmetic."""
+    """Upper bound on the halving-line count: floor(n(n+30)/24) - 3 for
+    even n, floor(((n-3)(n+45) + 2)/18) for odd n, in integers."""
     if n < 8:
         raise InputError(f"halving bound needs n >= 8, got {n}")
     if n % 2 == 0:
-        return rat_floor(R(n * (n + 30), 24) - 3)
-    return rat_floor(R((n - 3) * (n + 45), 18) + R(1, 9))
+        return n * (n + 30) // 24 - 3
+    return ((n - 3) * (n + 45) + 2) // 18
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def cr_lower_bound(n: int, pipeline: str = "section5") -> CrBoundResult:
     if n < 8:
         raise InputError(f"cr bound needs n >= 8, got {n}")
     rows = leq_lower_bounds(n, pipeline)
-    value = as_int(identity_leq_form(n, [b for _, b, _ in rows]))
+    value = identity_leq_form(n, [b for _, b, _ in rows])
     return CrBoundResult(n, value, tuple(rows), pipeline)
 
 
@@ -223,7 +225,7 @@ def _poly_mul(p, q) -> list:
 
 def _poly_integral(p, a, b):
     """Exact integral over [a, b] of the polynomial sum p[i] x^i."""
-    return sum(R(c) * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(p))
+    return sum(Fraction(c) * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(p))
 
 
 def asymptotic_constants() -> dict:
@@ -236,14 +238,14 @@ def asymptotic_constants() -> dict:
     on [4/9, 1/2], becomes 12u (1/2 - (5/9) sqrt u) on [0, 1/9] with
     u = 1-2x, and the polynomial 24 t^3 (1/2 - (5/9) t) on [0, 1/3] with
     t = sqrt u (dx = -t dt)."""
-    third = R(1, 3)
+    third = Fraction(1, 3)
     one_minus_2x = (1, -2)
     below = _poly_mul((0, 0, 36), one_minus_2x)  # 36 (1-2x) x^2
     above = _poly_mul((4, -24, 72), one_minus_2x)  # 36 (1-2x)(x^2 + (x-1/3)^2)
-    i1 = _poly_integral(below, 0, third) + _poly_integral(above, third, R(4, 9))
-    i2 = _poly_integral(_poly_mul((0, 0, 0, 24), (R(1, 2), R(-5, 9))), 0, third)
-    t1, t2 = R(86, 243), R(19, 729)
-    total = R(277, 729)
+    i1 = _poly_integral(below, 0, third) + _poly_integral(above, third, Fraction(4, 9))
+    i2 = _poly_integral(_poly_mul((0, 0, 0, 24), (Fraction(1, 2), Fraction(-5, 9))), 0, third)
+    t1, t2 = Fraction(86, 243), Fraction(19, 729)
+    total = Fraction(277, 729)
     return {
         "integral1": i1,
         "integral1_target": t1,
@@ -255,10 +257,11 @@ def asymptotic_constants() -> dict:
         "sum_target": total,
         "sum_ok": i1 + i2 == total,
         "crossing_constant": total,
-        "crossing_constant_exceeds_0.379972": total > R("0.379972"),
+        "crossing_constant_exceeds_0.379972": total > Fraction("0.379972"),
         "three_decomposable_constant": (2 / 27) * (15 - pi * pi),
         # pi < 355/113, so the constant exceeds (2/27)(15 - (355/113)^2) = 0.3800291...
-        "three_decomposable_exceeds_0.380029": R(2, 27) * (15 - R(355, 113) ** 2) > R("0.380029"),
+        "three_decomposable_exceeds_0.380029":
+            Fraction(2, 27) * (15 - Fraction(355, 113) ** 2) > Fraction("0.380029"),
     }
 
 
@@ -300,16 +303,16 @@ def lemma_brackets(n: int) -> LemmaBracketReport:
         return LemmaBracketReport(n, checked, seed_fails)
     violations = []
     for k in checked:
-        lo_sq = R(18 * (n - 2 * k) - 81, 2 * n)  # 9(1-(2k+9/2)/n)
-        hi_sq = R(9 * (n - 2 * k - 2), n)
-        ratio = R(total - useq[k], d0)
+        lo_sq = Fraction(18 * (n - 2 * k) - 81, 2 * n)  # 9(1-(2k+9/2)/n)
+        hi_sq = Fraction(9 * (n - 2 * k - 2), n)
+        ratio = Fraction(total - useq[k], d0)
         if not (ratio > 0 and lo_sq < ratio * ratio):
             violations.append(f"k={k}: lower bracket fails")
         if not (ratio * ratio <= hi_sq):
             violations.append(f"k={k}: upper bracket fails")
         if k >= m:
             rhs = (n - 1) * (n - 2 * k - 3)
-            if not (lo_sq * d0 * d0 >= R(rhs) * rhs):
+            if not (lo_sq * d0 * d0 >= rhs * rhs):
                 violations.append(f"k={k}: estimate lemma fails")
     return LemmaBracketReport(n, checked, tuple(violations))
 

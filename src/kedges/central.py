@@ -43,12 +43,12 @@ every valid halfperiod; a violation indicates a bug, never bad data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .circseq import Halfperiod, Transposition, _check_k, compute_s, require_valid
 from .edgestats import edge_vector_from_halfperiod
 from .errors import RearrangementError
-from .rat import R
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,8 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
     K = ev.counts[k - 1]
     E_geq = ev.geq(k)
     s = compute_s(h, k)
-    bound = (n - 2 * k - 1) * R(K) - R(s, 2) * (K - n + 1)
-    holds = R(E_geq) <= bound
+    bound = (n - 2 * k - 1) * K - Fraction(s, 2) * (K - n + 1)
+    holds = E_geq <= bound
 
     lam = rearrange_essential(h, k)
     if compute_s(lam, k) != s:

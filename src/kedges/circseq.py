@@ -34,10 +34,6 @@ class Transposition:
     position: int
     pair: tuple[int, int]
 
-    @property
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pair)
-
 
 @dataclass(frozen=True)
 class Halfperiod:

@@ -43,7 +43,6 @@ from .constructions import (
 from .edgestats import summarize
 from .errors import GeneralPositionError, InputError, KedgesError
 from .geom import read_points, write_points
-from .rat import fmt
 from .selftest import run_scope
 
 
@@ -118,7 +117,7 @@ def cmd_classify(args) -> int:
             "s": rep.s,
             "K": rep.K,
             "E_geq_k": rep.E_geq_k,
-            "bound_value": fmt(rep.bound_value),
+            "bound_value": str(rep.bound_value),
             "holds": rep.holds,
             "tallies": rep.tallies,
             "aux_checks": rep.aux_checks,
@@ -340,7 +339,7 @@ def cmd_decompose3(args) -> int:
         print("no 3-decomposition witness for this partition")
         return 1
     for gi, d in enumerate(witness.directions):
-        print(f"part {gi + 1} between the others along direction ({fmt(d[0])}, {fmt(d[1])})")
+        print(f"part {gi + 1} between the others along direction ({d[0]}, {d[1]})")
     return 0
 
 

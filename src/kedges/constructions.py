@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations
 
 from .bounds import comb2
@@ -48,7 +49,6 @@ from .geom import (
     orientation,
     rotation_cw_2pi3_maps,
 )
-from .rat import R, dyadic_between
 
 # ---------------------------------------------------------------------------
 # The S_r layout
@@ -155,14 +155,14 @@ def _check_precision(precision: int):
 
 # Where each recursive step places its new point inside the admissible
 # segment: the fraction of the way from the cut point to the family's end.
-SEGMENT_CHOICE = R(1, 2)
+SEGMENT_CHOICE = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class SrConfig:
     r: int
-    far_factor: object = field(default_factory=lambda: R(2 * 10**4))
-    perturbation_epsilon: object = field(default_factory=lambda: R(1, 10**7))
+    far_factor: object = field(default_factory=lambda: Fraction(2 * 10**4))
+    perturbation_epsilon: object = field(default_factory=lambda: Fraction(1, 10**7))
     precision: int = 10**12
 
     def __post_init__(self):
@@ -170,7 +170,7 @@ class SrConfig:
             raise InputError("r >= 3 required")
         _check_precision(self.precision)
         try:
-            eps = R(self.perturbation_epsilon)
+            eps = Fraction(self.perturbation_epsilon)
         except (ValueError, ZeroDivisionError):
             raise InputError(
                 f"perturbation_epsilon {self.perturbation_epsilon!r} is not a rational"
@@ -201,7 +201,7 @@ def _segment_param(u: Point, v: Point, w: Point):
 
 def _require_interior(u: Point, v: Point, w: Point, what: str):
     t = _segment_param(u, v, w)
-    if not (R(0) < t < R(1)):
+    if not 0 < t < 1:
         raise VerificationError(f"{what}: point not interior to segment")
     return t
 
@@ -217,7 +217,7 @@ def _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t: int):
             params.append(_segment_param(base, inf, fam[i]))
         if any(not (params[i] < params[i + 1]) for i in range(len(params) - 1)):
             raise VerificationError(f"{name}: points out of order along the segment")
-        if params and not params[-1] < R(1):
+        if params and not params[-1] < 1:
             raise VerificationError(f"{name}: family overruns the segment")
     b = {i: rot(A[i]) for i in range(2, t + 1)}
     b_inf = rot(a_inf)
@@ -237,11 +237,37 @@ def _point_on_line_at_x(p1: Point, p2: Point, x) -> Point:
     return Point(x, p1.y + slope * (x - p1.x))
 
 
+def _dyadic_between(lo, hi, target):
+    """A dyadic rational strictly inside the open interval (lo, hi), as close
+    to `target` as the chosen grid allows.
+
+    Keeps coordinate denominators bounded where the construction says
+    "place the point anywhere on the open segment".
+    """
+    if not lo < hi:
+        raise ValueError("empty interval")
+    width = hi - lo
+    # Grid step < width/4 so at least two interior grid points exist.
+    e = max(0, (4 * width.denominator).bit_length() - width.numerator.bit_length() + 2)
+    scale = 1 << e
+    base = math.floor(target * scale)
+    for cand in (base, base + 1, base - 1, base + 2):
+        q = Fraction(cand, scale)
+        if lo < q < hi:
+            return q
+    # Target far outside the interval: fall back to the midpoint grid point.
+    mid = math.floor((lo + hi) / 2 * scale)
+    q = Fraction(mid, scale)
+    if lo < q < hi:
+        return q
+    return Fraction(mid + 1, scale)
+
+
 def _build_sr_family(r: int, precision: int):
     """The A and A' families, recursively, and the rotation they use."""
     rot, rot_inv = rotation_cw_2pi3_maps(precision)
-    A = {i: Point(R(x), R(y)) for i, (x, y) in _BASE_A.items()}
-    Ap = {i: Point(R(x), R(y)) for i, (x, y) in _BASE_AP.items()}
+    A = {i: Point(Fraction(x), Fraction(y)) for i, (x, y) in _BASE_A.items()}
+    Ap = {i: Point(Fraction(x), Fraction(y)) for i, (x, y) in _BASE_AP.items()}
     c2, c3 = rot(rot(A[2])), rot(rot(A[3]))
     a_inf = line_intersection(A[2], A[3], c2, c3)
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
@@ -255,14 +281,14 @@ def _build_sr_family(r: int, precision: int):
         _require_interior(b_t, b_inf, x_cut, f"extension t={t}: cut point")
         lo, hi = sorted((x_cut.x, b_inf.x))
         target = x_cut.x + sigma * (b_inf.x - x_cut.x)
-        b_new = _point_on_line_at_x(b_t, b_inf, dyadic_between(lo, hi, target))
+        b_new = _point_on_line_at_x(b_t, b_inf, _dyadic_between(lo, hi, target))
         A[t + 1] = rot_inv(b_new)
 
         y_cut = line_intersection(b_new, a_inf, Ap[t], ap_inf)
         _require_interior(Ap[t], ap_inf, y_cut, f"extension t={t}: prime cut point")
         lo, hi = sorted((y_cut.x, ap_inf.x))
         target = y_cut.x + sigma * (ap_inf.x - y_cut.x)
-        Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, dyadic_between(lo, hi, target))
+        Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, _dyadic_between(lo, hi, target))
         _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t + 1)
 
     return A, Ap, rot
@@ -283,7 +309,7 @@ def _certify_app_slopes(points, r):
     app = [i for i, t in enumerate(tags) if t == "A''"]
     bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
     others = [i for i in range(len(points)) if i not in app]
-    max1 = R(0)
+    max1 = Fraction(0)
     for i in app:
         for j in range(len(points)):
             if j == i or j in bpp_cpp:
@@ -323,9 +349,9 @@ def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
                 )
             seen.add(i)
     points = ps.points
-    cx = sum((p.x for p in points), R(0)) / ps.n
-    cy = sum((p.y for p in points), R(0)) / ps.n
-    eps = R(epsilon)
+    cx = sum((p.x for p in points), Fraction(0)) / ps.n
+    cy = sum((p.y for p in points), Fraction(0)) / ps.n
+    eps = Fraction(epsilon)
     out = list(points)
     for members in families:
         ordered = sorted(members, key=lambda i: (points[i].x, points[i].y))
@@ -348,7 +374,8 @@ def build_sr(cfg: SrConfig) -> SrResult:
     Escalation ladder: the perturbation shrinks by 1/1000 on a failed
     count check (up to 5 times), the flat-family offset doubles until the
     slope certificate passes (up to 60 times), and the rotation precision
-    squares on any structural failure (up to 4 rounds)."""
+    squares on any structural failure (up to 4 rounds; precision 1 gets one
+    round, since squaring leaves it at 1)."""
     last_err = None
     precision = cfg.precision
     for _ in range(4):
@@ -358,6 +385,8 @@ def build_sr(cfg: SrConfig) -> SrResult:
             # A degenerate intersection mid-build means the rotation was too
             # coarse; treat it like any other certificate failure.
             last_err = exc
+            if precision == 1:  # squaring cannot raise it: a retry would repeat this build
+                break
             precision = precision * precision
     raise VerificationError(
         f"S_{cfg.r} could not be certified after precision escalation: {last_err}"
@@ -374,13 +403,13 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     inner_c = [rot(p) for p in inner_b]
     min_inner_x = min(p.x for p in inner_a + inner_b + inner_c)
 
-    far = R(cfg.far_factor)
+    far = Fraction(cfg.far_factor)
     certified = None
     for _ in range(60):
         if not -far < min_inner_x:  # -far is the rightmost A'' point
             far = far * 2
             continue
-        app_a = [Point(-far * (1 << (r - i)), R(0)) for i in range(1, r + 1)]
+        app_a = [Point(-far * (1 << (r - i)), Fraction(0)) for i in range(1, r + 1)]
         app_b = [rot(p) for p in app_a]
         pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
         ok, max1, min2, inner_block = _certify_app_slopes(pts, r)
@@ -399,7 +428,7 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
     pts, max1, min2 = certified
     raw = PointSet(pts)
 
-    eps = R(cfg.perturbation_epsilon)
+    eps = Fraction(cfg.perturbation_epsilon)
     failure = None
     for _ in range(5):
         ps = perturb_collinear_families(raw, eps)
@@ -452,8 +481,8 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointS
     for attempt in range(6):
         scale = precision * 10**attempt
         ring = _ring(q, scale, phase=1.0 / (7 + attempt))
-        pts = [Point(R(x), R(y)) for x, y in ring]
-        pts += [Point(R(j), R(j * j)) for j in range(1, c + 1)]
+        pts = [Point(Fraction(x), Fraction(y)) for x, y in ring]
+        pts += [Point(Fraction(j), Fraction(j * j)) for j in range(1, c + 1)]
         try:
             ps = PointSet(pts).require_general_position()
             h = halfperiod_from_points(ps, tie_break=True)
@@ -487,11 +516,11 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
     for attempt in range(6):
         scale = precision * 10**attempt
         ring = _ring(q, scale, phase=1.0 / (11 + attempt))
-        shrink = R(1, 100 * (attempt + 1))
-        wobble = R(1, 10**4)
+        shrink = Fraction(1, 100 * (attempt + 1))
+        wobble = Fraction(1, 10**4)
         pts = []
         for x, y in ring:
-            vx, vy = R(x), R(y)
+            vx, vy = Fraction(x), Fraction(y)
             for j in range(m):
                 radial = 1 - j * shrink
                 px = vx * radial - vy * (j * j) * wobble / scale

@@ -40,7 +40,6 @@ from math import comb, inf
 from .circseq import Halfperiod, halfperiod_from_points
 from .errors import GeneralPositionError, InputError
 from .geom import PointSet, _ratio_key, _sort_exact
-from .rat import R, as_int
 
 
 @dataclass(frozen=True)
@@ -254,26 +253,28 @@ def crossings_bruteforce(ps: PointSet) -> int:
     return count
 
 
-def identity_leq_form(n: int, leq_values) -> object:
-    """The E_{<=k} form of the identity as an exact rational:
+def identity_leq_form(n: int, leq_values) -> int:
+    """The E_{<=k} form of the identity, an exact integer:
 
         sum_{k=0}^{floor(n/2)-2} (n-2k-3) L_k - (3/4) C(n,3)
         + (1 + (-1)^(n+1)) (1/8) C(n,2)
 
     where L_k are the supplied values for E_{<=k}.  Also used by the bounds
-    pipeline with per-k lower bounds in place of true counts.
+    pipeline with per-k lower bounds in place of true counts.  The value is
+    evaluated as eight times itself; a remainder mod 8 is a kernel bug, so it
+    raises AssertionError.
     """
     top = n // 2 - 2
     leq_values = list(leq_values)
     if len(leq_values) < top + 1:
         raise InputError(f"need E_<=k values for k = 0..{top}")
-    total = R(0)
-    for k in range(top + 1):
-        total += (n - 2 * k - 3) * R(leq_values[k])
-    total -= R(3, 4) * comb(n, 3)
+    eight = 8 * sum((n - 2 * k - 3) * leq_values[k] for k in range(top + 1)) - 6 * comb(n, 3)
     if n % 2 == 1:
-        total += R(comb(n, 2), 4)
-    return total
+        eight += 2 * comb(n, 2)
+    value, rem = divmod(eight, 8)
+    if rem:
+        raise AssertionError(f"E_<=k identity is not an integer: {eight}/8")
+    return value
 
 
 def crossings_from_edge_vector(v: EdgeVector) -> tuple[int, int]:
@@ -284,7 +285,7 @@ def crossings_from_edge_vector(v: EdgeVector) -> tuple[int, int]:
     form1 = 3 * comb(n, 4) - sum(
         k * (n - k - 2) * ek for k, ek in enumerate(v.counts)
     )
-    form2 = as_int(identity_leq_form(n, v.e_leq))
+    form2 = identity_leq_form(n, v.e_leq)
     return form1, form2
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from .errors import InputError
 from .geom import Point, PointSet
-from .rat import R
 
 
 def random_general_position_set(n: int, rng: random.Random, box: int | None = None) -> PointSet:
@@ -20,7 +20,7 @@ def random_general_position_set(n: int, rng: random.Random, box: int | None = No
         coords = {(rng.randrange(box), rng.randrange(box)) for _ in range(n)}
         if len(coords) != n:
             continue
-        ps = PointSet([Point(R(x), R(y)) for x, y in sorted(coords)])
+        ps = PointSet([Point(Fraction(x), Fraction(y)) for x, y in sorted(coords)])
         if ps.general_position:
             return ps
     raise InputError(f"could not draw a general-position {n}-set (box={box})")
@@ -34,7 +34,8 @@ def convex_polygon_set(n: int, scale: int = 10**9, phase: float = 0.37) -> Point
     pts = []
     for i in range(n):
         ang = 2 * math.pi * i / n + phase
-        pts.append(Point(R(round(math.cos(ang) * scale)), R(round(math.sin(ang) * scale))))
+        pts.append(Point(Fraction(round(math.cos(ang) * scale)),
+                         Fraction(round(math.sin(ang) * scale))))
     ps = PointSet(pts).require_general_position()
     for i in range(n):
         if orientation(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) <= 0:

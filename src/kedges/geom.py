@@ -2,7 +2,9 @@
 
 Points carry exact rational coordinates; the orientation predicate is the
 sign of an exactly evaluated 2x2 determinant, so every downstream count
-(side counts, convex-position tests, sweep orders) is exact.  Floats
+(side counts, convex-position tests, sweep orders) is exact.  Every
+rational in the package is a fractions.Fraction (or an int), and str()
+of either is the canonical "p" or "p/q" text the point files use.  Floats
 appear only as sort keys, in an exact filter (Shewchuk 1997): a key is
 the correctly rounded quotient of two ints (CPython's int / int), and
 rounding is monotone, so keys that differ order their exact values the
@@ -40,11 +42,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from fractions import Fraction
 from itertools import combinations, groupby
-from math import inf, lcm
+from math import inf, isqrt, lcm
 
 from .errors import GeneralPositionError, InputError, PointFileError
-from .rat import R, fmt, sqrt3_floor
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,12 @@ class Point:
     y: object
 
     def __repr__(self):
-        return f"Point({fmt(R(self.x))}, {fmt(R(self.y))})"
+        return f"Point({self.x}, {self.y})"
 
 
 def P(x, y) -> Point:
     """Point constructor that coerces ints/strings to exact rationals."""
-    return Point(R(x), R(y))
+    return Point(Fraction(x), Fraction(y))
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -300,15 +302,16 @@ def rotation_cw_2pi3_maps(precision: int):
     """The clockwise 2*pi/3 rotation as an exact rational matrix pair.
 
     Returns (apply, apply_inverse) where apply is built from a rational
-    sqrt(3) approximation s (|s - sqrt3| < 1/precision):
+    sqrt(3) approximation s = floor(sqrt(3) precision) / precision, so
+    0 <= sqrt3 - s < 1/precision (precision >= 1, which callers check):
 
         apply(x, y)  = (-x/2 + (s/2) y, -(s/2) x - y/2)
 
     apply_inverse is the exact matrix inverse of apply, so
     apply(apply_inverse(p)) == p holds exactly despite the approximation.
     """
-    s = sqrt3_floor(precision)
-    half = R(1, 2)
+    s = Fraction(isqrt(3 * precision * precision), precision)
+    half = Fraction(1, 2)
     a, b = -half, s * half          # row 1: (a, b)
     c, d = -s * half, -half         # row 2: (c, d)
     det = a * d - b * c
@@ -344,7 +347,7 @@ def _parse_coord(tok: str, lineno: int):
     if not _COORD_RE.match(tok):
         raise PointFileError(f"line {lineno}: bad coordinate {_excerpt(tok)}")
     try:
-        return R(tok)
+        return Fraction(tok)
     except ZeroDivisionError:
         raise PointFileError(f"line {lineno}: zero denominator in {_excerpt(tok)}") from None
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
@@ -389,6 +392,6 @@ def write_points(path, ps: PointSet, header: str | None = None):
                     fh.write(f"# {line}\n")
             fh.write(f"{ps.n}\n")
             for p in ps:
-                fh.write(f"{fmt(R(p.x))} {fmt(R(p.y))}\n")
+                fh.write(f"{p.x} {p.y}\n")
     except OSError as exc:
         raise PointFileError(f"cannot write {path}: {exc}") from None

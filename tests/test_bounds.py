@@ -1,5 +1,6 @@
 """Bound formulas, recursions, pipelines, and exact bracket checks."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -17,7 +18,6 @@ from kedges.bounds import (
     u_sequence,
 )
 from kedges.errors import InputError
-from kedges.rat import R
 
 
 def test_aichholzer_anchors():
@@ -82,7 +82,7 @@ def test_halving_upper_bound_anchors():
     for n, v in table2.items():
         assert halving_upper_bound(n) == v
     # n = 29 lands exactly on 1926/18 = 107: the floor boundary case
-    assert R(26 * 74, 18) + R(1, 9) == 107
+    assert Fraction(26 * 74, 18) + Fraction(1, 9) == 107
     with pytest.raises(InputError):
         halving_upper_bound(7)
 
@@ -118,9 +118,9 @@ def test_u_prime_sequence():
 
 def test_asymptotic_constants():
     rep = asymptotic_constants()
-    assert rep["integral1"] == R(86, 243)
-    assert rep["integral2"] == R(19, 729)
-    assert rep["sum"] == R(277, 729)
+    assert rep["integral1"] == Fraction(86, 243)
+    assert rep["integral2"] == Fraction(19, 729)
+    assert rep["sum"] == Fraction(277, 729)
     assert rep["crossing_constant_exceeds_0.379972"]
     assert rep["three_decomposable_exceeds_0.380029"]
 

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -26,7 +27,6 @@ from kedges.circseq import (
 from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
-from kedges.rat import R
 
 
 def test_blocks_convex_hexagon():
@@ -126,7 +126,7 @@ def test_verify_central_convex_hexagon():
     h = halfperiod_from_points(convex_polygon_set(6), tie_break=True)
     rep = verify_central(h, 2)
     assert rep.K == 6 and rep.E_geq_k == 3
-    assert rep.bound_value == (6 - 5) * 6 - R(rep.s, 2) * (6 - 6 + 1)
+    assert rep.bound_value == (6 - 5) * 6 - Fraction(rep.s, 2) * (6 - 6 + 1)
     assert rep.holds and rep.all_ok
 
 

@@ -80,7 +80,7 @@ def test_pairs_cover_everything():
     for _ in range(10):
         ps = random_general_position_set(rng.randrange(5, 10), rng)
         h = halfperiod_from_points(ps, tie_break=True)
-        pairs = {t.pair_set for t in h.transpositions}
+        pairs = {frozenset(t.pair) for t in h.transpositions}
         assert len(pairs) == comb(ps.n, 2)
         assert validate_allowable(h) == []
 

@@ -179,6 +179,35 @@ def test_construct_sr_bytes_are_pinned(flags, digest, tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+# The witness directions of S_3's letter partition: rationals printed as
+# "p/q" text, pinned character for character.
+S3_DECOMPOSE3_STDOUT = (
+    "part 1 between the others along direction "
+    "(150022004734789386321187/312500000000000000000, "
+    "155273587795987638279722889/1562500000000000000000)\n"
+    "part 2 between the others along direction "
+    "(-11613038367822243122312897/135316469341250000000, "
+    "125258253176473/2500000000)\n"
+    "part 3 between the others along direction "
+    "(2919499950372461389973367751975819817/33829117335312500000000000000000, "
+    "7698717956182461872312897/156250000000000000000)\n"
+)
+
+
+def test_decompose3_stdout_is_pinned(s3, tmp_path, capsys):
+    path = tmp_path / "s3.pts"
+    write_points(path, s3.perturbed)
+    assert main(["decompose3", str(path), "--partition", "1-9/10-18/19-27"]) == 0
+    assert capsys.readouterr().out == S3_DECOMPOSE3_STDOUT
+
+
+def test_classify_bound_value_prints_as_p_over_q(tmp_path, capsys):
+    path = tmp_path / "heptagon.pts"
+    write_points(path, convex_polygon_set(7))
+    assert main(["classify", str(path), "--k", "1", "--tie-break"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound_value"] == "53/2"
+
+
 def test_construct_polygon_center(tmp_path, capsys):
     out_file = str(tmp_path / "pc.pts")
     assert main(["construct", "polygon-center", "--k", "3", "--n", "9", "-o", out_file]) == 0

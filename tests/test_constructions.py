@@ -340,6 +340,24 @@ def test_sr_verification_failure_reports():
         build_sr(SrConfig(r=3, precision=1))
 
 
+def test_sr_precision_one_is_built_once(monkeypatch):
+    # squaring leaves precision 1 at 1, so a retry would repeat the same build
+    import kedges.constructions as constructions
+    from kedges.errors import VerificationError
+
+    calls = []
+    build_once = constructions._build_sr_once
+
+    def counted(cfg, precision):
+        calls.append(precision)
+        return build_once(cfg, precision)
+
+    monkeypatch.setattr(constructions, "_build_sr_once", counted)
+    with pytest.raises(VerificationError, match="could not be certified"):
+        build_sr(SrConfig(r=3, precision=1))
+    assert calls == [1]
+
+
 def test_sr_escalation_recovers_from_coarse_precision():
     # a coarse but squarable precision self-heals and still certifies
     res = build_sr(SrConfig(r=3, precision=2))

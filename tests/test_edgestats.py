@@ -1,6 +1,7 @@
 """Edge vectors, crossing counts, and the linking identity."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -18,7 +19,6 @@ from kedges.edgestats import (
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
 from kedges.geom import P, PointSet
-from kedges.rat import as_int
 
 
 def test_convex_small_vectors():
@@ -66,7 +66,10 @@ def test_identity_hand_evaluation_n6():
 def test_identity_leq_form_lower_bound_vector_n24():
     # the worked bound pipeline value: entry-wise lower bounds for E_<=k
     leq = [3, 9, 18, 30, 45, 63, 84, 108, 138, 174, 225]
-    assert as_int(identity_leq_form(24, leq)) == 3699
+    assert identity_leq_form(24, leq) == 3699
+    # a value that is not a whole number is a kernel bug, not bad input
+    with pytest.raises(AssertionError, match="not an integer"):
+        identity_leq_form(24, [Fraction(1, 16)] + leq[1:])
 
 
 def test_identity_on_random_sets():

@@ -16,7 +16,6 @@ from kedges.geom import (
     rotation_cw_2pi3_maps,
     write_points,
 )
-from kedges.rat import R, fmt
 
 
 def test_orientation_basic():
@@ -50,7 +49,8 @@ def test_orientation_degenerate_pair():
 
 
 def test_line_intersection_examples():
-    assert line_intersection(P(0, 0), P(1, 1), P(0, 1), P(1, 0)) == P(R(1, 2), R(1, 2))
+    half = Fraction(1, 2)
+    assert line_intersection(P(0, 0), P(1, 1), P(0, 1), P(1, 0)) == P(half, half)
     assert line_intersection(P(0, 0), P(2, 0), P(1, -1), P(1, 1)) == P(1, 0)
     with pytest.raises(InputError, match="no unique intersection"):
         line_intersection(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
@@ -139,18 +139,19 @@ def test_pointset_rejects_duplicates_and_certifies():
     assert str(exc.value) == "not in general position: 6 collinear triple(s), first (0, 3, 6)"
 
 
-def test_rational_canonical_equality():
-    assert R(2, 4) == R(1, 2)
-    assert fmt(R(2, 4)) == "1/2"
-    assert fmt(R(-6, 3)) == "-2"
-    assert P(R(2, 4), 0) == P(R(1, 2), 0)
+def test_rational_canonical_equality(tmp_path):
+    assert Fraction(2, 4) == Fraction(1, 2)
+    assert P(Fraction(2, 4), 0) == P(Fraction(1, 2), 0)
+    path = tmp_path / "canonical.txt"
+    write_points(path, PointSet([P(Fraction(2, 4), Fraction(-6, 3)), P("4/8", 0), P(1, "-3/1")]))
+    assert path.read_text() == "3\n1/2 -2\n1/2 0\n1 -3\n"
 
 
 def test_rotation_unit_vector():
     rotate = rotation_cw_2pi3_maps(10**12)[0]
     q = rotate(P(1, 0))
-    assert abs(float(R(q.x)) - (-0.5)) < 1e-12
-    assert abs(float(R(q.y)) - (-(3 ** 0.5) / 2)) < 1e-12
+    assert abs(float(q.x) - (-0.5)) < 1e-12
+    assert abs(float(q.y) - (-(3 ** 0.5) / 2)) < 1e-12
     assert rotate(P(0, 0)) == P(0, 0)
 
 
@@ -167,12 +168,12 @@ def test_rotation_approx_of_base_point():
     b1 = rotation_cw_2pi3_maps(10**12)[0](P(-700, -50))
     want_x = -700 * math.cos(2 * math.pi / 3) - 50 * math.sin(2 * math.pi / 3)
     want_y = 700 * math.sin(2 * math.pi / 3) - 50 * math.cos(2 * math.pi / 3)
-    assert abs(float(R(b1.x)) - want_x) < 1e-8
-    assert abs(float(R(b1.y)) - want_y) < 1e-8
+    assert abs(float(b1.x) - want_x) < 1e-8
+    assert abs(float(b1.y) - want_y) < 1e-8
 
 
 def test_point_file_roundtrip(tmp_path):
-    ps = PointSet([P(0, 0), P(R(1, 3), R(-2, 7)), P(-5, 4)])
+    ps = PointSet([P(0, 0), P(Fraction(1, 3), Fraction(-2, 7)), P(-5, 4)])
     path = tmp_path / "pts.txt"
     write_points(path, ps, header="roundtrip fixture")
     back = read_points(path)

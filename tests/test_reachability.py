@@ -13,7 +13,7 @@ TESTS = Path(__file__).resolve().parent
 # Test oracles and the halfperiod tools the property tests use; nothing in
 # the package calls them.
 TEST_SUPPORT = ("k_center", "rotate_halfperiod", "reverse_halfperiod", "write_halfperiod",
-                "edge_vector_bruteforce", "convex_polygon_set", "P")
+                "edge_vector_bruteforce", "collinear_triples", "convex_polygon_set", "P")
 
 
 def _modules():
@@ -22,17 +22,23 @@ def _modules():
 
 
 def _referenced(modules) -> set:
-    """Every name read (Name), looked up (Attribute) or imported (ImportFrom)
-    by a package module other than __init__.py."""
+    """Every name read (Name), looked up on an imported module (Attribute,
+    such as `bnd.bound_table`) or imported (ImportFrom) by a package module
+    other than __init__.py.  An attribute of any other object (`ps.name`)
+    is a method or property, not a module-level name."""
     names = set()
     for filename, tree in modules.items():
         if filename == "__init__.py":
             continue
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in imported:
+                    names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
     return names
@@ -66,3 +72,13 @@ def test_test_support_names_are_test_only_and_used():
         assert name in defined, name
         assert name not in referenced, f"{name} is reached from the package; drop it here"
         assert f"{name}(" in tests, f"{name} is used by no test"
+
+
+def test_attribute_of_a_non_module_is_not_a_reference():
+    source = ("from . import geom\n"
+              "def oracle(): ...\n"
+              "def use(ps):\n"
+              "    return ps.oracle, geom.kernel\n")
+    referenced = _referenced({"m.py": ast.parse(source)})
+    assert "oracle" not in referenced
+    assert "kernel" in referenced
