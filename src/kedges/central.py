@@ -27,17 +27,20 @@ Terminology (for a fixed k, writing K = E_{k-1}):
 * weight w(tau_j) = number of center transpositions in B_j not joining
   two C_0 labels; light means w <= n-2k-1-s.
 
-classify states these definitions in one pass over the blocks: each block
-is weighed over its own slice of transpositions, the C_0 overlap behind
-aug_m is a running count over the k-critical transpositions, and the
-cutting test reads the next k-critical boundary of each entering label
-from one backward pass over the same list.
+critical_records states the class rules once, for tau_1..tau_K only:
+each block is weighed over its own slice of transpositions, the C_0
+overlap behind aug_m is a running count over the k-critical
+transpositions, and the cutting test reads the next k-critical boundary
+of each entering label from one backward pass over the same list.
+classify adds the center and outer records around them.
 
 The verifier recomputes everything from scratch on each call and checks
 the inequality together with the per-class weight bounds, the cutting
 bound 2C <= 4k + K - n + s, the augmenting coverage, and the two summed
-inequalities the final calculation rests on.  All of these must hold on
-every valid halfperiod; a violation indicates a bug, never bad data.
+inequalities the final calculation rests on.  It reads only the K
+k-critical records of the rearranged halfperiod (critical_records), never
+the full C(n,2)-record classification.  All of these must hold on every
+valid halfperiod; a violation indicates a bug, never bad data.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .circseq import Halfperiod, Transposition, _check_k, compute_s, require_valid
 from .edgestats import edge_vector_from_halfperiod
@@ -63,8 +67,7 @@ class Block:
     boundary: str | None  # "k" or "n-k" for j >= 1
 
 
-@dataclass(frozen=True)
-class TranspositionRecord:
+class TranspositionRecord(NamedTuple):
     step: int
     position: int
     pair: tuple[int, int]
@@ -90,25 +93,18 @@ def blocks(h: Halfperiod, k: int) -> list[Block]:
     return out
 
 
-def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[TranspositionRecord]:
-    """Per-transposition records: block membership, class, weight, and
-    essentiality, straight from the definitions, one block of blocks(h, k)
-    at a time.
+def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionRecord]:
+    """The records of tau_1..tau_K, the k-critical transpositions, in order.
 
     tau_j's weight counts the center transpositions in B_j's own slice
     that do not join two C_0 labels; aug_m is the C_0 overlap right after
     tau_j, a running count over h.k_critical(k); the cutting test compares
     tau_j's boundary with the next k-critical boundary p_j stands at, read
-    off one backward pass over the same list.
-
-    Heaviness needs s(k, pi); it is computed here unless the caller passes
-    it in (verify_central reuses the original halfperiod's value, which
-    rearrangement provably preserves).
+    off one backward pass over the same list.  Heaviness compares the
+    weight with n-2k-1-s for the given s = s(k, pi).
     """
     _check_k(h.n, k)
     n = h.n
-    if s_value is None:
-        s_value = compute_s(h, k)
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
     crit = list(h.k_critical(k))
@@ -120,46 +116,69 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
         next_boundary[j] = upcoming.get(entering)
         upcoming[entering] = upcoming[leaving] = boundary
 
+    trans = h.transpositions
+    ends = [c[0] for c in crit[1:]] + [len(trans)]
+    light_max = n - 2 * k - 1 - s_value
     records = []
     overlap = len(c0)
-    for b in blocks(h, k):
-        ts = h.transpositions[b.start : b.end]
-        if b.index:
-            _idx, boundary, p, leaving = crit[b.index - 1]
-            overlap += (p in c0) - (leaving in c0)
-            w = sum(
-                k < t.position < n - k and not (t.pair[0] in c0 and t.pair[1] in c0)
-                for t in ts
-            )
-            aug_m = None
-            if p in c0:
-                if leaving in c0:
-                    cls = "arriving-neutral"
-                else:
-                    cls = "arriving-augmenting"
-                    aug_m = overlap
-            elif (boundary == "k") == (p not in l0):
-                cls = "returning"
-            elif next_boundary[b.index - 1] not in (None, boundary):
-                cls = "departing-cutting"
+    for j, ((idx, boundary, p, leaving), end) in enumerate(zip(crit, ends)):
+        overlap += (p in c0) - (leaving in c0)
+        w = 0
+        for _step, pos, pair in trans[idx + 1 : end]:
+            if k < pos < n - k and not (pair[0] in c0 and pair[1] in c0):
+                w += 1
+        aug_m = None
+        if p in c0:
+            if leaving in c0:
+                cls = "arriving-neutral"
             else:
-                cls = "departing-stalling"
-            t = ts[0]
-            records.append(
-                TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=b.index,
-                    kind="k-critical", cls=cls, entering=p, boundary=boundary,
-                    aug_m=aug_m, weight=w, heavy=w > n - 2 * k - 1 - s_value,
-                    essential=True,
-                )
+                cls = "arriving-augmenting"
+                aug_m = overlap
+        elif (boundary == "k") == (p not in l0):
+            cls = "returning"
+        elif next_boundary[j] not in (None, boundary):
+            cls = "departing-cutting"
+        else:
+            cls = "departing-stalling"
+        t = trans[idx]
+        records.append(
+            TranspositionRecord(
+                step=t.step, position=t.position, pair=t.pair, block_index=j + 1,
+                kind="k-critical", cls=cls, entering=p, boundary=boundary,
+                aug_m=aug_m, weight=w, heavy=w > light_max, essential=True,
             )
-            ts = ts[1:]
-        for t in ts:
+        )
+    return records
+
+
+def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[TranspositionRecord]:
+    """Per-transposition records: block membership, class, weight, and
+    essentiality, straight from the definitions, one block of blocks(h, k)
+    at a time.  Each block opens with its k-critical record from
+    critical_records; every other transposition is a center or outer one,
+    essential unless it sits in the center of B_j (j >= 1) without p_j.
+
+    Heaviness needs s(k, pi); it is computed here unless the caller passes
+    it in.
+    """
+    _check_k(h.n, k)
+    n = h.n
+    if s_value is None:
+        s_value = compute_s(h, k)
+    crit = critical_records(h, k, s_value)
+    trans = h.transpositions
+    records = []
+    for b in blocks(h, k):
+        start = b.start
+        if b.index:
+            records.append(crit[b.index - 1])
+            start += 1
+        for t in trans[start : b.end]:
             center = k < t.position < n - k
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=b.index,
-                    kind="center" if center else "outer", cls="non-critical",
+                    t.step, t.position, t.pair, b.index,
+                    "center" if center else "outer", "non-critical",
                     essential=not center or b.index == 0 or b.entering in t.pair,
                 )
             )
@@ -340,7 +359,7 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
     lam = rearrange_essential(h, k)
     if compute_s(lam, k) != s:
         raise RearrangementError("rearrangement changed s(k, pi)")
-    records = [r for r in classify(lam, k, s_value=s) if r.kind == "k-critical"]
+    records = critical_records(lam, k, s)
 
     tallies = {"A": 0, "N": 0, "R": 0, "C": 0, "S_light": 0, "S_heavy": 0}
     for r in records:

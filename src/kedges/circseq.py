@@ -17,17 +17,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .errors import DirectionTieError, InputError
 from .geom import PointSet, _ratio_key, _sort_exact
 
 
-@dataclass(frozen=True)
-class Transposition:
+class Transposition(NamedTuple):
     """One adjacent swap: slots (position, position+1), 1-based.
 
     `pair` is (left_label, right_label) as they stood immediately before
-    the swap; step is the 1-based index within the halfperiod.
+    the swap; step is the 1-based index within the halfperiod.  A halfperiod
+    holds C(n,2) of them, so each is a plain immutable tuple.
     """
 
     step: int
@@ -138,29 +139,29 @@ def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
             f"expected C({n},2) = {expected} transpositions, found {len(h.transpositions)}"
         )
     perm = list(h.initial)
-    seen: dict[frozenset, int] = {}
-    for idx, t in enumerate(h.transpositions):
-        if t.step != idx + 1:
-            report.append(f"step {idx + 1}: recorded step number {t.step}")
-        if not 1 <= t.position <= n - 1:
-            report.append(f"step {idx + 1}: position {t.position} out of range 1..{n - 1}")
+    seen: dict[tuple[int, int], int] = {}  # keyed by the sorted label pair
+    for idx, (step, position, pair) in enumerate(h.transpositions):
+        if step != idx + 1:
+            report.append(f"step {idx + 1}: recorded step number {step}")
+        if not 1 <= position <= n - 1:
+            report.append(f"step {idx + 1}: position {position} out of range 1..{n - 1}")
             continue
-        j = t.position - 1
-        here = (perm[j], perm[j + 1])
+        j = position - 1
+        a, b = here = perm[j], perm[j + 1]
         if slots is not None:
             slots.append(here)
-        if set(here) != set(t.pair):
+        if here != pair and here != pair[::-1] and set(here) != set(pair):
             report.append(
-                f"step {idx + 1}: recorded pair {t.pair} but slots hold {here}"
+                f"step {idx + 1}: recorded pair {pair} but slots hold {here}"
             )
-        key = frozenset(here)
+        key = here if a < b else (b, a)
         if key in seen:
             report.append(
-                f"step {idx + 1}: pair {tuple(sorted(key))} swapped again (first at step {seen[key]})"
+                f"step {idx + 1}: pair {key} swapped again (first at step {seen[key]})"
             )
         else:
             seen[key] = idx + 1
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+        perm[j], perm[j + 1] = b, a
     if perm != list(reversed(h.initial)):
         report.append("final permutation is not the reverse of the initial one")
     return report

@@ -46,36 +46,57 @@ from .geom import read_points, write_points
 from .selftest import run_scope
 
 
+def _float_text(obj) -> str:
+    if math.isfinite(obj):
+        return float.__repr__(obj)
+    raise TypeError(f"{obj!r} has no JSON text")
+
+
+# JSON text of a scalar by its exact type; a subclass (an IntEnum, say) takes
+# the isinstance chain in _json_text instead.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): lambda _obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
 def _json_text(obj, pad="\n") -> str:
     """The text of json.dumps(obj, indent=2) without json's pure-Python
     indent encoder.  Types are taken in json's order, so a bool never prints
     as an int; a non-finite float, a non-str dict key (encode_basestring_ascii
     rejects it) or any other type raises TypeError.  Reports are trees, so
-    there is no cycle check."""
+    there is no cycle check.  A list or dict renders its scalar items
+    through _SCALAR_TEXT in place, without a call per item."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    # A scalar that misses is a str, int or float subclass (None and bool have none).
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        raise TypeError(f"{obj!r} has no JSON text")
+        return _float_text(obj)
     inner = pad + "  "
+    get = _SCALAR_TEXT.get
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(v, inner) for v in obj]
+        items = [
+            f(v) if (f := get(type(v))) is not None else _json_text(v, inner) for v in obj
+        ]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (f(v) if (f := get(type(v))) is not None else _json_text(v, inner))
+            for k, v in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

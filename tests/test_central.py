@@ -1,6 +1,7 @@
 """Blocks, classification, rearrangement, and the central inequality."""
 
 import functools
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kedges.central as central
 import kedges.circseq as circseq
 from kedges.central import (
     TranspositionRecord,
     blocks,
     classify,
+    critical_records,
     rearrange_essential,
     verify_central,
 )
@@ -23,7 +26,9 @@ from kedges.circseq import (
     compute_s,
     halfperiod_from_points,
     validate_allowable,
+    write_halfperiod,
 )
+from kedges.cli import main
 from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
@@ -427,3 +432,40 @@ def test_classification_matches_per_index_reference(h, salt):
         for g in (h, rearrange_essential(h, k)):
             assert classify(g, k) == ref_classify(g, k), (h.n, k)
             assert classify(g, k, s_value=s_other) == ref_classify(g, k, s_other), (h.n, k)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(halfperiods())
+def test_critical_records_are_the_k_critical_records_of_classify(h):
+    for k in range(1, (h.n - 1) // 2 + 1):
+        for g in (h, rearrange_essential(h, k)):
+            s = compute_s(g, k)
+            want = [r for r in classify(g, k, s_value=s) if r.kind == "k-critical"]
+            assert critical_records(g, k, s) == want, (h.n, k)
+
+
+def test_verify_central_builds_no_full_classification(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify_central called classify")
+
+    monkeypatch.setattr(central, "classify", refuse)
+    h = _reduced_word(14, random.Random(71))
+    for k in range(1, 7):
+        assert verify_central(h, k).all_ok, k
+
+
+# sha256 of `classify --halfperiod` stdout on one seeded n = 40 reduced word.
+CLASSIFY_N40_SHA256 = {
+    1: "62b8b4b373ce8c5272fc8cfbd8f7ba8485b7ad6ba34d4281fb00bdfc1b13603b",
+    7: "6aef75902bd86c712e05324844856c618b1599ff673b5750b9f8452e3417edcc",
+    19: "ca8608d42d9b071accf9d28601681f80d16e33fb0db02e58fd6b7b033bf744e2",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CLASSIFY_N40_SHA256))
+def test_classify_stdout_on_a_large_word_is_pinned(k, tmp_path, capsys):
+    path = tmp_path / "w40.hp"
+    write_halfperiod(path, _reduced_word(40, random.Random(83)))
+    assert main(["classify", str(path), "--halfperiod", "--k", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_N40_SHA256[k]

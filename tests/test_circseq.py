@@ -62,6 +62,77 @@ def test_validate_flags_corruption():
     assert any("reverse" in v for v in report)
 
 
+def _word(initial, positions):
+    """The transpositions at `positions` from `initial`, each recording the
+    labels that stand in its slots."""
+    perm, ts = list(initial), []
+    for step, pos in enumerate(positions, start=1):
+        ts.append(Transposition(step, pos, (perm[pos - 1], perm[pos])))
+        perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
+    return ts
+
+
+FINAL = "final permutation is not the reverse of the initial one"
+# A valid n = 4 halfperiod from the identity; it ends at (4, 3, 2, 1).
+VALID4 = _word((1, 2, 3, 4), [2, 1, 3, 2, 1, 3])
+
+
+def test_validate_message_initial_not_a_permutation():
+    bad = Halfperiod(4, (1, 2, 2, 4), tuple(VALID4))
+    assert validate_allowable(bad) == ["initial is not a permutation of 1..4"]
+
+
+def test_validate_message_transposition_count():
+    extra = _word((1, 2, 3), [1, 2, 1, 1])
+    assert validate_allowable(Halfperiod(3, (1, 2, 3), tuple(extra))) == [
+        "expected C(3,2) = 3 transpositions, found 4",
+        "step 4: pair (2, 3) swapped again (first at step 3)",
+        FINAL,
+    ]
+
+
+def test_validate_message_recorded_step_number():
+    ts = list(VALID4)
+    ts[2] = Transposition(7, ts[2].position, ts[2].pair)
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
+        "step 3: recorded step number 7"
+    ]
+
+
+def test_validate_message_position_out_of_range():
+    ts = list(VALID4)
+    ts[5] = Transposition(6, 0, ts[5].pair)
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
+        "step 6: position 0 out of range 1..3",
+        FINAL,
+    ]
+
+
+def test_validate_message_recorded_pair_not_in_slots():
+    ts = list(VALID4)
+    ts[0] = Transposition(1, 2, (2, 4))
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
+        "step 1: recorded pair (2, 4) but slots hold (2, 3)"
+    ]
+    ts[0] = Transposition(1, 2, (3, 2))  # the slot pair in either order is no violation
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == []
+
+
+def test_validate_message_pair_swapped_again():
+    ts = _word((1, 2, 3, 4), [2, 2, 1, 3, 2, 1])
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
+        "step 2: pair (2, 3) swapped again (first at step 1)",
+        FINAL,
+    ]
+
+
+def test_validate_message_final_permutation():
+    assert validate_allowable(Halfperiod(2, (1, 2), ())) == [
+        "expected C(2,2) = 1 transpositions, found 0",
+        FINAL,
+    ]
+
+
 def test_hand_built_abstract_halfperiod():
     # n = 4, positions [2, 1, 3, 2, 1, 3] starting from the identity.
     positions = [2, 1, 3, 2, 1, 3]

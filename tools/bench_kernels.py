@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Time the point-set kernels and a few CLI calls of one kedges source tree.
+"""Time the point-set kernels, the halfperiod kernels and a few CLI calls of
+one kedges source tree.
 
     python3 tools/bench_kernels.py --src DIR --label NAME -o FILE
 
 DIR is a source checkout (kedges is imported from DIR/src).  Each figure
-is the median wall time in seconds of REPEATS (5) runs:
+is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
+(31) runs for the halfperiod kernels, which take milliseconds each:
 
 * kernels, in this process, on the S_5, S_10 and S_20 sets that DIR's
   build_sr emits: `PointSet.angles` on a fresh PointSet (the event sort),
   and `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
   whose event sort is already cached, so each figure is that kernel's own
   work.  A kernel the tree does not have is recorded as null.
+* halfperiod kernels, in this process, on one seeded random reduced word
+  with n = 48 and k = 8 (the top stratum of the perfbench `abstract`
+  workload): `read_halfperiod` of its file, `validate_allowable`,
+  `rearrange_essential`, `verify_central` and `classify` on the read
+  halfperiod (its axiom walk already cached), `cli._json_text` of the
+  `classify --halfperiod` report, and that whole command through
+  `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes.
 
@@ -22,23 +31,29 @@ kept, so two trees can be compared in one file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
 SIZES = (5, 10, 20)
 REPEATS = 5
+WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
+WORD_REPEATS = 31
 
 
-def median_time(fn) -> float:
+def median_time(fn, repeats=REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = perf_counter()
         fn()
         times.append(perf_counter() - t0)
@@ -63,6 +78,52 @@ def kernel_times() -> dict:
         row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
         out[f"S_{r}"] = row
     return out
+
+
+def reduced_word_text(n: int, seed: int) -> str:
+    """Halfperiod file text of a seeded random reduced word of the reversal
+    of 1..n: from the identity, swap a random adjacent ascent until the
+    order is reversed.  Built here, so every tree reads the same bytes."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    lines = [str(n), " ".join(map(str, perm))]
+    for step in range(1, comb(n, 2) + 1):
+        j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
+        lines.append(f"{step} {j + 1} {perm[j]} {perm[j + 1]}")
+        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    return "\n".join(lines) + "\n"
+
+
+def halfperiod_times() -> dict:
+    from kedges import central, circseq, cli
+
+    n, k = WORD_N, WORD_K
+
+    def timed(module, name, call):
+        fn = getattr(module, name, None)
+        return None if fn is None else median_time(lambda: call(fn), WORD_REPEATS)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"w{n}.hp"
+        path.write_text(reduced_word_text(n, WORD_SEED))
+
+        def main_stdout():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli.main(["classify", str(path), "--halfperiod", "--k", str(k)])
+            return buf.getvalue()
+
+        h = circseq.require_valid(circseq.read_halfperiod(path))
+        report = json.loads(main_stdout())
+        row = {"n": n, "k": k}
+        row["read_halfperiod"] = timed(circseq, "read_halfperiod", lambda f: f(path))
+        row["validate_allowable"] = timed(circseq, "validate_allowable", lambda f: f(h))
+        row["rearrange_essential"] = timed(central, "rearrange_essential", lambda f: f(h, k))
+        row["verify_central"] = timed(central, "verify_central", lambda f: f(h, k))
+        row["classify"] = timed(central, "classify", lambda f: f(h, k))
+        row["_json_text"] = timed(cli, "_json_text", lambda f: f(report))
+        row["main classify"] = median_time(main_stdout, WORD_REPEATS)
+    return {f"word n={n} k={k}": row}
 
 
 def cli_times(src: Path) -> dict:
@@ -103,7 +164,9 @@ def main(argv=None) -> int:
     result = {
         "env": environment(src),
         "repeats": REPEATS,
+        "word_repeats": WORD_REPEATS,
         "kernels_s": kernel_times(),
+        "halfperiod_kernels_s": halfperiod_times(),
         "cli_s": cli_times(src),
     }
     data = json.loads(args.output.read_text()) if args.output.exists() else {}
