@@ -153,10 +153,11 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
 
 def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[TranspositionRecord]:
     """Per-transposition records: block membership, class, weight, and
-    essentiality, straight from the definitions, one block of blocks(h, k)
-    at a time.  Each block opens with its k-critical record from
-    critical_records; every other transposition is a center or outer one,
-    essential unless it sits in the center of B_j (j >= 1) without p_j.
+    essentiality, straight from the definitions, one block at a time.
+    Block j >= 1 opens with tau_j's record from critical_records, which
+    also marks where it starts; every other transposition is a center or
+    outer one, essential unless it sits in the center of B_j (j >= 1)
+    without p_j.
 
     Heaviness needs s(k, pi); it is computed here unless the caller passes
     it in.
@@ -167,19 +168,22 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
         s_value = compute_s(h, k)
     crit = critical_records(h, k, s_value)
     trans = h.transpositions
+    # critical_records accepted h, so its steps are numbered 1..C(n,2) and
+    # tau_j stands at index step - 1.
+    cuts = [r.step - 1 for r in crit]
     records = []
-    for b in blocks(h, k):
-        start = b.start
-        if b.index:
-            records.append(crit[b.index - 1])
-            start += 1
-        for t in trans[start : b.end]:
+    entering = None
+    for bi, (cut, end) in enumerate(zip([-1, *cuts], [*cuts, len(trans)])):
+        if bi:
+            records.append(crit[bi - 1])
+            entering = crit[bi - 1].entering
+        for t in trans[cut + 1 : end]:
             center = k < t.position < n - k
             records.append(
                 TranspositionRecord(
-                    t.step, t.position, t.pair, b.index,
+                    t.step, t.position, t.pair, bi,
                     "center" if center else "outer", "non-critical",
-                    essential=not center or b.index == 0 or b.entering in t.pair,
+                    essential=not center or bi == 0 or entering in t.pair,
                 )
             )
     return records

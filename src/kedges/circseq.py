@@ -150,7 +150,7 @@ def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
         a, b = here = perm[j], perm[j + 1]
         if slots is not None:
             slots.append(here)
-        if here != pair and here != pair[::-1] and set(here) != set(pair):
+        if pair != here and pair != (b, a):
             report.append(
                 f"step {idx + 1}: recorded pair {pair} but slots hold {here}"
             )

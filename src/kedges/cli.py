@@ -52,8 +52,7 @@ def _float_text(obj) -> str:
     raise TypeError(f"{obj!r} has no JSON text")
 
 
-# JSON text of a scalar by its exact type; a subclass (an IntEnum, say) takes
-# the isinstance chain in _json_text instead.
+# JSON text of a scalar by its exact type; reports hold no subclass of these.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): lambda _obj: "null",
@@ -67,19 +66,12 @@ def _json_text(obj, pad="\n") -> str:
     """The text of json.dumps(obj, indent=2) without json's pure-Python
     indent encoder.  Types are taken in json's order, so a bool never prints
     as an int; a non-finite float, a non-str dict key (encode_basestring_ascii
-    rejects it) or any other type raises TypeError.  Reports are trees, so
-    there is no cycle check.  A list or dict renders its scalar items
+    rejects it) or any other type, a str, int or float subclass included,
+    raises TypeError.  Reports are trees, so there is no cycle check.  A list or dict renders its scalar items
     through _SCALAR_TEXT in place, without a call per item."""
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    # A scalar that misses is a str, int or float subclass (None and bool have none).
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
     inner = pad + "  "
     get = _SCALAR_TEXT.get
     if isinstance(obj, (list, tuple)):

@@ -80,18 +80,18 @@ def kernel_times() -> dict:
     return out
 
 
-def reduced_word_text(n: int, seed: int) -> str:
-    """Halfperiod file text of a seeded random reduced word of the reversal
-    of 1..n: from the identity, swap a random adjacent ascent until the
-    order is reversed.  Built here, so every tree reads the same bytes."""
+def reduced_word(circseq, n: int, seed: int):
+    """A seeded random reduced word of the reversal of 1..n, as DIR's
+    Halfperiod: from the identity, swap a random adjacent ascent until the
+    order is reversed (the generator of tests/test_central.py)."""
     rng = random.Random(seed)
     perm = list(range(1, n + 1))
-    lines = [str(n), " ".join(map(str, perm))]
+    ts = []
     for step in range(1, comb(n, 2) + 1):
         j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
-        lines.append(f"{step} {j + 1} {perm[j]} {perm[j + 1]}")
+        ts.append(circseq.Transposition(step, j + 1, (perm[j], perm[j + 1])))
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return "\n".join(lines) + "\n"
+    return circseq.Halfperiod(n, tuple(range(1, n + 1)), tuple(ts))
 
 
 def halfperiod_times() -> dict:
@@ -105,7 +105,7 @@ def halfperiod_times() -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"w{n}.hp"
-        path.write_text(reduced_word_text(n, WORD_SEED))
+        circseq.write_halfperiod(path, reduced_word(circseq, n, WORD_SEED))
 
         def main_stdout():
             buf = io.StringIO()
