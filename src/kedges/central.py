@@ -1,4 +1,4 @@
-"""Block decomposition, transposition classification, rearrangement, and
+"""Transposition classification by blocks, rearrangement, and
 verification of the central inequality
 
     E_{>=k} <= (n-2k-1) E_{k-1} - (s/2) (E_{k-1} - n + 1),
@@ -16,9 +16,10 @@ Terminology (for a fixed k, writing K = E_{k-1}):
   transpositions sit below k or above n-k and never matter here.
 * a center transposition in B_j (j >= 1) is essential if it involves p_j;
   everything before tau_1 is essential by convention.  The rearrangement
-  produces an equivalent halfperiod with no nonessential transpositions,
-  preserving E_0..E_{k-1} (outer and boundary positions are untouched)
-  and hence E_{>=k}.
+  moves each nonessential one back to the block whose entering label it
+  involves (block 0 if none), giving an equivalent halfperiod with no
+  nonessential transpositions; outer and boundary positions are
+  untouched, so E_0..E_{k-1} and E_{>=k} are preserved.
 * classes of tau_j: arriving (p_j in C_0; m-augmenting when the C_0
   overlap rises to m, neutral otherwise), returning (p_j re-entering from
   the far region), departing (p_j leaving its starting region; cutting
@@ -34,13 +35,19 @@ transpositions, and the cutting test reads the next k-critical boundary
 of each entering label from one backward pass over the same list.
 classify adds the center and outer records around them.
 
+rearrange_essential builds that halfperiod in two forward passes: one
+finds the block each center transposition lands in, the other replays the
+result once from the initial permutation, one slot swap per
+transposition, checking adjacency and slots as it goes.
+
 The verifier recomputes everything from scratch on each call and checks
-the inequality together with the per-class weight bounds, the cutting
-bound 2C <= 4k + K - n + s, the augmenting coverage, and the two summed
-inequalities the final calculation rests on.  It reads only the K
-k-critical records of the rearranged halfperiod (critical_records), never
-the full C(n,2)-record classification.  All of these must hold on every
-valid halfperiod; a violation indicates a bug, never bad data.
+the inequality on h, and on the rearranged halfperiod the per-class
+weight bounds, the cutting bound 2C <= 4k + K - n + s, the augmenting
+coverage, and the two summed inequalities the final calculation rests
+on.  It reads only the K k-critical records of the rearranged halfperiod
+(critical_records), never the full C(n,2)-record classification.  All of
+these must hold on every valid halfperiod; a violation indicates a bug,
+never bad data.
 """
 
 from __future__ import annotations
@@ -53,18 +60,6 @@ from typing import NamedTuple
 from .circseq import Halfperiod, Transposition, _check_k, compute_s, require_valid
 from .edgestats import edge_vector_from_halfperiod
 from .errors import RearrangementError
-
-
-@dataclass(frozen=True)
-class Block:
-    """Transpositions [start, end) of the halfperiod; block j >= 1 opens
-    with the k-critical tau_j that lets `entering` into the k-center."""
-
-    index: int
-    start: int
-    end: int
-    entering: int | None
-    boundary: str | None  # "k" or "n-k" for j >= 1
 
 
 class TranspositionRecord(NamedTuple):
@@ -80,17 +75,6 @@ class TranspositionRecord(NamedTuple):
     weight: int | None = None
     heavy: bool | None = None
     essential: bool = True
-
-
-def blocks(h: Halfperiod, k: int) -> list[Block]:
-    """The K+1 blocks delimited by the k-critical transpositions."""
-    _check_k(h.n, k)
-    cuts = [(idx, entering, boundary) for idx, boundary, entering, _ in h.k_critical(k)]
-    out = [Block(0, 0, cuts[0][0] if cuts else len(h.transpositions), None, None)]
-    for bi, (idx, entering, boundary) in enumerate(cuts, start=1):
-        end = cuts[bi][0] if bi < len(cuts) else len(h.transpositions)
-        out.append(Block(bi, idx, end, entering, boundary))
-    return out
 
 
 def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionRecord]:
@@ -194,109 +178,107 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
 # ---------------------------------------------------------------------------
 
 
-def _apply(perm, pos):
-    j = pos - 1
-    perm[j], perm[j + 1] = perm[j + 1], perm[j]
-
-
 def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     """Equivalent halfperiod with every center transposition essential.
 
-    One backward pass over blocks(h, k), from the last block to block 1.
-    A block holding a nonessential center transposition is rebuilt: its
-    nonessential swaps are replayed immediately before tau_j, then tau_j,
-    then the essential swaps as p_j walks monotonically across the center,
-    then the outer-track swaps in original order.  The replayed
-    nonessential swaps join the end of the previous block (the entering
-    label's wire is absent there, so the same pair order stays
-    adjacent-realizable), which the pass visits next; a block without
-    nonessential swaps is copied unchanged, and block 0 is essential by
-    convention.  Rebuilding keeps each block's final permutation, so the
-    permutation at the start of every block is the original one, read off
-    one backward walk from the reversed initial permutation.  Every
-    position outside k+1..n-k-1 is kept, hence E_0..E_{k-1} and E_{>=k}.
-    Outcome invariants are re-validated; violations raise
-    RearrangementError.
+    A nonessential center swap {a, b} of B_j moves before tau_j and keeps
+    moving back until it meets a block whose entering label it involves:
+    it lands in B_L with L = max(last[a], last[b]), last[x] being the
+    latest block (at the swap's own place in h) whose tau let x into the
+    center, 0 before any.  Every block in (L, j] then holds the swap as a
+    nonessential one and is rebuilt.
+
+    Two forward passes.  The landing pass finds where each center swap
+    lands and which blocks are rebuilt.  The replay pass starts from
+    h.initial with a slot map: block 0 and every block that is not
+    rebuilt replay their own swaps, then the swaps that landed in them
+    from later blocks, in h's order, each at the slot the map gives its
+    pair; a rebuilt B_j replays tau_j, then p_j's monotone walk across
+    the partners of its landed swaps (its own essential ones included),
+    then its outer swaps in h's order.  Every position outside
+    k+1..n-k-1 is kept, hence E_0..E_{k-1} and E_{>=k}.
+
+    Faults raise RearrangementError: a pair replayed by its labels that
+    is not adjacent, a tau_j or outer swap of a rebuilt block whose slots
+    do not hold its pair, a walk step whose neighbour is no partner, an
+    output that fails the axiom walk (this also catches a wrong center
+    order left at a block's end), or changed protected counts.
     """
     _check_k(h.n, k)
     require_valid(h)
     n = h.n
-    seq = [(t.position, t.pair) for t in h.transpositions]
-    perm = list(reversed(h.initial))  # walked back to the current block's start
-    pieces, carry = [], []
-    for blk in reversed(blocks(h, k)):
-        block = seq[blk.start : blk.end]
-        perm_end = list(perm)
-        for pos, _ in carry:
-            _apply(perm_end, pos)
-        for pos, _ in reversed(block):
-            _apply(perm, pos)
-        block += carry
+    trans = h.transpositions
+    crit = list(h.k_critical(k))
+    starts = [0] + [c[0] for c in crit]
+    ends = starts[1:] + [len(trans)]
 
-        nonessential, essential_pairs, outer = [], [], []
-        for pos, pair in block[1:]:
-            if k + 1 <= pos <= n - k - 1:
-                if blk.entering in pair:
-                    essential_pairs.append(frozenset(pair))
-                else:
-                    nonessential.append(pair)
-            else:
-                outer.append((pos, pair))
-        if blk.index == 0 or not nonessential:
-            pieces.append(block)
-            carry = []
+    # Landing pass.  low[j] ends as the earliest landing of any center
+    # swap in B_j or later, so B_j is rebuilt iff low[j] < j.
+    last = dict.fromkeys(h.initial, 0)
+    landed = [[] for _ in starts]
+    low = list(range(len(starts)))
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        if j:
+            last[crit[j - 1][2]] = j
+        for i in range(start, end):
+            _step, pos, (a, b) = trans[i]
+            land = max(last[a], last[b])
+            if k < pos < n - k and land < j:
+                landed[land].append(i)
+                low[j] = min(low[j], land)
+    for j in reversed(range(len(low) - 1)):
+        low[j] = min(low[j], low[j + 1])
+
+    # Replay pass.
+    cur = list(h.initial)
+    slot = {lab: i for i, lab in enumerate(cur)}
+    seq = []
+
+    def swap(j, pair=None):
+        a, b = cur[j], cur[j + 1]
+        seq.append((j + 1, pair or (a, b)))
+        cur[j], cur[j + 1] = b, a
+        slot[a], slot[b] = j + 1, j
+
+    def swap_labels(pair, keep=False):
+        ja, jb = slot[pair[0]], slot[pair[1]]
+        if abs(ja - jb) != 1:
+            raise RearrangementError(f"pair {pair} not adjacent in the replay")
+        swap(min(ja, jb), pair if keep else None)
+
+    def swap_in_place(t):
+        j = t.position - 1
+        if {cur[j], cur[j + 1]} != set(t.pair):
+            raise RearrangementError(f"pair {t.pair} displaced from slot {t.position}")
+        swap(j)
+
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        if low[j] == j:
+            for t in trans[start:end]:
+                swap_labels(t.pair, keep=True)
+            for i in landed[j]:
+                swap_labels(trans[i].pair)
             continue
+        _idx, boundary, p, _leaving = crit[j - 1]
+        partners = {lab for i in landed[j] for lab in trans[i].pair}
+        outer = []
+        for t in trans[start + 1 : end]:
+            if not k < t.position < n - k:
+                outer.append(t)
+            elif p in t.pair:
+                partners.update(t.pair)
+        partners.discard(p)
+        swap_in_place(trans[start])
+        step = 1 if boundary == "k" else -1
+        while partners:
+            jp = slot[p]
+            if cur[jp + step] not in partners:
+                raise RearrangementError(f"essential walk out of order at slot {jp + 1}")
+            partners.discard(cur[jp + step])
+            swap(min(jp, jp + step))
+        for t in outer:
+            swap_in_place(t)
 
-        cur = list(perm)
-        slot = {lab: i for i, lab in enumerate(cur)}
-        rebuilt = []
-
-        def swap_slots(j):
-            a, b = cur[j], cur[j + 1]
-            rebuilt.append((j + 1, (a, b)))
-            cur[j], cur[j + 1] = b, a
-            slot[a], slot[b] = j + 1, j
-
-        for pair in nonessential:
-            a, b = pair
-            ja, jb = slot[a], slot[b]
-            if abs(ja - jb) != 1:
-                raise RearrangementError(
-                    f"nonessential pair {pair} not adjacent while replaying block"
-                )
-            swap_slots(min(ja, jb))
-
-        tau_pos, tau_pair = block[0]
-        jt = tau_pos - 1
-        if {cur[jt], cur[jt + 1]} != set(tau_pair):
-            raise RearrangementError("boundary transposition displaced by replay")
-        swap_slots(jt)
-
-        partner_sets = set(essential_pairs)
-        direction = 1 if blk.boundary == "k" else -1
-        for _ in range(len(essential_pairs)):
-            jp = slot[blk.entering]
-            jn = jp + direction
-            pair_here = frozenset((blk.entering, cur[jn]))
-            if pair_here not in partner_sets:
-                raise RearrangementError(
-                    f"essential replay out of order at slot {jp + 1}"
-                )
-            partner_sets.discard(pair_here)
-            swap_slots(min(jp, jn))
-
-        for pos, pair in outer:
-            j = pos - 1
-            if {cur[j], cur[j + 1]} != set(pair):
-                raise RearrangementError(f"outer-track pair {pair} displaced")
-            swap_slots(j)
-
-        if cur != perm_end:
-            raise RearrangementError("block-final permutation changed by replay")
-        carry = rebuilt[: len(nonessential)]
-        pieces.append(rebuilt[len(nonessential) :])
-
-    seq = [t for piece in reversed(pieces) for t in piece]
     out = Halfperiod(
         n,
         h.initial,
@@ -307,7 +289,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
         raise RearrangementError("rearranged halfperiod invalid: " + report[0])
     ev_in = edge_vector_from_halfperiod(h)
     ev_out = edge_vector_from_halfperiod(out)
-    if ev_in.counts[: k - 1] != ev_out.counts[: k - 1] or ev_in.geq(k) != ev_out.geq(k):
+    if ev_in.counts[:k] != ev_out.counts[:k] or ev_in.geq(k) != ev_out.geq(k):
         raise RearrangementError(
             f"rearrangement changed protected edge counts: {ev_in.counts} -> {ev_out.counts}"
         )

@@ -1,4 +1,4 @@
-"""Blocks, classification, rearrangement, and the central inequality."""
+"""Classification, rearrangement, and the central inequality."""
 
 import functools
 import hashlib
@@ -14,7 +14,6 @@ import kedges.central as central
 import kedges.circseq as circseq
 from kedges.central import (
     TranspositionRecord,
-    blocks,
     classify,
     critical_records,
     rearrange_essential,
@@ -32,29 +31,6 @@ from kedges.cli import main
 from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
-
-
-def test_blocks_convex_hexagon():
-    h = halfperiod_from_points(convex_polygon_set(6), tie_break=True)
-    blks = blocks(h, 2)
-    assert len(blks) == 7  # K = E_1 = 6 critical transpositions
-    assert blks[0].entering is None
-    assert all(b.boundary in ("k", "n-k") for b in blks[1:])
-    # blocks tile the transposition range
-    assert blks[0].start == 0 and blks[-1].end == comb(6, 2)
-    for a, b in zip(blks, blks[1:]):
-        assert a.end == b.start
-
-
-def test_blocks_n5_boundaries():
-    rng = random.Random(41)
-    ps = random_general_position_set(5, rng)
-    h = halfperiod_from_points(ps, tie_break=True)
-    blks = blocks(h, 2)
-    ev = edge_vector_from_halfperiod(h)
-    assert len(blks) == ev.counts[1] + 1
-    for b in blks[1:]:
-        assert h.transpositions[b.start].position in (2, 3)
 
 
 def test_classification_tally_and_consistency():
@@ -239,13 +215,14 @@ def _corrupt(h, how):
     "kernel",
     [
         lambda h: compute_s(h, 2),
-        lambda h: blocks(h, 2),
+        lambda h: rearrange_essential(h, 2),
         lambda h: classify(h, 2),
         lambda h: classify(h, 2, s_value=0),
         lambda h: verify_central(h, 2),
         edge_vector_from_halfperiod,
     ],
-    ids=["compute_s", "blocks", "classify", "classify-s", "verify_central", "edge_vector"],
+    ids=["compute_s", "rearrange_essential", "classify", "classify-s", "verify_central",
+         "edge_vector"],
 )
 def test_invalid_halfperiod_rejected_by_every_kernel(kernel, how):
     bad = _corrupt(_reduced_word(7, random.Random(73)), how)
@@ -334,6 +311,20 @@ def test_rearrangement_matches_fixpoint_reference(h):
         assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k)
 
 
+# The n = 48 word timed by tools/bench_kernels.py and the pinned n = 40
+# classify word: long chains of nonessential swaps carried across blocks.
+@pytest.mark.parametrize("n, seed", [(48, 2024), (40, 83)])
+def test_rearrangement_matches_fixpoint_reference_on_long_words(n, seed):
+    h = _reduced_word(n, random.Random(seed))
+    ev = edge_vector_from_halfperiod(h)
+    for k in range(1, (n - 1) // 2 + 1):
+        lam = rearrange_essential(h, k)
+        assert lam.transpositions == ref_rearrange_essential(h, k), k
+        assert all(r.essential for r in classify(lam, k) if r.kind == "center"), k
+        evl = edge_vector_from_halfperiod(lam)
+        assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k), k
+
+
 def ref_classify(h, k, s_value=None):
     """Reference: the per-index classification.  Block membership, the
     k-critical involvements of every label, the C_0 overlap after each
@@ -345,11 +336,12 @@ def ref_classify(h, k, s_value=None):
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
 
-    blks = blocks(h, k)
-    block_of = {}
-    for b in blks:
-        for idx in range(b.start, b.end):
-            block_of[idx] = b.index
+    cuts = {idx: (boundary, entering) for idx, boundary, entering, _ in h.k_critical(k)}
+    block_of, bi = {}, 0
+    for idx in range(len(h.transpositions)):
+        bi += idx in cuts
+        block_of[idx] = bi
+    entering_of = [None] + [entering for _boundary, entering in cuts.values()]
 
     involvements = {}
     c0_in_center_after = {}
@@ -362,7 +354,7 @@ def ref_classify(h, k, s_value=None):
         involvements.setdefault(entering, []).append((idx, "enter"))
         involvements.setdefault(leaving, []).append((idx, "leave"))
 
-    weight_of_block = {b.index: 0 for b in blks}
+    weight_of_block = dict.fromkeys(range(len(entering_of)), 0)
     for idx, t in enumerate(h.transpositions):
         if k + 1 <= t.position <= n - k - 1:
             if not (t.pair[0] in c0 and t.pair[1] in c0):
@@ -380,9 +372,7 @@ def ref_classify(h, k, s_value=None):
     for idx, t in enumerate(h.transpositions):
         bi = block_of[idx]
         if t.position in (k, n - k):
-            b = blks[bi]
-            p = b.entering
-            boundary = b.boundary
+            boundary, p = cuts[idx]
             w = weight_of_block[bi]
             aug_m = None
             if p in c0:
@@ -407,7 +397,7 @@ def ref_classify(h, k, s_value=None):
                 )
             )
         elif k + 1 <= t.position <= n - k - 1:
-            essential = True if bi == 0 else blks[bi].entering in t.pair
+            essential = True if bi == 0 else entering_of[bi] in t.pair
             records.append(
                 TranspositionRecord(
                     step=t.step, position=t.position, pair=t.pair, block_index=bi,

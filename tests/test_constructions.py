@@ -101,14 +101,13 @@ def test_s3_halfperiod_cross_check(s3):
     # C(27,2) = 351 transpositions and the same edge vector as brute force
     from math import comb
 
-    from kedges.central import blocks
     from kedges.edgestats import edge_vector_from_halfperiod
 
     h = halfperiod_from_points(s3.perturbed, tie_break=True)
     assert len(h.transpositions) == comb(27, 2) == 351
     assert edge_vector_from_halfperiod(h) == s3.edge_vector == edge_vector_bruteforce(s3.perturbed)
-    # k = 12: one block per (k-1)-edge boundary crossing, plus the prefix
-    assert len(blocks(h, 12)) == s3.edge_vector.counts[11] + 1
+    # k = 12: one k-critical transposition per (k-1)-edge
+    assert len(list(h.k_critical(12))) == s3.edge_vector.counts[11]
 
 
 def test_s3_split(s3):
