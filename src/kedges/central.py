@@ -91,7 +91,7 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
     n = h.n
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
-    crit = list(h.k_critical(k))
+    crit = h.k_critical(k)
 
     # next_boundary[j]: where p_j is next involved in a k-critical swap.
     next_boundary, upcoming = [None] * len(crit), {}
@@ -208,7 +208,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     require_valid(h)
     n = h.n
     trans = h.transpositions
-    crit = list(h.k_critical(k))
+    crit = h.k_critical(k)
     starts = [0] + [c[0] for c in crit]
     ends = starts[1:] + [len(trans)]
 

@@ -44,9 +44,10 @@ class Halfperiod:
     validate_allowable to obtain the violation report (empty iff valid).
     Factories in this module only return validated instances.
 
-    The fields are immutable, so the axiom walk and the per-level tally
-    are made at most once per instance (`axiom_walk`, `level_counts`);
-    require_valid and the kernels read them.
+    The fields are immutable, so the axiom walk, the per-level tally and
+    the k-critical transpositions of each k are made at most once per
+    instance (`axiom_walk`, `level_counts`, `k_critical`); require_valid
+    and the kernels read them.
 
     A halfperiod swept from a point set also records the point index
     behind each label (`point_index`, label l is point point_index[l-1]);
@@ -104,18 +105,27 @@ class Halfperiod:
             levels[(i, j) if i < j else (j, i)] = min(t.position, n - t.position) - 1
         return levels
 
-    def k_critical(self, k: int):
+    @functools.cached_property
+    def _k_critical_by_k(self) -> dict[int, tuple]:
+        return {}
+
+    def k_critical(self, k: int) -> tuple[tuple[int, str, int, int], ...]:
         """(index, boundary, entering, leaving) of each k-critical
         transposition in order: a swap in slots (k, k+1) lets the left
         label into the k-center, one in slots (n-k, n-k+1) the right one.
-        Read from the cached walk; requires a valid halfperiod."""
-        slots = require_valid(self).axiom_walk[1]
-        n = self.n
-        for idx, (t, (left, right)) in enumerate(zip(self.transpositions, slots)):
-            if t.position == k:
-                yield idx, "k", left, right
-            elif t.position == n - k:
-                yield idx, "n-k", right, left
+        Read from the cached walk once per k and instance; requires a
+        valid halfperiod."""
+        cache = self._k_critical_by_k
+        crit = cache.get(k)
+        if crit is None:
+            slots = require_valid(self).axiom_walk[1]
+            n = self.n
+            crit = cache[k] = tuple(
+                (idx, "k", left, right) if t.position == k else (idx, "n-k", right, left)
+                for idx, (t, (left, right)) in enumerate(zip(self.transpositions, slots))
+                if t.position == k or t.position == n - k
+            )
+        return crit
 
 
 def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
@@ -207,7 +217,8 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
         if ties:
             raise DirectionTieError(
                 f"{len(ties)} group(s) of point pairs span parallel lines "
-                f"(first group: {ties[0]}); pass tie_break=True to order them by pair index",
+                f"(first group: {ties[0]}); pass --tie-break (tie_break=True in Python) "
+                "to order them by pair index",
                 groups=ties,
             )
 
@@ -334,7 +345,7 @@ def read_halfperiod(path) -> Halfperiod:
         if len(toks) != 4:
             raise InputError(f"line {no}: expected 'step position labelA labelB'")
         try:
-            step, pos, la, lb = (int(t) for t in toks)
+            step, pos, la, lb = map(int, toks)
         except ValueError:
             raise InputError(f"line {no}: non-integer field") from None
         trans.append(Transposition(step, pos, (la, lb)))

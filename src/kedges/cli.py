@@ -97,6 +97,65 @@ def _json_print(obj):
     print(_json_text(obj))
 
 
+class _Words(dict):
+    """JSON text of each distinct str, encoded on its first lookup."""
+
+    def __missing__(self, word):
+        text = self[word] = encode_basestring_ascii(word)
+        return text
+
+
+class _OptionalText(dict):
+    """Text function by exact type for a record's optional fields.  Keyed by
+    type, not value: as dict keys 1 and 1.0 are the same key as True."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
+_OPTIONAL_TEXT = _OptionalText({
+    type(None): _CONSTANT_TEXT.__getitem__,
+    bool: _CONSTANT_TEXT.__getitem__,
+    int: int.__repr__,
+})
+
+
+def _records_text(records, pad="\n") -> str:
+    """The text of json.dumps(list_of_record_dicts, indent=2), as placed at
+    `pad` by _json_text, for classify's TranspositionRecords, without a dict
+    per record: every record fills one %-template whose keys are encoded
+    once.  kind and class are encoded once per distinct value; the
+    optional fields print as null, true, false or an int, and any other
+    type raises TypeError.  step, position, pair and block are ints by
+    construction and print through %d."""
+    if not records:
+        return "[]"
+    item = pad + "  "
+    field = item + "  "
+    template = "{" + field + ("," + field).join(
+        encode_basestring_ascii(key) + ": " + value
+        for key, value in (
+            ("step", "%d"), ("position", "%d"),
+            ("pair", "[" + field + "  %d," + field + "  %d" + field + "]"),
+            ("block", "%d"), ("kind", "%s"), ("class", "%s"), ("entering", "%s"),
+            ("aug_m", "%s"), ("weight", "%s"), ("heavy", "%s"), ("essential", "%s"),
+        )
+    ) + item + "}"
+    words, opt = _Words(), _OPTIONAL_TEXT
+    texts = [
+        template % (
+            r.step, r.position, r.pair[0], r.pair[1], r.block_index,
+            words[r.kind], words[r.cls],
+            opt[type(r.entering)](r.entering), opt[type(r.aug_m)](r.aug_m),
+            opt[type(r.weight)](r.weight), opt[type(r.heavy)](r.heavy),
+            opt[type(r.essential)](r.essential),
+        )
+        for r in records
+    ]
+    return "[" + item + ("," + item).join(texts) + pad + "]"
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -122,36 +181,22 @@ def cmd_classify(args) -> int:
     else:
         h = halfperiod_from_points(read_points(args.file), tie_break=args.tie_break)
     rep = verify_central(h, args.k)
-    records = classify_records(h, args.k, s_value=rep.s)
-    _json_print(
-        {
-            "n": h.n,
-            "k": rep.k,
-            "s": rep.s,
-            "K": rep.K,
-            "E_geq_k": rep.E_geq_k,
-            "bound_value": str(rep.bound_value),
-            "holds": rep.holds,
-            "tallies": rep.tallies,
-            "aux_checks": rep.aux_checks,
-            "records": [
-                {
-                    "step": r.step,
-                    "position": r.position,
-                    "pair": list(r.pair),
-                    "block": r.block_index,
-                    "kind": r.kind,
-                    "class": r.cls,
-                    "entering": r.entering,
-                    "aug_m": r.aug_m,
-                    "weight": r.weight,
-                    "heavy": r.heavy,
-                    "essential": r.essential,
-                }
-                for r in records
-            ],
-        }
-    )
+    head = {
+        "n": h.n,
+        "k": rep.k,
+        "s": rep.s,
+        "K": rep.K,
+        "E_geq_k": rep.E_geq_k,
+        "bound_value": str(rep.bound_value),
+        "holds": rep.holds,
+        "tallies": rep.tallies,
+        "aux_checks": rep.aux_checks,
+    }
+    # json.dumps(indent=2) of head with "records" appended as its last key.
+    items = [encode_basestring_ascii(key) + ": " + _json_text(value, "\n  ")
+             for key, value in head.items()]
+    items.append('"records": ' + _records_text(classify_records(h, args.k, s_value=rep.s), "\n  "))
+    print("{\n  " + ",\n  ".join(items) + "\n}")
     return 0 if rep.all_ok else 1
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -27,7 +28,7 @@ from kedges.circseq import (
     validate_allowable,
     write_halfperiod,
 )
-from kedges.cli import main
+from kedges.cli import _records_text, main
 from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
@@ -459,3 +460,63 @@ def test_classify_stdout_on_a_large_word_is_pinned(k, tmp_path, capsys):
     assert main(["classify", str(path), "--halfperiod", "--k", str(k)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_N40_SHA256[k]
+
+
+def _record_dicts(records):
+    """The dict form `classify` printed its records from, one dict each."""
+    return [
+        {"step": r.step, "position": r.position, "pair": list(r.pair), "block": r.block_index,
+         "kind": r.kind, "class": r.cls, "entering": r.entering, "aug_m": r.aug_m,
+         "weight": r.weight, "heavy": r.heavy, "essential": r.essential}
+        for r in records
+    ]
+
+
+# Seeded reduced words and one swept point set; every k of each is rendered.
+RECORD_TEXT_CASES = [("word", 9, 1), ("word", 16, 3), ("word", 24, 5), ("points", 12, 7)]
+
+
+def _case_halfperiod(source, n, seed):
+    if source == "word":
+        return _reduced_word(n, random.Random(seed))
+    return halfperiod_from_points(random_general_position_set(n, random.Random(seed)),
+                                  tie_break=True)
+
+
+@pytest.mark.parametrize("source, n, seed", RECORD_TEXT_CASES)
+def test_records_text_matches_json_dumps_of_the_record_dicts(source, n, seed):
+    h = _case_halfperiod(source, n, seed)
+    for k in range(1, (n - 1) // 2 + 1):
+        records = classify(h, k)
+        dicts = _record_dicts(records)
+        assert _records_text(records) == json.dumps(dicts, indent=2), k
+        # nested one level, where the classify report places it
+        nested = json.dumps({"records": dicts}, indent=2)
+        assert '{\n  "records": ' + _records_text(records, "\n  ") + "\n}" == nested, k
+
+
+def test_records_text_cases_cover_every_field_value():
+    seen = set()
+    for source, n, seed in RECORD_TEXT_CASES:
+        h = _case_halfperiod(source, n, seed)
+        for k in range(1, (n - 1) // 2 + 1):
+            for r in classify(h, k):
+                seen |= {("kind", r.kind), ("class", r.cls),
+                         ("entering", type(r.entering)), ("aug_m", type(r.aug_m)),
+                         ("heavy", r.heavy), ("essential", r.essential)}
+    classes = ("non-critical", "arriving-augmenting", "arriving-neutral", "returning",
+               "departing-cutting", "departing-stalling")
+    want = {("kind", kind) for kind in ("k-critical", "center", "outer")}
+    want |= {("class", cls) for cls in classes}
+    want |= {(name, t) for name in ("entering", "aug_m") for t in (int, type(None))}
+    want |= {("heavy", v) for v in (True, False, None)} | {("essential", v) for v in (True, False)}
+    assert want <= seen, want - seen
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, 0.0], ids=repr)
+@pytest.mark.parametrize("name", ["entering", "aug_m", "weight", "heavy", "essential"])
+def test_records_text_rejects_a_str_or_float_field(name, value):
+    records = classify(_reduced_word(7, random.Random(5)), 2)
+    records[3] = records[3]._replace(**{name: value})
+    with pytest.raises(TypeError):
+        _records_text(records)

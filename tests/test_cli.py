@@ -443,11 +443,30 @@ def test_reversed_partition_range_is_named(octagon_file, capsys):
     assert capsys.readouterr().err == "error: partition entry '3-1' is a reversed range\n"
 
 
-def _run_python(*argv):
+def _python_env():
     src = str(Path(kedges.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _run_python(*argv):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=_python_env(), timeout=60)
+
+
+def test_closed_stdout_pipe_ends_the_run_without_a_traceback(tmp_path):
+    # a 60-point report (~0.5 MB) outgrows the pipe buffer, so the process is
+    # still writing when the reader closes its end
+    path = tmp_path / "poly60.pts"
+    write_points(path, convex_polygon_set(60))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kedges", "classify", str(path), "--k", "5", "--tie-break"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
+    )
+    assert proc.stdout.read(8) == b'{\n  "n":'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err.decode()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_python_m_kedges_runs_the_cli():
@@ -477,7 +496,9 @@ def test_parser_keeps_nothing_between_calls(octagon_file, capsys):
     assert main(["classify", octagon_file, "--k", "2", "--tie-break"]) == 0
     capsys.readouterr()
     assert main(["classify", octagon_file, "--k", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: 12 group(s) of point pairs")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 12 group(s) of point pairs")
+    assert "--tie-break" in err
 
     with pytest.raises(SystemExit) as exc:
         main(["classify", octagon_file])

@@ -18,8 +18,10 @@ is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
   workload): `read_halfperiod` of its file, `validate_allowable`,
   `rearrange_essential`, `verify_central` and `classify` on the read
   halfperiod (its axiom walk already cached), `cli._json_text` of the
-  `classify --halfperiod` report, and that whole command through
-  `cli.main` with stdout discarded.
+  `classify --halfperiod` report, `cli._records_text` of its records
+  (the part of the report `classify` renders through one template; null
+  on a tree without it), and that whole command through `cli.main` with
+  stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes.
 
@@ -122,6 +124,8 @@ def halfperiod_times() -> dict:
         row["verify_central"] = timed(central, "verify_central", lambda f: f(h, k))
         row["classify"] = timed(central, "classify", lambda f: f(h, k))
         row["_json_text"] = timed(cli, "_json_text", lambda f: f(report))
+        records = central.classify(h, k)
+        row["_records_text"] = timed(cli, "_records_text", lambda f: f(records, "\n  "))
         row["main classify"] = median_time(main_stdout, WORD_REPEATS)
     return {f"word n={n} k={k}": row}
 
