@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import math
+import json
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -38,63 +38,11 @@ from .constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    sr_audit,
 )
 from .edgestats import summarize
 from .errors import GeneralPositionError, InputError, KedgesError
 from .geom import read_points, write_points
 from .selftest import run_scope
-
-
-def _float_text(obj) -> str:
-    if math.isfinite(obj):
-        return float.__repr__(obj)
-    raise TypeError(f"{obj!r} has no JSON text")
-
-
-# JSON text of a scalar by its exact type; reports hold no subclass of these.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    type(None): lambda _obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    int: int.__repr__,
-    float: _float_text,
-}
-
-
-def _json_text(obj, pad="\n") -> str:
-    """The text of json.dumps(obj, indent=2) without json's pure-Python
-    indent encoder.  Types are taken in json's order, so a bool never prints
-    as an int; a non-finite float, a non-str dict key (encode_basestring_ascii
-    rejects it) or any other type, a str, int or float subclass included,
-    raises TypeError.  Reports are trees, so there is no cycle check.  A list or dict renders its scalar items
-    through _SCALAR_TEXT in place, without a call per item."""
-    scalar = _SCALAR_TEXT.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    inner = pad + "  "
-    get = _SCALAR_TEXT.get
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [
-            f(v) if (f := get(type(v))) is not None else _json_text(v, inner) for v in obj
-        ]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": "
-            + (f(v) if (f := get(type(v))) is not None else _json_text(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_print(obj):
-    print(_json_text(obj))
 
 
 class _Words(dict):
@@ -122,13 +70,14 @@ _OPTIONAL_TEXT = _OptionalText({
 
 
 def _records_text(records, pad="\n") -> str:
-    """The text of json.dumps(list_of_record_dicts, indent=2), as placed at
-    `pad` by _json_text, for classify's TranspositionRecords, without a dict
-    per record: every record fills one %-template whose keys are encoded
-    once.  kind and class are encoded once per distinct value; the
-    optional fields print as null, true, false or an int, and any other
-    type raises TypeError.  step, position, pair and block are ints by
-    construction and print through %d."""
+    """The text of json.dumps(list_of_record_dicts, indent=2), nested at
+    `pad` (a newline and the enclosing indent), for classify's
+    TranspositionRecords, without a dict per record: every record fills
+    one %-template whose keys are encoded once.  kind and class are
+    encoded once per distinct value; the optional fields print as null,
+    true, false or an int, and any other type raises TypeError.  step,
+    position, pair and block are ints by construction and print through
+    %d."""
     if not records:
         return "[]"
     item = pad + "  "
@@ -162,16 +111,14 @@ def _records_text(records, pad="\n") -> str:
 def cmd_analyze(args) -> int:
     ps = read_points(args.file)
     rep = summarize(ps)
-    _json_print(
-        {
-            "n": rep.n,
-            "edge_vector": list(rep.edge_vector.counts),
-            "E_leq": list(rep.edge_vector.e_leq),
-            "halving_lines": rep.halving_lines,
-            "crossings": rep.crossings,
-            "identity_check": rep.consistent,
-        }
-    )
+    print(json.dumps({
+        "n": rep.n,
+        "edge_vector": list(rep.edge_vector.counts),
+        "E_leq": list(rep.edge_vector.e_leq),
+        "halving_lines": rep.halving_lines,
+        "crossings": rep.crossings,
+        "identity_check": rep.consistent,
+    }, indent=2))
     return 0 if rep.consistent else 1
 
 
@@ -192,11 +139,10 @@ def cmd_classify(args) -> int:
         "tallies": rep.tallies,
         "aux_checks": rep.aux_checks,
     }
-    # json.dumps(indent=2) of head with "records" appended as its last key.
-    items = [encode_basestring_ascii(key) + ": " + _json_text(value, "\n  ")
-             for key, value in head.items()]
-    items.append('"records": ' + _records_text(classify_records(h, args.k, s_value=rep.s), "\n  "))
-    print("{\n  " + ",\n  ".join(items) + "\n}")
+    # "records" goes in as head's last key, before the "\n}" that closes
+    # json.dumps(head, indent=2).
+    records = _records_text(classify_records(h, args.k, s_value=rep.s), "\n  ")
+    print(json.dumps(head, indent=2)[:-2] + ',\n  "records": ' + records + "\n}")
     return 0 if rep.all_ok else 1
 
 
@@ -208,20 +154,18 @@ def cmd_bounds(args) -> int:
         if not rows:
             raise InputError(f"k={args.k} out of range for n={args.n}")
     if args.format == "json":
-        _json_print(
-            [
-                {
-                    "k": r.k,
-                    "aichholzer": r.aichholzer,
-                    "u_k": r.u_k,
-                    "u_prime_k": r.u_prime_k,
-                    "explicit": r.explicit,
-                    "best": r.best,
-                    "source": r.source,
-                }
-                for r in rows
-            ]
-        )
+        print(json.dumps([
+            {
+                "k": r.k,
+                "aichholzer": r.aichholzer,
+                "u_k": r.u_k,
+                "u_prime_k": r.u_prime_k,
+                "explicit": r.explicit,
+                "best": r.best,
+                "source": r.source,
+            }
+            for r in rows
+        ], indent=2))
     else:
         def line(k, a, u, u_prime, e, best, source):
             u_prime = f" {u_prime:>9}" if args.with_u_prime else ""
@@ -244,16 +188,14 @@ def cmd_halving_bound(args) -> int:
 def cmd_cr_bound(args) -> int:
     res = bnd.cr_lower_bound(args.n, args.pipeline)
     if args.format == "json":
-        _json_print(
-            {
-                "n": res.n,
-                "pipeline": res.pipeline,
-                "value": res.value,
-                "per_k_bounds": [
-                    {"k": k, "bound": b, "source": s} for k, b, s in res.per_k_bounds_used
-                ],
-            }
-        )
+        print(json.dumps({
+            "n": res.n,
+            "pipeline": res.pipeline,
+            "value": res.value,
+            "per_k_bounds": [
+                {"k": k, "bound": b, "source": s} for k, b, s in res.per_k_bounds_used
+            ],
+        }, indent=2))
     else:
         print(res.value)
     return 0
@@ -350,9 +292,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    res = build_sr(SrConfig(r=args.r, precision=args.precision))
+    rows = build_sr(SrConfig(r=args.r, precision=args.precision)).audit
     r = args.r
-    rows = sr_audit(res.perturbed, res.levels)
     print(f"{'k':>4} {'E_leq':>8} {'expected':>9} {'bi':>6} {'mono':>6} status")
     for row in rows:
         print(f"{row.k:>4} {row.leq:>8} {row.want_leq:>9} {row.bi:>6} {row.mono:>6} "
@@ -523,4 +464,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import run
+
+    sys.exit(run())

@@ -7,15 +7,15 @@ is recomputed from scratch with exact predicates, and the free parameters
 goes) escalate automatically until the certificate passes.
 
 * build_sr: the recursive 9r-point family whose (<=k)-edge counts meet the
-  closed-form lower bound for every k <= 4r-1.  Nine classes of size r
-  (A, A', A'', and their images under rotation by 2*pi/3), emitted as plain
-  point sets in the fixed order `sr_class_tags` states; the A'' points
+  `bounds` table's best lower bound for every k <= 4r-1.  Nine classes of
+  size r (A, A', A'', and their images under rotation by 2*pi/3), emitted
+  as plain point sets in the fixed order `sr_class_tags` states; the A'' points
   sit on the x-axis far to the left, so far that any line through one of
   them and a non-rotated-double-prime point is flatter than any line
   avoiding A'' entirely (certified by exact slope comparison).  The raw
   set is intentionally degenerate (whole families are collinear); a
   verified perturbation produces the general-position set whose counts
-  are checked against the formulas.
+  are checked against that bound and the split's closed forms.
 * build_polygon_center: 2k+1 polygon vertices plus n-2k-1 points near the
   center; meets the central inequality's corollary with equality at
   s = n-2k-1.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .bounds import comb2
+from .bounds import bound_table, comb2
 from .circseq import Halfperiod, compute_s, halfperiod_from_points
 from .edgestats import check_routes, edge_vector_from_halfperiod
 from .errors import InputError, VerificationError
@@ -64,20 +64,8 @@ def sr_class_tags(r: int) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Expected counts for the recursive family (n = 9r)
+# Expected split of the recursive family's (<=k)-edges (n = 9r)
 # ---------------------------------------------------------------------------
-
-
-def sr_expected_leq(r: int, k: int) -> int:
-    """The closed-form lower bound the family attains, 0 <= k <= 4r-1."""
-    n = 9 * r
-    if not 0 <= k <= 4 * r - 1:
-        raise InputError(f"k out of range for S_r tightness: {k}")
-    if k <= n // 3 - 1:
-        return 3 * comb2(k + 2)
-    if k <= 4 * r - 2:
-        return 3 * comb2(k + 2) + 3 * comb2(k - n // 3 + 2)
-    return 3 * comb2(4 * r + 1) + 3 * comb2(r + 1) + 3
 
 
 def sr_expected_bichromatic(r: int, k: int) -> int:
@@ -96,8 +84,9 @@ def sr_expected_monochromatic(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class SrAuditRow:
-    """E_<=k of an S_r set and its bichromatic / monochromatic
-    split, each next to the closed form it must meet."""
+    """E_<=k of an S_r set next to the lower bound it must attain
+    (`bound_table(9r)` best), and its bichromatic / monochromatic split
+    next to the split's closed forms."""
 
     k: int
     leq: int
@@ -123,8 +112,9 @@ def sr_audit(ps: PointSet, levels) -> list[SrAuditRow]:
     """The tightness and split audit of an S_r set (n = 9r, in the
     `sr_class_tags` layout) for 0 <= k <= 4r-1, from its pair levels: every
     (<=k)-edge is either bichromatic or monochromatic, so E_<=k is their
-    sum.  One pass makes per-level (bichromatic, monochromatic) histograms;
-    rows read their prefix sums."""
+    sum, and it must equal the `bounds` table's best lower bound.  One pass
+    makes per-level (bichromatic, monochromatic) histograms; rows read their
+    prefix sums."""
     if ps.n % 9:
         raise InputError(f"an S_r set has 9r points, got {ps.n}")
     r = ps.n // 9
@@ -134,12 +124,13 @@ def sr_audit(ps: PointSet, levels) -> list[SrAuditRow]:
     for (i, j), lev in levels.items():
         if lev < top:
             hist[lev][letter[i] == letter[j]] += 1
+    best = bound_table(ps.n).rows
     rows = []
     bi = mono = 0
     for k, (bi_k, mono_k) in enumerate(hist):
         bi, mono = bi + bi_k, mono + mono_k
         want_split = (sr_expected_bichromatic(r, k), sr_expected_monochromatic(r, k))
-        rows.append(SrAuditRow(k, bi + mono, sr_expected_leq(r, k), bi, mono, want_split))
+        rows.append(SrAuditRow(k, bi + mono, best[k].best, bi, mono, want_split))
     return rows
 
 
@@ -186,7 +177,7 @@ class SrResult:
     config: SrConfig          # with the values that actually certified
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
     edge_vector: object       # edge vector of the perturbed set
-    levels: dict              # pair levels of the perturbed set (both routes agree)
+    audit: tuple              # sr_audit rows of the perturbed set, every one ok
 
 
 _BASE_A = {1: (-700, -50), 2: (-410, 150), 3: (-436, 144)}
@@ -439,12 +430,12 @@ def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
         # Each attempt is audited on the sweep's levels; the radial orders
         # recount only the set that is kept.
         h = halfperiod_from_points(ps, tie_break=True)
-        bad = [row for row in sr_audit(ps, h.point_levels) if not row.ok]
+        audit = tuple(sr_audit(ps, h.point_levels))
+        bad = [row for row in audit if not row.ok]
         if not bad:
             check_routes(ps, h)
             used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, ps, used, (max1, min2), edge_vector_from_halfperiod(h),
-                            h.point_levels)
+            return SrResult(raw, ps, used, (max1, min2), edge_vector_from_halfperiod(h), audit)
         failure = f"audit mismatch {bad[0]}"
         eps = eps / 1000
     raise VerificationError(f"S_{r} count verification failed: {failure}")

@@ -19,7 +19,6 @@ from .constructions import (
     build_polygon_center,
     build_sr,
     check_3decomposable,
-    sr_audit,
     sr_letter_partition,
     witness_failures,
 )
@@ -125,7 +124,7 @@ def run_constructions_suite(rmax: int) -> list:
     out = []
     for r in range(3, rmax + 1):
         res = build_sr(SrConfig(r=r))
-        rows = sr_audit(res.perturbed, res.levels)
+        rows = res.audit
         bad = [row.k for row in rows if not row.tight]
         out.append(_result(f"sr-tightness-r{r}", not bad, f"bad k: {bad}"))
         split_bad = [row.k for row in rows if not row.split_ok]

@@ -2,20 +2,16 @@
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kedges
 from kedges.bounds import bound_table
-from kedges.cli import _json_text, build_parser, main
+from kedges.cli import build_parser, main
 from kedges.gensets import convex_polygon_set
 from kedges.geom import write_points
 
@@ -157,7 +153,28 @@ def test_construct_and_verify_sr(tmp_path, capsys):
     assert main(["decompose3", out_file, "--partition", "1-9/10-18/19-27"]) == 0
     capsys.readouterr()
     assert main(["verify", "sr", "--r", "3"]) == 0
-    assert "verified" in capsys.readouterr().out
+    assert capsys.readouterr().out == VERIFY_SR_3
+    expected = [int(line.split()[2]) for line in VERIFY_SR_3.splitlines()[1:-1]]
+    assert expected == [row.best for row in bound_table(27).rows[:12]]
+
+
+# `verify sr --r 3`: the expected column is `bounds --n 27`'s best column.
+VERIFY_SR_3 = """\
+   k    E_leq  expected     bi   mono status
+   0        3         3      3      0 ok
+   1        9         9      9      0 ok
+   2       18        18     18      0 ok
+   3       30        30     30      0 ok
+   4       45        45     45      0 ok
+   5       63        63     63      0 ok
+   6       84        84     84      0 ok
+   7      108       108    108      0 ok
+   8      135       135    135      0 ok
+   9      168       168    162      6 ok
+  10      207       207    189     18 ok
+  11      255       255    216     39 ok
+S_3: tightness and split verified for all k <= 11
+"""
 
 
 def test_construct_raw_has_collinear_families(tmp_path, capsys):
@@ -453,13 +470,14 @@ def _run_python(*argv):
                           env=_python_env(), timeout=60)
 
 
-def test_closed_stdout_pipe_ends_the_run_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("module", ["kedges", "kedges.cli"])
+def test_closed_stdout_pipe_ends_the_run_without_a_traceback(module, tmp_path):
     # a 60-point report (~0.5 MB) outgrows the pipe buffer, so the process is
     # still writing when the reader closes its end
     path = tmp_path / "poly60.pts"
     write_points(path, convex_polygon_set(60))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kedges", "classify", str(path), "--k", "5", "--tie-break"],
+        [sys.executable, "-m", module, "classify", str(path), "--k", "5", "--tie-break"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
     )
     assert proc.stdout.read(8) == b'{\n  "n":'
@@ -517,53 +535,6 @@ def test_handlers_are_found_by_name_at_call_time(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_halving_bound", lambda args: print("rebound", args.n) or 0)
     assert main(["halving-bound", "--n", "24"]) == 0
     assert capsys.readouterr().out == "rebound 24\n"
-
-
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    st.integers(min_value=-(2**200), max_value=-(2**64)),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 0.1, 1e16]),
-    st.text(),
-    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\r\u00e9\u20ac\U0001f600ab '),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.text(alphabet='"\\\x01\u00e9k0 ', max_size=4), kids, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_JSON_VALUES)
-def test_json_text_matches_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [math.nan, math.inf, -math.inf, [1, math.nan], {"a": [math.inf]}, {1: "a"}, {True: 1},
-     {None: 1}, {1.5: 2}, {"a": {2: 3}}, {(1, 2): 3}, Fraction(1, 2), {1, 2}, b"x", object()],
-    # A bare object's repr holds its address; give it a name that is the same on every run.
-    ids=lambda obj: "object()" if type(obj) is object else repr(obj),
-)
-def test_json_text_uncovered_values(obj):
-    try:
-        want = json.dumps(obj, indent=2)
-    except TypeError:
-        want = TypeError
-    try:
-        got = _json_text(obj)
-    except TypeError:
-        return
-    assert got == want
 
 
 @pytest.mark.parametrize(

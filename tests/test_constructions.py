@@ -19,14 +19,13 @@ from kedges.constructions import (
     check_3decomposable,
     perturb_collinear_families,
     sr_expected_bichromatic,
-    sr_expected_leq,
     sr_expected_monochromatic,
     sr_audit,
     sr_class_tags,
     sr_letter_partition,
     witness_failures,
 )
-from kedges.bounds import comb2
+from kedges.bounds import bound_table, comb2
 from kedges.central import verify_central
 from kedges.edgestats import edge_vector_bruteforce, pair_levels
 from kedges.errors import InputError, VerificationError
@@ -91,8 +90,9 @@ def test_s3_slope_certificate(s3):
 def test_s3_tightness(s3):
     assert s3.perturbed.general_position
     ev = s3.edge_vector
+    best = bound_table(27).rows
     for k in range(12):
-        assert ev.leq(k) == sr_expected_leq(3, k)
+        assert ev.leq(k) == best[k].best
     assert ev.leq(11) == 255 and ev.leq(10) == 207
 
 
@@ -127,8 +127,10 @@ def test_s3_split(s3):
 
 
 def test_sr_audit_reuses_build_levels(s3):
-    assert s3.levels == pair_levels(s3.perturbed)
-    rows = sr_audit(s3.perturbed, s3.levels)
+    levels = halfperiod_from_points(s3.perturbed, tie_break=True).point_levels
+    assert levels == pair_levels(s3.perturbed)
+    rows = sr_audit(s3.perturbed, levels)
+    assert s3.audit == tuple(rows)
     assert [row.k for row in rows] == list(range(12))
     assert all(row.ok for row in rows)
     assert [row.leq for row in rows] == list(s3.edge_vector.e_leq[:12])
@@ -138,17 +140,19 @@ def test_sr_audit_reuses_build_levels(s3):
 def test_s4_tightness():
     res = build_sr(SrConfig(r=4))
     ev = res.edge_vector
+    best = bound_table(36).rows
     for k in range(16):
-        assert ev.leq(k) == sr_expected_leq(4, k)
+        assert ev.leq(k) == best[k].best
     assert ev.leq(15) == 441  # 3 C(17,2) + 3 C(5,2) + 3
 
 
 def test_sr_expected_consistency():
-    # bichromatic + monochromatic = total, for every family size
+    # bichromatic + monochromatic = the bounds table's best, for every family size
     for r in (3, 4, 5, 6):
+        best = bound_table(9 * r).rows
         for k in range(4 * r):
             assert sr_expected_bichromatic(r, k) + sr_expected_monochromatic(r, k) == \
-                sr_expected_leq(r, k)
+                best[k].best
 
 
 def test_polygon_center_9():
@@ -361,4 +365,5 @@ def test_sr_escalation_recovers_from_coarse_precision():
     # a coarse but squarable precision self-heals and still certifies
     res = build_sr(SrConfig(r=3, precision=2))
     assert res.config.precision > 2
-    assert all(res.edge_vector.leq(k) == sr_expected_leq(3, k) for k in range(12))
+    best = bound_table(27).rows
+    assert all(res.edge_vector.leq(k) == best[k].best for k in range(12))

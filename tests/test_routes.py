@@ -16,7 +16,7 @@ from functools import cmp_to_key
 import pytest
 
 from kedges.circseq import halfperiod_from_points
-from kedges.constructions import SrConfig, build_sr
+from kedges.constructions import SrConfig, build_sr, sr_audit
 from kedges.edgestats import (
     crossings_bruteforce,
     edge_vector_from_halfperiod,
@@ -75,8 +75,10 @@ def test_routes_agree_on_random_sets():
 def test_routes_agree_on_sr(r):
     res = build_sr(SrConfig(r=r))
     _assert_routes_agree(res.perturbed)
-    assert res.levels == pair_levels(res.perturbed)
-    assert res.edge_vector == edge_vector_from_halfperiod(halfperiod_from_points(res.perturbed, tie_break=True))
+    h = halfperiod_from_points(res.perturbed, tie_break=True)
+    assert h.point_levels == pair_levels(res.perturbed)
+    assert res.edge_vector == edge_vector_from_halfperiod(h)
+    assert res.audit == tuple(sr_audit(res.perturbed, h.point_levels))
 
 
 def _old_angles(ps):

@@ -17,11 +17,10 @@ is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
   with n = 48 and k = 8 (the top stratum of the perfbench `abstract`
   workload): `read_halfperiod` of its file, `validate_allowable`,
   `rearrange_essential`, `verify_central` and `classify` on the read
-  halfperiod (its axiom walk already cached), `cli._json_text` of the
-  `classify --halfperiod` report, `cli._records_text` of its records
-  (the part of the report `classify` renders through one template; null
-  on a tree without it), and that whole command through `cli.main` with
-  stdout discarded.
+  halfperiod (its axiom walk already cached), `cli._records_text` of the
+  `classify --halfperiod` report's records (the part of the report
+  `classify` renders through one template; null on a tree without it),
+  and that whole command through `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes.
 
@@ -116,14 +115,12 @@ def halfperiod_times() -> dict:
             return buf.getvalue()
 
         h = circseq.require_valid(circseq.read_halfperiod(path))
-        report = json.loads(main_stdout())
         row = {"n": n, "k": k}
         row["read_halfperiod"] = timed(circseq, "read_halfperiod", lambda f: f(path))
         row["validate_allowable"] = timed(circseq, "validate_allowable", lambda f: f(h))
         row["rearrange_essential"] = timed(central, "rearrange_essential", lambda f: f(h, k))
         row["verify_central"] = timed(central, "verify_central", lambda f: f(h, k))
         row["classify"] = timed(central, "classify", lambda f: f(h, k))
-        row["_json_text"] = timed(cli, "_json_text", lambda f: f(report))
         records = central.classify(h, k)
         row["_records_text"] = timed(cli, "_records_text", lambda f: f(records, "\n  "))
         row["main classify"] = median_time(main_stdout, WORD_REPEATS)
