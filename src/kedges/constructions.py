@@ -2,9 +2,10 @@
 
 Three families are generated here, each emitted as exact rational points
 and then *certified*: every count the construction is supposed to achieve
-is recomputed from scratch with exact predicates, and the free parameters
+is recomputed from scratch with exact predicates.  S_r reads its parameters
 (rotation precision, perturbation size, how far out the collinear tail
-goes) escalate automatically until the certificate passes.
+goes) off r and makes one attempt, reporting a failed certificate; only
+the two polygon builders still escalate their scale until it passes.
 
 * build_sr: the recursive 9r-point family whose (<=k)-edge counts meet the
   `bounds` table's best lower bound for every k <= 4r-1.  Nine classes of
@@ -32,7 +33,7 @@ count of part boundaries deciding each angular gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -144,37 +145,38 @@ def _check_precision(precision: int):
         raise InputError(f"precision must be a positive integer, got {precision}")
 
 
-# Where each recursive step places its new point inside the admissible
-# segment: the fraction of the way from the cut point to the family's end.
-SEGMENT_CHOICE = Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class SrConfig:
+    """S_r's parameters.  Only r is set; the rest is read off it.
+
+    The family's features shrink geometrically with r (each recursive step
+    halves its segment, and A'' reaches out to -far * 2^(r-1)), so the
+    sqrt(3) approximation gets max(12, r) decimal digits and the
+    perturbation stays 10^5 grid steps of it.  For r <= 12 that is
+    precision 10^12 and epsilon 10^-7."""
+
     r: int
-    far_factor: object = field(default_factory=lambda: Fraction(2 * 10**4))
-    perturbation_epsilon: object = field(default_factory=lambda: Fraction(1, 10**7))
-    precision: int = 10**12
+
+    far_factor = Fraction(2 * 10**4)  # the rightmost A'' point is at x = -far_factor
 
     def __post_init__(self):
         if self.r < 3:
             raise InputError("r >= 3 required")
-        _check_precision(self.precision)
-        try:
-            eps = Fraction(self.perturbation_epsilon)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(
-                f"perturbation_epsilon {self.perturbation_epsilon!r} is not a rational"
-            ) from None
-        if not eps > 0:
-            raise InputError("perturbation_epsilon must be positive")
+
+    @property
+    def precision(self) -> int:
+        return 10 ** max(12, self.r)
+
+    @property
+    def perturbation_epsilon(self) -> Fraction:
+        return Fraction(10**5, self.precision)
 
 
 @dataclass(frozen=True)
 class SrResult:
     raw: PointSet             # both in the `sr_class_tags` layout
     perturbed: PointSet
-    config: SrConfig          # with the values that actually certified
+    config: SrConfig
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
     edge_vector: object       # edge vector of the perturbed set
     audit: tuple              # sr_audit rows of the perturbed set, every one ok
@@ -197,28 +199,27 @@ def _require_interior(u: Point, v: Point, w: Point, what: str):
     return t
 
 
-def _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t: int):
-    """Exact check of the four structural properties at stage t."""
+def _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, r: int):
+    """Exact check of the structural properties (I)-(III) of the finished
+    families.  Points never move once placed, so these checks cover every
+    earlier stage too; (IV) depends on the stage and is checked as each
+    stage is built."""
     for fam, inf, name in ((A, a_inf, "(I)"), (Ap, ap_inf, "(II)")):
         base = fam[2]
         params = []
-        for i in range(2, t + 1):
+        for i in range(2, r + 1):
             if i > 2 and orientation(base, inf, fam[i]) != 0:
                 raise VerificationError(f"{name}: point {i} off the family line")
             params.append(_segment_param(base, inf, fam[i]))
         if any(not (params[i] < params[i + 1]) for i in range(len(params) - 1)):
             raise VerificationError(f"{name}: points out of order along the segment")
-        if params and not params[-1] < 1:
+        if not params[-1] < 1:
             raise VerificationError(f"{name}: family overruns the segment")
-    b = {i: rot(A[i]) for i in range(2, t + 1)}
-    b_inf = rot(a_inf)
-    for i in range(2, t):
-        for j in range(2, t + 1):
+    b = {i: rot(A[i]) for i in range(2, r + 1)}
+    for i in range(2, r):
+        for j in range(2, r + 1):
             z = line_intersection(Ap[i], A[j], b[i], b[i + 1])
             _require_interior(b[i], b[i + 1], z, f"(III) i={i} j={j}")
-    for j in range(2, t + 1):
-        z = line_intersection(Ap[t], A[j], b[t], b_inf)
-        _require_interior(b[t], b_inf, z, f"(IV) j={j}")
 
 
 def _point_on_line_at_x(p1: Point, p2: Point, x) -> Point:
@@ -228,30 +229,17 @@ def _point_on_line_at_x(p1: Point, p2: Point, x) -> Point:
     return Point(x, p1.y + slope * (x - p1.x))
 
 
-def _dyadic_between(lo, hi, target):
-    """A dyadic rational strictly inside the open interval (lo, hi), as close
-    to `target` as the chosen grid allows.
+def _dyadic_between(lo, hi):
+    """The grid point at or just below the midpoint of the open interval
+    (lo, hi), on a dyadic grid finer than a quarter of its width, so it
+    lies strictly inside.
 
     Keeps coordinate denominators bounded where the construction says
     "place the point anywhere on the open segment".
     """
-    if not lo < hi:
-        raise ValueError("empty interval")
     width = hi - lo
-    # Grid step < width/4 so at least two interior grid points exist.
     e = max(0, (4 * width.denominator).bit_length() - width.numerator.bit_length() + 2)
-    scale = 1 << e
-    base = math.floor(target * scale)
-    for cand in (base, base + 1, base - 1, base + 2):
-        q = Fraction(cand, scale)
-        if lo < q < hi:
-            return q
-    # Target far outside the interval: fall back to the midpoint grid point.
-    mid = math.floor((lo + hi) / 2 * scale)
-    q = Fraction(mid, scale)
-    if lo < q < hi:
-        return q
-    return Fraction(mid + 1, scale)
+    return Fraction(math.floor((lo + hi) / 2 * (1 << e)), 1 << e)
 
 
 def _build_sr_family(r: int, precision: int):
@@ -263,25 +251,27 @@ def _build_sr_family(r: int, precision: int):
     a_inf = line_intersection(A[2], A[3], c2, c3)
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
     b_inf = rot(a_inf)
-    _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, 3)
 
-    sigma = SEGMENT_CHOICE
-    for t in range(3, r):
+    for t in range(3, r + 1):
+        # (IV) at stage t: each line A'_t A_j meets the open segment b_t b_inf.
         b_t = rot(A[t])
-        x_cut = line_intersection(Ap[t], A[2], b_t, b_inf)
-        _require_interior(b_t, b_inf, x_cut, f"extension t={t}: cut point")
-        lo, hi = sorted((x_cut.x, b_inf.x))
-        target = x_cut.x + sigma * (b_inf.x - x_cut.x)
-        b_new = _point_on_line_at_x(b_t, b_inf, _dyadic_between(lo, hi, target))
+        cuts = [line_intersection(Ap[t], A[j], b_t, b_inf) for j in range(2, t + 1)]
+        for j, z in enumerate(cuts, start=2):
+            _require_interior(b_t, b_inf, z, f"(IV) t={t} j={j}")
+        if t == r:
+            break
+        # Each new point goes to the middle of its admissible segment: from
+        # the cut point (j = 2) to the family's end.
+        lo, hi = sorted((cuts[0].x, b_inf.x))
+        b_new = _point_on_line_at_x(b_t, b_inf, _dyadic_between(lo, hi))
         A[t + 1] = rot_inv(b_new)
 
         y_cut = line_intersection(b_new, a_inf, Ap[t], ap_inf)
         _require_interior(Ap[t], ap_inf, y_cut, f"extension t={t}: prime cut point")
         lo, hi = sorted((y_cut.x, ap_inf.x))
-        target = y_cut.x + sigma * (ap_inf.x - y_cut.x)
-        Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, _dyadic_between(lo, hi, target))
-        _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, t + 1)
+        Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, _dyadic_between(lo, hi))
 
+    _verify_sr_properties(A, Ap, a_inf, ap_inf, rot, r)
     return A, Ap, rot
 
 
@@ -293,9 +283,8 @@ def _abs_slope(p: Point, q: Point):
 
 
 def _certify_app_slopes(points, r):
-    """max |slope| over lines (A'' x non-double-prime-rotate) must stay
-    below min |slope| over lines avoiding A''.  Returns (ok, max1, min2,
-    blocking_is_far_independent)."""
+    """(max1, min2): max |slope| over lines (A'' x non-double-prime-rotate),
+    which must stay below min |slope| over lines avoiding A''."""
     tags = sr_class_tags(r)
     app = [i for i, t in enumerate(tags) if t == "A''"]
     bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
@@ -307,20 +296,13 @@ def _certify_app_slopes(points, r):
                 continue
             s = _abs_slope(points[i], points[j])
             if s is None:
-                return False, None, None, False
-            if s > max1:
-                max1 = s
-    min2 = None
-    min2_inner = True
-    for a, b in combinations(others, 2):
-        s = _abs_slope(points[a], points[b])
-        if s is None:
-            continue
-        if min2 is None or s < min2:
-            min2 = s
-            min2_inner = not ({a, b} & bpp_cpp)
-    ok = min2 is not None and max1 < min2
-    return ok, max1, min2, min2_inner
+                raise VerificationError("slope certificate: vertical line through A''")
+            max1 = max(max1, s)
+    min2 = min((s for a, b in combinations(others, 2)
+                if (s := _abs_slope(points[a], points[b])) is not None), default=None)
+    if min2 is None or not max1 < min2:
+        raise VerificationError(f"slope certificate: {max1} is not below {min2}")
+    return max1, min2
 
 
 def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
@@ -360,85 +342,40 @@ def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
 
 
 def build_sr(cfg: SrConfig) -> SrResult:
-    """Build and certify the 9r-point family.
-
-    Escalation ladder: the perturbation shrinks by 1/1000 on a failed
-    count check (up to 5 times), the flat-family offset doubles until the
-    slope certificate passes (up to 60 times), and the rotation precision
-    squares on any structural failure (up to 4 rounds; precision 1 gets one
-    round, since squaring leaves it at 1)."""
-    last_err = None
-    precision = cfg.precision
-    for _ in range(4):
-        try:
-            return _build_sr_once(cfg, precision)
-        except (VerificationError, InputError) as exc:
-            # A degenerate intersection mid-build means the rotation was too
-            # coarse; treat it like any other certificate failure.
-            last_err = exc
-            if precision == 1:  # squaring cannot raise it: a retry would repeat this build
-                break
-            precision = precision * precision
-    raise VerificationError(
-        f"S_{cfg.r} could not be certified after precision escalation: {last_err}"
-    )
-
-
-def _build_sr_once(cfg: SrConfig, precision: int) -> SrResult:
+    """Build and certify the 9r-point family in one attempt with the
+    parameters `cfg` derives from r.  Certificates: the structure of the
+    families, A'' strictly left of every other point, the slope margin,
+    general position after the perturbation, the audit against the
+    `bounds` table and the split, and both counting routes.  Any failure
+    raises VerificationError."""
     r = cfg.r
-    A, Ap, rot = _build_sr_family(r, precision)
-    # The 6r points off the flat family (A, A' and their two rotations) are
-    # rotated once; each far-factor attempt rotates only the r points of A''.
-    inner_a = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
-    inner_b = [rot(p) for p in inner_a]
-    inner_c = [rot(p) for p in inner_b]
-    min_inner_x = min(p.x for p in inner_a + inner_b + inner_c)
-
-    far = Fraction(cfg.far_factor)
-    certified = None
-    for _ in range(60):
-        if not -far < min_inner_x:  # -far is the rightmost A'' point
-            far = far * 2
-            continue
+    try:
+        A, Ap, rot = _build_sr_family(r, cfg.precision)
+        # A, A' and their two rotations; A'' is placed on the x-axis after them.
+        inner_a = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
+        inner_b = [rot(p) for p in inner_a]
+        inner_c = [rot(p) for p in inner_b]
+        far = cfg.far_factor
+        if not -far < min(p.x for p in inner_a + inner_b + inner_c):
+            raise VerificationError("A'' is not left of every other point")
         app_a = [Point(-far * (1 << (r - i)), Fraction(0)) for i in range(1, r + 1)]
         app_b = [rot(p) for p in app_a]
         pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
-        ok, max1, min2, inner_block = _certify_app_slopes(pts, r)
-        if ok:
-            certified = (pts, max1, min2)
-            break
-        if min2 is not None and min2 == 0 and inner_block:
-            # A horizontal line between two far-independent points can never
-            # be out-sloped; only a finer rotation can remove it.
-            raise VerificationError(
-                "slope certificate blocked by a horizontal line avoiding the flat family"
-            )
-        far = far * 2
-    if certified is None:
-        raise VerificationError("slope certificate failed after 60 doublings")
-    pts, max1, min2 = certified
-    raw = PointSet(pts)
-
-    eps = Fraction(cfg.perturbation_epsilon)
-    failure = None
-    for _ in range(5):
-        ps = perturb_collinear_families(raw, eps)
+        margin = _certify_app_slopes(pts, r)
+        raw = PointSet(pts)
+        ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
         if not ps.general_position:
-            failure = "perturbed set still has collinear triples"
-            eps = eps / 1000
-            continue
-        # Each attempt is audited on the sweep's levels; the radial orders
-        # recount only the set that is kept.
+            raise VerificationError("perturbed set still has collinear triples")
         h = halfperiod_from_points(ps, tie_break=True)
         audit = tuple(sr_audit(ps, h.point_levels))
         bad = [row for row in audit if not row.ok]
-        if not bad:
-            check_routes(ps, h)
-            used = replace(cfg, far_factor=far, perturbation_epsilon=eps, precision=precision)
-            return SrResult(raw, ps, used, (max1, min2), edge_vector_from_halfperiod(h), audit)
-        failure = f"audit mismatch {bad[0]}"
-        eps = eps / 1000
-    raise VerificationError(f"S_{r} count verification failed: {failure}")
+        if bad:
+            raise VerificationError(f"audit mismatch {bad[0]}")
+        check_routes(ps, h)
+    except (VerificationError, InputError) as exc:
+        # A degenerate intersection mid-build is a failed certificate too.
+        raise VerificationError(f"S_{r} could not be certified: {exc}") from None
+    return SrResult(raw, ps, cfg, margin, edge_vector_from_halfperiod(h), audit)
 
 
 # ---------------------------------------------------------------------------

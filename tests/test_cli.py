@@ -184,16 +184,29 @@ def test_construct_raw_has_collinear_families(tmp_path, capsys):
     assert main(["analyze", out_file]) == 2  # raw family is intentionally degenerate
 
 
-@pytest.mark.parametrize("flags, digest", [
-    ([], "082878abdf8b5d2ac4c9b0d6e63ea00a2760306e0a15c44abe3e34c6bf140ebf"),
-    (["--raw"], "f968388e0f9c8c43ebb98a31bf06279cf837386a72f7e2ed9ce6ff26eaebbbcb"),
-], ids=["perturbed", "raw"])
-def test_construct_sr_bytes_are_pinned(flags, digest, tmp_path, capsys):
+@pytest.mark.parametrize("r, flags, digest", [
+    (3, [], "082878abdf8b5d2ac4c9b0d6e63ea00a2760306e0a15c44abe3e34c6bf140ebf"),
+    (3, ["--raw"], "f968388e0f9c8c43ebb98a31bf06279cf837386a72f7e2ed9ce6ff26eaebbbcb"),
+    (12, [], "7ab5892910907fc6dba4c019ace1f6121814c439fb6d8f13370362a6cd0ec040"),
+    (12, ["--raw"], "c70efb77118aba4dced921b166d24f7de65d75dae155341e1560e46710f6e735"),
+], ids=["perturbed", "raw", "r12-perturbed", "r12-raw"])
+def test_construct_sr_bytes_are_pinned(r, flags, digest, tmp_path, capsys):
     # The certified coordinates and the letter-major layout (sr_class_tags),
     # byte for byte: decompose3's 1-9/10-18/19-27 partition relies on it.
-    out_file = tmp_path / "s3.pts"
-    assert main(["construct", "sr", "--r", "3", *flags, "-o", str(out_file)]) == 0
+    # r = 12 is the largest r whose derived parameters are precision 10^12
+    # and epsilon 10^-7.
+    out_file = tmp_path / f"s{r}.pts"
+    assert main(["construct", "sr", "--r", str(r), *flags, "-o", str(out_file)]) == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_verify_sr_20_stdout_is_pinned(capsys):
+    # every row is ok and its expected column is `bounds --n 180` best, so
+    # these bytes do not depend on the coordinates S_20 is built from
+    assert main(["verify", "sr", "--r", "20"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "885f9ce609ffbb180fb7ec5cff7088abcab20587dd343e3e8da60c6d92d1b0e2")
 
 
 # The witness directions of S_3's letter partition: rationals printed as
@@ -396,14 +409,9 @@ _BAD_FILES = {
     [
         ["decompose3", "OCT", "--partition", "1-a/4-6/7-8"],
         ["decompose3", "OCT", "--partition", "3-1/4-6/7-8"],
-        ["construct", "sr", "--r", "3", "--epsilon", "abc", "-o", "OUT"],
-        ["construct", "sr", "--r", "3", "--epsilon", "", "-o", "OUT"],
         ["selftest", "identities", "--nmax", "4"],
         ["selftest", "identities", "--trials", "0"],
         ["cr-table", "--from", "99", "--to", "28"],
-        ["construct", "sr", "--r", "3", "--precision", "0", "-o", "OUT"],
-        ["construct", "sr", "--r", "3", "--precision", "-5", "-o", "OUT"],
-        ["verify", "sr", "--r", "3", "--precision", "0"],
         ["construct", "cluster-polygon", "--t", "1", "--m", "3", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "-1", "-o", "OUT"],
@@ -417,8 +425,7 @@ _BAD_FILES = {
         ["analyze", "LONG_COUNT"],
         ["analyze", "LONG_XY_LINE"],
     ],
-    ids=["partition", "partition-reversed", "epsilon", "epsilon-empty", "nmax", "trials",
-         "cr-table-range", "precision-sr-0", "precision-sr-negative", "precision-verify-sr-0",
+    ids=["partition", "partition-reversed", "nmax", "trials", "cr-table-range",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
          "precision-polygon-center-negative", "rmax-constructions", "rmax-all",
          "analyze-non-utf8", "classify-non-utf8", "classify-huge-header",

@@ -36,8 +36,6 @@ from kedges.geom import P, PointSet, rotation_cw_2pi3_maps
 def test_sr_config_validation():
     with pytest.raises(InputError):
         SrConfig(r=2)
-    with pytest.raises(InputError):
-        SrConfig(r=3, perturbation_epsilon=0)
 
 
 def test_s3_raw_collinearities(s3):
@@ -335,35 +333,17 @@ def test_selftest_rejects_swapped_witness(monkeypatch):
     assert results["sr-3decomposable-r3"] == (False, "failing parts: [0, 1]")
 
 
-def test_sr_verification_failure_reports():
-    # an absurdly coarse rotation cannot certify; the error names the stage
-    from kedges.errors import VerificationError
-
+def test_sr_verification_failure_reports(monkeypatch):
+    # an absurdly coarse rotation cannot certify, and there is no retry
+    monkeypatch.setattr(SrConfig, "precision", 1)
     with pytest.raises(VerificationError, match="could not be certified"):
-        build_sr(SrConfig(r=3, precision=1))
+        build_sr(SrConfig(r=3))
 
 
-def test_sr_precision_one_is_built_once(monkeypatch):
-    # squaring leaves precision 1 at 1, so a retry would repeat the same build
-    import kedges.constructions as constructions
-    from kedges.errors import VerificationError
-
-    calls = []
-    build_once = constructions._build_sr_once
-
-    def counted(cfg, precision):
-        calls.append(precision)
-        return build_once(cfg, precision)
-
-    monkeypatch.setattr(constructions, "_build_sr_once", counted)
-    with pytest.raises(VerificationError, match="could not be certified"):
-        build_sr(SrConfig(r=3, precision=1))
-    assert calls == [1]
-
-
-def test_sr_escalation_recovers_from_coarse_precision():
-    # a coarse but squarable precision self-heals and still certifies
-    res = build_sr(SrConfig(r=3, precision=2))
-    assert res.config.precision > 2
-    best = bound_table(27).rows
-    assert all(res.edge_vector.leq(k) == best[k].best for k in range(12))
+def test_sr_34_certifies_with_the_parameters_it_derives():
+    # S_34's features are far finer than S_12's; both parameters follow r
+    cfg = SrConfig(r=34)
+    assert (cfg.precision, cfg.perturbation_epsilon) == (10**34, Fraction(1, 10**29))
+    res = build_sr(cfg)
+    assert res.perturbed.n == 306 and len(res.audit) == 136
+    assert all(row.ok for row in res.audit)

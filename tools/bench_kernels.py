@@ -22,7 +22,9 @@ is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
   `classify` renders through one template; null on a tree without it),
   and that whole command through `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
-  --r 5/10/20` and `analyze` on the file each of them writes.
+  --r 5/10/20` and `analyze` on the file each of them writes, and
+  `construct sr --r 30/40` alone (CLI_SR_SIZES).  A command that exits
+  non-zero is recorded as null after its first run.
 
 The result is stored under NAME in FILE together with an environment block
 (python, cpu count, git revision of DIR); other labels already in FILE are
@@ -47,6 +49,7 @@ from pathlib import Path
 from time import perf_counter
 
 SIZES = (5, 10, 20)
+CLI_SR_SIZES = (30, 40)
 REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
 WORD_REPEATS = 31
@@ -130,17 +133,23 @@ def halfperiod_times() -> dict:
 def cli_times(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
 
-    def run(*argv):
-        subprocess.run([sys.executable, "-m", "kedges", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+    def timed(*argv):
+        times = []
+        for _ in range(REPEATS):
+            t0 = perf_counter()
+            if subprocess.run([sys.executable, "-m", "kedges", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode:
+                return None
+            times.append(perf_counter() - t0)
+        return statistics.median(times)
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for r in SIZES:
+        for r in SIZES + CLI_SR_SIZES:
             path = str(Path(tmp) / f"s{r}.pts")
-            out[f"construct sr --r {r}"] = median_time(
-                lambda: run("construct", "sr", "--r", str(r), "-o", path))
-            out[f"analyze S_{r}"] = median_time(lambda: run("analyze", path))
+            out[f"construct sr --r {r}"] = timed("construct", "sr", "--r", str(r), "-o", path)
+            if r in SIZES:
+                out[f"analyze S_{r}"] = timed("analyze", path)
     return out
 
 
