@@ -52,12 +52,13 @@ never bad data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .circseq import Halfperiod, Transposition, _check_k, compute_s, require_valid
+from .circseq import Halfperiod, _check_k, _new_transposition, compute_s, require_valid
 from .edgestats import edge_vector_from_halfperiod
 from .errors import RearrangementError
 
@@ -75,6 +76,10 @@ class TranspositionRecord(NamedTuple):
     weight: int | None = None
     heavy: bool | None = None
     essential: bool = True
+
+
+# TranspositionRecord((twelve fields)) without the frame of its own __new__.
+_new_record = functools.partial(tuple.__new__, TranspositionRecord)
 
 
 def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionRecord]:
@@ -161,15 +166,12 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
         if bi:
             records.append(crit[bi - 1])
             entering = crit[bi - 1].entering
-        for t in trans[cut + 1 : end]:
-            center = k < t.position < n - k
-            records.append(
-                TranspositionRecord(
-                    t.step, t.position, t.pair, bi,
-                    "center" if center else "outer", "non-critical",
-                    essential=not center or bi == 0 or entering in t.pair,
-                )
-            )
+        for step, pos, pair in trans[cut + 1 : end]:
+            center = k < pos < n - k
+            records.append(_new_record((
+                step, pos, pair, bi, "center" if center else "outer", "non-critical",
+                None, None, None, None, None, not center or bi == 0 or entering in pair,
+            )))
     return records
 
 
@@ -236,7 +238,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
 
     def swap(j, pair=None):
         a, b = cur[j], cur[j + 1]
-        seq.append((j + 1, pair or (a, b)))
+        seq.append(_new_transposition((len(seq) + 1, j + 1, pair or (a, b))))
         cur[j], cur[j + 1] = b, a
         slot[a], slot[b] = j + 1, j
 
@@ -279,11 +281,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
         for t in outer:
             swap_in_place(t)
 
-    out = Halfperiod(
-        n,
-        h.initial,
-        tuple(Transposition(i + 1, pos, pair) for i, (pos, pair) in enumerate(seq)),
-    )
+    out = Halfperiod(n, h.initial, tuple(seq))
     report = out.axiom_walk[0]
     if report:
         raise RearrangementError("rearranged halfperiod invalid: " + report[0])

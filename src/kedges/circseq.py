@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -36,6 +37,11 @@ class Transposition(NamedTuple):
     pair: tuple[int, int]
 
 
+# Transposition((step, position, pair)) without the Python frame of the
+# NamedTuple's own __new__ (`_make` runs this same call, in a frame).
+_new_transposition = functools.partial(tuple.__new__, Transposition)
+
+
 @dataclass(frozen=True)
 class Halfperiod:
     """n, an initial permutation of 1..n, and C(n,2) transpositions.
@@ -44,10 +50,11 @@ class Halfperiod:
     validate_allowable to obtain the violation report (empty iff valid).
     Factories in this module only return validated instances.
 
-    The fields are immutable, so the axiom walk, the per-level tally and
-    the k-critical transpositions of each k are made at most once per
-    instance (`axiom_walk`, `level_counts`, `k_critical`); require_valid
-    and the kernels read them.
+    The fields are immutable, so the axiom walk is made at most once per
+    instance (`axiom_walk`): the violations, which require_valid reads,
+    and the slot pairs and transposition indices at each position, which
+    `level_counts` and each `k_critical(k)` read (and cache) in place of
+    a rescan of the transpositions.
 
     A halfperiod swept from a point set also records the point index
     behind each label (`point_index`, label l is point point_index[l-1]);
@@ -70,23 +77,27 @@ class Halfperiod:
         return tuple(perm)
 
     @functools.cached_property
-    def axiom_walk(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
-        """(violations, slot pairs) of this instance's one validate_allowable
-        walk; slot pair t is (left, right) as the labels stood in the two
-        swapped slots just before transposition t."""
+    def axiom_walk(self) -> tuple[tuple[str, ...], tuple, tuple]:
+        """(violations, slot pairs, index) of this instance's one
+        validate_allowable walk: slot pair t is (left, right) as the labels
+        stood in the two swapped slots just before transposition t, and
+        index[j] lists in order the indices of the transpositions at
+        position j, 0 <= j <= n (empty if the initial permutation failed)."""
         slots: list[tuple[int, int]] = []
-        return tuple(validate_allowable(self, slots)), tuple(slots)
+        at: list[list[int]] = []
+        report = validate_allowable(self, (slots, at))
+        return tuple(report), tuple(slots), tuple(map(tuple, at))
 
     @functools.cached_property
     def level_counts(self) -> tuple[int, ...]:
-        """(E_0, ..., E_{floor(n/2)-1}) tallied once per instance from the
-        transposition positions: a swap at slots (j, j+1) is a
+        """(E_0, ..., E_{floor(n/2)-1}) read once per instance off the axiom
+        walk's per-position index: a swap at slots (j, j+1) is a
         (min(j, n-j) - 1)-edge.  Requires a valid halfperiod."""
-        require_valid(self)
+        at = require_valid(self).axiom_walk[2]
         n = self.n
         counts = [0] * (n // 2)
-        for t in self.transpositions:
-            counts[min(t.position, n - t.position) - 1] += 1
+        for j in range(1, n):
+            counts[min(j, n - j) - 1] += len(at[j])
         return tuple(counts)
 
     @functools.cached_property
@@ -113,36 +124,41 @@ class Halfperiod:
         """(index, boundary, entering, leaving) of each k-critical
         transposition in order: a swap in slots (k, k+1) lets the left
         label into the k-center, one in slots (n-k, n-k+1) the right one.
-        Read from the cached walk once per k and instance; requires a
-        valid halfperiod."""
+        Read once per k and instance off the axiom walk's slot pairs at
+        positions k and n-k of its per-position index; requires a valid
+        halfperiod and 1 <= k < n/2."""
         cache = self._k_critical_by_k
         crit = cache.get(k)
         if crit is None:
-            slots = require_valid(self).axiom_walk[1]
-            n = self.n
-            crit = cache[k] = tuple(
-                (idx, "k", left, right) if t.position == k else (idx, "n-k", right, left)
-                for idx, (t, (left, right)) in enumerate(zip(self.transpositions, slots))
-                if t.position == k or t.position == n - k
-            )
+            _check_k(self.n, k)
+            _report, slots, at = require_valid(self).axiom_walk
+            crit = [(idx, "k", *slots[idx]) for idx in at[k]]
+            crit += [(idx, "n-k", slots[idx][1], slots[idx][0]) for idx in at[self.n - k]]
+            crit.sort()
+            crit = cache[k] = tuple(crit)
         return crit
 
 
-def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
+def validate_allowable(h: Halfperiod, walk: tuple[list, list] | None = None) -> list[str]:
     """Check the simple-allowable-sequence axioms; returns the list of
     violations (empty iff h is a valid halfperiod).
 
     Violations are data, not errors: axioms checked are the step numbering
     1..C(n,2), slot adjacency of the recorded pairs, every pair swapped
     exactly once, the expected transposition count, and final permutation
-    = reverse of initial.  When `slots` is given, the labels standing in
-    the swapped slots before each in-range transposition are appended to it.
+    = reverse of initial.  When `walk` = (slots, at) is given, slots gets
+    the labels standing in the swapped slots before each in-range
+    transposition and, once the initial permutation passes, at gets n + 1
+    lists, at[j] the indices of the transpositions at position j.
     """
     report = []
     n = h.n
     if len(h.initial) != n or sorted(h.initial) != list(range(1, n + 1)):
         report.append(f"initial is not a permutation of 1..{n}")
         return report
+    if walk is not None:
+        slots, at = walk
+        at.extend([] for _ in range(n + 1))
     expected = comb(n, 2)
     if len(h.transpositions) != expected:
         report.append(
@@ -158,8 +174,9 @@ def validate_allowable(h: Halfperiod, slots: list | None = None) -> list[str]:
             continue
         j = position - 1
         a, b = here = perm[j], perm[j + 1]
-        if slots is not None:
+        if walk is not None:
             slots.append(here)
+            at[position].append(idx)
         if pair != here and pair != (b, a):
             report.append(
                 f"step {idx + 1}: recorded pair {pair} but slots hold {here}"
@@ -321,34 +338,40 @@ def compute_s(h: Halfperiod, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Halfperiod file format: line 1 "n"; line 2 the initial permutation;
-# then C(n,2) lines "step position labelA labelB".
+# then C(n,2) lines "step position labelA labelB".  Blank and '#' lines are
+# skipped but counted in each "line N" message.
 # ---------------------------------------------------------------------------
 
 
 def read_halfperiod(path) -> Halfperiod:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [ln.strip() for ln in fh]
+            lines = enumerate(fh.read().split("\n"), start=1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    rows = [(i + 1, ln) for i, ln in enumerate(rows) if ln and not ln.startswith("#")]
-    if len(rows) < 2:
+    # One pass: the header is the first two lines that are neither blank
+    # nor '#', and it is parsed before any transposition line.
+    stripped = (ln.strip() for _no, ln in lines)
+    header = list(islice((ln for ln in stripped if ln and not ln.startswith("#")), 2))
+    if len(header) < 2:
         raise InputError("halfperiod file too short")
     try:
-        n = int(rows[0][1])
-        initial = tuple(int(t) for t in rows[1][1].split())
+        n = int(header[0])
+        initial = tuple(int(t) for t in header[1].split())
     except ValueError as exc:
         raise InputError(f"bad halfperiod header: {exc}") from None
     trans = []
-    for no, ln in rows[2:]:
+    for no, ln in lines:
         toks = ln.split()
+        if not toks or toks[0].startswith("#"):
+            continue
         if len(toks) != 4:
             raise InputError(f"line {no}: expected 'step position labelA labelB'")
         try:
             step, pos, la, lb = map(int, toks)
         except ValueError:
             raise InputError(f"line {no}: non-integer field") from None
-        trans.append(Transposition(step, pos, (la, lb)))
+        trans.append(_new_transposition((step, pos, (la, lb))))
     return Halfperiod(n, initial, tuple(trans))
 
 

@@ -45,11 +45,14 @@ from .geom import read_points, write_points
 from .selftest import run_scope
 
 
-class _Words(dict):
-    """JSON text of each distinct str, encoded on its first lookup."""
+class _Memo(dict):
+    """fn(key) for each distinct key, computed on its first lookup."""
 
-    def __missing__(self, word):
-        text = self[word] = encode_basestring_ascii(word)
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        text = self[key] = self.fn(key)
         return text
 
 
@@ -77,7 +80,9 @@ def _records_text(records, pad="\n") -> str:
     encoded once per distinct value; the optional fields print as null,
     true, false or an int, and any other type raises TypeError.  step,
     position, pair and block are ints by construction and print through
-    %d."""
+    %d.  A record whose entering, aug_m, weight and heavy are None and
+    whose essential is a bool (every non-critical one) fills only the %d
+    head; its tail is made once per (kind, class, essential)."""
     if not records:
         return "[]"
     item = pad + "  "
@@ -91,16 +96,23 @@ def _records_text(records, pad="\n") -> str:
             ("aug_m", "%s"), ("weight", "%s"), ("heavy", "%s"), ("essential", "%s"),
         )
     ) + item + "}"
-    words, opt = _Words(), _OPTIONAL_TEXT
+    cut = template.index('"kind"')
+    head, tail = template[:cut], template[cut:]
+    words, opt = _Memo(encode_basestring_ascii), _OPTIONAL_TEXT
+    tails = _Memo(lambda key: tail % (
+        words[key[0]], words[key[1]], "null", "null", "null", "null", _CONSTANT_TEXT[key[2]]))
     texts = [
-        template % (
-            r.step, r.position, r.pair[0], r.pair[1], r.block_index,
-            words[r.kind], words[r.cls],
-            opt[type(r.entering)](r.entering), opt[type(r.aug_m)](r.aug_m),
-            opt[type(r.weight)](r.weight), opt[type(r.heavy)](r.heavy),
-            opt[type(r.essential)](r.essential),
+        head % (step, position, pair[0], pair[1], block) + tails[kind, cls, essential]
+        if entering is None and aug_m is None and weight is None and heavy is None
+        and (essential is True or essential is False)
+        else template % (
+            step, position, pair[0], pair[1], block, words[kind], words[cls],
+            opt[type(entering)](entering), opt[type(aug_m)](aug_m),
+            opt[type(weight)](weight), opt[type(heavy)](heavy),
+            opt[type(essential)](essential),
         )
-        for r in records
+        for (step, position, pair, block, kind, cls, entering, _boundary, aug_m, weight, heavy,
+             essential) in records
     ]
     return "[" + item + ("," + item).join(texts) + pad + "]"
 

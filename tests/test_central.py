@@ -164,9 +164,9 @@ def test_axioms_walked_once_per_halfperiod(monkeypatch):
     walked = []
     real = circseq.validate_allowable
 
-    def counting(h, slots=None):
+    def counting(h, walk=None):
         walked.append(h)
-        return real(h, slots)
+        return real(h, walk)
 
     monkeypatch.setattr(circseq, "validate_allowable", counting)
     h = _reduced_word(14, random.Random(71))
@@ -310,6 +310,49 @@ def test_rearrangement_matches_fixpoint_reference(h):
         assert compute_s(lam, k) == compute_s(h, k)
         ev, evl = edge_vector_from_halfperiod(h), edge_vector_from_halfperiod(lam)
         assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k)
+
+
+def ref_level_counts(h):
+    """E_0.. by a scan of h.transpositions: a swap at slots (j, j+1) is a
+    (min(j, n-j) - 1)-edge."""
+    n = h.n
+    counts = [0] * (n // 2)
+    for t in h.transpositions:
+        counts[min(t.position, n - t.position) - 1] += 1
+    return tuple(counts)
+
+
+def ref_k_critical(h, k):
+    """The k-critical transpositions by a scan of h.transpositions that
+    replays h for the labels standing in each swap's slots."""
+    n, perm, crit = h.n, list(h.initial), []
+    for idx, t in enumerate(h.transpositions):
+        j = t.position - 1
+        left, right = perm[j], perm[j + 1]
+        if t.position == k or t.position == n - k:
+            crit.append((idx, "k", left, right) if t.position == k else (idx, "n-k", right, left))
+        perm[j], perm[j + 1] = right, left
+    return tuple(crit)
+
+
+@st.composite
+def small_halfperiods(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        return halfperiod_from_points(
+            random_general_position_set(draw(st.integers(3, 14)), rng), tie_break=True
+        )
+    return _reduced_word(draw(st.integers(3, 30)), rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_halfperiods())
+def test_walk_tallies_match_a_direct_scan(h):
+    ks = range(1, (h.n - 1) // 2 + 1)
+    for g in (h, *(rearrange_essential(h, k) for k in ks)):
+        assert g.level_counts == ref_level_counts(g), h.n
+        for k in ks:
+            assert g.k_critical(k) == ref_k_critical(g, k), (h.n, k)
 
 
 # The n = 48 word timed by tools/bench_kernels.py and the pinned n = 40

@@ -219,3 +219,45 @@ def test_halfperiod_file_roundtrip(tmp_path):
     first = path.read_text().splitlines()
     assert first[0] == "6"
     assert first[1] == "1 2 3 4 5 6"
+
+
+# A valid n = 3 halfperiod file: "#" lines and blank lines are skipped but
+# count towards each message's "line N".
+HP3 = "# n\n3\n\n1 2 3\n# steps\n1 1 1 2\n2 2 1 3\n3 1 2 3\n"
+
+
+def test_read_halfperiod_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "hp.txt"
+    path.write_text(HP3)
+    assert read_halfperiod(path) == Halfperiod(3, (1, 2, 3), tuple(_word((1, 2, 3), [1, 2, 1])))
+
+
+@pytest.mark.parametrize(
+    "text, msg",
+    [
+        pytest.param("", "halfperiod file too short", id="empty"),
+        pytest.param("# only\n\n3\n  \n# 1 2 3\n", "halfperiod file too short", id="one-line"),
+        pytest.param("x\n", "halfperiod file too short", id="one-bad-line"),
+        pytest.param("three\n1 2 3\n", "bad halfperiod header: invalid literal for int() "
+                     "with base 10: 'three'", id="bad-n"),
+        pytest.param("3\n1 2 x\n", "bad halfperiod header: invalid literal for int() "
+                     "with base 10: 'x'", id="bad-initial"),
+        pytest.param(" 3 \n1 2 3\n1 1 1\n", "line 3: expected 'step position labelA labelB'",
+                     id="three-fields"),
+        pytest.param(HP3.replace("2 2 1 3", "2 2 1 3 4"),
+                     "line 7: expected 'step position labelA labelB'", id="five-fields"),
+        pytest.param(HP3.replace("3 1 2 3", "3 1 2 c"), "line 8: non-integer field",
+                     id="non-integer"),
+        # the header is reported before a bad transposition line
+        pytest.param("# n\nthree\n1 2 3\n1 1 x\n", "bad halfperiod header: invalid literal "
+                     "for int() with base 10: 'three'", id="header-first"),
+        pytest.param("3\n1 2 3 y\n# z\n\n1 1 1\n", "bad halfperiod header: invalid literal "
+                     "for int() with base 10: 'y'", id="header-first-initial"),
+    ],
+)
+def test_read_halfperiod_messages(tmp_path, text, msg):
+    path = tmp_path / "hp.txt"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        read_halfperiod(path)
+    assert str(exc.value) == msg

@@ -1,6 +1,7 @@
-"""Every public top-level function or class of the package is reached from
-the package itself (by a CLI handler, a selftest suite or another kernel),
-or is one of the few names kept only for the tests."""
+"""Every public top-level function or class of the package, and every
+public method or property of a package class, is reached from the package
+itself (by a CLI handler, a selftest suite or another kernel), or is one
+of the few names kept only for the tests."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,9 @@ TESTS = Path(__file__).resolve().parent
 # the package calls them.
 TEST_SUPPORT = ("k_center", "rotate_halfperiod", "reverse_halfperiod", "write_halfperiod",
                 "edge_vector_bruteforce", "collinear_triples", "convex_polygon_set", "P")
+# The exact comparators of SqrtExpr that test_explicit_bound_values checks the
+# explicit bound with; the package prints the bound through to_float only.
+TEST_SUPPORT_METHODS = ("SqrtExpr.le", "SqrtExpr.ge")
 
 
 def _modules():
@@ -51,6 +55,25 @@ def _public_defs(modules):
                 yield filename, node.name
 
 
+def _attributes(modules) -> set:
+    """Every attribute name any package module other than __init__.py looks
+    up, on any object: for a method or property, `obj.name` anywhere in the
+    package counts as a reference."""
+    return {node.attr for filename, tree in modules.items() if filename != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _public_methods(modules):
+    """(file, "Class.name") of each public method or property defined in the
+    body of a top-level class."""
+    for filename, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield filename, f"{cls.name}.{node.name}"
+
+
 def test_every_public_name_is_reached():
     modules = _modules()
     referenced = _referenced(modules)
@@ -60,6 +83,27 @@ def test_every_public_name_is_reached():
                 or name in TEST_SUPPORT)
     ]
     assert unreached == []
+
+
+def test_every_public_method_is_reached():
+    modules = _modules()
+    attributes = _attributes(modules)
+    unreached = [f"{filename}:{name}" for filename, name in _public_methods(modules)
+                 if name.split(".")[1] not in attributes and name not in TEST_SUPPORT_METHODS]
+    assert unreached == []
+
+
+def test_test_support_methods_are_test_only_and_used():
+    modules = _modules()
+    defined = {name for _, name in _public_methods(modules)}
+    attributes = _attributes(modules)
+    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
+                      if path.name != Path(__file__).name)
+    for name in TEST_SUPPORT_METHODS:
+        method = name.split(".")[1]
+        assert name in defined, name
+        assert method not in attributes, f"{name} is reached from the package; drop it here"
+        assert f".{method}(" in tests, f"{name} is used by no test"
 
 
 def test_test_support_names_are_test_only_and_used():

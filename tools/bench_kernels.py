@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
 """Time the point-set kernels, the halfperiod kernels and a few CLI calls of
-one kedges source tree.
+one or more kedges source trees, each in several fresh processes.
 
-    python3 tools/bench_kernels.py --src DIR --label NAME -o FILE
+    python3 tools/bench_kernels.py --run parent=DIR1 --run change=DIR2 -o FILE
 
-DIR is a source checkout (kedges is imported from DIR/src).  Each figure
-is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
-(31) runs for the halfperiod kernels, which take milliseconds each:
+Each DIR is a source checkout (kedges is imported from DIR/src).  Every
+label is timed in PROCESSES (3) fresh processes, one per round, and the
+labels take turns going first: round r starts at label r mod the number of
+labels.  A single-process median can drift by x2 between processes on a
+shared host, so FILE stores, for each figure, the median, min and max of
+the per-process figures.  `--src DIR` times one tree in this process and
+prints its figures as JSON (what each of those processes runs).
+
+In one process, each figure is the median wall time in seconds of REPEATS
+(5) runs, or of WORD_REPEATS (31) runs for the halfperiod kernels, which
+take milliseconds each:
 
 * kernels, in this process, on the S_5, S_10 and S_20 sets that DIR's
   build_sr emits: `PointSet.angles` on a fresh PointSet (the event sort),
@@ -17,18 +25,20 @@ is the median wall time in seconds of REPEATS (5) runs, or of WORD_REPEATS
   with n = 48 and k = 8 (the top stratum of the perfbench `abstract`
   workload): `read_halfperiod` of its file, `validate_allowable`,
   `rearrange_essential`, `verify_central` and `classify` on the read
-  halfperiod (its axiom walk already cached), `cli._records_text` of the
-  `classify --halfperiod` report's records (the part of the report
-  `classify` renders through one template; null on a tree without it),
-  and that whole command through `cli.main` with stdout discarded.
+  halfperiod (its axiom walk already cached), `level_counts` and
+  `k_critical(k)` on a fresh copy of it whose axiom walk alone is made
+  (untimed) before each run, `cli._records_text` of the `classify
+  --halfperiod` report's records (the part of the report `classify`
+  renders through one template; null on a tree without it), and that
+  whole command through `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes, and
   `construct sr --r 30/40` alone (CLI_SR_SIZES).  A command that exits
   non-zero is recorded as null after its first run.
 
-The result is stored under NAME in FILE together with an environment block
-(python, cpu count, git revision of DIR); other labels already in FILE are
-kept, so two trees can be compared in one file.
+The result is stored under each LABEL in FILE together with an environment
+block (python, cpu count, git revision of DIR); other labels already in
+FILE are kept.
 """
 
 from __future__ import annotations
@@ -53,13 +63,16 @@ CLI_SR_SIZES = (30, 40)
 REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
 WORD_REPEATS = 31
+PROCESSES = 3
 
 
-def median_time(fn, repeats=REPEATS) -> float:
+def median_time(fn, repeats=REPEATS, setup=None) -> float:
+    """Median wall time of fn(), or of fn(setup()) with setup untimed."""
     times = []
     for _ in range(repeats):
+        arg = () if setup is None else (setup(),)
         t0 = perf_counter()
-        fn()
+        fn(*arg)
         times.append(perf_counter() - t0)
     return statistics.median(times)
 
@@ -118,9 +131,15 @@ def halfperiod_times() -> dict:
             return buf.getvalue()
 
         h = circseq.require_valid(circseq.read_halfperiod(path))
+
+        def walked():
+            return circseq.require_valid(circseq.Halfperiod(n, h.initial, h.transpositions))
+
         row = {"n": n, "k": k}
         row["read_halfperiod"] = timed(circseq, "read_halfperiod", lambda f: f(path))
         row["validate_allowable"] = timed(circseq, "validate_allowable", lambda f: f(h))
+        row["level_counts"] = median_time(lambda g: g.level_counts, WORD_REPEATS, walked)
+        row["k_critical"] = median_time(lambda g: g.k_critical(k), WORD_REPEATS, walked)
         row["rearrange_essential"] = timed(central, "rearrange_essential", lambda f: f(h, k))
         row["verify_central"] = timed(central, "verify_central", lambda f: f(h, k))
         row["classify"] = timed(central, "classify", lambda f: f(h, k))
@@ -153,6 +172,29 @@ def cli_times(src: Path) -> dict:
     return out
 
 
+def one_process(src: Path) -> dict:
+    """Every figure of the tree at src, timed in this process."""
+    sys.path.insert(0, str(src / "src"))
+    return {
+        "kernels_s": kernel_times(),
+        "halfperiod_kernels_s": halfperiod_times(),
+        "cli_s": cli_times(src),
+    }
+
+
+def spread(samples):
+    """{median, min, max} of each figure over the per-process results, which
+    share one shape; sizes (n, k) are kept as they are, and a figure that is
+    null in any process is null."""
+    first = samples[0]
+    if isinstance(first, dict):
+        return {key: first[key] if key in ("n", "k") else spread([s[key] for s in samples])
+                for key in first}
+    if any(s is None for s in samples):
+        return None
+    return {"median": statistics.median(samples), "min": min(samples), "max": max(samples)}
+
+
 def environment(src: Path) -> dict:
     try:
         rev = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -162,26 +204,49 @@ def environment(src: Path) -> dict:
     return {"python": platform.python_version(), "nproc": os.cpu_count(), "git": rev}
 
 
+def label_dir(spec: str) -> tuple[str, Path]:
+    label, eq, src = spec.partition("=")
+    if not (label and eq and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {spec!r}")
+    return label, Path(src).resolve()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, type=Path, help="source checkout to time")
-    ap.add_argument("--label", required=True, help="key of this tree's figures in FILE")
-    ap.add_argument("-o", "--output", required=True, type=Path)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--run", action="append", type=label_dir, metavar="LABEL=DIR",
+                      help="a source checkout to time under LABEL (repeat for each tree)")
+    mode.add_argument("--src", type=Path,
+                      help="time this checkout in this process and print its figures")
+    ap.add_argument("-o", "--output", type=Path, help="JSON file the --run figures go to")
     args = ap.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src / "src"))
+    if args.src is not None:
+        print(json.dumps(one_process(args.src.resolve())))
+        return 0
+    if args.output is None:
+        ap.error("--run needs -o FILE")
 
-    result = {
-        "env": environment(src),
-        "repeats": REPEATS,
-        "word_repeats": WORD_REPEATS,
-        "kernels_s": kernel_times(),
-        "halfperiod_kernels_s": halfperiod_times(),
-        "cli_s": cli_times(src),
-    }
+    runs = dict(args.run)
+    labels = list(runs)
+    samples = {label: [] for label in labels}
+    for rnd in range(PROCESSES):
+        for label in labels[rnd % len(labels):] + labels[:rnd % len(labels)]:
+            out = subprocess.run([sys.executable, __file__, "--src", str(runs[label])],
+                                 capture_output=True, text=True, check=True).stdout
+            samples[label].append(json.loads(out))
+            print(f"round {rnd + 1}/{PROCESSES}: {label} done", file=sys.stderr)
+
     data = json.loads(args.output.read_text()) if args.output.exists() else {}
-    data.setdefault("what", "median wall seconds; see tools/bench_kernels.py")
-    data.setdefault("runs", {})[args.label] = result
+    data["what"] = ("median, min and max over fresh processes of each process's median "
+                    "wall seconds; see tools/bench_kernels.py")
+    for label in labels:
+        data.setdefault("runs", {})[label] = {
+            "env": environment(runs[label]),
+            "processes": PROCESSES,
+            "repeats": REPEATS,
+            "word_repeats": WORD_REPEATS,
+            **spread(samples[label]),
+        }
     args.output.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
