@@ -290,13 +290,13 @@ def ref_rearrange_essential(h, k):
 
 
 @st.composite
-def halfperiods(draw):
+def halfperiods(draw, min_n=5):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.integers(0, 4)) == 0:
         return halfperiod_from_points(
-            random_general_position_set(draw(st.integers(5, 14)), rng), tie_break=True
+            random_general_position_set(draw(st.integers(min_n, 14)), rng), tie_break=True
         )
-    return _reduced_word(draw(st.integers(5, 30)), rng)
+    return _reduced_word(draw(st.integers(min_n, 30)), rng)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -329,24 +329,16 @@ def ref_k_critical(h, k):
     for idx, t in enumerate(h.transpositions):
         j = t.position - 1
         left, right = perm[j], perm[j + 1]
-        if t.position == k or t.position == n - k:
-            crit.append((idx, "k", left, right) if t.position == k else (idx, "n-k", right, left))
+        if t.position == k:
+            crit.append((idx, "k", left, right))
+        elif t.position == n - k:
+            crit.append((idx, "n-k", right, left))
         perm[j], perm[j + 1] = right, left
     return tuple(crit)
 
 
-@st.composite
-def small_halfperiods(draw):
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.integers(0, 4)) == 0:
-        return halfperiod_from_points(
-            random_general_position_set(draw(st.integers(3, 14)), rng), tie_break=True
-        )
-    return _reduced_word(draw(st.integers(3, 30)), rng)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(small_halfperiods())
+@given(halfperiods(min_n=3))
 def test_walk_tallies_match_a_direct_scan(h):
     ks = range(1, (h.n - 1) // 2 + 1)
     for g in (h, *(rearrange_essential(h, k) for k in ks)):

@@ -74,6 +74,11 @@ def _public_methods(modules):
                         yield filename, f"{cls.name}.{node.name}"
 
 
+def _other_tests_text() -> str:
+    return "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
+                     if path.name != Path(__file__).name)
+
+
 def test_every_public_name_is_reached():
     modules = _modules()
     referenced = _referenced(modules)
@@ -97,8 +102,7 @@ def test_test_support_methods_are_test_only_and_used():
     modules = _modules()
     defined = {name for _, name in _public_methods(modules)}
     attributes = _attributes(modules)
-    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
-                      if path.name != Path(__file__).name)
+    tests = _other_tests_text()
     for name in TEST_SUPPORT_METHODS:
         method = name.split(".")[1]
         assert name in defined, name
@@ -110,8 +114,7 @@ def test_test_support_names_are_test_only_and_used():
     modules = _modules()
     defined = {name for _, name in _public_defs(modules)}
     referenced = _referenced(modules)
-    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
-                      if path.name != Path(__file__).name)
+    tests = _other_tests_text()
     for name in TEST_SUPPORT:
         assert name in defined, name
         assert name not in referenced, f"{name} is reached from the package; drop it here"
