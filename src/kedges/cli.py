@@ -417,15 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, required=True)
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--raw", action="store_true", help="emit the unperturbed, collinear set")
+    precision_help = ("integer radius of the polygon, used as given; "
+                      "a radius too coarse to certify exits 1")
     c = csub.add_parser("polygon-center", help="(2k+1)-gon plus central points")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--precision", type=int, default=10**6)
+    c.add_argument("--precision", type=int, default=10**6, help=precision_help)
     c.add_argument("-o", "--output", required=True)
     c = csub.add_parser("cluster-polygon", help="(2t+1)-gon with m-point clusters")
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
-    c.add_argument("--precision", type=int, default=10**6)
+    c.add_argument("--precision", type=int, default=10**6, help=precision_help)
     c.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("verify", help="re-run a construction's count audit")

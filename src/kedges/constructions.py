@@ -2,10 +2,11 @@
 
 Three families are generated here, each emitted as exact rational points
 and then *certified*: every count the construction is supposed to achieve
-is recomputed from scratch with exact predicates.  S_r reads its parameters
-(rotation precision, perturbation size, how far out the collinear tail
-goes) off r and makes one attempt, reporting a failed certificate; only
-the two polygon builders still escalate their scale until it passes.
+is recomputed from scratch with exact predicates.  Every builder makes
+one attempt and reports a failed certificate as VerificationError: S_r
+reads its parameters (rotation precision, perturbation size, how far out
+the collinear tail goes) off r, and the two polygon builders use the
+precision they are given as the polygon's integer radius.
 
 * build_sr: the recursive 9r-point family whose (<=k)-edge counts meet the
   `bounds` table's best lower bound for every k <= 4r-1.  Nine classes of
@@ -405,30 +406,26 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointS
     if n < 2 * k + 3:
         raise InputError(f"need n >= 2k+3 central room, got n={n}, k={k}")
     q, c = 2 * k + 1, n - 2 * k - 1
-    last = None
-    for attempt in range(6):
-        scale = precision * 10**attempt
-        ring = _ring(q, scale, phase=1.0 / (7 + attempt))
-        pts = [Point(Fraction(x), Fraction(y)) for x, y in ring]
-        pts += [Point(Fraction(j), Fraction(j * j)) for j in range(1, c + 1)]
-        try:
-            ps = PointSet(pts).require_general_position()
-            h = halfperiod_from_points(ps, tie_break=True)
-            ev = edge_vector_from_halfperiod(h)
-            if any(ev.counts[j] != q for j in range(k)):
-                raise VerificationError(f"outer edge counts wrong: {ev.counts[:k]}")
-            if ev.geq(k) != comb2(c) + q * c:
-                raise VerificationError(f"E_>=k = {ev.geq(k)}, want {comb2(c) + q * c}")
-            s = compute_s(h, k)
-            if s != c:
-                raise VerificationError(f"s = {s}, want {c}")
-            if ev.geq(k) != (n - 2 * k - 1) * ev.counts[k - 1] + comb2(s):
-                raise VerificationError("equality case failed")
-            check_routes(ps, h)
-            return ps, h
-        except (VerificationError, InputError) as exc:
-            last = exc
-    raise VerificationError(f"polygon-center construction failed: {last}")
+    pts = [Point(Fraction(x), Fraction(y)) for x, y in _ring(q, precision, phase=1.0 / 7)]
+    pts += [Point(Fraction(j), Fraction(j * j)) for j in range(1, c + 1)]
+    try:
+        ps = PointSet(pts).require_general_position()
+        h = halfperiod_from_points(ps, tie_break=True)
+        ev = edge_vector_from_halfperiod(h)
+        if any(ev.counts[j] != q for j in range(k)):
+            raise VerificationError(f"outer edge counts wrong: {ev.counts[:k]}")
+        if ev.geq(k) != comb2(c) + q * c:
+            raise VerificationError(f"E_>=k = {ev.geq(k)}, want {comb2(c) + q * c}")
+        s = compute_s(h, k)
+        if s != c:
+            raise VerificationError(f"s = {s}, want {c}")
+        if ev.geq(k) != (n - 2 * k - 1) * ev.counts[k - 1] + comb2(s):
+            raise VerificationError("equality case failed")
+        check_routes(ps, h)
+    except (VerificationError, InputError) as exc:
+        raise VerificationError(
+            f"polygon-center could not be certified at precision {precision}: {exc}") from None
+    return ps, h
 
 
 def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[PointSet, Halfperiod]:
@@ -440,36 +437,30 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
         raise InputError("t >= 1, m >= 1 required")
     _check_precision(precision)
     q, n, k = 2 * t + 1, (2 * t + 1) * m, t * m
-    last = None
-    for attempt in range(6):
-        scale = precision * 10**attempt
-        ring = _ring(q, scale, phase=1.0 / (11 + attempt))
-        shrink = Fraction(1, 100 * (attempt + 1))
-        wobble = Fraction(1, 10**4)
-        pts = []
-        for x, y in ring:
-            vx, vy = Fraction(x), Fraction(y)
-            for j in range(m):
-                radial = 1 - j * shrink
-                px = vx * radial - vy * (j * j) * wobble / scale
-                py = vy * radial + vx * (j * j) * wobble / scale
-                pts.append(Point(px, py))
-        try:
-            ps = PointSet(pts).require_general_position()
-            h = halfperiod_from_points(ps, tie_break=True)
-            ev = edge_vector_from_halfperiod(h)
-            if ev.counts[k - 1] != n:
-                raise VerificationError(f"E_(k-1) = {ev.counts[k - 1]}, want {n}")
-            if ev.geq(k) != 2 * q * comb2(m):
-                raise VerificationError(f"E_>=k = {ev.geq(k)}, want {2 * q * comb2(m)}")
-            s = compute_s(h, k)
-            if s != 0:
-                raise VerificationError(f"s = {s}, want 0")
-            check_routes(ps, h)
-            return ps, h
-        except (VerificationError, InputError) as exc:
-            last = exc
-    raise VerificationError(f"cluster-polygon construction failed: {last}")
+    wobble = Fraction(1, 10**4) / precision
+    pts = []
+    for x, y in _ring(q, precision, phase=1.0 / 11):
+        vx, vy = Fraction(x), Fraction(y)
+        for j in range(m):
+            radial = 1 - Fraction(j, 100)
+            pts.append(Point(vx * radial - vy * (j * j) * wobble,
+                             vy * radial + vx * (j * j) * wobble))
+    try:
+        ps = PointSet(pts).require_general_position()
+        h = halfperiod_from_points(ps, tie_break=True)
+        ev = edge_vector_from_halfperiod(h)
+        if ev.counts[k - 1] != n:
+            raise VerificationError(f"E_(k-1) = {ev.counts[k - 1]}, want {n}")
+        if ev.geq(k) != 2 * q * comb2(m):
+            raise VerificationError(f"E_>=k = {ev.geq(k)}, want {2 * q * comb2(m)}")
+        s = compute_s(h, k)
+        if s != 0:
+            raise VerificationError(f"s = {s}, want 0")
+        check_routes(ps, h)
+    except (VerificationError, InputError) as exc:
+        raise VerificationError(
+            f"cluster-polygon could not be certified at precision {precision}: {exc}") from None
+    return ps, h
 
 
 # ---------------------------------------------------------------------------

@@ -291,26 +291,18 @@ def crossings_from_edge_vector(v: EdgeVector) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CrossingReport:
-    """Crossing number by all available routes plus the edge vector.
-
-    cr_radial is None when the input was an abstract halfperiod (route B
-    needs coordinates); the two identity forms must agree in every case,
-    and all three must agree for point sets.
-    """
+    """Crossing number of a point set by route B and by both identity
+    forms, plus the edge vector; all three must agree."""
 
     n: int
-    cr_radial: int | None
+    cr_radial: int
     cr_identity_form1: int
     cr_identity_form2: int
     edge_vector: EdgeVector
 
     @property
     def consistent(self) -> bool:
-        if self.cr_identity_form1 != self.cr_identity_form2:
-            return False
-        if self.cr_radial is not None and self.cr_radial != self.cr_identity_form1:
-            return False
-        return True
+        return self.cr_radial == self.cr_identity_form1 == self.cr_identity_form2
 
     @property
     def crossings(self) -> int:
@@ -321,22 +313,17 @@ class CrossingReport:
         return self.edge_vector.halving
 
 
-def summarize(obj, h: Halfperiod | None = None) -> CrossingReport:
-    """CrossingReport for a PointSet or a Halfperiod.
+def summarize(ps: PointSet, h: Halfperiod | None = None) -> CrossingReport:
+    """CrossingReport for a point set.
 
-    For a point set the sweep's halfperiod (route A; pass it as `h` when
-    it is already built with tie_break=True) is checked against the radial
-    orders (route B) pair by pair, and route B's crossing number against
-    the identity; any disagreement raises AssertionError (it would mean a
+    The sweep's halfperiod (route A; pass it as `h` when it is already
+    built with tie_break=True) is checked against the radial orders
+    (route B) pair by pair, and route B's crossing number against the
+    identity; any disagreement raises AssertionError (it would mean a
     kernel bug, not bad input)."""
-    if isinstance(obj, PointSet):
-        if h is None:
-            h = halfperiod_from_points(obj, tie_break=True)
-        cr_radial = check_routes(obj, h)
-    elif isinstance(obj, Halfperiod):
-        h, cr_radial = obj, None
-    else:
-        raise InputError(f"cannot summarize {type(obj).__name__}")
+    if h is None:
+        h = halfperiod_from_points(ps, tie_break=True)
+    cr_radial = check_routes(ps, h)
     v = edge_vector_from_halfperiod(h)
     f1, f2 = crossings_from_edge_vector(v)
     report = CrossingReport(v.n, cr_radial, f1, f2, v)

@@ -10,12 +10,12 @@ from .errors import InputError
 from .geom import Point, PointSet
 
 
-def random_general_position_set(n: int, rng: random.Random, box: int | None = None) -> PointSet:
-    """Uniform integer points in a box, rejected until no triple is
-    collinear.  Deterministic for a given rng state."""
+def random_general_position_set(n: int, rng: random.Random) -> PointSet:
+    """Uniform integer points in a box of side max(64, 8n^2), rejected
+    until no triple is collinear.  Deterministic for a given rng state."""
     if n < 3:
         raise InputError("n >= 3 required")
-    box = box or max(64, 8 * n * n)
+    box = max(64, 8 * n * n)
     for _ in range(2000):
         coords = {(rng.randrange(box), rng.randrange(box)) for _ in range(n)}
         if len(coords) != n:

@@ -33,8 +33,8 @@ The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
 cosine pair).  rotation_cw_2pi3_maps builds it as an exact *rational*
 linear map from a rational approximation of sqrt(3); callers that need
 combinatorial guarantees re-verify them with exact predicates on the
-emitted points (see constructions: S_r derives the precision from r and
-reports a failed certificate).
+emitted points (see constructions: S_r derives the precision from r, and
+every builder reports a failed certificate).
 """
 
 from __future__ import annotations

@@ -200,6 +200,39 @@ def test_construct_sr_bytes_are_pinned(r, flags, digest, tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["polygon-center", "--k", "3", "--n", "9"],
+     "7b02fec4300a44426a609227ad16ff0ed4b9a52bdfd2c5de20edfdd02330c5d0"),
+    (["polygon-center", "--k", "5", "--n", "16", "--precision", "1234567"],
+     "dbe2d25a7c65bb89241346dfb5197f86f4f1fdc496d4fd7d73356421212f7bf7"),
+    (["cluster-polygon", "--t", "1", "--m", "3"],
+     "ebe5b0669d423dbc1025274cc4ec00e2d72b68f7443973c7defb2631a1c1ce49"),
+    (["cluster-polygon", "--t", "3", "--m", "4", "--precision", "9999999"],
+     "e08493f4b27a030c2bfc8205933957c9f9720bf2a9b1f7beeff4a833f22b01a3"),
+], ids=["polygon-center-3-9", "polygon-center-5-16", "cluster-polygon-1-3", "cluster-polygon-3-4"])
+def test_construct_polygon_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    # --precision is the polygon's integer radius, used as given
+    out_file = tmp_path / "poly.pts"
+    assert main(["construct", *argv, "-o", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon-center", "--k", "6", "--n", "21"],
+    ["cluster-polygon", "--t", "2", "--m", "2"],
+], ids=["polygon-center", "cluster-polygon"])
+def test_construct_polygon_too_coarse_exits_1(argv, tmp_path, capsys):
+    # a radius of 1 cannot carry the polygon; the builder does not pick
+    # another one, it names the check that failed
+    out_file = tmp_path / "poly.pts"
+    assert main(["construct", *argv, "--precision", "1", "-o", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "could not be certified at precision 1" in lines[0]
+    assert not out_file.exists()
+
+
 def test_verify_sr_20_stdout_is_pinned(capsys):
     # every row is ok and its expected column is `bounds --n 180` best, so
     # these bytes do not depend on the coordinates S_20 is built from

@@ -340,6 +340,26 @@ def test_sr_verification_failure_reports(monkeypatch):
         build_sr(SrConfig(r=3))
 
 
+@pytest.mark.parametrize("build, args, precision", [
+    (build_polygon_center, (3, 9), 10),
+    (build_cluster_polygon, (2, 2), 1),
+], ids=["polygon-center", "cluster-polygon"])
+def test_polygon_verification_failure_reports(build, args, precision, monkeypatch):
+    # both fail a count check after one sweep, and there is no retry
+    from kedges import constructions
+
+    calls = []
+
+    def counted(ps, **kwargs):
+        calls.append(ps.n)
+        return halfperiod_from_points(ps, **kwargs)
+
+    monkeypatch.setattr(constructions, "halfperiod_from_points", counted)
+    with pytest.raises(VerificationError, match=f"could not be certified at precision {precision}: "):
+        build(*args, precision=precision)
+    assert len(calls) == 1
+
+
 def test_sr_34_certifies_with_the_parameters_it_derives():
     # S_34's features are far finer than S_12's; both parameters follow r
     cfg = SrConfig(r=34)

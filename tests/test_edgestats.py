@@ -109,11 +109,10 @@ def test_summarize_convex_octagon():
 
 
 def test_summarize_halfperiod_input():
-    ps = convex_polygon_set(7)
-    rep = summarize(halfperiod_from_points(ps, tie_break=True))
-    assert rep.cr_radial is None
-    assert rep.cr_identity_form1 == rep.cr_identity_form2 == comb(7, 4)
-    assert rep.consistent
+    # summarize takes point sets only; a halfperiod's crossing number is
+    # read off its edge vector by both identity forms
+    h = halfperiod_from_points(convex_polygon_set(7), tie_break=True)
+    assert crossings_from_edge_vector(edge_vector_from_halfperiod(h)) == (comb(7, 4), comb(7, 4))
 
 
 def test_min_edge_count_lower_bound():

@@ -1,7 +1,8 @@
 """Every public top-level function or class of the package, and every
 public method or property of a package class, is reached from the package
 itself (by a CLI handler, a selftest suite or another kernel), or is one
-of the few names kept only for the tests."""
+of the few names kept only for the tests.  Every defaulted parameter of a
+public function is passed by some package call."""
 
 import ast
 from pathlib import Path
@@ -119,6 +120,86 @@ def test_test_support_names_are_test_only_and_used():
         assert name in defined, name
         assert name not in referenced, f"{name} is reached from the package; drop it here"
         assert f"{name}(" in tests, f"{name} is used by no test"
+
+
+def _defaulted_params(fn: ast.FunctionDef):
+    """(name, position) of each parameter of fn that has a default; the
+    position is None for a keyword-only parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(modules):
+    """(function name, call node) of each call in a package module other than
+    __init__.py to a bare name or to an attribute of an imported module,
+    with the name an import gave it (`classify as classify_records`)
+    resolved to the name it is defined under."""
+    for filename, tree in modules.items():
+        if filename == "__init__.py":
+            continue
+        modules_imported, aliases = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    local = (alias.asname or alias.name).split(".")[0]
+                    aliases[local] = alias.name
+                    if isinstance(node, ast.Import) or node.module is None:
+                        modules_imported.add(local)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield aliases.get(func.id, func.id), node
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id in modules_imported):
+                yield func.attr, node
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **mapping
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unused_knobs(modules):
+    calls = {}
+    for name, call in _calls(modules):
+        calls.setdefault(name, []).append(call)
+    for filename, tree in modules.items():
+        for fn in tree.body:
+            if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
+                    or fn.name == "main" or fn.name in TEST_SUPPORT):
+                continue
+            for param, position in _defaulted_params(fn):
+                if not any(_passes(call, param, position) for call in calls.get(fn.name, ())):
+                    yield f"{filename}:{fn.name}({param})"
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no package call overrides is a knob nothing turns:
+    main(argv) is the process entry point, and the TEST_SUPPORT names are
+    called by the tests only."""
+    assert list(_unused_knobs(_modules())) == []
+
+
+def test_unused_knob_scan_resolves_aliases_and_positions():
+    source = ("from .central import classify as classify_records\n"
+              "from . import geom\n"
+              "def classify(h, k, s_value=None): ...\n"
+              "def kernel(ps, cap=3, *, tie_break=False): ...\n"
+              "def draw(n, box=None): ...\n"
+              "def use(h, ps):\n"
+              "    classify_records(h, 1, s_value=2)\n"
+              "    geom.kernel(ps, 4)\n"
+              "    kernel(ps, tie_break=True)\n"
+              "    draw(5)\n")
+    assert list(_unused_knobs({"m.py": ast.parse(source)})) == ["m.py:draw(box)"]
 
 
 def test_attribute_of_a_non_module_is_not_a_reference():
