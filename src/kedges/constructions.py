@@ -14,10 +14,14 @@ precision they are given as the polygon's integer radius.
   as plain point sets in the fixed order `sr_class_tags` states; the A'' points
   sit on the x-axis far to the left, so far that any line through one of
   them and a non-rotated-double-prime point is flatter than any line
-  avoiding A'' entirely (certified by exact slope comparison).  The raw
-  set is intentionally degenerate (whole families are collinear); a
-  verified perturbation produces the general-position set whose counts
-  are checked against that bound and the split's closed forms.
+  avoiding A'' entirely.  The slope certificate compares integer slopes
+  of the raw set's homogeneous coordinates, and reads the flattest line
+  avoiding A'' off the pairs adjacent in y order alone: for y_p < y_r <
+  y_q, pq's dx/dy is a positive-weighted mean of pr's and rq's, so it
+  never exceeds both in absolute value.  The raw set is intentionally
+  degenerate (whole families are collinear); a verified perturbation
+  produces the general-position set whose counts are checked against
+  that bound and the split's closed forms.
 * build_polygon_center: 2k+1 polygon vertices plus n-2k-1 points near the
   center; meets the central inequality's corollary with equality at
   s = n-2k-1.
@@ -36,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .bounds import bound_table, comb2
 from .circseq import Halfperiod, compute_s, halfperiod_from_points
@@ -142,8 +145,16 @@ def sr_audit(ps: PointSet, levels) -> list[SrAuditRow]:
 
 
 def _check_precision(precision: int):
+    """A polygon radius `_ring` can scale through floats: P >= 1, and P
+    rounds to a finite float (P < 2^1024 - 2^970), so cos * P is finite."""
     if precision < 1:
         raise InputError(f"precision must be a positive integer, got {precision}")
+    try:
+        float(precision)
+    except OverflowError:
+        raise InputError(
+            f"precision must be below 2^1024 - 2^970, got a {precision.bit_length()}-bit integer"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -276,31 +287,41 @@ def _build_sr_family(r: int, precision: int):
     return A, Ap, rot
 
 
-def _abs_slope(p: Point, q: Point):
-    """|slope| of line pq as a rational, or None for vertical."""
-    if p.x == q.x:
-        return None
-    return abs((p.y - q.y) / (p.x - q.x))
-
-
-def _certify_app_slopes(points, r):
+def _certify_app_slopes(raw: PointSet, r):
     """(max1, min2): max |slope| over lines (A'' x non-double-prime-rotate),
-    which must stay below min |slope| over lines avoiding A''."""
+    which must stay below min |slope| over the non-vertical lines avoiding
+    A''.  Every slope is an integer ratio of `raw.homogeneous` differences,
+    compared by cross-multiplication.
+
+    max1 scans its r * (7r - 1) pairs.  min2 scans only the pairs adjacent
+    in exact y order among the points off A'': for y_p < y_r < y_q, pq's
+    dx/dy is the mean of pr's and rq's weighted by their dy > 0, so the
+    largest |dx/dy|, the flattest line, is always between y-neighbours.
+    Two points of equal y are neighbours too, and give slope 0."""
     tags = sr_class_tags(r)
+    hom = raw.homogeneous
     app = [i for i, t in enumerate(tags) if t == "A''"]
     bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
-    others = [i for i in range(len(points)) if i not in app]
-    max1 = Fraction(0)
+    max_num, max_den = 0, 1
     for i in app:
-        for j in range(len(points)):
+        xi, yi, wi = hom[i]
+        for j, (xj, yj, wj) in enumerate(hom):
             if j == i or j in bpp_cpp:
                 continue
-            s = _abs_slope(points[i], points[j])
-            if s is None:
+            dx, dy = abs(xj * wi - xi * wj), abs(yj * wi - yi * wj)
+            if not dx:
                 raise VerificationError("slope certificate: vertical line through A''")
-            max1 = max(max1, s)
-    min2 = min((s for a, b in combinations(others, 2)
-                if (s := _abs_slope(points[a], points[b])) is not None), default=None)
+            if dy * max_den > max_num * dx:
+                max_num, max_den = dy, dx
+    max1 = Fraction(max_num, max_den)
+    others = [hom[i] for i in sorted((i for i, t in enumerate(tags) if t != "A''"),
+                                     key=lambda i: raw[i].y)]
+    min_num = min_den = None
+    for (xp, yp, wp), (xq, yq, wq) in zip(others, others[1:]):
+        dx, dy = abs(xq * wp - xp * wq), yq * wp - yp * wq
+        if dx and (min_num is None or dy * min_den < min_num * dx):
+            min_num, min_den = dy, dx
+    min2 = None if min_num is None else Fraction(min_num, min_den)
     if min2 is None or not max1 < min2:
         raise VerificationError(f"slope certificate: {max1} is not below {min2}")
     return max1, min2
@@ -362,8 +383,8 @@ def build_sr(cfg: SrConfig) -> SrResult:
         app_a = [Point(-far * (1 << (r - i)), Fraction(0)) for i in range(1, r + 1)]
         app_b = [rot(p) for p in app_a]
         pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
-        margin = _certify_app_slopes(pts, r)
         raw = PointSet(pts)
+        margin = _certify_app_slopes(raw, r)
         ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
         if not ps.general_position:
             raise VerificationError("perturbed set still has collinear triples")

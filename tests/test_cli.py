@@ -189,12 +189,13 @@ def test_construct_raw_has_collinear_families(tmp_path, capsys):
     (3, ["--raw"], "f968388e0f9c8c43ebb98a31bf06279cf837386a72f7e2ed9ce6ff26eaebbbcb"),
     (12, [], "7ab5892910907fc6dba4c019ace1f6121814c439fb6d8f13370362a6cd0ec040"),
     (12, ["--raw"], "c70efb77118aba4dced921b166d24f7de65d75dae155341e1560e46710f6e735"),
-], ids=["perturbed", "raw", "r12-perturbed", "r12-raw"])
+    (20, [], "1d87c663efbb0b19b7615b389b98745c8bf33b692024185b0931a8c01a086e08"),
+], ids=["perturbed", "raw", "r12-perturbed", "r12-raw", "r20-perturbed"])
 def test_construct_sr_bytes_are_pinned(r, flags, digest, tmp_path, capsys):
     # The certified coordinates and the letter-major layout (sr_class_tags),
     # byte for byte: decompose3's 1-9/10-18/19-27 partition relies on it.
     # r = 12 is the largest r whose derived parameters are precision 10^12
-    # and epsilon 10^-7.
+    # and epsilon 10^-7; r = 20 pins a set built at precision 10^20.
     out_file = tmp_path / f"s{r}.pts"
     assert main(["construct", "sr", "--r", str(r), *flags, "-o", str(out_file)]) == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
@@ -448,6 +449,10 @@ _BAD_FILES = {
         ["construct", "cluster-polygon", "--t", "1", "--m", "3", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "-1", "-o", "OUT"],
+        ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "1" + "0" * 400,
+         "-o", "OUT"],
+        ["construct", "cluster-polygon", "--t", "1", "--m", "3", "--precision", "1" + "0" * 400,
+         "-o", "OUT"],
         ["selftest", "constructions", "--rmax", "2"],
         ["selftest", "all", "--trials", "1", "--rmax", "0"],
         ["analyze", "NON_UTF8_PTS"],
@@ -460,7 +465,8 @@ _BAD_FILES = {
     ],
     ids=["partition", "partition-reversed", "nmax", "trials", "cr-table-range",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
-         "precision-polygon-center-negative", "rmax-constructions", "rmax-all",
+         "precision-polygon-center-negative", "precision-polygon-center-float-overflow",
+         "precision-cluster-polygon-float-overflow", "rmax-constructions", "rmax-all",
          "analyze-non-utf8", "classify-non-utf8", "classify-huge-header",
          "analyze-huge-coordinate", "analyze-long-bad-coordinate", "analyze-long-point-count",
          "analyze-long-x-y-line"],

@@ -13,6 +13,7 @@ from kedges.circseq import compute_s, halfperiod_from_points
 from kedges.constructions import (
     Decomposition3Witness,
     SrConfig,
+    _certify_app_slopes,
     build_cluster_polygon,
     build_polygon_center,
     build_sr,
@@ -83,6 +84,90 @@ def test_sr_letter_partition_follows_class_tags(r):
 def test_s3_slope_certificate(s3):
     max1, min2 = s3.slope_margin
     assert max1 < min2
+
+
+def _abs_slope(p, q):
+    """|slope| of line pq as a rational, or None for vertical."""
+    if p.x == q.x:
+        return None
+    return abs((p.y - q.y) / (p.x - q.x))
+
+
+def ref_certify_app_slopes(points, r):
+    """The slope certificate by the all-pairs scan in Fraction arithmetic,
+    as the reference: max |slope| over the lines (A'' x not B''/C''), min
+    |slope| over every non-vertical pair off A''."""
+    tags = sr_class_tags(r)
+    app = [i for i, t in enumerate(tags) if t == "A''"]
+    bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
+    others = [i for i in range(len(points)) if i not in app]
+    max1 = Fraction(0)
+    for i in app:
+        for j in range(len(points)):
+            if j == i or j in bpp_cpp:
+                continue
+            s = _abs_slope(points[i], points[j])
+            if s is None:
+                raise VerificationError("slope certificate: vertical line through A''")
+            max1 = max(max1, s)
+    min2 = min((s for a, b in combinations(others, 2)
+                if (s := _abs_slope(points[a], points[b])) is not None), default=None)
+    if min2 is None or not max1 < min2:
+        raise VerificationError(f"slope certificate: {max1} is not below {min2}")
+    return max1, min2
+
+
+@st.composite
+def slope_cases(draw):
+    """(points, r): 9r random rationals (r = 1..3) with mixed denominators,
+    where one pair off A'' may share its y (min2 = 0), one pair may share
+    its x (a vertical line, through A'' or not), or every point off A'' may
+    lie on one vertical line (no min2)."""
+    r = draw(st.integers(1, 3))
+    n = 9 * r
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    xy = [tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 5)) for _ in "xy")
+          for _ in range(n)]
+    off_app = [i for i, t in enumerate(sr_class_tags(r)) if t != "A''"]
+    plant = draw(st.sampled_from(("none", "equal-y", "vertical", "vertical-line")))
+    if plant == "equal-y":
+        i, j = rng.sample(off_app, 2)
+        xy[j] = (xy[j][0], xy[i][1])
+    elif plant == "vertical":
+        i, j = rng.sample(range(n), 2)
+        xy[j] = (xy[i][0], xy[j][1])
+    elif plant == "vertical-line":
+        for i in off_app:
+            xy[i] = (xy[off_app[0]][0], xy[i][1])
+    assume(len(set(xy)) == n)
+    return [P(x, y) for x, y in xy], r
+
+
+def _certificate_outcome(certify, points, r):
+    try:
+        return certify(points, r)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def _check_slope_certificate(points, r):
+    got = _certificate_outcome(lambda pts, r: _certify_app_slopes(PointSet(pts), r), points, r)
+    assert got == _certificate_outcome(ref_certify_app_slopes, points, r)
+    return got
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_slope_certificate_matches_all_pairs_reference_on_sr(r):
+    # min2 reads only the y-adjacent pairs off A''; the reference reads all
+    res = build_sr(SrConfig(r=r))
+    assert _check_slope_certificate(res.raw.points, r) == res.slope_margin
+    _check_slope_certificate(res.perturbed.points, r)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(slope_cases())
+def test_slope_certificate_matches_all_pairs_reference(case):
+    _check_slope_certificate(*case)
 
 
 def test_s3_tightness(s3):

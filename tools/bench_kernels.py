@@ -16,9 +16,10 @@ In one process, each figure is the median wall time in seconds of REPEATS
 (5) runs, or of WORD_REPEATS (31) runs for the halfperiod kernels, which
 take milliseconds each:
 
-* kernels, in this process, on the S_5, S_10 and S_20 sets that DIR's
-  build_sr emits: `PointSet.angles` on a fresh PointSet (the event sort),
-  and `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
+* kernels, in this process, on S_5, S_10 and S_20: `build_sr` itself
+  (the whole certified build), then, on the sets it emits,
+  `PointSet.angles` on a fresh PointSet (the event sort), and
+  `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
   whose event sort is already cached, so each figure is that kernel's own
   work.  A kernel the tree does not have is recorded as null.
 * halfperiod kernels, in this process, on one seeded random reduced word
@@ -32,9 +33,9 @@ take milliseconds each:
   renders through one template; null on a tree without it), and that
   whole command through `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
-  --r 5/10/20` and `analyze` on the file each of them writes, and
-  `construct sr --r 30/40` alone (CLI_SR_SIZES).  A command that exits
-  non-zero is recorded as null after its first run.
+  --r 5/10/20` and `analyze` on the file each of them writes,
+  `construct sr --r 30/40` alone (CLI_SR_SIZES), and `verify sr --r 20`.
+  A command that exits non-zero is recorded as null after its first run.
 
 The result is stored under each LABEL in FILE together with an environment
 block (python, cpu count, git revision of DIR); other labels already in
@@ -84,10 +85,12 @@ def kernel_times() -> dict:
     radial = getattr(edgestats, "radial_counts", None)
     out = {}
     for r in SIZES:
-        ps = constructions.build_sr(constructions.SrConfig(r=r)).perturbed
+        cfg = constructions.SrConfig(r=r)
+        ps = constructions.build_sr(cfg).perturbed
         warm = PointSet(ps.points)
         warm.angles  # noqa: B018 -- cache the event sort the other kernels read
         row = {"n": ps.n}
+        row["build_sr"] = median_time(lambda: constructions.build_sr(cfg))
         row["PointSet.angles"] = median_time(lambda: PointSet(ps.points).angles)
         row["halfperiod_from_points"] = median_time(
             lambda: circseq.halfperiod_from_points(warm, tie_break=True))
@@ -169,6 +172,7 @@ def cli_times(src: Path) -> dict:
             out[f"construct sr --r {r}"] = timed("construct", "sr", "--r", str(r), "-o", path)
             if r in SIZES:
                 out[f"analyze S_{r}"] = timed("analyze", path)
+    out["verify sr --r 20"] = timed("verify", "sr", "--r", "20")
     return out
 
 
