@@ -21,7 +21,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DirectionTieError, InputError
-from .geom import PointSet, _ratio_key, _sort_exact
+from .geom import PointSet
 
 
 class Transposition(NamedTuple):
@@ -211,10 +211,10 @@ def require_valid(h: Halfperiod) -> Halfperiod:
 def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     """Halfperiod of the circular sequence of a point set.
 
-    The sweep starts just below the smallest event angle: the initial
-    permutation sorts the points by projection onto the first event
-    direction, ties broken by the order just before that event.  Labels
-    1..n are assigned in that initial order, so `initial` is the identity.
+    The sweep starts just below the smallest event angle, from the set's
+    `initial_order` (its projections onto the first event direction, ties
+    broken by the order just before that event).  Labels 1..n are
+    assigned in that order, so `initial` is the identity.
     The events are the set's own sorted angle runs (`PointSet.angles`).
 
     Point pairs spanning parallel lines swap at the same direction; by
@@ -239,23 +239,12 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
                 groups=ties,
             )
 
-    # Initial order: projections onto the first event direction, tie-broken
-    # by the clockwise-rotated direction (the order just before the event).
-    # On homogeneous coordinates the projections of point i are
-    # proj[i] / W_i, compared exactly by cross-multiplying.
-    ea, eb = angles[0][0][0]
-    hom = ps.homogeneous
-    proj = [(x * ea + y * eb, x * eb - y * ea, w) for x, y, w in hom]
+    order = ps.initial_order
+    label_of = [0] * n
+    for lab, pt_index in enumerate(order, start=1):
+        label_of[pt_index] = lab
 
-    def cmp(i, j):
-        (p1, t1, w1), (p2, t2, w2) = proj[i], proj[j]
-        d = p1 * w2 - p2 * w1 or t1 * w2 - t2 * w1
-        return (d > 0) - (d < 0)
-
-    order = _sort_exact(list(range(n)), [_ratio_key(p, w) for p, _, w in proj], cmp)
-    label_of = {pt_index: lab + 1 for lab, pt_index in enumerate(order)}
-
-    slot_of = {lab: lab - 1 for lab in range(1, n + 1)}
+    slot_of = list(range(-1, n))  # slot_of[label], 0-based; label 0 unused
     trans = []
     events = (ev for run in angles for ev in run)
     for step, (_, i, j) in enumerate(events, start=1):
@@ -268,10 +257,10 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
                 f"sweep inconsistency at step {step}: labels {la},{lb} not adjacent "
                 "(unexpected degeneracy)"
             )
-        trans.append(Transposition(step, sa + 1, (la, lb)))
+        trans.append(_new_transposition((step, sb, (la, lb))))
         slot_of[la], slot_of[lb] = sb, sa
 
-    h = Halfperiod(n, tuple(range(1, n + 1)), tuple(trans), tuple(order))
+    h = Halfperiod(n, tuple(range(1, n + 1)), tuple(trans), order)
     return require_valid(h)
 
 

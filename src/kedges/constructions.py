@@ -31,8 +31,17 @@ precision they are given as the polygon's integer radius.
 check_3decomposable looks for one projection direction per part that
 shows that part between the other two, in a single sweep of the circular
 sequence: the projection order is sorted once and then changed only by
-the block reversals at the O(n^2) spanned-line normals, with a running
-count of part boundaries deciding each angular gap.
+the block reversals at the O(n^2) spanned-line normals (a swap of two
+adjacent slots for a two-point line), with a running count of part
+boundaries deciding each angular gap.
+
+Where Fraction remains: the emitted Point values and their file text, the
+S_r placement (the A and A' families, the rotation maps and the A''
+tail), and the three printed witness directions.  Every decision in
+between (the slope certificate, the perturbation's orders and sides, the
+cluster polygon's coordinates, the 3-decomposition sweep) is made on
+integers: `PointSet.homogeneous` or one common denominator, with one
+Fraction made per emitted coordinate.
 """
 
 from __future__ import annotations
@@ -331,7 +340,13 @@ def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
     """Break every maximal collinear family (`ps.collinear_lines`): its
     i-th point (ordered along the line) moves off the line by i*epsilon,
     directed away from the configuration's centroid.  Exactness of the
-    off-line displacement is what the downstream predicates certify."""
+    off-line displacement is what the downstream predicates certify.
+
+    The line's unit is the family's first step (from its first to its
+    second point) scaled to max-norm 1, so the offset direction is
+    (-DY, DX) / S with S = max(|DX|, |DY|).  Orders, steps and sides are
+    decided on integers over the common denominator D of the whole set
+    (the lcm of its W); each moved coordinate is one Fraction."""
     families = ps.collinear_lines
     if not families:
         return ps
@@ -343,23 +358,26 @@ def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
                     f"point {i} lies on two collinear families; cannot perturb independently"
                 )
             seen.add(i)
-    points = ps.points
-    cx = sum((p.x for p in points), Fraction(0)) / ps.n
-    cy = sum((p.y for p in points), Fraction(0)) / ps.n
+    hom = ps.homogeneous
+    d = math.lcm(*{w for _, _, w in hom})
+    xd = [x * (d // w) for x, _, w in hom]
+    yd = [y * (d // w) for _, y, w in hom]
+    n, sx, sy = ps.n, sum(xd), sum(yd)  # n times the centroid, over d
     eps = Fraction(epsilon)
-    out = list(points)
+    e_num, e_den = eps.numerator, eps.denominator
+    out = list(ps.points)
     for members in families:
-        ordered = sorted(members, key=lambda i: (points[i].x, points[i].y))
-        first, second = points[ordered[0]], points[ordered[1]]
-        dx, dy = second.x - first.x, second.y - first.y
+        ordered = sorted(members, key=lambda i: (xd[i], yd[i]))
+        first, second = ordered[0], ordered[1]
+        dx, dy = xd[second] - xd[first], yd[second] - yd[first]
         scale = max(abs(dx), abs(dy))
-        perp = (-dy / scale, dx / scale)
         for rank, i in enumerate(ordered, start=1):
-            p = points[i]
-            side = (p.x - cx) * perp[0] + (p.y - cy) * perp[1]
-            sign = -1 if side < 0 else 1
-            off = sign * rank * eps
-            out[i] = Point(p.x + perp[0] * off, p.y + perp[1] * off)
+            x, y, w = hom[i]
+            side = (n * xd[i] - sx) * -dy + (n * yd[i] - sy) * dx
+            off = (-rank if side < 0 else rank) * e_num * w
+            den = w * scale * e_den
+            out[i] = Point(Fraction(x * scale * e_den - dy * off, den),
+                           Fraction(y * scale * e_den + dx * off, den))
     return PointSet(out)
 
 
@@ -458,14 +476,15 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
         raise InputError("t >= 1, m >= 1 required")
     _check_precision(precision)
     q, n, k = 2 * t + 1, (2 * t + 1) * m, t * m
-    wobble = Fraction(1, 10**4) / precision
+    # Point j of vertex (x, y) is (x, y) * (1 - j/100) plus (-y, x) * j^2
+    # times the wobble 10^-4 / precision: integers over 10^4 * precision.
+    den = 10**4 * precision
     pts = []
     for x, y in _ring(q, precision, phase=1.0 / 11):
-        vx, vy = Fraction(x), Fraction(y)
         for j in range(m):
-            radial = 1 - Fraction(j, 100)
-            pts.append(Point(vx * radial - vy * (j * j) * wobble,
-                             vy * radial + vx * (j * j) * wobble))
+            radial, wobble = (100 - j) * 100 * precision, j * j
+            pts.append(Point(Fraction(x * radial - y * wobble, den),
+                             Fraction(y * radial + x * wobble, den)))
     try:
         ps = PointSet(pts).require_general_position()
         h = halfperiod_from_points(ps, tie_break=True)
@@ -504,15 +523,18 @@ def check_3decomposable(ps: PointSet, partition):
     The projection order of the points changes only at spanned-line
     normals, so one direction per open angular gap between consecutive
     normals is exhaustive.  The search is one sweep over the circular
-    sequence (Goodman & Pollack): sort the points once for the first gap,
-    then cross the set's angle runs (`PointSet.angles`) in turn, where
+    sequence (Goodman & Pollack), on integers: start from the order just
+    before the first angle run (`PointSet.initial_order`, the halfperiod's)
+    and cross the set's angle runs (`PointSet.angles`) in turn.  At a run,
     every line spanned with that normal reverses its points, a contiguous
-    block of the order whose ends are the line's first and last slots.  A
-    running count of part boundaries is updated at the block ends only; three
-    blocks (two boundaries) put part 3 - first - last between the others.
-    Each part's witness is its first such gap, given as the sum of the
-    rational normals of the lowest-index pairs on either side (their
-    difference for the gap that wraps past angle pi)."""
+    block of the order whose ends are the line's first and last slots; a
+    two-point line, every line of a set in general position, is a swap of
+    two adjacent slots.  A running count of part boundaries is updated at
+    the block ends only; three blocks (two boundaries) in the gap after a
+    run put part 3 - first - last between the others.  Each part's witness
+    is its first such gap, given as the sum of the rational normals of the
+    lowest-index pairs on either side (their difference for the gap that
+    wraps past angle pi): the only Fractions the search makes."""
     groups = [set(g) for g in partition]
     if len(groups) != 3:
         raise InputError("partition must have exactly three parts")
@@ -528,49 +550,59 @@ def check_3decomposable(ps: PointSet, partition):
     angles = ps.angles
     if len(angles) < 2:
         return None  # one line: only its middle part can ever be between
-    pts = ps.points
     n = ps.n
+    pos = [0] * n  # the slot, 1..n, of each point
+    for slot, i in enumerate(ps.initial_order, start=1):
+        pos[i] = slot
+    # The part in each slot between two end slots 0 and n + 1 whose -1
+    # differs from every part, so `cuts` is two more than the number of
+    # part boundaries and a block never needs a range check.
+    parts = [-1] + [part_of[i] for i in ps.initial_order] + [-1]
+    cuts = sum(parts[p] != parts[p + 1] for p in range(n + 1))
+    found = {}
+    for g, run in enumerate(angles):
+        for line in (run[0][1:],) if len(run) == 1 else _lines(run):
+            if len(line) == 2:  # a swap of two adjacent slots
+                i, j = line
+                a, b = pos[i], pos[j]
+                pos[i], pos[j] = b, a
+                if a > b:
+                    a, b = b, a
+            else:  # a line's points stand contiguously: reverse the block
+                a = min(map(pos.__getitem__, line))
+                b = a + len(line) - 1
+                for i in line:
+                    pos[i] = a + b - pos[i]
+                parts[a + 1:b] = parts[b - 1:a:-1]
+            pa, pb = parts[a], parts[b]
+            if pa != pb:  # the ends trade places; only the two boundary cuts change
+                left, right = parts[a - 1], parts[b + 1]
+                cuts += (left != pb) + (pa != right) - (left != pa) - (pb != right)
+                parts[a], parts[b] = pb, pa
+        if cuts == 4:  # three blocks in the gap after run g
+            found.setdefault(3 - parts[1] - parts[n], g)
+            if len(found) == 3:
+                return Decomposition3Witness(tuple(_gap_direction(ps, found[gi])
+                                                   for gi in range(3)))
+    return None
+
+
+def _gap_direction(ps: PointSet, g):
+    """The printed witness direction of the gap after angle run g: the sum of
+    the rational normals of the lowest-index pairs on either side (their
+    difference for the gap that wraps past angle pi)."""
+    angles, pts = ps.angles, ps.points
 
     def normal(g):
         _, i, j = angles[g][0]
         return _event_direction(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
 
-    def gap_direction(g):
-        u = normal(g)
-        if g + 1 < len(angles):
-            v = normal(g + 1)
-            return (u[0] + v[0], u[1] + v[1])
-        v = normal(0)
-        return (u[0] - v[0], u[1] - v[1])  # wrap gap: between last and first+pi
-
-    d = gap_direction(0)
-    order = sorted(range(n), key=lambda i: pts[i].x * d[0] + pts[i].y * d[1])
-    pos = [0] * n
-    for p, i in enumerate(order):
-        pos[i] = p
-    parts = [part_of[i] for i in order]
-
-    def cut(p):  # 1 iff slots p and p+1 hold different parts
-        return 0 <= p < n - 1 and parts[p] != parts[p + 1]
-
-    cuts = sum(cut(p) for p in range(n - 1))
-    found = {}
-    for g in range(len(angles)):
-        if g:
-            for line in _lines(angles[g]):
-                a = min(map(pos.__getitem__, line))
-                b = a + len(line) - 1  # a line's points stand contiguously
-                cuts -= cut(a - 1) + cut(b)
-                order[a:b + 1] = reversed(order[a:b + 1])
-                parts[a:b + 1] = reversed(parts[a:b + 1])
-                for p in range(a, b + 1):
-                    pos[order[p]] = p
-                cuts += cut(a - 1) + cut(b)
-        if cuts == 2:
-            found.setdefault(3 - parts[0] - parts[-1], g)
-            if len(found) == 3:
-                return Decomposition3Witness(tuple(gap_direction(found[gi]) for gi in range(3)))
-    return None
+    u = normal(g)
+    if g + 1 < len(angles):
+        v = normal(g + 1)
+        return (u[0] + v[0], u[1] + v[1])
+    v = normal(0)
+    return (u[0] - v[0], u[1] - v[1])  # wrap gap: between last and first+pi
 
 
 def witness_failures(ps: PointSet, partition, witness) -> list[int]:

@@ -21,6 +21,15 @@ Wp*Wq*Wr > 0 (Fortune & Van Wyk 1996).  Plain int arithmetic decides the
 same signs without a gcd per operation.  `orientation` on Points stays
 the exact-rational reference.
 
+A PointSet computes its triples once, when it is made, and a point's
+triple is its identity there: the coordinates are in lowest terms, so the
+triple is canonical, and two points are equal iff their triples are (the
+duplicate check compares triples, never Fractions).  Fraction remains
+where a rational is a value or text: the coordinates a Point holds, the
+"p/q" text read and written here (read_points makes each coordinate as
+one Fraction(p, q) from the digits its pattern matched), and the S_r
+placement in constructions.
+
 A PointSet sorts its sweep events once (`PointSet.angles`, the circular
 sequence of Goodman & Pollack in runs of equal angle).  The points of a
 spanned line swap at one angle, so the runs hold every collinearity: the
@@ -40,7 +49,7 @@ every builder reports a failed certificate).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -143,9 +152,6 @@ def _event_cmp(ev1, ev2) -> int:
 def _lines(run):
     """The point indices of each line spanned at one angle: the pairs of
     an angle run joined by union-find (parallel lines share no point)."""
-    if len(run) == 1:
-        _, i, j = run[0]
-        return ((i, j),)
     root = {}
 
     def find(x):
@@ -187,16 +193,25 @@ class PointSet:
     """
 
     points: tuple[Point, ...]
+    # Integer (X, Y, W) per point, W > 0, and the point's identity: see the
+    # module docstring.
+    homogeneous: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, points):
         pts = tuple(points)
+        hom = []
+        for p in pts:
+            dx, dy = p.x.denominator, p.y.denominator
+            w = lcm(dx, dy)
+            hom.append((p.x.numerator * (w // dx), p.y.numerator * (w // dy), w))
+        hom = tuple(hom)
         seen = {}
-        for i, p in enumerate(pts):
-            key = (p.x, p.y)
+        for i, key in enumerate(hom):
             if key in seen:
                 raise InputError(f"duplicate points at indices {seen[key]} and {i}")
             seen[key] = i
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "homogeneous", hom)
 
     def __len__(self):
         return len(self.points)
@@ -210,16 +225,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def homogeneous(self) -> tuple[tuple[int, int, int], ...]:
-        """Integer (X, Y, W) per point, W > 0; see the module docstring."""
-        out = []
-        for p in self.points:
-            dx, dy = p.x.denominator, p.y.denominator
-            w = lcm(dx, dy)
-            out.append((p.x.numerator * (w // dx), p.y.numerator * (w // dy), w))
-        return tuple(out)
 
     def pair_lines(self):
         """(i, j, a, b, c) per pair i < j: point t lies strictly left of
@@ -266,6 +271,25 @@ class PointSet:
                 runs.append([ev])
                 a0, b0 = a, b
         return tuple(map(tuple, runs))
+
+    @cached_property
+    def initial_order(self) -> tuple[int, ...]:
+        """The point indices in projection order just before the first
+        angle run, where the circular sequence starts: sorted by projection
+        onto the first event direction, ties (the points of a line in that
+        run) broken by the clockwise-rotated direction.  The projections of
+        point i are proj[i] / W_i on the homogeneous coordinates, compared
+        exactly by cross-multiplying.  Needs n >= 2."""
+        ea, eb = self.angles[0][0][0]
+        proj = [(x * ea + y * eb, x * eb - y * ea, w) for x, y, w in self.homogeneous]
+
+        def cmp(i, j):
+            (p1, t1, w1), (p2, t2, w2) = proj[i], proj[j]
+            d = p1 * w2 - p2 * w1 or t1 * w2 - t2 * w1
+            return (d > 0) - (d < 0)
+
+        keys = [_ratio_key(p, w) for p, _, w in proj]
+        return tuple(_sort_exact(list(range(self.n)), keys, cmp))
 
     @cached_property
     def collinear_lines(self) -> tuple[tuple[int, ...], ...]:
@@ -332,7 +356,7 @@ def rotation_cw_2pi3_maps(precision: int):
 #   integer or "p/q" rational.  Writers emit canonical-form rationals.
 # ---------------------------------------------------------------------------
 
-_COORD_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COORD_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def _excerpt(text: str, width: int = 20) -> str:
@@ -344,10 +368,12 @@ def _excerpt(text: str, width: int = 20) -> str:
 
 
 def _parse_coord(tok: str, lineno: int):
-    if not _COORD_RE.match(tok):
+    m = _COORD_RE.match(tok)
+    if not m:
         raise PointFileError(f"line {lineno}: bad coordinate {_excerpt(tok)}")
+    num, den = m.groups()
     try:
-        return Fraction(tok)
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise PointFileError(f"line {lineno}: zero denominator in {_excerpt(tok)}") from None
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)

@@ -210,7 +210,12 @@ def test_construct_sr_bytes_are_pinned(r, flags, digest, tmp_path, capsys):
      "ebe5b0669d423dbc1025274cc4ec00e2d72b68f7443973c7defb2631a1c1ce49"),
     (["cluster-polygon", "--t", "3", "--m", "4", "--precision", "9999999"],
      "e08493f4b27a030c2bfc8205933957c9f9720bf2a9b1f7beeff4a833f22b01a3"),
-], ids=["polygon-center-3-9", "polygon-center-5-16", "cluster-polygon-1-3", "cluster-polygon-3-4"])
+    (["cluster-polygon", "--t", "3", "--m", "4", "--precision", "1000003"],
+     "7dbce040a2f4cb70418da445688813997ce142a49b1e72e3ca960389dcc1c32a"),
+    (["cluster-polygon", "--t", "2", "--m", "3", "--precision", "4242421"],
+     "5d19f581909f4cfce220d3c175f4683587f4b5e0f6ae5872d8c2be95ad7488bc"),
+], ids=["polygon-center-3-9", "polygon-center-5-16", "cluster-polygon-1-3", "cluster-polygon-3-4",
+        "cluster-polygon-3-4-p1000003", "cluster-polygon-2-3-p4242421"])
 def test_construct_polygon_bytes_are_pinned(argv, digest, tmp_path, capsys):
     # --precision is the polygon's integer radius, used as given
     out_file = tmp_path / "poly.pts"
@@ -263,6 +268,20 @@ def test_decompose3_stdout_is_pinned(s3, tmp_path, capsys):
     write_points(path, s3.perturbed)
     assert main(["decompose3", str(path), "--partition", "1-9/10-18/19-27"]) == 0
     assert capsys.readouterr().out == S3_DECOMPOSE3_STDOUT
+
+
+@pytest.mark.parametrize("r, digest", [
+    (4, "7342b087fc976567b2575869d63adde9b948a648855b5161ab066ed38c9b2f1d"),
+    (5, "af2411c26d5ef63dc8e0cdeebf3813f99a845abc2f03d3dd20d330479ec25d05"),
+], ids=["s4", "s5"])
+def test_decompose3_stdout_on_s4_s5_is_pinned(r, digest, sr, tmp_path, capsys):
+    # the witness directions of the letter partition on the files
+    # `construct sr --r 4` and `--r 5` write
+    path = tmp_path / f"s{r}.pts"
+    write_points(path, sr(r).perturbed)
+    part = f"1-{3 * r}/{3 * r + 1}-{6 * r}/{6 * r + 1}-{9 * r}"
+    assert main(["decompose3", str(path), "--partition", part]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_classify_bound_value_prints_as_p_over_q(tmp_path, capsys):

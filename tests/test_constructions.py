@@ -31,7 +31,7 @@ from kedges.central import verify_central
 from kedges.edgestats import edge_vector_bruteforce, pair_levels
 from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
-from kedges.geom import P, PointSet, rotation_cw_2pi3_maps
+from kedges.geom import P, Point, PointSet, _lines, rotation_cw_2pi3_maps
 
 
 def test_sr_config_validation():
@@ -61,6 +61,91 @@ def test_perturb_rejects_a_point_on_two_families():
     plus = PointSet([P(0, 0), P(1, 0), P(2, 0), P(0, 1), P(0, 2)])
     with pytest.raises(VerificationError, match="two collinear families"):
         perturb_collinear_families(plus, Fraction(1, 100))
+
+
+def ref_perturb_collinear_families(ps, epsilon):
+    """The perturbation in Fraction arithmetic, as the reference: the
+    centroid as a Fraction mean, each family ordered by its (x, y)
+    Fractions, and each moved coordinate p + perp * offset with the unit
+    perp = (-dy, dx) / max(|dx|, |dy|) of the family's first step."""
+    families = ps.collinear_lines
+    if not families:
+        return ps
+    seen = set()
+    for members in families:
+        for i in members:
+            if i in seen:
+                raise VerificationError(
+                    f"point {i} lies on two collinear families; cannot perturb independently"
+                )
+            seen.add(i)
+    points = ps.points
+    cx = sum((p.x for p in points), Fraction(0)) / ps.n
+    cy = sum((p.y for p in points), Fraction(0)) / ps.n
+    eps = Fraction(epsilon)
+    out = list(points)
+    for members in families:
+        ordered = sorted(members, key=lambda i: (points[i].x, points[i].y))
+        first, second = points[ordered[0]], points[ordered[1]]
+        dx, dy = second.x - first.x, second.y - first.y
+        scale = max(abs(dx), abs(dy))
+        perp = (-dy / scale, dx / scale)
+        for rank, i in enumerate(ordered, start=1):
+            p = points[i]
+            side = (p.x - cx) * perp[0] + (p.y - cy) * perp[1]
+            sign = -1 if side < 0 else 1
+            off = sign * rank * eps
+            out[i] = Point(p.x + perp[0] * off, p.y + perp[1] * off)
+    return PointSet(out)
+
+
+def _perturb_outcome(perturb, ps, epsilon):
+    try:
+        return perturb(ps, epsilon).points
+    except VerificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_perturb_matches_fraction_reference_on_sr(r, sr):
+    # the integer perturbation emits the reference's Fractions, so the
+    # written file is byte for byte the same
+    res = sr(r)
+    eps = res.config.perturbation_epsilon
+    got = perturb_collinear_families(res.raw, eps)
+    assert got.points == ref_perturb_collinear_families(res.raw, eps).points == res.perturbed.points
+    assert [str(c) for p in got for c in (p.x, p.y)] == \
+        [str(c) for p in res.perturbed for c in (p.x, p.y)]
+    assert perturb_collinear_families(res.perturbed, eps) is res.perturbed
+
+
+@st.composite
+def collinear_grid_sets(draw):
+    """Small-grid point sets with mixed denominators, where one to three
+    families of 3-5 points sit on lines (some of them parallel, some
+    sharing a point) among a few scattered points; and an epsilon."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    den = rng.choice((1, 2, 3, 6))
+    pts = set()
+    for _ in range(rng.randint(1, 3)):
+        x0, y0 = rng.randint(-9, 9), rng.randint(-9, 9)
+        dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, 3), (-3, 2)))
+        pts.update((Fraction(x0 + t * dx, den), Fraction(y0 + t * dy, rng.choice((den, 1))))
+                   for t in range(rng.randint(3, 5)))
+    pts.update((Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
+                Fraction(rng.randint(-20, 20), rng.randint(1, 7))) for _ in range(rng.randint(0, 6)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    eps = Fraction(1, rng.choice((100, 999, 10**6)))
+    return PointSet([Point(x, y) for x, y in pts]), eps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(collinear_grid_sets())
+def test_perturb_matches_fraction_reference(case):
+    ps, eps = case
+    assert _perturb_outcome(perturb_collinear_families, ps, eps) == \
+        _perturb_outcome(ref_perturb_collinear_families, ps, eps)
 
 
 def test_s3_class_structure(s3):
@@ -157,9 +242,9 @@ def _check_slope_certificate(points, r):
 
 
 @pytest.mark.parametrize("r", range(3, 13))
-def test_slope_certificate_matches_all_pairs_reference_on_sr(r):
+def test_slope_certificate_matches_all_pairs_reference_on_sr(r, sr):
     # min2 reads only the y-adjacent pairs off A''; the reference reads all
-    res = build_sr(SrConfig(r=r))
+    res = sr(r)
     assert _check_slope_certificate(res.raw.points, r) == res.slope_margin
     _check_slope_certificate(res.perturbed.points, r)
 
@@ -359,6 +444,74 @@ def ref_check_3decomposable(ps, partition):
     return None
 
 
+def ref_sweep_3decomposable(ps, partition):
+    """The block-reversal sweep in Fraction arithmetic, as the reference:
+    the first order sorted by Fraction projections onto the first gap's
+    rational direction, every line of every later run (`_lines`) reversed
+    as a block of `order`, and the part boundaries recounted at each
+    block's ends."""
+    part_of = {i: gi for gi, part in enumerate(partition) for i in part}
+    angles, pts, n = ps.angles, ps.points, ps.n
+    if len(angles) < 2:
+        return None
+
+    def normal(g):
+        _, i, j = angles[g][0]
+        return _ref_normal(pts[i], pts[j])
+
+    def gap_direction(g):
+        u = normal(g)
+        if g + 1 < len(angles):
+            v = normal(g + 1)
+            return (u[0] + v[0], u[1] + v[1])
+        v = normal(0)
+        return (u[0] - v[0], u[1] - v[1])
+
+    d = gap_direction(0)
+    order = sorted(range(n), key=lambda i: pts[i].x * d[0] + pts[i].y * d[1])
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    parts = [part_of[i] for i in order]
+
+    def cut(p):
+        return 0 <= p < n - 1 and parts[p] != parts[p + 1]
+
+    cuts = sum(cut(p) for p in range(n - 1))
+    found = {}
+    for g in range(len(angles)):
+        if g:
+            for line in _lines(angles[g]):
+                a = min(map(pos.__getitem__, line))
+                b = a + len(line) - 1
+                cuts -= cut(a - 1) + cut(b)
+                order[a:b + 1] = reversed(order[a:b + 1])
+                parts[a:b + 1] = reversed(parts[a:b + 1])
+                for p in range(a, b + 1):
+                    pos[order[p]] = p
+                cuts += cut(a - 1) + cut(b)
+        if cuts == 2:
+            found.setdefault(3 - parts[0] - parts[-1], g)
+            if len(found) == 3:
+                return Decomposition3Witness(tuple(gap_direction(found[gi]) for gi in range(3)))
+    return None
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_3decomposable_sweep_matches_fraction_sweep_on_sr(r, sr):
+    # raw (whole families collinear) and perturbed, with the letter
+    # partition and with one that mixes the letters
+    res, letters = sr(r), sr_letter_partition(r)
+    mixed = tuple(tuple(range(g, 9 * r, 3)) for g in range(3))
+    for ps in (res.raw, res.perturbed):
+        for partition in (letters, mixed):
+            w = check_3decomposable(ps, partition)
+            assert w == ref_sweep_3decomposable(ps, partition)
+            if w is not None:
+                assert witness_failures(ps, partition, w) == []
+    assert check_3decomposable(res.perturbed, letters) is not None
+
+
 CORNERS = ((0, 0), (24, 0), (12, 20))
 
 
@@ -399,7 +552,7 @@ def partitioned_sets(draw):
 def test_3decomposable_sweep_matches_per_gap_reference(case):
     ps, partition, line = case
     w = check_3decomposable(ps, partition)
-    assert w == ref_check_3decomposable(ps, partition)
+    assert w == ref_check_3decomposable(ps, partition) == ref_sweep_3decomposable(ps, partition)
     if line:
         assert w is None
     elif w is not None:

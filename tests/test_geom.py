@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kedges.cli import main
 from kedges.errors import GeneralPositionError, InputError, PointFileError
 from kedges.geom import (
     P,
+    Point,
     PointSet,
     collinear_triples,
     line_intersection,
@@ -137,6 +141,99 @@ def test_pointset_rejects_duplicates_and_certifies():
         deg.require_general_position()
     assert exc.value.triples == want
     assert str(exc.value) == "not in general position: 6 collinear triple(s), first (0, 3, 6)"
+
+
+def ref_duplicate_scan(points):
+    """The duplicate check on (Fraction, Fraction) keys, as the reference:
+    the message for the first point equal to an earlier one, or None."""
+    seen = {}
+    for i, p in enumerate(points):
+        key = (p.x, p.y)
+        if key in seen:
+            return f"duplicate points at indices {seen[key]} and {i}"
+        seen[key] = i
+    return None
+
+
+def _duplicate_outcome(points):
+    try:
+        PointSet(points)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def grid_points_with_repeats(draw):
+    """Up to 12 points on a small grid whose coordinates are ints or
+    Fractions made from unreduced numerators and denominators, so one value
+    comes in several spellings; some points are repeated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def coord():
+        den = rng.choice((1, 2, 3, 4, 6))
+        num = rng.randint(-3, 3) * rng.choice((1, 2)) * den // rng.choice((1, 2))
+        return num // den if rng.random() < 0.2 and num % den == 0 else Fraction(num, den)
+
+    pts = [Point(coord(), coord()) for _ in range(rng.randint(1, 12))]
+    for _ in range(rng.randint(0, 2)):
+        pts.insert(rng.randint(0, len(pts)), rng.choice(pts))
+    return pts
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(grid_points_with_repeats())
+def test_duplicate_check_on_triples_matches_fraction_keys(pts):
+    assert _duplicate_outcome(pts) == ref_duplicate_scan(pts)
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_duplicate_check_matches_fraction_keys_on_sr(r, sr):
+    res = sr(r)
+    for pts in (res.raw.points, res.perturbed.points):
+        assert _duplicate_outcome(pts) is None and ref_duplicate_scan(pts) is None
+        # one point written again with its value spelled differently
+        k = (7 * r) % len(pts)
+        again = Point(Fraction(pts[k].x.numerator * 3, pts[k].x.denominator * 3), pts[k].y)
+        planted = list(pts[:k + 5]) + [again] + list(pts[k + 5:])
+        assert _duplicate_outcome(planted) == ref_duplicate_scan(planted) == \
+            f"duplicate points at indices {k} and {k + 5}"
+
+
+def test_read_points_coordinates_equal_fraction_of_the_token(tmp_path):
+    toks = ["2/4", "+3", "-0", "6/3", "-12/8", "007", "+0/5", "1/3"]
+    path = tmp_path / "toks.pts"
+    path.write_text("4\n" + "".join(f"{x} {y}\n" for x, y in zip(toks[::2], toks[1::2])))
+    got = [c for p in read_points(path) for c in (p.x, p.y)]
+    assert got == [Fraction(t) for t in toks]
+    assert all(type(c) is Fraction for c in got)
+    assert [str(c) for c in got] == ["1/2", "3", "0", "2", "-3/2", "7", "0", "1/3"]
+
+
+def test_read_points_equal_values_spelled_differently_are_duplicates(tmp_path, capsys):
+    path = tmp_path / "dup.pts"
+    path.write_text("3\n1/2 0\n5 5\n2/4 0/7\n")
+    with pytest.raises(InputError) as exc:
+        read_points(path)
+    assert str(exc.value) == "duplicate points at indices 0 and 2"
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: duplicate points at indices 0 and 2\n"
+
+
+@pytest.mark.parametrize("coord, err", [
+    ("1/0", "line 2: zero denominator in '1/0'"),
+    ("1/" + "0" * 5000, "line 2: coordinate too long (5002 characters)"),
+    ("9" * 4301, "line 2: coordinate too long (4301 characters)"),
+], ids=["zero-denominator", "long-zero-denominator", "long-numerator"])
+def test_point_file_coordinate_errors_exit_2_with_one_line(coord, err, tmp_path, capsys):
+    path = tmp_path / "bad.pts"
+    path.write_text(f"1\n0 {coord}\n")
+    with pytest.raises(PointFileError) as exc:
+        read_points(path)
+    assert str(exc.value) == err
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
 
 
 def test_rational_canonical_equality(tmp_path):

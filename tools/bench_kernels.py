@@ -22,6 +22,13 @@ take milliseconds each:
   `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
   whose event sort is already cached, so each figure is that kernel's own
   work.  A kernel the tree does not have is recorded as null.
+* construction stages, in this process, each the median of WORD_REPEATS
+  runs: on S_5, `PointSet(...)` of its perturbed points (the duplicate
+  check and the homogeneous triples), `perturb_collinear_families` of its
+  raw set and `check_3decomposable` of its perturbed set with the letter
+  partition (both sets' event sorts already cached); and
+  `build_cluster_polygon(3, 4)`, the largest cluster-polygon build of the
+  perfbench `points` grid.
 * halfperiod kernels, in this process, on one seeded random reduced word
   with n = 48 and k = 8 (the top stratum of the perfbench `abstract`
   workload): `read_halfperiod` of its file, `validate_allowable`,
@@ -34,7 +41,8 @@ take milliseconds each:
   whole command through `cli.main` with stdout discarded.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes,
-  `construct sr --r 30/40` alone (CLI_SR_SIZES), and `verify sr --r 20`.
+  `decompose3` with the letter partition on the S_5 file, `construct sr
+  --r 30/40` alone (CLI_SR_SIZES), and `verify sr --r 20`.
   A command that exits non-zero is recorded as null after its first run.
 
 The result is stored under each LABEL in FILE together with an environment
@@ -98,6 +106,32 @@ def kernel_times() -> dict:
         row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
         out[f"S_{r}"] = row
     return out
+
+
+def stage_times() -> dict:
+    from kedges import constructions
+    from kedges.geom import PointSet
+
+    res = constructions.build_sr(constructions.SrConfig(r=5))
+    raw, ps, eps = res.raw, res.perturbed, res.config.perturbation_epsilon
+    part = constructions.sr_letter_partition(5)  # build_sr cached both sets' event sorts
+
+    def timed(fn):
+        return median_time(fn, WORD_REPEATS)
+
+    return {
+        "S_5 stages": {
+            "n": ps.n,
+            "PointSet": timed(lambda: PointSet(ps.points)),
+            "perturb_collinear_families": timed(
+                lambda: constructions.perturb_collinear_families(raw, eps)),
+            "check_3decomposable": timed(lambda: constructions.check_3decomposable(ps, part)),
+        },
+        "cluster-polygon t=3 m=4": {
+            "n": 28,
+            "build_cluster_polygon": timed(lambda: constructions.build_cluster_polygon(3, 4)),
+        },
+    }
 
 
 def reduced_word(circseq, n: int, seed: int):
@@ -172,6 +206,8 @@ def cli_times(src: Path) -> dict:
             out[f"construct sr --r {r}"] = timed("construct", "sr", "--r", str(r), "-o", path)
             if r in SIZES:
                 out[f"analyze S_{r}"] = timed("analyze", path)
+            if r == 5:
+                out["decompose3 S_5"] = timed("decompose3", path, "--partition", "1-15/16-30/31-45")
     out["verify sr --r 20"] = timed("verify", "sr", "--r", "20")
     return out
 
@@ -181,6 +217,7 @@ def one_process(src: Path) -> dict:
     sys.path.insert(0, str(src / "src"))
     return {
         "kernels_s": kernel_times(),
+        "stages_s": stage_times(),
         "halfperiod_kernels_s": halfperiod_times(),
         "cli_s": cli_times(src),
     }
