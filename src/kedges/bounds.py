@@ -1,4 +1,4 @@
-"""Lower-bound formulas for E_{<=k}(n) and the crossing-number pipelines.
+"""Lower-bound formulas for E_{<=k}(n) and the crossing-number pipeline.
 
 Everything here is exact: the recursions run over ints with exact
 ceilings, the rational values are fractions.Fraction, and every comparison
@@ -21,9 +21,8 @@ Bound inventory:
                         C(n,2) - (1/9) sqrt(1-(2k+2)/n) (5n^2+19n-31).
 * halving_upper_bound-- floor(n(n+30)/24 - 3) (even) /
                         floor((n-3)(n+45)/18 + 1/9) (odd), n >= 8.
-* cr_lower_bound     -- the identity pipeline, either the halving-augmented
-                        variant ("table1") or pointwise max(closed form,
-                        recursion) ("section5").
+* cr_lower_bound     -- the identity pipeline fed with the pointwise
+                        max(closed form, recursion) for k <= floor(n/2)-2.
 * u_prime_sequence   -- the 3-regular variant seeded at m = 17n/36 with a
                         third binomial term 18 C(m+1-floor(4n/9),2).
 * asymptotic_constants, lemma_brackets -- exact consistency checks
@@ -154,7 +153,6 @@ class CrBoundResult:
     n: int
     value: int
     per_k_bounds_used: tuple  # (k, bound, source) triples
-    pipeline: str
 
 
 def _best(aichholzer: int, u: int | None) -> tuple[int, str]:
@@ -165,36 +163,15 @@ def _best(aichholzer: int, u: int | None) -> tuple[int, str]:
     return aichholzer, "aichholzer"
 
 
-def leq_lower_bounds(n: int, pipeline: str) -> list[tuple[int, int, str]]:
-    """Per-k lower bounds on E_{<=k} for k = 0..floor(n/2)-2.
-
-    table1:   closed form for k <= floor(n/2)-3, then C(n,2) - h_max(n) at
-              the last index (the halving bound flipped through the total).
-    section5: pointwise max(closed form, u_k) wherever u is defined.
-    """
-    top = n // 2 - 2
-    rows = []
-    if pipeline == "table1":
-        for k in range(top):
-            rows.append((k, aichholzer_bound(n, k), "aichholzer"))
-        rows.append((top, comb(n, 2) - halving_upper_bound(n), "halving"))
-    elif pipeline == "section5":
-        useq = u_sequence(n)
-        for k in range(top + 1):
-            rows.append((k, *_best(aichholzer_bound(n, k), useq.get(k))))
-    else:
-        raise InputError(f"unknown pipeline {pipeline!r}")
-    return rows
-
-
-def cr_lower_bound(n: int, pipeline: str = "section5") -> CrBoundResult:
-    """Crossing-number lower bound by plugging per-k E_{<=k} lower bounds
-    into the E_{<=k} form of the identity."""
+def cr_lower_bound(n: int) -> CrBoundResult:
+    """Crossing-number lower bound: the per-k lower bounds
+    max(closed form, u_k) on E_{<=k} for k = 0..floor(n/2)-2, plugged into
+    the E_{<=k} form of the identity."""
     if n < 8:
         raise InputError(f"cr bound needs n >= 8, got {n}")
-    rows = leq_lower_bounds(n, pipeline)
-    value = identity_leq_form(n, [b for _, b, _ in rows])
-    return CrBoundResult(n, value, tuple(rows), pipeline)
+    useq = u_sequence(n)
+    rows = tuple((k, *_best(aichholzer_bound(n, k), useq.get(k))) for k in range(n // 2 - 1))
+    return CrBoundResult(n, identity_leq_form(n, [b for _, b, _ in rows]), rows)
 
 
 def u_prime_sequence(n: int) -> dict[int, int]:

@@ -36,11 +36,11 @@ def run_bounds_suite() -> list:
     out = []
     h = [bounds.halving_upper_bound(n) for n in golden.TABLE1_N]
     out.append(_result("table1-halving", tuple(h) == golden.TABLE1_H, f"{h}"))
-    cr = [bounds.cr_lower_bound(n, "table1").value for n in golden.TABLE1_N]
+    cr = [bounds.cr_lower_bound(n).value for n in golden.TABLE1_N]
     out.append(_result("table1-crossing", tuple(cr) == golden.TABLE1_CR, f"{cr}"))
     h2 = [bounds.halving_upper_bound(n) for n in golden.TABLE2_N]
     out.append(_result("table2-halving-upper", tuple(h2) == golden.TABLE2_H_UPPER, f"{h2}"))
-    got5 = {n: bounds.cr_lower_bound(n, "section5").value for n in golden.SECTION5_CR}
+    got5 = {n: bounds.cr_lower_bound(n).value for n in golden.SECTION5_CR}
     bad = {n: (got5[n], want) for n, want in golden.SECTION5_CR.items() if got5[n] != want}
     out.append(_result("section5-table", not bad, f"mismatches: {bad}" if bad else "72/72"))
     bracket_bad = [n for n in range(6, 201) if not bounds.lemma_brackets(n).ok]

@@ -1,10 +1,11 @@
-"""Bound formulas, recursions, pipelines, and exact bracket checks."""
+"""Bound formulas, recursions, the crossing pipeline, and exact bracket checks."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from kedges import golden
 from kedges.bounds import (
     aichholzer_bound,
     asymptotic_constants,
@@ -17,6 +18,7 @@ from kedges.bounds import (
     u_prime_sequence,
     u_sequence,
 )
+from kedges.edgestats import identity_leq_form
 from kedges.errors import InputError
 
 
@@ -88,24 +90,55 @@ def test_halving_upper_bound_anchors():
 
 
 def test_cr_lower_bound_anchors():
-    assert cr_lower_bound(24, "table1").value == 3699
-    assert cr_lower_bound(23, "table1").value == 3077
-    assert cr_lower_bound(20, "table1").value == 1657
-    assert cr_lower_bound(28, "section5").value == 7233
-    assert cr_lower_bound(50, "section5").value == 84146
-    assert cr_lower_bound(99, "section5").value == 1402932
-    with pytest.raises(InputError):
-        cr_lower_bound(24, "nope")
+    assert cr_lower_bound(24).value == 3699
+    assert cr_lower_bound(23).value == 3077
+    assert cr_lower_bound(20).value == 1657
+    assert cr_lower_bound(28).value == 7233
+    assert cr_lower_bound(50).value == 84146
+    assert cr_lower_bound(99).value == 1402932
+    with pytest.raises(InputError, match="n >= 8"):
+        cr_lower_bound(7)
+
+
+def _table1_rows(n):
+    """The per-k rows of the deleted `table1` pipeline: the closed form below
+    the top k, then C(n,2) - halving_upper_bound(n) at k = floor(n/2)-2."""
+    top = n // 2 - 2
+    rows = [(k, aichholzer_bound(n, k), "aichholzer") for k in range(top)]
+    return rows + [(top, comb(n, 2) - halving_upper_bound(n), "halving")]
+
+
+# The n where the table1 rows give the same crossing bound as cr_lower_bound.
+TABLE1_EQUAL_N = {8, 9, 10, 12, 14, 16, 18, *range(20, 29), 30, 31, 33, 35, 39}
+
+
+def test_table1_oracle_never_beats_cr_lower_bound():
+    oracle = {n: identity_leq_form(n, [b for _, b, _ in _table1_rows(n)]) for n in range(8, 400)}
+    value = {n: cr_lower_bound(n).value for n in oracle}
+    assert [n for n in oracle if oracle[n] > value[n]] == []
+    assert {n for n in oracle if oracle[n] == value[n]} == TABLE1_EQUAL_N
+    # every Table 1 n is among them, so the one pipeline still reproduces Table 1
+    assert tuple(oracle[n] for n in golden.TABLE1_N) == golden.TABLE1_CR
 
 
 def test_cr_bound_sources():
-    res = cr_lower_bound(28, "section5")
+    res = cr_lower_bound(28)
     by_k = {k: src for k, _, src in res.per_k_bounds_used}
     assert by_k[0] == "aichholzer"
     assert by_k[12] == "u_k"
-    res = cr_lower_bound(24, "table1")
-    assert res.per_k_bounds_used[-1][2] == "halving"
-    assert res.per_k_bounds_used[-1][1] == comb(24, 2) - 51
+    assert [k for k, _, _ in res.per_k_bounds_used] == list(range(13))
+    rows = _table1_rows(24)
+    assert rows[-1][2] == "halving"
+    assert rows[-1][1] == comb(24, 2) - 51
+
+
+def test_cr_lower_bound_gap_to_the_abstract_constant():
+    # 277/729 C(n,4) - cr_lower_bound(n) grows like c n^3, c about 0.0296:
+    # the abstract's "277/729 C(n,4) + Theta(n^3)" for this pipeline
+    gaps = [(Fraction(277, 729) * comb(n, 4) - cr_lower_bound(n).value) / n**3
+            for n in (10**3, 10**4, 10**5)]
+    assert all(Fraction("0.0294") < g < Fraction("0.0297") for g in gaps), [float(g) for g in gaps]
+    assert gaps[0] < gaps[1] < gaps[2]
 
 
 def test_u_prime_sequence():

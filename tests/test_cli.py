@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -116,11 +117,24 @@ def test_bounds_with_u_prime_needs_36_divides_n(fmt, capsys):
 def test_halving_and_cr_bound(capsys):
     assert main(["halving-bound", "--n", "24"]) == 0
     assert capsys.readouterr().out.strip() == "51"
-    assert main(["cr-bound", "--n", "24", "--pipeline", "table1"]) == 0
+    assert main(["cr-bound", "--n", "24"]) == 0
     assert capsys.readouterr().out.strip() == "3699"
     assert main(["cr-bound", "--n", "28", "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == 7233 and out["pipeline"] == "section5"
+
+
+@pytest.mark.parametrize(
+    "argv", [["cr-bound", "--n", "24"], ["cr-table", "--from", "28", "--to", "31"]],
+    ids=["cr-bound", "cr-table"],
+)
+def test_pipeline_option_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--pipeline", "table1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --pipeline table1" in captured.err
 
 
 def test_cr_table_csv(capsys):
@@ -523,6 +537,22 @@ def test_selftest_all_checks_arguments_before_any_suite(argv, monkeypatch, capsy
 def test_reversed_partition_range_is_named(octagon_file, capsys):
     assert main(["decompose3", octagon_file, "--partition", "3-1/4-6/7-8"]) == 2
     assert capsys.readouterr().err == "error: partition entry '3-1' is a reversed range\n"
+
+
+def test_partition_range_is_checked_before_it_is_expanded(octagon_file, capsys):
+    # a range past n is refused from its ends: expanding 1..10^11 first
+    # would take far more memory than the machine has
+    tracemalloc.start()
+    try:
+        code = main(["decompose3", octagon_file, "--partition", "1-99999999999/4-6/7-8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition index out of range in '1-99999999999'\n"
+    assert peak < 1 << 20, peak
 
 
 def _python_env():

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the point-set kernels, the halfperiod kernels and a few CLI calls of
-one or more kedges source trees, each in several fresh processes.
+"""Time the point-set kernels, the halfperiod kernels, the bound pipeline and
+a few CLI calls of one or more kedges source trees, each in several fresh
+processes.
 
     python3 tools/bench_kernels.py --run parent=DIR1 --run change=DIR2 -o FILE
 
@@ -39,6 +40,10 @@ take milliseconds each:
   --halfperiod` report's records (the part of the report `classify`
   renders through one template; null on a tree without it), and that
   whole command through `cli.main` with stdout discarded.
+* bound stage, in this process: `cr_lower_bound(n)` over n = 28..99 (the
+  `cr-table 28..99` and `tables section5` sweep) and `lemma_brackets(n)`
+  over n = 6..200 (the `selftest bounds` bracket check), each called with
+  its default signature, so every tree times the same calls.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes,
   `decompose3` with the letter partition on the S_5 file, `construct sr
@@ -186,6 +191,17 @@ def halfperiod_times() -> dict:
     return {f"word n={n} k={k}": row}
 
 
+def bound_times() -> dict:
+    from kedges import bounds
+
+    return {
+        "cr_lower_bound n=28..99": median_time(
+            lambda: [bounds.cr_lower_bound(n) for n in range(28, 100)]),
+        "lemma_brackets n=6..200": median_time(
+            lambda: [bounds.lemma_brackets(n) for n in range(6, 201)]),
+    }
+
+
 def cli_times(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
 
@@ -219,6 +235,7 @@ def one_process(src: Path) -> dict:
         "kernels_s": kernel_times(),
         "stages_s": stage_times(),
         "halfperiod_kernels_s": halfperiod_times(),
+        "bounds_s": bound_times(),
         "cli_s": cli_times(src),
     }
 
