@@ -1,11 +1,12 @@
 """Lower-bound formulas for E_{<=k}(n) and the crossing-number pipeline.
 
-Everything here is exact: the recursions run over ints with exact
-ceilings, the rational values are fractions.Fraction, and every comparison
-against a square root is decided by signed squaring, never by floating
-point.  The ceiling/floor boundaries are off-by-one sensitive (n = 29 hits
-the halving formula exactly at 1926/18 = 107), which is why no float is
-trusted anywhere.
+Every bound is exact: the recursions run over ints with exact ceilings
+and the rational values are fractions.Fraction.  The ceiling/floor
+boundaries are off-by-one sensitive (n = 29 hits the halving formula
+exactly at 1926/18 = 107), which is why no float decides anything.  The
+floats are display values: `explicit`, the asymptotic closed form in the
+bound table, and asymptotic_constants' (2/27)(15 - pi^2).  Only
+lemma_brackets compares against a square root, by exact squaring.
 
 Bound inventory:
 
@@ -18,7 +19,8 @@ Bound inventory:
                         correction term, then
                         u_k = ceil((C(n,2) + (n-2k-3) u_{k-1})/(n-2k-2)).
 * explicit_bound     -- the asymptotic closed form
-                        C(n,2) - (1/9) sqrt(1-(2k+2)/n) (5n^2+19n-31).
+                        C(n,2) - (1/9) sqrt(1-(2k+2)/n) (5n^2+19n-31),
+                        as a display float.
 * halving_upper_bound-- floor(n(n+30)/24 - 3) (even) /
                         floor((n-3)(n+45)/18 + 1/9) (odd), n >= 8.
 * cr_lower_bound     -- the identity pipeline fed with the pointwise
@@ -47,35 +49,6 @@ from .errors import InputError
 def comb2(x: int) -> int:
     """C(x,2) with C(x,2) = 0 for x < 2."""
     return x * (x - 1) // 2 if x >= 2 else 0
-
-
-@dataclass(frozen=True)
-class SqrtExpr:
-    """Exact value a - b*sqrt(r) with a, b, r rational, b, r >= 0.
-
-    Comparisons against rationals square the root away, so boundary cases
-    are decided exactly."""
-
-    a: object
-    b: object
-    r: object
-
-    def to_float(self) -> float:
-        return float(self.a) - float(self.b) * (float(self.r) ** 0.5)
-
-    def le(self, q) -> bool:
-        """self <= q, exactly."""
-        diff = self.a - Fraction(q)  # need diff <= b sqrt(r)
-        if diff <= 0:
-            return True
-        return diff * diff <= self.b * self.b * self.r
-
-    def ge(self, q) -> bool:
-        """self >= q, exactly."""
-        diff = self.a - Fraction(q)  # need b sqrt(r) <= diff
-        if diff < 0:
-            return False
-        return self.b * self.b * self.r <= diff * diff
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +101,14 @@ def u_sequence(n: int) -> dict[int, int]:
     return _u_recursion(n, m, seed)
 
 
-def explicit_bound(n: int, k: int) -> SqrtExpr:
-    """C(n,2) - (1/9) sqrt(1 - (2k+2)/n) (5n^2 + 19n - 31), exact."""
+def explicit_bound(n: int, k: int) -> float:
+    """C(n,2) - (1/9) sqrt(1 - (2k+2)/n) (5n^2 + 19n - 31) as a float: both
+    quotients are correctly rounded int divisions, then one square root."""
     if k < m_start(n) - 1:
         raise InputError(f"k below range: need k >= {m_start(n) - 1}, got {k}")
     if 2 * k > n - 2:
         raise InputError(f"k above range: need k <= (n-2)/2, got {k}")
-    return SqrtExpr(Fraction(comb(n, 2)), Fraction(5 * n * n + 19 * n - 31, 9),
-                    Fraction(n - 2 * k - 2, n))
+    return comb(n, 2) - (5 * n * n + 19 * n - 31) / 9 * ((n - 2 * k - 2) / n) ** 0.5
 
 
 def halving_upper_bound(n: int) -> int:
@@ -247,18 +220,7 @@ def asymptotic_constants() -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaBracketReport:
-    n: int
-    checked_k: tuple[int, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def lemma_brackets(n: int) -> LemmaBracketReport:
+def lemma_brackets(n: int) -> tuple[str, ...]:
     """Exact verification of the two growth-estimate brackets:
 
       (i)  3 sqrt(1-(2k+9/2)/n) < (C(n,2)-u_k)/(C(n,2)-u_{m-1})
@@ -267,17 +229,17 @@ def lemma_brackets(n: int) -> LemmaBracketReport:
       (ii) 3 sqrt(1-(2k+9/2)/n) (C(n,2)-u_{m-1}) >= (n-1)(n-2k-3)
            for m <= k <= (n-5)/2.
 
-    Empty ranges pass vacuously.  All comparisons by exact squaring."""
+    Returns one string per violated bracket, empty when all hold; empty
+    ranges pass vacuously.  All comparisons by exact squaring."""
     if n < 6:
         raise InputError("bracket check needs n >= 6")
     m = m_start(n)
     useq = u_sequence(n)
     total = comb(n, 2)
     d0 = total - useq[m - 1]
-    checked = tuple(range(m - 1, (n - 5) // 2 + 1))
+    checked = range(m - 1, (n - 5) // 2 + 1)
     if d0 <= 0:
-        seed_fails = tuple(f"k={k}: seed bound reaches C(n,2)" for k in checked)
-        return LemmaBracketReport(n, checked, seed_fails)
+        return tuple(f"k={k}: seed bound reaches C(n,2)" for k in checked)
     violations = []
     for k in checked:
         lo_sq = Fraction(18 * (n - 2 * k) - 81, 2 * n)  # 9(1-(2k+9/2)/n)
@@ -291,7 +253,7 @@ def lemma_brackets(n: int) -> LemmaBracketReport:
             rhs = (n - 1) * (n - 2 * k - 3)
             if not (lo_sq * d0 * d0 >= rhs * rhs):
                 violations.append(f"k={k}: estimate lemma fails")
-    return LemmaBracketReport(n, checked, tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +272,8 @@ class BoundTableRow:
     source: str
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    n: int
-    rows: tuple[BoundTableRow, ...]
-
-
-def bound_table(n: int, with_u_prime: bool = False) -> BoundTable:
-    """Per-k table of all lower bounds for E_{<=k}(n).
+def bound_table(n: int, with_u_prime: bool = False) -> tuple[BoundTableRow, ...]:
+    """Per-k rows, k = 0..floor(n/2)-1, of all lower bounds for E_{<=k}(n).
 
     `best` is the max of the unconditional bounds (closed form and u_k);
     u'_k applies only to 3-regular sets and is reported as a reference
@@ -332,6 +288,6 @@ def bound_table(n: int, with_u_prime: bool = False) -> BoundTable:
         best, source = _best(a, u)
         expl = None
         if m - 1 <= k and 2 * k <= n - 2:
-            expl = explicit_bound(n, k).to_float()
+            expl = explicit_bound(n, k)
         rows.append(BoundTableRow(k, a, u, upseq.get(k), expl, best, source))
-    return BoundTable(n, tuple(rows))
+    return tuple(rows)

@@ -71,14 +71,13 @@ class TranspositionRecord(NamedTuple):
     kind: str  # "k-critical" | "center" | "outer"
     cls: str   # class for k-criticals, "non-critical" otherwise
     entering: int | None = None
-    boundary: str | None = None
     aug_m: int | None = None
     weight: int | None = None
     heavy: bool | None = None
     essential: bool = True
 
 
-# TranspositionRecord((twelve fields)) without the frame of its own __new__.
+# TranspositionRecord((eleven fields)) without the frame of its own __new__.
 _new_record = functools.partial(tuple.__new__, TranspositionRecord)
 
 
@@ -133,8 +132,8 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
         records.append(
             TranspositionRecord(
                 step=t.step, position=t.position, pair=t.pair, block_index=j + 1,
-                kind="k-critical", cls=cls, entering=p, boundary=boundary,
-                aug_m=aug_m, weight=w, heavy=w > light_max, essential=True,
+                kind="k-critical", cls=cls, entering=p, aug_m=aug_m, weight=w,
+                heavy=w > light_max, essential=True,
             )
         )
     return records
@@ -170,7 +169,7 @@ def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[Transpos
             center = k < pos < n - k
             records.append(_new_record((
                 step, pos, pair, bi, "center" if center else "outer", "non-critical",
-                None, None, None, None, None, not center or bi == 0 or entering in pair,
+                None, None, None, None, not center or bi == 0 or entering in pair,
             )))
     return records
 

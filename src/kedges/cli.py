@@ -45,40 +45,27 @@ from .geom import read_points, write_points
 from .selftest import run_scope
 
 
-class _Memo(dict):
-    """fn(key) for each distinct key, computed on its first lookup."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        text = self[key] = self.fn(key)
-        return text
-
-
-class _OptionalText(dict):
-    """Text function by exact type for a record's optional fields.  Keyed by
-    type, not value: as dict keys 1 and 1.0 are the same key as True."""
-
-    def __missing__(self, cls):
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-
-
 _CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
-_OPTIONAL_TEXT = _OptionalText({
-    type(None): _CONSTANT_TEXT.__getitem__,
-    bool: _CONSTANT_TEXT.__getitem__,
-    int: int.__repr__,
-})
+
+
+def _field_text(v) -> str:
+    """The JSON text of a record's optional field: null, true, false or an
+    int.  Decided by exact type, not by value: as dict keys 1 and 1.0 are
+    the same key as True.  Any other type raises TypeError."""
+    cls = type(v)
+    if cls is int:
+        return int.__repr__(v)
+    if v is None or cls is bool:
+        return _CONSTANT_TEXT[v]
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _records_text(records, pad="\n") -> str:
     """The text of json.dumps(list_of_record_dicts, indent=2), nested at
     `pad` (a newline and the enclosing indent), for classify's
     TranspositionRecords, without a dict per record: every record fills
-    one %-template whose keys are encoded once.  kind and class are
-    encoded once per distinct value; the optional fields print as null,
-    true, false or an int, and any other type raises TypeError.  step,
+    one %-template whose keys are encoded once.  The optional fields
+    print through _field_text, as null, true, false or an int.  step,
     position, pair and block are ints by construction and print through
     %d.  A record whose entering, aug_m, weight and heavy are None and
     whose essential is a bool (every non-critical one) fills only the %d
@@ -98,22 +85,27 @@ def _records_text(records, pad="\n") -> str:
     ) + item + "}"
     cut = template.index('"kind"')
     head, tail = template[:cut], template[cut:]
-    words, opt = _Memo(encode_basestring_ascii), _OPTIONAL_TEXT
-    tails = _Memo(lambda key: tail % (
-        words[key[0]], words[key[1]], "null", "null", "null", "null", _CONSTANT_TEXT[key[2]]))
-    texts = [
-        head % (step, position, pair[0], pair[1], block) + tails[kind, cls, essential]
-        if entering is None and aug_m is None and weight is None and heavy is None
-        and (essential is True or essential is False)
-        else template % (
-            step, position, pair[0], pair[1], block, words[kind], words[cls],
-            opt[type(entering)](entering), opt[type(aug_m)](aug_m),
-            opt[type(weight)](weight), opt[type(heavy)](heavy),
-            opt[type(essential)](essential),
-        )
-        for (step, position, pair, block, kind, cls, entering, _boundary, aug_m, weight, heavy,
-             essential) in records
-    ]
+    encode = encode_basestring_ascii
+    tails = {}
+    texts = []
+    append = texts.append
+    for (step, position, pair, block, kind, cls, entering, aug_m, weight, heavy,
+         essential) in records:
+        if (entering is None and aug_m is None and weight is None and heavy is None
+                and (essential is True or essential is False)):
+            key = kind, cls, essential
+            try:
+                text = tails[key]
+            except KeyError:
+                text = tails[key] = tail % (encode(kind), encode(cls), "null", "null", "null",
+                                            "null", _CONSTANT_TEXT[essential])
+            append(head % (step, position, pair[0], pair[1], block) + text)
+        else:
+            append(template % (
+                step, position, pair[0], pair[1], block, encode(kind), encode(cls),
+                _field_text(entering), _field_text(aug_m), _field_text(weight),
+                _field_text(heavy), _field_text(essential),
+            ))
     return "[" + item + ("," + item).join(texts) + pad + "]"
 
 
@@ -159,8 +151,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    table = bnd.bound_table(args.n, with_u_prime=args.with_u_prime)
-    rows = table.rows
+    rows = bnd.bound_table(args.n, with_u_prime=args.with_u_prime)
     if args.k is not None:
         rows = [r for r in rows if r.k == args.k]
         if not rows:
@@ -339,11 +330,11 @@ def _parse_partition(spec: str, n: int):
 
 def cmd_decompose3(args) -> int:
     ps = read_points(args.file)
-    witness = check_3decomposable(ps, _parse_partition(args.partition, ps.n))
-    if witness is None:
+    directions = check_3decomposable(ps, _parse_partition(args.partition, ps.n))
+    if directions is None:
         print("no 3-decomposition witness for this partition")
         return 1
-    for gi, d in enumerate(witness.directions):
+    for gi, d in enumerate(directions):
         print(f"part {gi + 1} between the others along direction ({d[0]}, {d[1]})")
     return 0
 

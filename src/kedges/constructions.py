@@ -138,7 +138,7 @@ def sr_audit(ps: PointSet, levels) -> list[SrAuditRow]:
     for (i, j), lev in levels.items():
         if lev < top:
             hist[lev][letter[i] == letter[j]] += 1
-    best = bound_table(ps.n).rows
+    best = bound_table(ps.n)
     rows = []
     bi = mono = 0
     for k, (bi_k, mono_k) in enumerate(hist):
@@ -508,17 +508,12 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition3Witness:
-    """For each part index 0/1/2, a projection direction showing that part
-    between the other two (directions are exact rational vectors)."""
-
-    directions: tuple  # ((dx, dy), (dx, dy), (dx, dy))
-
-
 def check_3decomposable(ps: PointSet, partition):
-    """Witness directions for a 3-decomposition of ps under `partition`
-    (three equal, disjoint index groups), or None.
+    """The witness of a 3-decomposition of ps under `partition` (three
+    equal, disjoint index groups): a tuple of three exact rational
+    directions (dx, dy), the one at index 0/1/2 showing that part between
+    the other two; None when some part is between the others along no
+    direction.
 
     The projection order of the points changes only at spanned-line
     normals, so one direction per open angular gap between consecutive
@@ -582,8 +577,7 @@ def check_3decomposable(ps: PointSet, partition):
         if cuts == 4:  # three blocks in the gap after run g
             found.setdefault(3 - parts[1] - parts[n], g)
             if len(found) == 3:
-                return Decomposition3Witness(tuple(_gap_direction(ps, found[gi])
-                                                   for gi in range(3)))
+                return tuple(_gap_direction(ps, found[gi]) for gi in range(3))
     return None
 
 
@@ -605,13 +599,14 @@ def _gap_direction(ps: PointSet, g):
     return (u[0] - v[0], u[1] - v[1])  # wrap gap: between last and first+pi
 
 
-def witness_failures(ps: PointSet, partition, witness) -> list[int]:
-    """The parts (0, 1, 2) whose witness direction fails a check that does
-    not use the sweep: every point is projected onto the direction once in
-    exact rational arithmetic, the n values must be distinct, and the part
-    must lie strictly between the other two."""
+def witness_failures(ps: PointSet, partition, directions) -> list[int]:
+    """The parts (0, 1, 2) whose direction in `directions`, a witness as
+    check_3decomposable returns it, fails a check that does not use the
+    sweep: every point is projected onto the direction once in exact
+    rational arithmetic, the n values must be distinct, and the part must
+    lie strictly between the other two."""
     bad = []
-    for gi, (dx, dy) in enumerate(witness.directions):
+    for gi, (dx, dy) in enumerate(directions):
         proj = [[ps[i].x * dx + ps[i].y * dy for i in part] for part in partition]
         mid = proj[gi]
         a, b = (proj[x] for x in range(3) if x != gi)

@@ -69,9 +69,6 @@ class EdgeVector:
             )
         return self
 
-    def leq(self, k: int) -> int:
-        return sum(self.counts[: k + 1])
-
     def geq(self, k: int) -> int:
         return sum(self.counts[k:])
 

@@ -60,19 +60,39 @@ def test_u_sequence_properties():
             assert u[ks[-1]] == comb(n, 2)
 
 
+def _explicit_cmp(n, k, q) -> int:
+    """The sign of C(n,2) - (1/9) sqrt(1-(2k+2)/n) (5n^2+19n-31) - q,
+    decided exactly: diff = C(n,2) - q against b sqrt(r) by squaring."""
+    diff = comb(n, 2) - Fraction(q)
+    b, r = Fraction(5 * n * n + 19 * n - 31, 9), Fraction(n - 2 * k - 2, n)
+    if diff < 0:
+        return -1
+    sq = diff * diff - b * b * r
+    return (sq > 0) - (sq < 0)
+
+
 def test_explicit_bound_values():
-    e = explicit_bound(27, 11)
-    assert abs(e.to_float() - (351 - 4127 / 27)) < 1e-9
-    assert e.le(u_sequence(27)[11])  # 255
-    assert not e.ge(256)
+    assert abs(explicit_bound(27, 11) - (351 - 4127 / 27)) < 1e-9
+    assert _explicit_cmp(27, 11, u_sequence(27)[11]) <= 0  # 255
+    assert _explicit_cmp(27, 11, 256) < 0
+    assert _explicit_cmp(27, 11, 198) > 0
     # radicand 0 at k = (n-2)/2 for even n: the bound reaches C(n,2)
-    e = explicit_bound(30, 14)
-    assert e.le(comb(30, 2)) and e.ge(comb(30, 2))
-    assert explicit_bound(36, 16).le(u_prime_sequence(36)[16])
+    assert explicit_bound(30, 14) == comb(30, 2) and _explicit_cmp(30, 14, comb(30, 2)) == 0
+    assert _explicit_cmp(36, 16, u_prime_sequence(36)[16]) <= 0
     with pytest.raises(InputError, match="below range"):
         explicit_bound(27, 5)
     with pytest.raises(InputError, match="above range"):
         explicit_bound(27, 13)
+
+
+def test_explicit_bound_is_the_float_of_the_exact_form():
+    # each quotient rounded once, then one square root: the float of
+    # C(n,2) - b sqrt(r) with b and r the exact rationals
+    for n in range(3, 201):
+        b = Fraction(5 * n * n + 19 * n - 31, 9)
+        for k in range(m_start(n) - 1, (n - 2) // 2 + 1):
+            r = Fraction(n - 2 * k - 2, n)
+            assert explicit_bound(n, k) == float(comb(n, 2)) - float(b) * float(r) ** 0.5
 
 
 def test_halving_upper_bound_anchors():
@@ -159,29 +179,29 @@ def test_asymptotic_constants():
 
 
 def test_lemma_brackets_spot():
-    assert lemma_brackets(27).ok
-    assert lemma_brackets(41).ok
+    assert lemma_brackets(27) == ()
+    assert lemma_brackets(41) == ()
     for n in range(6, 41):
         # small-n range is empty or a single k; both must pass
-        assert lemma_brackets(n).ok
+        assert lemma_brackets(n) == ()
 
 
 def test_bound_table_structure():
-    table = bound_table(27)
-    assert [r.k for r in table.rows] == list(range(13))
-    best = [r.best for r in table.rows]
+    rows = bound_table(27)
+    assert [r.k for r in rows] == list(range(13))
+    best = [r.best for r in rows]
     assert all(a <= b for a, b in zip(best, best[1:]))
-    assert best[11] == 255 and table.rows[11].source == "u_k"
+    assert best[11] == 255 and rows[11].source == "u_k"
     assert best[10] == 207
-    t36 = bound_table(36, with_u_prime=True)
-    assert t36.rows[16].u_prime_k == 522
+    row36 = bound_table(36, with_u_prime=True)[16]
+    assert row36.u_prime_k == 522
     # the conditional 3-regular column never feeds `best`
-    assert t36.rows[16].best == max(t36.rows[16].aichholzer, t36.rows[16].u_k)
+    assert row36.best == max(row36.aichholzer, row36.u_k)
 
 
 def test_reported_bounds_never_exceed_all_edges():
     # E_<=k(n) <= C(n,2), with equality at k = floor(n/2) - 1
     for n in range(5, 201):
-        for row in bound_table(n).rows:
+        for row in bound_table(n):
             assert row.aichholzer <= comb(n, 2) and row.best <= comb(n, 2), (n, row)
-    assert aichholzer_bound(12, 5) == 66 and bound_table(16).rows[7].best == 120
+    assert aichholzer_bound(12, 5) == 66 and bound_table(16)[7].best == 120

@@ -427,9 +427,8 @@ def ref_classify(h, k, s_value=None):
             records.append(
                 TranspositionRecord(
                     step=t.step, position=t.position, pair=t.pair, block_index=bi,
-                    kind="k-critical", cls=cls, entering=p, boundary=boundary,
-                    aug_m=aug_m, weight=w, heavy=w > n - 2 * k - 1 - s_value,
-                    essential=True,
+                    kind="k-critical", cls=cls, entering=p, aug_m=aug_m, weight=w,
+                    heavy=w > n - 2 * k - 1 - s_value, essential=True,
                 )
             )
         elif k + 1 <= t.position <= n - k - 1:

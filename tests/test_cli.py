@@ -114,6 +114,19 @@ def test_bounds_with_u_prime_needs_36_divides_n(fmt, capsys):
     assert captured.err == "error: u' sequence needs 36 | n, got 27\n"
 
 
+# `bounds --format json` prints the explicit column as the float's full repr.
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "27"], "f202ed06f74cb6f52e5dba6abae7925b4cb0b9ae255f0e020c9a55139652ff4a"),
+    (["--n", "60"], "d742a0f8a16f386652652705fcbd12073026c3be3045598ed35cc4e679f87626"),
+    (["--n", "99"], "015d1c8b5d50d8572e7475c212b3de0f50acc051331da76b9ad714931f68704a"),
+    (["--n", "36", "--with-u-prime"],
+     "40988d2b01d7b0fe704c5ee9e3b7a61c0e8b4a549e78e8e17fdc68fa62d5296d"),
+], ids=["n27", "n60", "n99", "n36-u-prime"])
+def test_bounds_json_stdout_is_pinned(argv, digest, capsys):
+    assert main(["bounds", *argv, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_halving_and_cr_bound(capsys):
     assert main(["halving-bound", "--n", "24"]) == 0
     assert capsys.readouterr().out.strip() == "51"
@@ -169,7 +182,7 @@ def test_construct_and_verify_sr(tmp_path, capsys):
     assert main(["verify", "sr", "--r", "3"]) == 0
     assert capsys.readouterr().out == VERIFY_SR_3
     expected = [int(line.split()[2]) for line in VERIFY_SR_3.splitlines()[1:-1]]
-    assert expected == [row.best for row in bound_table(27).rows[:12]]
+    assert expected == [row.best for row in bound_table(27)[:12]]
 
 
 # `verify sr --r 3`: the expected column is `bounds --n 27`'s best column.
@@ -344,6 +357,18 @@ def test_selftest_bounds(capsys):
     out = capsys.readouterr().out
     assert "[PASS] table1-halving" in out
     assert "6/6 checks passed" in out
+
+
+# The details of `selftest bounds` and `selftest constructions` (the bracket
+# lemmas' failures, the 3-decomposition witnesses' failing parts), pinned.
+@pytest.mark.parametrize("argv, digest", [
+    (["bounds"], "47dd2282c246261bcbc823b2c223b5ef10191242cb5c0acc8667c7fdce4f8dbd"),
+    (["constructions", "--rmax", "4"],
+     "2c991e521bf143a06b641731b9827463fd619a0f3f33236a2a9a02b357c48ed0"),
+], ids=["bounds", "constructions-rmax4"])
+def test_selftest_stdout_is_pinned(argv, digest, capsys):
+    assert main(["selftest", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_selftest_quick_sweeps(capsys):
@@ -603,7 +628,7 @@ def test_parser_keeps_nothing_between_calls(octagon_file, capsys):
     assert main(["bounds", "--n", "10", "--k", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert main(["bounds", "--n", "10"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2 + len(bound_table(10).rows)
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(bound_table(10))
 
     # the octagon has parallel pairs: only --tie-break orders them
     assert main(["classify", octagon_file, "--k", "2", "--tie-break"]) == 0

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kedges.circseq import compute_s, halfperiod_from_points
 from kedges.constructions import (
-    Decomposition3Witness,
     SrConfig,
     _certify_app_slopes,
     build_cluster_polygon,
@@ -258,10 +257,10 @@ def test_slope_certificate_matches_all_pairs_reference(case):
 def test_s3_tightness(s3):
     assert s3.perturbed.general_position
     ev = s3.edge_vector
-    best = bound_table(27).rows
+    best = bound_table(27)
     for k in range(12):
-        assert ev.leq(k) == best[k].best
-    assert ev.leq(11) == 255 and ev.leq(10) == 207
+        assert ev.e_leq[k] == best[k].best
+    assert ev.e_leq[11] == 255 and ev.e_leq[10] == 207
 
 
 def test_s3_halfperiod_cross_check(s3):
@@ -308,16 +307,16 @@ def test_sr_audit_reuses_build_levels(s3):
 def test_s4_tightness():
     res = build_sr(SrConfig(r=4))
     ev = res.edge_vector
-    best = bound_table(36).rows
+    best = bound_table(36)
     for k in range(16):
-        assert ev.leq(k) == best[k].best
-    assert ev.leq(15) == 441  # 3 C(17,2) + 3 C(5,2) + 3
+        assert ev.e_leq[k] == best[k].best
+    assert ev.e_leq[15] == 441  # 3 C(17,2) + 3 C(5,2) + 3
 
 
 def test_sr_expected_consistency():
     # bichromatic + monochromatic = the bounds table's best, for every family size
     for r in (3, 4, 5, 6):
-        best = bound_table(9 * r).rows
+        best = bound_table(9 * r)
         for k in range(4 * r):
             assert sr_expected_bichromatic(r, k) + sr_expected_monochromatic(r, k) == \
                 best[k].best
@@ -374,7 +373,7 @@ def test_cluster_polygon_validation():
 def test_3decomposable_sr(s3):
     w = check_3decomposable(s3.perturbed, sr_letter_partition(3))
     assert w is not None
-    assert len(w.directions) == 3
+    assert len(w) == 3
 
 
 def test_3decomposable_three_clusters():
@@ -440,7 +439,7 @@ def ref_check_3decomposable(ps, partition):
         if len(blocks) == 3:
             found.setdefault(blocks[1], d)
         if len(found) == 3:
-            return Decomposition3Witness((found[0], found[1], found[2]))
+            return (found[0], found[1], found[2])
     return None
 
 
@@ -493,7 +492,7 @@ def ref_sweep_3decomposable(ps, partition):
         if cuts == 2:
             found.setdefault(3 - parts[0] - parts[-1], g)
             if len(found) == 3:
-                return Decomposition3Witness(tuple(gap_direction(found[gi]) for gi in range(3)))
+                return tuple(gap_direction(found[gi]) for gi in range(3))
     return None
 
 
@@ -563,8 +562,8 @@ def test_selftest_rejects_swapped_witness(monkeypatch):
     from kedges import selftest
 
     def swapped(ps, partition):
-        d = check_3decomposable(ps, partition).directions
-        return Decomposition3Witness((d[1], d[0], d[2]))
+        d = check_3decomposable(ps, partition)
+        return (d[1], d[0], d[2])
 
     monkeypatch.setattr(selftest, "check_3decomposable", swapped)
     results = {name: (ok, detail) for name, ok, detail in selftest.run_constructions_suite(rmax=3)}

@@ -16,9 +16,6 @@ TESTS = Path(__file__).resolve().parent
 # the package calls them.
 TEST_SUPPORT = ("k_center", "rotate_halfperiod", "reverse_halfperiod", "write_halfperiod",
                 "edge_vector_bruteforce", "collinear_triples", "convex_polygon_set", "P")
-# The exact comparators of SqrtExpr that test_explicit_bound_values checks the
-# explicit bound with; the package prints the bound through to_float only.
-TEST_SUPPORT_METHODS = ("SqrtExpr.le", "SqrtExpr.ge")
 
 
 def _modules():
@@ -95,20 +92,8 @@ def test_every_public_method_is_reached():
     modules = _modules()
     attributes = _attributes(modules)
     unreached = [f"{filename}:{name}" for filename, name in _public_methods(modules)
-                 if name.split(".")[1] not in attributes and name not in TEST_SUPPORT_METHODS]
+                 if name.split(".")[1] not in attributes]
     assert unreached == []
-
-
-def test_test_support_methods_are_test_only_and_used():
-    modules = _modules()
-    defined = {name for _, name in _public_methods(modules)}
-    attributes = _attributes(modules)
-    tests = _other_tests_text()
-    for name in TEST_SUPPORT_METHODS:
-        method = name.split(".")[1]
-        assert name in defined, name
-        assert method not in attributes, f"{name} is reached from the package; drop it here"
-        assert f".{method}(" in tests, f"{name} is used by no test"
 
 
 def test_test_support_names_are_test_only_and_used():

@@ -41,9 +41,11 @@ take milliseconds each:
   renders through one template; null on a tree without it), and that
   whole command through `cli.main` with stdout discarded.
 * bound stage, in this process: `cr_lower_bound(n)` over n = 28..99 (the
-  `cr-table 28..99` and `tables section5` sweep) and `lemma_brackets(n)`
-  over n = 6..200 (the `selftest bounds` bracket check), each called with
-  its default signature, so every tree times the same calls.
+  `cr-table 28..99` and `tables section5` sweep), `lemma_brackets(n)`
+  over n = 6..200 (the `selftest bounds` bracket check) and
+  `bound_table(n)` over n = 8..200 (the range of the perfbench `bounds`
+  ops), each called with its default signature, so every tree times the
+  same calls.
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes,
   `decompose3` with the letter partition on the S_5 file, `construct sr
@@ -199,6 +201,8 @@ def bound_times() -> dict:
             lambda: [bounds.cr_lower_bound(n) for n in range(28, 100)]),
         "lemma_brackets n=6..200": median_time(
             lambda: [bounds.lemma_brackets(n) for n in range(6, 201)]),
+        "bound_table n=8..200": median_time(
+            lambda: [bounds.bound_table(n) for n in range(8, 201)]),
     }
 
 
