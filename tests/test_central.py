@@ -243,6 +243,15 @@ def test_abstract_halfperiods_satisfy_central_checks():
             assert compute_s(h, k) == rep.s
 
 
+@pytest.mark.parametrize("r", [3, 4])
+def test_sr_halfperiods_satisfy_central_checks(r, sr):
+    # the certified S_3 and S_4 sets (n = 27, 36), at every admissible k
+    h = halfperiod_from_points(sr(r).perturbed, tie_break=True)
+    for k in range(1, (h.n - 1) // 2 + 1):
+        rep = verify_central(h, k)
+        assert rep.all_ok, (h.n, k, rep.aux_checks)
+
+
 def ref_rearrange_essential(h, k):
     """Reference: the fixpoint rearrangement.  Each round replays the whole
     rewritten sequence to find the last block (j >= 1) holding a

@@ -41,6 +41,26 @@ def test_analyze(octagon_file, capsys):
     assert out["E_leq"][-1] == 28
 
 
+ANALYZE_OCTAGON_SHA256 = "8067e7a7c0f6bab0d9d3591993966c9f5a967842292ec936c1a1639efd5d9dde"
+
+
+def test_analyze_stdout_on_octagon_is_pinned(octagon_file, capsys):
+    assert main(["analyze", octagon_file]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ANALYZE_OCTAGON_SHA256
+
+
+# `analyze` on the files `construct sr --r 3` and `--r 4` write.
+@pytest.mark.parametrize("r, digest", [
+    (3, "1a37425b29fb5b99cf3f715b6c1708c74ded4ddbc6de7954c3692fddb85ab8f4"),
+    (4, "664a75690eb7078f33cad144abb40f52aba6c2990d292058f8edc7697de2e6ae"),
+], ids=["s3", "s4"])
+def test_analyze_stdout_on_sr_is_pinned(r, digest, sr, tmp_path, capsys):
+    path = tmp_path / f"s{r}.pts"
+    write_points(path, sr(r).perturbed)
+    assert main(["analyze", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_analyze_collinear_exit_2(collinear_file, capsys):
     assert main(["analyze", collinear_file]) == 2
     err = capsys.readouterr().err
@@ -135,6 +155,17 @@ def test_halving_and_cr_bound(capsys):
     assert main(["cr-bound", "--n", "28", "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == 7233 and out["pipeline"] == "section5"
+
+
+# `cr-bound --format json`: the value and its per-k rows (bound and source).
+@pytest.mark.parametrize("n, digest", [
+    (8, "704374a1324fd0f48b74677d8a8c4f47a9395962866b4386c316d2dfbe44451e"),
+    (28, "c15278576d8aa140ae62f1ccec56e80266ff94a5845aa102cef6de58b9c4544d"),
+    (99, "12120f5826941564d68daaf51c434a78a1e0722bde92f8b24dfe270dc142b99e"),
+], ids=["n8", "n28", "n99"])
+def test_cr_bound_json_stdout_is_pinned(n, digest, capsys):
+    assert main(["cr-bound", "--n", str(n), "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
