@@ -121,13 +121,6 @@ def halving_upper_bound(n: int) -> int:
     return ((n - 3) * (n + 45) + 2) // 18
 
 
-@dataclass(frozen=True)
-class CrBoundResult:
-    n: int
-    value: int
-    per_k_bounds_used: tuple  # (k, bound, source) triples
-
-
 def _best(aichholzer: int, u: int | None) -> tuple[int, str]:
     """(bound, source): u_k where it is defined and beats the closed form,
     otherwise the closed form."""
@@ -136,15 +129,15 @@ def _best(aichholzer: int, u: int | None) -> tuple[int, str]:
     return aichholzer, "aichholzer"
 
 
-def cr_lower_bound(n: int) -> CrBoundResult:
+def cr_lower_bound(n: int) -> int:
     """Crossing-number lower bound: the per-k lower bounds
-    max(closed form, u_k) on E_{<=k} for k = 0..floor(n/2)-2, plugged into
-    the E_{<=k} form of the identity."""
+    max(closed form, u_k) on E_{<=k} for k = 0..floor(n/2)-2 (`bound_table`
+    best), plugged into the E_{<=k} form of the identity."""
     if n < 8:
         raise InputError(f"cr bound needs n >= 8, got {n}")
     useq = u_sequence(n)
-    rows = tuple((k, *_best(aichholzer_bound(n, k), useq.get(k))) for k in range(n // 2 - 1))
-    return CrBoundResult(n, identity_leq_form(n, [b for _, b, _ in rows]), rows)
+    return identity_leq_form(
+        n, [_best(aichholzer_bound(n, k), useq.get(k))[0] for k in range(n // 2 - 1)])
 
 
 def u_prime_sequence(n: int) -> dict[int, int]:

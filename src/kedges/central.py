@@ -40,6 +40,11 @@ finds the block each center transposition lands in, the other replays the
 result once from the initial permutation, one slot swap per
 transposition, checking adjacency and slots as it goes.
 
+Both read the edge counts off the halfperiod's cached tuple
+`Halfperiod.level_counts`: K = counts[k-1] and E_{>=k} = sum(counts[k:]).
+The rearrangement's output check compares counts[:k] and E_{>=k} of its
+input and output.
+
 The verifier recomputes everything from scratch on each call and checks
 the inequality on h, and on the rearranged halfperiod the per-class
 weight bounds, the cutting bound 2C <= 4k + K - n + s, the augmenting
@@ -59,7 +64,6 @@ from math import comb
 from typing import NamedTuple
 
 from .circseq import Halfperiod, _check_k, _new_transposition, compute_s, require_valid
-from .edgestats import edge_vector_from_halfperiod
 from .errors import RearrangementError
 
 
@@ -284,11 +288,10 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     report = out.axiom_walk[0]
     if report:
         raise RearrangementError("rearranged halfperiod invalid: " + report[0])
-    ev_in = edge_vector_from_halfperiod(h)
-    ev_out = edge_vector_from_halfperiod(out)
-    if ev_in.counts[:k] != ev_out.counts[:k] or ev_in.geq(k) != ev_out.geq(k):
+    before, after = h.level_counts, out.level_counts
+    if before[:k] != after[:k] or sum(before[k:]) != sum(after[k:]):
         raise RearrangementError(
-            f"rearrangement changed protected edge counts: {ev_in.counts} -> {ev_out.counts}"
+            f"rearrangement changed protected edge counts: {before} -> {after}"
         )
     return out
 
@@ -332,9 +335,9 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
     E_{>=k} and s agree between the two (asserted)."""
     _check_k(h.n, k)
     n = h.n
-    ev = edge_vector_from_halfperiod(h)
-    K = ev.counts[k - 1]
-    E_geq = ev.geq(k)
+    counts = h.level_counts
+    K = counts[k - 1]
+    E_geq = sum(counts[k:])
     s = compute_s(h, k)
     bound = (n - 2 * k - 1) * K - Fraction(s, 2) * (K - n + 1)
     holds = E_geq <= bound

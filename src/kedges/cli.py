@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import sys
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from . import bounds as bnd
@@ -114,16 +115,16 @@ def _records_text(records, pad="\n") -> str:
 
 def cmd_analyze(args) -> int:
     ps = read_points(args.file)
-    rep = summarize(ps)
+    counts, crossings = summarize(ps)
     print(json.dumps({
-        "n": rep.n,
-        "edge_vector": list(rep.edge_vector.counts),
-        "E_leq": list(rep.edge_vector.e_leq),
-        "halving_lines": rep.halving_lines,
-        "crossings": rep.crossings,
-        "identity_check": rep.consistent,
+        "n": ps.n,
+        "edge_vector": list(counts),
+        "E_leq": list(accumulate(counts)),
+        "halving_lines": counts[-1],
+        "crossings": crossings,
+        "identity_check": True,  # summarize raises on any disagreement
     }, indent=2))
-    return 0 if rep.consistent else 1
+    return 0
 
 
 def cmd_classify(args) -> int:
@@ -189,18 +190,19 @@ def cmd_halving_bound(args) -> int:
 
 
 def cmd_cr_bound(args) -> int:
-    res = bnd.cr_lower_bound(args.n)
+    value = bnd.cr_lower_bound(args.n)
     if args.format == "json":
         print(json.dumps({
-            "n": res.n,
+            "n": args.n,
             "pipeline": "section5",  # the only pipeline; the key keeps the report's bytes
-            "value": res.value,
-            "per_k_bounds": [
-                {"k": k, "bound": b, "source": s} for k, b, s in res.per_k_bounds_used
+            "value": value,
+            "per_k_bounds": [  # the rows cr_lower_bound sums: k <= n/2 - 2
+                {"k": r.k, "bound": r.best, "source": r.source}
+                for r in bnd.bound_table(args.n)[: args.n // 2 - 1]
             ],
         }, indent=2))
     else:
-        print(res.value)
+        print(value)
     return 0
 
 
@@ -208,7 +210,7 @@ def cmd_cr_table(args) -> int:
     if args.end < args.start:
         raise InputError(f"empty range: --from {args.start} is above --to {args.end}")
     ns = range(args.start, args.end + 1)
-    rows = [(n, bnd.cr_lower_bound(n).value) for n in ns]
+    rows = [(n, bnd.cr_lower_bound(n)) for n in ns]
     if args.format == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["n", "cr_lower_bound"])
@@ -232,7 +234,7 @@ def cmd_tables(args) -> int:
     if args.which == "table1":
         ns = golden.TABLE1_N
         h = [bnd.halving_upper_bound(n) for n in ns]
-        cr = [bnd.cr_lower_bound(n).value for n in ns]
+        cr = [bnd.cr_lower_bound(n) for n in ns]
         _print_grid(args, ["n", "h(n)", "cr(n)"], ns, [h, cr])
         if args.check:
             ok = _check_row("h", h, golden.TABLE1_H) & _check_row("cr", cr, golden.TABLE1_CR)
@@ -249,7 +251,7 @@ def cmd_tables(args) -> int:
             ok = _check_row("upper", upper, golden.TABLE2_H_UPPER)
     else:  # section5
         ns = sorted(golden.SECTION5_CR)
-        vals = [bnd.cr_lower_bound(n).value for n in ns]
+        vals = [bnd.cr_lower_bound(n) for n in ns]
         _print_grid(args, ["n", "cr(n) >="], ns, [vals])
         if args.check:
             ok = _check_row("section5", vals, [golden.SECTION5_CR[n] for n in ns])

@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .bounds import bound_table, comb2
 from .circseq import Halfperiod, compute_s, halfperiod_from_points
-from .edgestats import check_routes, edge_vector_from_halfperiod
+from .edgestats import check_routes
 from .errors import InputError, VerificationError
 from .geom import (
     Point,
@@ -199,7 +199,7 @@ class SrResult:
     perturbed: PointSet
     config: SrConfig
     slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
-    edge_vector: object       # edge vector of the perturbed set
+    edge_vector: tuple        # (E_0, ..., E_{n/2-1}) of the perturbed set
     audit: tuple              # sr_audit rows of the perturbed set, every one ok
 
 
@@ -415,7 +415,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
     except (VerificationError, InputError) as exc:
         # A degenerate intersection mid-build is a failed certificate too.
         raise VerificationError(f"S_{r} could not be certified: {exc}") from None
-    return SrResult(raw, ps, cfg, margin, edge_vector_from_halfperiod(h), audit)
+    return SrResult(raw, ps, cfg, margin, h.level_counts, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +450,16 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointS
     try:
         ps = PointSet(pts).require_general_position()
         h = halfperiod_from_points(ps, tie_break=True)
-        ev = edge_vector_from_halfperiod(h)
-        if any(ev.counts[j] != q for j in range(k)):
-            raise VerificationError(f"outer edge counts wrong: {ev.counts[:k]}")
-        if ev.geq(k) != comb2(c) + q * c:
-            raise VerificationError(f"E_>=k = {ev.geq(k)}, want {comb2(c) + q * c}")
+        counts = h.level_counts
+        geq = sum(counts[k:])
+        if any(counts[j] != q for j in range(k)):
+            raise VerificationError(f"outer edge counts wrong: {counts[:k]}")
+        if geq != comb2(c) + q * c:
+            raise VerificationError(f"E_>=k = {geq}, want {comb2(c) + q * c}")
         s = compute_s(h, k)
         if s != c:
             raise VerificationError(f"s = {s}, want {c}")
-        if ev.geq(k) != (n - 2 * k - 1) * ev.counts[k - 1] + comb2(s):
+        if geq != (n - 2 * k - 1) * counts[k - 1] + comb2(s):
             raise VerificationError("equality case failed")
         check_routes(ps, h)
     except (VerificationError, InputError) as exc:
@@ -488,11 +489,12 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
     try:
         ps = PointSet(pts).require_general_position()
         h = halfperiod_from_points(ps, tie_break=True)
-        ev = edge_vector_from_halfperiod(h)
-        if ev.counts[k - 1] != n:
-            raise VerificationError(f"E_(k-1) = {ev.counts[k - 1]}, want {n}")
-        if ev.geq(k) != 2 * q * comb2(m):
-            raise VerificationError(f"E_>=k = {ev.geq(k)}, want {2 * q * comb2(m)}")
+        counts = h.level_counts
+        geq = sum(counts[k:])
+        if counts[k - 1] != n:
+            raise VerificationError(f"E_(k-1) = {counts[k - 1]}, want {n}")
+        if geq != 2 * q * comb2(m):
+            raise VerificationError(f"E_>=k = {geq}, want {2 * q * comb2(m)}")
         s = compute_s(h, k)
         if s != 0:
             raise VerificationError(f"s = {s}, want 0")

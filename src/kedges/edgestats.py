@@ -24,7 +24,12 @@ keys).  The O(n^3) side count (`pair_levels`) and the convex 4-subset
 count (`crossings_bruteforce`) are kept as oracles for the tests and one
 small-n selftest check.
 
-The identity evaluated in both closed forms:
+The edge vector (E_0, ..., E_{floor(n/2)-1}) is a plain tuple of ints:
+the sweep's cached `Halfperiod.level_counts`, or `edge_vector_bruteforce`
+in the tests.  Nothing re-checks it; every pair of a valid halfperiod is
+exactly one j-edge, so it sums to C(n,2) and its last entry is the
+halving-line count.  `summarize` evaluates the identity in both closed
+forms, the second through `identity_leq_form` on the prefix sums E_{<=k}:
 
     cr = 3 C(n,4) - sum_k k (n-k-2) E_k
        = sum_{k<=n/2-2} (n-2k-3) E_{<=k} - (3/4) C(n,3)
@@ -34,55 +39,12 @@ The identity evaluated in both closed forms:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, inf
 
 from .circseq import Halfperiod, halfperiod_from_points
 from .errors import GeneralPositionError, InputError
 from .geom import PointSet, _ratio_key, _sort_exact
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Counts (E_0, ..., E_{floor(n/2)-1}).
-
-    Invariants: sum of counts = C(n,2) (every pair spans exactly one
-    j-edge) and the last entry is the halving-line count h.
-    """
-
-    n: int
-    counts: tuple[int, ...]
-
-    def validate(self) -> "EdgeVector":
-        if self.n < 2:
-            raise InputError("edge vector needs n >= 2")
-        if len(self.counts) != self.n // 2:
-            raise InputError(
-                f"edge vector for n={self.n} must have {self.n // 2} entries, "
-                f"got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
-            raise InputError("negative edge count")
-        if sum(self.counts) != comb(self.n, 2):
-            raise InputError(
-                f"edge counts sum to {sum(self.counts)}, expected C({self.n},2) = {comb(self.n, 2)}"
-            )
-        return self
-
-    def geq(self, k: int) -> int:
-        return sum(self.counts[k:])
-
-    @property
-    def e_leq(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for c in self.counts:
-            acc += c
-            out.append(acc)
-        return tuple(out)
-
-    @property
-    def halving(self) -> int:
-        return self.counts[-1]
 
 
 def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
@@ -106,15 +68,16 @@ def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
     return levels
 
 
-def edge_vector_bruteforce(ps: PointSet) -> EdgeVector:
-    """E_k by exhaustive side counting (`pair_levels`). O(n^3)."""
+def edge_vector_bruteforce(ps: PointSet) -> tuple[int, ...]:
+    """(E_0, ..., E_{floor(n/2)-1}) by exhaustive side counting
+    (`pair_levels`). O(n^3)."""
     n = ps.n
     if n < 2:
         raise InputError("need at least 2 points")
     counts = [0] * (n // 2)
     for level in pair_levels(ps).values():
         counts[level] += 1
-    return EdgeVector(n, tuple(counts)).validate()
+    return tuple(counts)
 
 
 def _collinear(p, q, r):
@@ -205,14 +168,6 @@ def check_routes(ps: PointSet, h: Halfperiod) -> int:
     return cr
 
 
-def edge_vector_from_halfperiod(h: Halfperiod) -> EdgeVector:
-    """E_k from transposition positions: a swap at slots (j, j+1) is a
-    (min(j, n-j) - 1)-edge, so E_k counts positions k+1 and n-k-1 (the
-    central position n/2 of an even n counts once).  The tally is the
-    instance's cached `level_counts`."""
-    return EdgeVector(h.n, h.level_counts).validate()
-
-
 def crossings_bruteforce(ps: PointSet) -> int:
     """Number of crossing segment pairs = number of 4-point subsets in
     convex position.
@@ -274,58 +229,23 @@ def identity_leq_form(n: int, leq_values) -> int:
     return value
 
 
-def crossings_from_edge_vector(v: EdgeVector) -> tuple[int, int]:
-    """Both closed forms of the identity, evaluated exactly; they agree on
-    every valid edge vector."""
-    v.validate()
-    n = v.n
-    form1 = 3 * comb(n, 4) - sum(
-        k * (n - k - 2) * ek for k, ek in enumerate(v.counts)
-    )
-    form2 = identity_leq_form(n, v.e_leq)
-    return form1, form2
+def summarize(ps: PointSet, h: Halfperiod | None = None) -> tuple[tuple[int, ...], int]:
+    """(edge vector, crossing number) of a point set.
 
-
-@dataclass(frozen=True)
-class CrossingReport:
-    """Crossing number of a point set by route B and by both identity
-    forms, plus the edge vector; all three must agree."""
-
-    n: int
-    cr_radial: int
-    cr_identity_form1: int
-    cr_identity_form2: int
-    edge_vector: EdgeVector
-
-    @property
-    def consistent(self) -> bool:
-        return self.cr_radial == self.cr_identity_form1 == self.cr_identity_form2
-
-    @property
-    def crossings(self) -> int:
-        return self.cr_identity_form1
-
-    @property
-    def halving_lines(self) -> int:
-        return self.edge_vector.halving
-
-
-def summarize(ps: PointSet, h: Halfperiod | None = None) -> CrossingReport:
-    """CrossingReport for a point set.
-
-    The sweep's halfperiod (route A; pass it as `h` when it is already
-    built with tie_break=True) is checked against the radial orders
-    (route B) pair by pair, and route B's crossing number against the
+    The edge vector is the sweep's `Halfperiod.level_counts` (route A; pass
+    the halfperiod as `h` when it is already built with tie_break=True).
+    Its pair levels are checked against the radial orders (route B) pair by
+    pair, and route B's crossing number against both forms of the
     identity; any disagreement raises AssertionError (it would mean a
     kernel bug, not bad input)."""
     if h is None:
         h = halfperiod_from_points(ps, tie_break=True)
     cr_radial = check_routes(ps, h)
-    v = edge_vector_from_halfperiod(h)
-    f1, f2 = crossings_from_edge_vector(v)
-    report = CrossingReport(v.n, cr_radial, f1, f2, v)
-    if not report.consistent:
+    n, counts = h.n, h.level_counts
+    form1 = 3 * comb(n, 4) - sum(k * (n - k - 2) * ek for k, ek in enumerate(counts))
+    form2 = identity_leq_form(n, accumulate(counts))
+    if not cr_radial == form1 == form2:
         raise AssertionError(
-            f"crossing identity mismatch: radial={cr_radial} form1={f1} form2={f2}"
+            f"crossing identity mismatch: radial={cr_radial} form1={form1} form2={form2}"
         )
-    return report
+    return counts, form1

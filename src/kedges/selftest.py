@@ -22,7 +22,7 @@ from .constructions import (
     sr_letter_partition,
     witness_failures,
 )
-from .edgestats import crossings_bruteforce, edge_vector_from_halfperiod, pair_levels, summarize
+from .edgestats import crossings_bruteforce, pair_levels, summarize
 from .errors import InputError
 from .gensets import random_general_position_set
 
@@ -36,11 +36,11 @@ def run_bounds_suite() -> list:
     out = []
     h = [bounds.halving_upper_bound(n) for n in golden.TABLE1_N]
     out.append(_result("table1-halving", tuple(h) == golden.TABLE1_H, f"{h}"))
-    cr = [bounds.cr_lower_bound(n).value for n in golden.TABLE1_N]
+    cr = [bounds.cr_lower_bound(n) for n in golden.TABLE1_N]
     out.append(_result("table1-crossing", tuple(cr) == golden.TABLE1_CR, f"{cr}"))
     h2 = [bounds.halving_upper_bound(n) for n in golden.TABLE2_N]
     out.append(_result("table2-halving-upper", tuple(h2) == golden.TABLE2_H_UPPER, f"{h2}"))
-    got5 = {n: bounds.cr_lower_bound(n).value for n in golden.SECTION5_CR}
+    got5 = {n: bounds.cr_lower_bound(n) for n in golden.SECTION5_CR}
     bad = {n: (got5[n], want) for n, want in golden.SECTION5_CR.items() if got5[n] != want}
     out.append(_result("section5-table", not bad, f"mismatches: {bad}" if bad else "72/72"))
     bracket_bad = [n for n in range(6, 201) if bounds.lemma_brackets(n)]
@@ -80,11 +80,11 @@ def run_identity_suite(corpus) -> list:
     fails = []
     for idx, (ps, h) in enumerate(corpus):
         try:
-            rep = summarize(ps, h)
+            _, crossings = summarize(ps, h)
             if ps.n <= ORACLE_NMAX:
                 if pair_levels(ps) != h.point_levels:
                     raise AssertionError("pair levels differ from brute force")
-                if crossings_bruteforce(ps) != rep.crossings:
+                if crossings_bruteforce(ps) != crossings:
                     raise AssertionError("crossings differ from brute force")
         except AssertionError as exc:
             fails.append((idx, ps.n, str(exc)))
@@ -135,16 +135,16 @@ def run_constructions_suite(rmax: int) -> list:
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
     _, h = build_polygon_center(3, 9)
-    ev = edge_vector_from_halfperiod(h)
-    s = compute_s(h, 3)
-    ok = ev.counts[2] == 7 and ev.geq(3) == 15 and s == 2 and ev.geq(3) == 2 * 7 + bounds.comb2(s)
-    out.append(_result("polygon-center-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
+    counts, s = h.level_counts, compute_s(h, 3)
+    geq = sum(counts[3:])
+    ok = counts[2] == 7 and geq == 15 and s == 2 and geq == 2 * 7 + bounds.comb2(s)
+    out.append(_result("polygon-center-9", ok, f"E_2={counts[2]} E_>=3={geq} s={s}"))
 
     _, h = build_cluster_polygon(1, 3)
-    ev = edge_vector_from_halfperiod(h)
-    s = compute_s(h, 3)
-    ok = ev.counts[2] == 9 and ev.geq(3) == 18 and s == 0
-    out.append(_result("cluster-polygon-9", ok, f"E_2={ev.counts[2]} E_>=3={ev.geq(3)} s={s}"))
+    counts, s = h.level_counts, compute_s(h, 3)
+    geq = sum(counts[3:])
+    ok = counts[2] == 9 and geq == 18 and s == 0
+    out.append(_result("cluster-polygon-9", ok, f"E_2={counts[2]} E_>=3={geq} s={s}"))
     return out
 
 

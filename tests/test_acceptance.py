@@ -54,10 +54,10 @@ def test_criterion_01_table1_halving():
 
 def test_criterion_02_table1_crossings():
     t0 = time.time()
-    got = tuple(bounds.cr_lower_bound(n).value for n in golden.TABLE1_N)
-    anchors = (bounds.cr_lower_bound(20).value,
-               bounds.cr_lower_bound(23).value,
-               bounds.cr_lower_bound(24).value)
+    got = tuple(bounds.cr_lower_bound(n) for n in golden.TABLE1_N)
+    anchors = (bounds.cr_lower_bound(20),
+               bounds.cr_lower_bound(23),
+               bounds.cr_lower_bound(24))
     _report(2, got == golden.TABLE1_CR and anchors == (1657, 3077, 3699),
             1.0, time.time() - t0, f"crossing lower bounds for n=14..27: {got}")
 
@@ -71,7 +71,7 @@ def test_criterion_03_table2_upper():
 
 def test_criterion_04_section5_table():
     t0 = time.time()
-    got = {n: bounds.cr_lower_bound(n).value for n in golden.SECTION5_CR}
+    got = {n: bounds.cr_lower_bound(n) for n in golden.SECTION5_CR}
     ok = got == golden.SECTION5_CR and got[28] == 7233 and got[50] == 84146 and got[99] == 1402932
     _report(4, ok, 5.0, time.time() - t0, "all 72 published values for 28 <= n <= 99")
 

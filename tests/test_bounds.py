@@ -110,12 +110,12 @@ def test_halving_upper_bound_anchors():
 
 
 def test_cr_lower_bound_anchors():
-    assert cr_lower_bound(24).value == 3699
-    assert cr_lower_bound(23).value == 3077
-    assert cr_lower_bound(20).value == 1657
-    assert cr_lower_bound(28).value == 7233
-    assert cr_lower_bound(50).value == 84146
-    assert cr_lower_bound(99).value == 1402932
+    assert cr_lower_bound(24) == 3699
+    assert cr_lower_bound(23) == 3077
+    assert cr_lower_bound(20) == 1657
+    assert cr_lower_bound(28) == 7233
+    assert cr_lower_bound(50) == 84146
+    assert cr_lower_bound(99) == 1402932
     with pytest.raises(InputError, match="n >= 8"):
         cr_lower_bound(7)
 
@@ -134,7 +134,7 @@ TABLE1_EQUAL_N = {8, 9, 10, 12, 14, 16, 18, *range(20, 29), 30, 31, 33, 35, 39}
 
 def test_table1_oracle_never_beats_cr_lower_bound():
     oracle = {n: identity_leq_form(n, [b for _, b, _ in _table1_rows(n)]) for n in range(8, 400)}
-    value = {n: cr_lower_bound(n).value for n in oracle}
+    value = {n: cr_lower_bound(n) for n in oracle}
     assert [n for n in oracle if oracle[n] > value[n]] == []
     assert {n for n in oracle if oracle[n] == value[n]} == TABLE1_EQUAL_N
     # every Table 1 n is among them, so the one pipeline still reproduces Table 1
@@ -142,11 +142,12 @@ def test_table1_oracle_never_beats_cr_lower_bound():
 
 
 def test_cr_bound_sources():
-    res = cr_lower_bound(28)
-    by_k = {k: src for k, _, src in res.per_k_bounds_used}
-    assert by_k[0] == "aichholzer"
-    assert by_k[12] == "u_k"
-    assert [k for k, _, _ in res.per_k_bounds_used] == list(range(13))
+    # cr_lower_bound sums the bound table's best rows for k <= n/2 - 2, the
+    # rows `cr-bound --format json` prints
+    rows = bound_table(28)[:13]
+    assert rows[0].source == "aichholzer"
+    assert rows[12].source == "u_k"
+    assert identity_leq_form(28, [r.best for r in rows]) == cr_lower_bound(28) == 7233
     rows = _table1_rows(24)
     assert rows[-1][2] == "halving"
     assert rows[-1][1] == comb(24, 2) - 51
@@ -155,7 +156,7 @@ def test_cr_bound_sources():
 def test_cr_lower_bound_gap_to_the_abstract_constant():
     # 277/729 C(n,4) - cr_lower_bound(n) grows like c n^3, c about 0.0296:
     # the abstract's "277/729 C(n,4) + Theta(n^3)" for this pipeline
-    gaps = [(Fraction(277, 729) * comb(n, 4) - cr_lower_bound(n).value) / n**3
+    gaps = [(Fraction(277, 729) * comb(n, 4) - cr_lower_bound(n)) / n**3
             for n in (10**3, 10**4, 10**5)]
     assert all(Fraction("0.0294") < g < Fraction("0.0297") for g in gaps), [float(g) for g in gaps]
     assert gaps[0] < gaps[1] < gaps[2]

@@ -29,7 +29,6 @@ from kedges.circseq import (
     write_halfperiod,
 )
 from kedges.cli import _records_text, main
-from kedges.edgestats import edge_vector_from_halfperiod
 from kedges.errors import InputError
 from kedges.gensets import convex_polygon_set, random_general_position_set
 
@@ -41,8 +40,7 @@ def test_classification_tally_and_consistency():
         h = halfperiod_from_points(ps, tie_break=True)
         records = classify(h, 3)
         crit = [r for r in records if r.kind == "k-critical"]
-        ev = edge_vector_from_halfperiod(h)
-        assert len(crit) == ev.counts[2]
+        assert len(crit) == h.level_counts[2]
         c0 = frozenset(h.initial[3 : 10 - 3])
         for r in crit:
             if r.cls.startswith("arriving"):
@@ -77,12 +75,12 @@ def test_rearrange_preserves_protected_counts():
     for _ in range(20):
         ps = random_general_position_set(8, rng)
         h = halfperiod_from_points(ps, tie_break=True)
-        ev = edge_vector_from_halfperiod(h)
+        ev = h.level_counts
         lam = rearrange_essential(h, 2)
         assert validate_allowable(lam) == []
-        evl = edge_vector_from_halfperiod(lam)
-        assert evl.counts[:1] == ev.counts[:1]  # E_0, ..., E_{k-1}
-        assert evl.geq(2) == ev.geq(2)
+        evl = lam.level_counts
+        assert evl[:1] == ev[:1]  # E_0, ..., E_{k-1}
+        assert sum(evl[2:]) == sum(ev[2:])
         # no nonessential center transpositions remain
         assert all(r.essential for r in classify(lam, 2))
 
@@ -90,9 +88,8 @@ def test_rearrange_preserves_protected_counts():
 def test_rearrange_convex_keeps_full_vector():
     for n in (6, 8, 9, 11):
         h = halfperiod_from_points(convex_polygon_set(n), tie_break=True)
-        ev = edge_vector_from_halfperiod(h)
         for k in range(1, (n - 1) // 2 + 1):
-            assert edge_vector_from_halfperiod(rearrange_essential(h, k)) == ev
+            assert rearrange_essential(h, k).level_counts == h.level_counts
 
 
 def test_rearrange_preserves_s():
@@ -220,7 +217,7 @@ def _corrupt(h, how):
         lambda h: classify(h, 2),
         lambda h: classify(h, 2, s_value=0),
         lambda h: verify_central(h, 2),
-        edge_vector_from_halfperiod,
+        lambda h: h.level_counts,
     ],
     ids=["compute_s", "rearrange_essential", "classify", "classify-s", "verify_central",
          "edge_vector"],
@@ -317,8 +314,8 @@ def test_rearrangement_matches_fixpoint_reference(h):
         assert validate_allowable(lam) == []
         assert all(r.essential for r in classify(lam, k) if r.kind == "center")
         assert compute_s(lam, k) == compute_s(h, k)
-        ev, evl = edge_vector_from_halfperiod(h), edge_vector_from_halfperiod(lam)
-        assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k)
+        ev, evl = h.level_counts, lam.level_counts
+        assert evl[:k] == ev[:k] and sum(evl[k:]) == sum(ev[k:])
 
 
 def ref_level_counts(h):
@@ -361,13 +358,13 @@ def test_walk_tallies_match_a_direct_scan(h):
 @pytest.mark.parametrize("n, seed", [(48, 2024), (40, 83)])
 def test_rearrangement_matches_fixpoint_reference_on_long_words(n, seed):
     h = _reduced_word(n, random.Random(seed))
-    ev = edge_vector_from_halfperiod(h)
+    ev = h.level_counts
     for k in range(1, (n - 1) // 2 + 1):
         lam = rearrange_essential(h, k)
         assert lam.transpositions == ref_rearrange_essential(h, k), k
         assert all(r.essential for r in classify(lam, k) if r.kind == "center"), k
-        evl = edge_vector_from_halfperiod(lam)
-        assert evl.counts[:k] == ev.counts[:k] and evl.geq(k) == ev.geq(k), k
+        evl = lam.level_counts
+        assert evl[:k] == ev[:k] and sum(evl[k:]) == sum(ev[k:]), k
 
 
 def ref_classify(h, k, s_value=None):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -256,11 +256,11 @@ def test_slope_certificate_matches_all_pairs_reference(case):
 
 def test_s3_tightness(s3):
     assert s3.perturbed.general_position
-    ev = s3.edge_vector
+    leq = list(accumulate(s3.edge_vector))
     best = bound_table(27)
     for k in range(12):
-        assert ev.e_leq[k] == best[k].best
-    assert ev.e_leq[11] == 255 and ev.e_leq[10] == 207
+        assert leq[k] == best[k].best
+    assert leq[11] == 255 and leq[10] == 207
 
 
 def test_s3_halfperiod_cross_check(s3):
@@ -268,13 +268,11 @@ def test_s3_halfperiod_cross_check(s3):
     # C(27,2) = 351 transpositions and the same edge vector as brute force
     from math import comb
 
-    from kedges.edgestats import edge_vector_from_halfperiod
-
     h = halfperiod_from_points(s3.perturbed, tie_break=True)
     assert len(h.transpositions) == comb(27, 2) == 351
-    assert edge_vector_from_halfperiod(h) == s3.edge_vector == edge_vector_bruteforce(s3.perturbed)
+    assert h.level_counts == s3.edge_vector == edge_vector_bruteforce(s3.perturbed)
     # k = 12: one k-critical transposition per (k-1)-edge
-    assert len(list(h.k_critical(12))) == s3.edge_vector.counts[11]
+    assert len(list(h.k_critical(12))) == s3.edge_vector[11]
 
 
 def test_s3_split(s3):
@@ -300,17 +298,17 @@ def test_sr_audit_reuses_build_levels(s3):
     assert s3.audit == tuple(rows)
     assert [row.k for row in rows] == list(range(12))
     assert all(row.ok for row in rows)
-    assert [row.leq for row in rows] == list(s3.edge_vector.e_leq[:12])
+    assert [row.leq for row in rows] == list(accumulate(s3.edge_vector))[:12]
     assert (rows[11].bi, rows[11].mono) == (216, 39)
 
 
 def test_s4_tightness():
     res = build_sr(SrConfig(r=4))
-    ev = res.edge_vector
+    leq = list(accumulate(res.edge_vector))
     best = bound_table(36)
     for k in range(16):
-        assert ev.e_leq[k] == best[k].best
-    assert ev.e_leq[15] == 441  # 3 C(17,2) + 3 C(5,2) + 3
+        assert leq[k] == best[k].best
+    assert leq[15] == 441  # 3 C(17,2) + 3 C(5,2) + 3
 
 
 def test_sr_expected_consistency():
@@ -326,11 +324,11 @@ def test_polygon_center_9():
     ps, h = build_polygon_center(3, 9)
     assert h == halfperiod_from_points(ps, tie_break=True)
     ev = edge_vector_bruteforce(ps)
-    assert ev.counts[2] == 7
-    assert ev.geq(3) == 15
+    assert ev[2] == 7
+    assert sum(ev[3:]) == 15
     s = compute_s(h, 3)
     assert s == 2
-    assert ev.geq(3) == (9 - 7) * ev.counts[2] + comb2(s)  # corollary equality
+    assert sum(ev[3:]) == (9 - 7) * ev[2] + comb2(s)  # corollary equality
     rep = verify_central(h, 3)
     assert rep.holds and rep.all_ok
 
@@ -338,8 +336,8 @@ def test_polygon_center_9():
 def test_polygon_center_15():
     ps, h = build_polygon_center(6, 15)
     ev = edge_vector_bruteforce(ps)
-    assert ev.counts[5] == 13
-    assert ev.geq(6) == comb2(2) + 13 * 2 == 27
+    assert ev[5] == 13
+    assert sum(ev[6:]) == comb2(2) + 13 * 2 == 27
     assert compute_s(h, 6) == 2
 
 
@@ -352,17 +350,17 @@ def test_cluster_polygon_cases():
     ps, h = build_cluster_polygon(1, 3)
     assert h == halfperiod_from_points(ps, tie_break=True)
     ev = edge_vector_bruteforce(ps)
-    assert (ev.counts[2], ev.geq(3)) == (9, 18)
+    assert (ev[2], sum(ev[3:])) == (9, 18)
     assert compute_s(h, 3) == 0
 
     ps, _ = build_cluster_polygon(2, 2)
     ev = edge_vector_bruteforce(ps)
-    assert (ev.counts[3], ev.geq(4)) == (10, 2 * 5 * comb2(2))
-    assert ev.geq(4) == 10
+    assert (ev[3], sum(ev[4:])) == (10, 2 * 5 * comb2(2))
+    assert sum(ev[4:]) == 10
 
     ps, _ = build_cluster_polygon(2, 1)  # plain pentagon
     ev = edge_vector_bruteforce(ps)
-    assert ev.counts[1] == 5 and ev.geq(2) == 0
+    assert ev[1] == 5 and sum(ev[2:]) == 0
 
 
 def test_cluster_polygon_validation():

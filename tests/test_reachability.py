@@ -1,7 +1,8 @@
 """Every public top-level function or class of the package, and every
 public method or property of a package class, is reached from the package
 itself (by a CLI handler, a selftest suite or another kernel), or is one
-of the few names kept only for the tests.  Every defaulted parameter of a
+of the few names kept only for the tests.  A method is reached only by a
+call, `obj.name(...)`; a property by any lookup, `obj.name`.  Every defaulted parameter of a
 public function is passed by some package call."""
 
 import ast
@@ -53,23 +54,46 @@ def _public_defs(modules):
                 yield filename, node.name
 
 
-def _attributes(modules) -> set:
-    """Every attribute name any package module other than __init__.py looks
-    up, on any object: for a method or property, `obj.name` anywhere in the
-    package counts as a reference."""
-    return {node.attr for filename, tree in modules.items() if filename != "__init__.py"
-            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+def _attributes(modules) -> tuple[set, set]:
+    """(looked up, called): every attribute name any package module other
+    than __init__.py looks up on any object (`obj.name`), and those it calls
+    (`obj.name(...)`)."""
+    looked_up, called = set(), set()
+    for filename, tree in modules.items():
+        if filename == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                looked_up.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return looked_up, called
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    """Decorated @property or @functools.cached_property (either spelling)."""
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in fn.decorator_list)
 
 
 def _public_methods(modules):
-    """(file, "Class.name") of each public method or property defined in the
-    body of a top-level class."""
+    """(file, "Class.name", is a property) of each public method or property
+    defined in the body of a top-level class."""
     for filename, tree in modules.items():
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
                 for node in cls.body:
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                        yield filename, f"{cls.name}.{node.name}"
+                        yield filename, f"{cls.name}.{node.name}", _is_property(node)
+
+
+def _unreached_methods(modules) -> list:
+    """The public methods no package call reaches and the public properties
+    no package lookup reaches: a field read `row.leq` does not reach a
+    method `leq`."""
+    looked_up, called = _attributes(modules)
+    return [f"{filename}:{name}" for filename, name, is_property in _public_methods(modules)
+            if name.split(".")[1] not in (looked_up if is_property else called)]
 
 
 def _other_tests_text() -> str:
@@ -89,11 +113,7 @@ def test_every_public_name_is_reached():
 
 
 def test_every_public_method_is_reached():
-    modules = _modules()
-    attributes = _attributes(modules)
-    unreached = [f"{filename}:{name}" for filename, name in _public_methods(modules)
-                 if name.split(".")[1] not in attributes]
-    assert unreached == []
+    assert _unreached_methods(_modules()) == []
 
 
 def test_test_support_names_are_test_only_and_used():
@@ -195,3 +215,18 @@ def test_attribute_of_a_non_module_is_not_a_reference():
     referenced = _referenced({"m.py": ast.parse(source)})
     assert "oracle" not in referenced
     assert "kernel" in referenced
+
+
+def test_a_method_is_reached_only_by_a_call():
+    source = ("import functools\n"
+              "class Counts:\n"
+              "    def leq(self, k): ...\n"
+              "    @property\n"
+              "    def halving(self): ...\n"
+              "    @functools.cached_property\n"
+              "    def total(self): ...\n"
+              "def use(row, ev):\n"
+              "    return row.leq, ev.halving, ev.total\n")
+    assert _unreached_methods({"m.py": ast.parse(source)}) == ["m.py:Counts.leq"]
+    called = source.replace("row.leq,", "ev.leq(3),")
+    assert _unreached_methods({"m.py": ast.parse(called)}) == []

@@ -19,7 +19,6 @@ from kedges.circseq import halfperiod_from_points
 from kedges.constructions import SrConfig, build_sr, sr_audit
 from kedges.edgestats import (
     crossings_bruteforce,
-    edge_vector_from_halfperiod,
     pair_levels,
     radial_counts,
     summarize,
@@ -61,7 +60,8 @@ def _assert_routes_agree(ps):
     h = halfperiod_from_points(ps, tie_break=True)
     levels, cr = radial_counts(ps)
     assert h.point_levels == levels == pair_levels(ps)
-    assert cr == crossings_bruteforce(ps) == summarize(ps, h).crossings
+    assert (h.level_counts, cr) == summarize(ps, h)
+    assert cr == crossings_bruteforce(ps)
 
 
 def test_routes_agree_on_random_sets():
@@ -77,7 +77,7 @@ def test_routes_agree_on_sr(r):
     _assert_routes_agree(res.perturbed)
     h = halfperiod_from_points(res.perturbed, tie_break=True)
     assert h.point_levels == pair_levels(res.perturbed)
-    assert res.edge_vector == edge_vector_from_halfperiod(h)
+    assert res.edge_vector == h.level_counts
     assert res.audit == tuple(sr_audit(res.perturbed, h.point_levels))
 
 

@@ -22,7 +22,9 @@ take milliseconds each:
   `PointSet.angles` on a fresh PointSet (the event sort), and
   `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
   whose event sort is already cached, so each figure is that kernel's own
-  work.  A kernel the tree does not have is recorded as null.
+  work.  On S_5 and S_10 also `summarize` (the `analyze` certificate: both
+  routes and both identity forms) with the set's sweep passed in.  A
+  kernel the tree does not have is recorded as null.
 * construction stages, in this process, each the median of WORD_REPEATS
   runs: on S_5, `PointSet(...)` of its perturbed points (the duplicate
   check and the homogeneous triples), `perturb_collinear_families` of its
@@ -75,6 +77,7 @@ from pathlib import Path
 from time import perf_counter
 
 SIZES = (5, 10, 20)
+SUMMARIZE_SIZES = (5, 10)
 CLI_SR_SIZES = (30, 40)
 REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
@@ -111,6 +114,9 @@ def kernel_times() -> dict:
             lambda: circseq.halfperiod_from_points(warm, tie_break=True))
         row["radial_counts"] = None if radial is None else median_time(lambda: radial(warm))
         row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
+        if r in SUMMARIZE_SIZES:
+            h = circseq.halfperiod_from_points(warm, tie_break=True)
+            row["summarize"] = median_time(lambda: edgestats.summarize(warm, h))
         out[f"S_{r}"] = row
     return out
 
