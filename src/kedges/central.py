@@ -40,10 +40,10 @@ finds the block each center transposition lands in, the other replays the
 result once from the initial permutation, one slot swap per
 transposition, checking adjacency and slots as it goes.
 
-Both read the edge counts off the halfperiod's cached tuple
-`Halfperiod.level_counts`: K = counts[k-1] and E_{>=k} = sum(counts[k:]).
-The rearrangement's output check compares counts[:k] and E_{>=k} of its
-input and output.
+rearrange_essential and verify_central read the edge counts off the
+halfperiod's cached tuple `Halfperiod.level_counts`: K = counts[k-1] and
+E_{>=k} = sum(counts[k:]).  The rearrangement's output check compares
+counts[:k] and E_{>=k} of its input and output.
 
 The verifier recomputes everything from scratch on each call and checks
 the inequality on h, and on the rearranged halfperiod the per-class

@@ -2,8 +2,8 @@
 public method or property of a package class, is reached from the package
 itself (by a CLI handler, a selftest suite or another kernel), or is one
 of the few names kept only for the tests.  A method is reached only by a
-call, `obj.name(...)`; a property by any lookup, `obj.name`.  Every defaulted parameter of a
-public function is passed by some package call."""
+call, `obj.name(...)`; a property by any lookup, `obj.name`.  Every
+defaulted parameter of a public function is passed by some package call."""
 
 import ast
 from pathlib import Path
