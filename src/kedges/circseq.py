@@ -48,7 +48,9 @@ class Halfperiod:
 
     Construction does not enforce the allowable-sequence axioms; use
     validate_allowable to obtain the violation report (empty iff valid).
-    Factories in this module only return validated instances.
+    halfperiod_from_points returns a validated instance.  read_halfperiod
+    does not validate; the classify command passes what it reads through
+    require_valid.
 
     The fields are immutable, so the axiom walk is made at most once per
     instance (`axiom_walk`): the violations, which require_valid reads,
@@ -65,16 +67,6 @@ class Halfperiod:
     initial: tuple[int, ...]
     transpositions: tuple[Transposition, ...]
     point_index: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-
-    def permutation(self, i: int) -> tuple[int, ...]:
-        """The i-th permutation pi_i, 0 <= i <= C(n,2)."""
-        if not 0 <= i <= len(self.transpositions):
-            raise InputError(f"permutation index {i} out of range")
-        perm = list(self.initial)
-        for t in self.transpositions[:i]:
-            j = t.position - 1
-            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-        return tuple(perm)
 
     @functools.cached_property
     def axiom_walk(self) -> tuple[tuple[str, ...], tuple, tuple]:
@@ -264,33 +256,6 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     return require_valid(h)
 
 
-def rotate_halfperiod(h: Halfperiod, steps: int = 1) -> Halfperiod:
-    """Halfperiod of the same circular sequence starting `steps` events
-    later: each shifted transposition reappears at the mirrored position
-    n - j acting on the advanced initial permutation."""
-    require_valid(h)
-    n = h.n
-    steps %= len(h.transpositions)
-    seq = list(h.transpositions[steps:]) + [
-        Transposition(0, n - t.position, (t.pair[1], t.pair[0]))
-        for t in h.transpositions[:steps]
-    ]
-    seq = [Transposition(i + 1, t.position, t.pair) for i, t in enumerate(seq)]
-    return require_valid(Halfperiod(n, h.permutation(steps), tuple(seq)))
-
-
-def reverse_halfperiod(h: Halfperiod) -> Halfperiod:
-    """The reversed sweep: transpositions in reverse order at mirrored
-    positions j -> n - j, starting from the same initial permutation."""
-    require_valid(h)
-    n = h.n
-    seq = [
-        Transposition(i + 1, n - t.position, (t.pair[1], t.pair[0]))
-        for i, t in enumerate(reversed(h.transpositions))
-    ]
-    return require_valid(Halfperiod(n, h.initial, tuple(seq)))
-
-
 # ---------------------------------------------------------------------------
 # k-centers and s(k, pi)
 # ---------------------------------------------------------------------------
@@ -299,13 +264,6 @@ def reverse_halfperiod(h: Halfperiod) -> Halfperiod:
 def _check_k(n: int, k: int):
     if not (1 <= k and 2 * k < n):
         raise InputError(f"k out of range: need 1 <= k < n/2, got k={k}, n={n}")
-
-
-def k_center(h: Halfperiod, i: int, k: int) -> frozenset:
-    """Labels in the middle n-2k slots of permutation pi_i."""
-    _check_k(h.n, k)
-    perm = h.permutation(i)
-    return frozenset(perm[k : h.n - k])
 
 
 def compute_s(h: Halfperiod, k: int) -> int:
@@ -362,11 +320,3 @@ def read_halfperiod(path) -> Halfperiod:
             raise InputError(f"line {no}: non-integer field") from None
         trans.append(_new_transposition((step, pos, (la, lb))))
     return Halfperiod(n, initial, tuple(trans))
-
-
-def write_halfperiod(path, h: Halfperiod):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{h.n}\n")
-        fh.write(" ".join(str(x) for x in h.initial) + "\n")
-        for t in h.transpositions:
-            fh.write(f"{t.step} {t.position} {t.pair[0]} {t.pair[1]}\n")

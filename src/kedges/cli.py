@@ -43,7 +43,7 @@ from .constructions import (
 from .edgestats import summarize
 from .errors import GeneralPositionError, InputError, KedgesError
 from .geom import read_points, write_points
-from .selftest import run_scope
+from .selftest import SUITES, run_scope
 
 
 _CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="three '/'-separated groups of 1-based indices, e.g. 1-9/10-18/19-27")
 
     p = sub.add_parser("selftest", help="verification suites")
-    p.add_argument("scope", choices=("bounds", "identities", "central", "constructions", "all"))
+    p.add_argument("scope", choices=(*SUITES, "all"))
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--rmax", type=int, default=4)

@@ -198,8 +198,6 @@ class SrResult:
     raw: PointSet             # both in the `sr_class_tags` layout
     perturbed: PointSet
     config: SrConfig
-    slope_margin: tuple       # (max |slope| flat family, min |slope| rest)
-    edge_vector: tuple        # (E_0, ..., E_{n/2-1}) of the perturbed set
     audit: tuple              # sr_audit rows of the perturbed set, every one ok
 
 
@@ -402,7 +400,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
         app_b = [rot(p) for p in app_a]
         pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
         raw = PointSet(pts)
-        margin = _certify_app_slopes(raw, r)
+        _certify_app_slopes(raw, r)
         ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
         if not ps.general_position:
             raise VerificationError("perturbed set still has collinear triples")
@@ -415,7 +413,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
     except (VerificationError, InputError) as exc:
         # A degenerate intersection mid-build is a failed certificate too.
         raise VerificationError(f"S_{r} could not be certified: {exc}") from None
-    return SrResult(raw, ps, cfg, margin, h.level_counts, audit)
+    return SrResult(raw, ps, cfg, audit)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ keys).  The O(n^3) side count (`pair_levels`) and the convex 4-subset
 count (`crossings_bruteforce`) are kept as oracles for the tests and one
 small-n selftest check.
 
-The edge vector (E_0, ..., E_{floor(n/2)-1}) is a plain tuple of ints:
-the sweep's cached `Halfperiod.level_counts`, or `edge_vector_bruteforce`
-in the tests.  Nothing re-checks it; every pair of a valid halfperiod is
-exactly one j-edge, so it sums to C(n,2) and its last entry is the
-halving-line count.  `summarize` evaluates the identity in both closed
+The edge vector (E_0, ..., E_{floor(n/2)-1}) is a plain tuple of ints,
+the sweep's cached `Halfperiod.level_counts`.  Nothing re-checks it;
+every pair of a valid halfperiod is exactly one j-edge, so it sums to
+C(n,2) and its last entry is the halving-line count.  `summarize` evaluates the identity in both closed
 forms, the second through `identity_leq_form` on the prefix sums E_{<=k}:
 
     cr = 3 C(n,4) - sum_k k (n-k-2) E_k
@@ -66,18 +65,6 @@ def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
                 left += 1
         levels[i, j] = min(left, n - 2 - left)
     return levels
-
-
-def edge_vector_bruteforce(ps: PointSet) -> tuple[int, ...]:
-    """(E_0, ..., E_{floor(n/2)-1}) by exhaustive side counting
-    (`pair_levels`). O(n^3)."""
-    n = ps.n
-    if n < 2:
-        raise InputError("need at least 2 points")
-    counts = [0] * (n // 2)
-    for level in pair_levels(ps).values():
-        counts[level] += 1
-    return tuple(counts)
 
 
 def _collinear(p, q, r):

@@ -1,8 +1,7 @@
-"""Deterministic generators for test and selftest point sets."""
+"""The seeded random point sets of the selftest corpus."""
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -24,20 +23,3 @@ def random_general_position_set(n: int, rng: random.Random) -> PointSet:
         if ps.general_position:
             return ps
     raise InputError(f"could not draw a general-position {n}-set (box={box})")
-
-
-def convex_polygon_set(n: int, scale: int = 10**9, phase: float = 0.37) -> PointSet:
-    """Integer approximation of a regular n-gon, certified to be in convex
-    and general position (both exact checks; scale leaves huge margins)."""
-    from .geom import orientation
-
-    pts = []
-    for i in range(n):
-        ang = 2 * math.pi * i / n + phase
-        pts.append(Point(Fraction(round(math.cos(ang) * scale)),
-                         Fraction(round(math.sin(ang) * scale))))
-    ps = PointSet(pts).require_general_position()
-    for i in range(n):
-        if orientation(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) <= 0:
-            raise InputError("polygon approximation lost convexity; increase scale")
-    return ps

@@ -35,8 +35,8 @@ sequence of Goodman & Pollack in runs of equal angle).  The points of a
 spanned line swap at one angle, so the runs hold every collinearity: the
 general-position certificate, the collinear families of the S_r
 construction and the blocks of the 3-decomposition sweep are the lines
-of those runs.  collinear_triples(ps) is the O(n^3) scan kept as their
-oracle.
+of those runs.  The tests check them against an exhaustive O(n^3)
+triple scan.
 
 The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
 cosine pair).  rotation_cw_2pi3_maps builds it as an exact *rational*
@@ -67,11 +67,6 @@ class Point:
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
-
-
-def P(x, y) -> Point:
-    """Point constructor that coerces ints/strings to exact rationals."""
-    return Point(Fraction(x), Fraction(y))
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -167,20 +162,6 @@ def _lines(run):
     for x in root:
         lines.setdefault(find(x), []).append(x)
     return lines.values()
-
-
-def collinear_triples(ps: PointSet) -> list[tuple[int, int, int]]:
-    """All index triples (i<j<k) of collinear points, in lexicographic
-    order, by the exhaustive O(n^3) scan: the oracle for
-    PointSet.collinear_triples, which reads them off the angle runs."""
-    hom = ps.homogeneous
-    bad = []
-    for i, j, a, b, c in ps.pair_lines():
-        for k in range(j + 1, ps.n):
-            xk, yk, wk = hom[k]
-            if a * xk + b * yk + c * wk == 0:
-                bad.append((i, j, k))
-    return bad
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from kedges.circseq import (
     compute_s,
     halfperiod_from_points,
     validate_allowable,
-    write_halfperiod,
 )
 from kedges.cli import _records_text, main
 from kedges.errors import InputError
-from kedges.gensets import convex_polygon_set, random_general_position_set
+from kedges.gensets import random_general_position_set
+from oracles import convex_polygon_set, write_halfperiod
 
 
 def test_classification_tally_and_consistency():

@@ -10,16 +10,20 @@ from kedges.circseq import (
     Transposition,
     compute_s,
     halfperiod_from_points,
-    k_center,
     read_halfperiod,
-    reverse_halfperiod,
-    rotate_halfperiod,
     validate_allowable,
-    write_halfperiod,
 )
 from kedges.errors import DirectionTieError, GeneralPositionError, InputError
-from kedges.gensets import convex_polygon_set, random_general_position_set
-from kedges.geom import P, PointSet
+from kedges.gensets import random_general_position_set
+from kedges.geom import PointSet
+from oracles import (
+    P,
+    convex_polygon_set,
+    k_center,
+    reverse_halfperiod,
+    rotate_halfperiod,
+    write_halfperiod,
+)
 
 
 def test_triangle_sweep():

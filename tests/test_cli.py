@@ -13,8 +13,8 @@ import pytest
 import kedges
 from kedges.bounds import bound_table
 from kedges.cli import build_parser, main
-from kedges.gensets import convex_polygon_set
 from kedges.geom import write_points
+from oracles import convex_polygon_set
 
 
 @pytest.fixture()
@@ -84,8 +84,9 @@ def test_classify_points(octagon_file, capsys):
 
 
 def test_classify_halfperiod_file(octagon_file, tmp_path, capsys):
-    from kedges.circseq import halfperiod_from_points, write_halfperiod
+    from kedges.circseq import halfperiod_from_points
     from kedges.geom import read_points
+    from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
     write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
@@ -416,6 +417,16 @@ def test_selftest_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_selftest_unknown_scope_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "nope"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("invalid choice: 'nope' (choose from 'bounds', 'identities', 'central', "
+            "'constructions', 'all')") in captured.err
+
+
 def _count_sweeps(monkeypatch) -> list:
     """The points of every halfperiod_from_points call from now on,
     wherever in the package it is made."""
@@ -470,8 +481,9 @@ def test_identity_suite_checks_small_sets_against_brute_force(monkeypatch):
 
 
 def _halfperiod_lines(octagon_file, tmp_path):
-    from kedges.circseq import halfperiod_from_points, write_halfperiod
+    from kedges.circseq import halfperiod_from_points
     from kedges.geom import read_points
+    from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
     write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
@@ -701,8 +713,9 @@ def test_handlers_are_found_by_name_at_call_time(monkeypatch, capsys):
     ids=["analyze", "classify", "classify-halfperiod", "bounds", "bounds-u-prime", "cr-bound"],
 )
 def test_json_reports_print_as_json_dumps(argv, octagon_file, tmp_path, capsys):
-    from kedges.circseq import halfperiod_from_points, write_halfperiod
+    from kedges.circseq import halfperiod_from_points
     from kedges.geom import read_points
+    from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
     write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))

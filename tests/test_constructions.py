@@ -27,10 +27,11 @@ from kedges.constructions import (
 )
 from kedges.bounds import bound_table, comb2
 from kedges.central import verify_central
-from kedges.edgestats import edge_vector_bruteforce, pair_levels
+from kedges.edgestats import pair_levels
 from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
-from kedges.geom import P, Point, PointSet, _lines, rotation_cw_2pi3_maps
+from kedges.geom import Point, PointSet, _lines, rotation_cw_2pi3_maps
+from oracles import P, edge_vector_bruteforce
 
 
 def test_sr_config_validation():
@@ -166,7 +167,7 @@ def test_sr_letter_partition_follows_class_tags(r):
 
 
 def test_s3_slope_certificate(s3):
-    max1, min2 = s3.slope_margin
+    max1, min2 = _certify_app_slopes(s3.raw, 3)
     assert max1 < min2
 
 
@@ -244,7 +245,7 @@ def _check_slope_certificate(points, r):
 def test_slope_certificate_matches_all_pairs_reference_on_sr(r, sr):
     # min2 reads only the y-adjacent pairs off A''; the reference reads all
     res = sr(r)
-    assert _check_slope_certificate(res.raw.points, r) == res.slope_margin
+    assert _check_slope_certificate(res.raw.points, r) == _certify_app_slopes(res.raw, r)
     _check_slope_certificate(res.perturbed.points, r)
 
 
@@ -256,7 +257,7 @@ def test_slope_certificate_matches_all_pairs_reference(case):
 
 def test_s3_tightness(s3):
     assert s3.perturbed.general_position
-    leq = list(accumulate(s3.edge_vector))
+    leq = list(accumulate(halfperiod_from_points(s3.perturbed, tie_break=True).level_counts))
     best = bound_table(27)
     for k in range(12):
         assert leq[k] == best[k].best
@@ -270,9 +271,9 @@ def test_s3_halfperiod_cross_check(s3):
 
     h = halfperiod_from_points(s3.perturbed, tie_break=True)
     assert len(h.transpositions) == comb(27, 2) == 351
-    assert h.level_counts == s3.edge_vector == edge_vector_bruteforce(s3.perturbed)
+    assert h.level_counts == edge_vector_bruteforce(s3.perturbed)
     # k = 12: one k-critical transposition per (k-1)-edge
-    assert len(list(h.k_critical(12))) == s3.edge_vector[11]
+    assert len(list(h.k_critical(12))) == h.level_counts[11]
 
 
 def test_s3_split(s3):
@@ -292,19 +293,20 @@ def test_s3_split(s3):
 
 
 def test_sr_audit_reuses_build_levels(s3):
-    levels = halfperiod_from_points(s3.perturbed, tie_break=True).point_levels
+    h = halfperiod_from_points(s3.perturbed, tie_break=True)
+    levels = h.point_levels
     assert levels == pair_levels(s3.perturbed)
     rows = sr_audit(s3.perturbed, levels)
     assert s3.audit == tuple(rows)
     assert [row.k for row in rows] == list(range(12))
     assert all(row.ok for row in rows)
-    assert [row.leq for row in rows] == list(accumulate(s3.edge_vector))[:12]
+    assert [row.leq for row in rows] == list(accumulate(h.level_counts))[:12]
     assert (rows[11].bi, rows[11].mono) == (216, 39)
 
 
 def test_s4_tightness():
     res = build_sr(SrConfig(r=4))
-    leq = list(accumulate(res.edge_vector))
+    leq = list(accumulate(halfperiod_from_points(res.perturbed, tie_break=True).level_counts))
     best = bound_table(36)
     for k in range(16):
         assert leq[k] == best[k].best

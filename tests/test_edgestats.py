@@ -10,13 +10,13 @@ import pytest
 from kedges.circseq import halfperiod_from_points
 from kedges.edgestats import (
     crossings_bruteforce,
-    edge_vector_bruteforce,
     identity_leq_form,
     summarize,
 )
 from kedges.errors import InputError
-from kedges.gensets import convex_polygon_set, random_general_position_set
-from kedges.geom import P, PointSet
+from kedges.gensets import random_general_position_set
+from kedges.geom import PointSet
+from oracles import P, convex_polygon_set, edge_vector_bruteforce
 
 
 def _identity_forms(n, counts):

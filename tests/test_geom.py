@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from kedges.cli import main
 from kedges.errors import GeneralPositionError, InputError, PointFileError
 from kedges.geom import (
-    P,
     Point,
     PointSet,
-    collinear_triples,
     line_intersection,
     orientation,
     read_points,
     rotation_cw_2pi3_maps,
     write_points,
 )
+from oracles import P, collinear_triples
 
 
 def test_orientation_basic():

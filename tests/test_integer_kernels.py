@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from kedges.circseq import halfperiod_from_points
 from kedges.edgestats import crossings_bruteforce, pair_levels
 from kedges.errors import DirectionTieError, GeneralPositionError, InputError
-from kedges.geom import P, Point, PointSet, collinear_triples, orientation
+from kedges.geom import Point, PointSet, orientation
+from oracles import P, collinear_triples
 
 BIG = 2**160
 

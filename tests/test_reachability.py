@@ -1,9 +1,12 @@
-"""Every public top-level function or class of the package, and every
-public method or property of a package class, is reached from the package
-itself (by a CLI handler, a selftest suite or another kernel), or is one
-of the few names kept only for the tests.  A method is reached only by a
-call, `obj.name(...)`; a property by any lookup, `obj.name`.  Every
-defaulted parameter of a public function is passed by some package call."""
+"""Every public top-level function or class of the package, every public
+method or property of a package class, and every public field of a package
+dataclass or NamedTuple is reached from the package itself (by a CLI
+handler, a selftest suite or another kernel); the oracles only the tests
+use live in tests/oracles.py.  A method is reached only by a call,
+`obj.name(...)`; a property by any lookup, `obj.name`; a field by a lookup
+in the package or in perfbench/, or by a positional unpacking.  Every
+defaulted parameter of a public function is passed by some package
+call."""
 
 import ast
 from pathlib import Path
@@ -11,12 +14,7 @@ from pathlib import Path
 import kedges
 
 PKG = Path(kedges.__file__).resolve().parent
-TESTS = Path(__file__).resolve().parent
-
-# Test oracles and the halfperiod tools the property tests use; nothing in
-# the package calls them.
-TEST_SUPPORT = ("k_center", "rotate_halfperiod", "reverse_halfperiod", "write_halfperiod",
-                "edge_vector_bruteforce", "collinear_triples", "convex_polygon_set", "P")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _modules():
@@ -70,10 +68,17 @@ def _attributes(modules) -> tuple[set, set]:
     return looked_up, called
 
 
+def _name(node):
+    """The name a decorator or base class is spelled with: `name`,
+    `module.name` or either one called, `name(...)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _is_property(fn: ast.FunctionDef) -> bool:
     """Decorated @property or @functools.cached_property (either spelling)."""
-    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
-               in ("property", "cached_property") for d in fn.decorator_list)
+    return any(_name(d) in ("property", "cached_property") for d in fn.decorator_list)
 
 
 def _public_methods(modules):
@@ -96,9 +101,50 @@ def _unreached_methods(modules) -> list:
             if name.split(".")[1] not in (looked_up if is_property else called)]
 
 
-def _other_tests_text() -> str:
-    return "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")
-                     if path.name != Path(__file__).name)
+def _fields(modules):
+    """(file, "Class.name", field count) of each public field of a top-level
+    NamedTuple or @dataclass class (any spelling); the count is None for a
+    dataclass, whose instances do not unpack."""
+    for filename, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            named_tuple = any(_name(b) == "NamedTuple" for b in cls.bases)
+            if not named_tuple and not any(_name(d) == "dataclass" for d in cls.decorator_list):
+                continue
+            names = [node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            for name in names:
+                if not name.startswith("_"):
+                    yield filename, f"{cls.name}.{name}", len(names) if named_tuple else None
+
+
+def _unpacked_lengths(modules) -> set:
+    """The length of every tuple or list target without a starred element
+    in a package module other than __init__.py (`a, b = t`,
+    `for a, (b, c) in ...`).  The scan cannot tell the type of the value
+    unpacked, so a target as long as a NamedTuple's fields counts as an
+    unpacking of it."""
+    return {len(node.elts) for filename, tree in modules.items() if filename != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store)
+            and not any(isinstance(elt, ast.Starred) for elt in node.elts)}
+
+
+def _perfbench_lookups() -> set:
+    """Every attribute name perfbench/*.py looks up (`out.config`)."""
+    return {node.attr for path in sorted(PERFBENCH.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+def _unread_fields(modules, lookups=frozenset()) -> list:
+    """The public fields no package lookup, no lookup in `lookups` and no
+    positional unpacking reaches."""
+    looked_up = _attributes(modules)[0] | lookups
+    unpacked = _unpacked_lengths(modules)
+    return [f"{filename}:{name}" for filename, name, count in _fields(modules)
+            if name.split(".")[1] not in looked_up and count not in unpacked]
 
 
 def test_every_public_name_is_reached():
@@ -106,8 +152,7 @@ def test_every_public_name_is_reached():
     referenced = _referenced(modules)
     unreached = [
         f"{filename}:{name}" for filename, name in _public_defs(modules)
-        if not (name in referenced or name.startswith("cmd_") or name == "main"
-                or name in TEST_SUPPORT)
+        if not (name in referenced or name.startswith("cmd_") or name == "main")
     ]
     assert unreached == []
 
@@ -116,15 +161,8 @@ def test_every_public_method_is_reached():
     assert _unreached_methods(_modules()) == []
 
 
-def test_test_support_names_are_test_only_and_used():
-    modules = _modules()
-    defined = {name for _, name in _public_defs(modules)}
-    referenced = _referenced(modules)
-    tests = _other_tests_text()
-    for name in TEST_SUPPORT:
-        assert name in defined, name
-        assert name not in referenced, f"{name} is reached from the package; drop it here"
-        assert f"{name}(" in tests, f"{name} is used by no test"
+def test_every_public_field_is_reached():
+    assert _unread_fields(_modules(), _perfbench_lookups()) == []
 
 
 def _defaulted_params(fn: ast.FunctionDef):
@@ -179,7 +217,7 @@ def _unused_knobs(modules):
     for filename, tree in modules.items():
         for fn in tree.body:
             if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
-                    or fn.name == "main" or fn.name in TEST_SUPPORT):
+                    or fn.name == "main"):
                 continue
             for param, position in _defaulted_params(fn):
                 if not any(_passes(call, param, position) for call in calls.get(fn.name, ())):
@@ -187,9 +225,8 @@ def _unused_knobs(modules):
 
 
 def test_every_defaulted_parameter_is_passed():
-    """A default that no package call overrides is a knob nothing turns:
-    main(argv) is the process entry point, and the TEST_SUPPORT names are
-    called by the tests only."""
+    """A default that no package call overrides is a knob nothing turns;
+    main(argv) is the process entry point."""
     assert list(_unused_knobs(_modules())) == []
 
 
@@ -230,3 +267,22 @@ def test_a_method_is_reached_only_by_a_call():
     assert _unreached_methods({"m.py": ast.parse(source)}) == ["m.py:Counts.leq"]
     called = source.replace("row.leq,", "ev.leq(3),")
     assert _unreached_methods({"m.py": ast.parse(called)}) == []
+
+
+def test_a_field_is_reached_by_a_lookup_or_an_unpacking():
+    source = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "@dataclass(frozen=True)\n"
+              "class Result:\n"
+              "    value: int\n"
+              "    margin: tuple\n"
+              "class Row(NamedTuple):\n"
+              "    k: int\n"
+              "    leq: int\n"
+              "def use(res, rows):\n"
+              "    return res.value, [a + b for a, b in rows]\n")
+    assert _unread_fields({"m.py": ast.parse(source)}) == ["m.py:Result.margin"]
+    assert _unread_fields({"m.py": ast.parse(source)}, {"margin"}) == []
+    starred = source.replace("a, b in rows", "a, *b in rows")
+    assert _unread_fields({"m.py": ast.parse(starred)}) == [
+        "m.py:Result.margin", "m.py:Row.k", "m.py:Row.leq"]

@@ -24,7 +24,8 @@ from kedges.edgestats import (
     summarize,
 )
 from kedges.errors import GeneralPositionError
-from kedges.geom import P, Point, PointSet, _event_cmp, _event_direction
+from kedges.geom import Point, PointSet, _event_cmp, _event_direction
+from oracles import P, edge_vector_bruteforce
 
 BOXES = (16, 256, 10**4, 10**6, 10**9)
 
@@ -77,7 +78,7 @@ def test_routes_agree_on_sr(r):
     _assert_routes_agree(res.perturbed)
     h = halfperiod_from_points(res.perturbed, tie_break=True)
     assert h.point_levels == pair_levels(res.perturbed)
-    assert res.edge_vector == h.level_counts
+    assert h.level_counts == edge_vector_bruteforce(res.perturbed)
     assert res.audit == tuple(sr_audit(res.perturbed, h.point_levels))
 
 

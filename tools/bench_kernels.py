@@ -161,6 +161,13 @@ def reduced_word(circseq, n: int, seed: int):
     return circseq.Halfperiod(n, tuple(range(1, n + 1)), tuple(ts))
 
 
+def write_halfperiod(path, h):
+    """Write h in the halfperiod file format every tree's read_halfperiod reads."""
+    lines = [str(h.n), " ".join(map(str, h.initial))]
+    lines += [f"{t.step} {t.position} {t.pair[0]} {t.pair[1]}" for t in h.transpositions]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def halfperiod_times() -> dict:
     from kedges import central, circseq, cli
 
@@ -172,7 +179,7 @@ def halfperiod_times() -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"w{n}.hp"
-        circseq.write_halfperiod(path, reduced_word(circseq, n, WORD_SEED))
+        write_halfperiod(path, reduced_word(circseq, n, WORD_SEED))
 
         def main_stdout():
             buf = io.StringIO()
