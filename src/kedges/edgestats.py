@@ -27,8 +27,9 @@ small-n selftest check.
 The edge vector (E_0, ..., E_{floor(n/2)-1}) is a plain tuple of ints,
 the sweep's cached `Halfperiod.level_counts`.  Nothing re-checks it;
 every pair of a valid halfperiod is exactly one j-edge, so it sums to
-C(n,2) and its last entry is the halving-line count.  `summarize` evaluates the identity in both closed
-forms, the second through `identity_leq_form` on the prefix sums E_{<=k}:
+C(n,2) and its last entry is the halving-line count.  `summarize`
+evaluates the identity in both closed forms, the second through
+`identity_leq_form` on the prefix sums E_{<=k}:
 
     cr = 3 C(n,4) - sum_k k (n-k-2) E_k
        = sum_{k<=n/2-2} (n-2k-3) E_{<=k} - (3/4) C(n,3)
