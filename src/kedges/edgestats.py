@@ -11,12 +11,19 @@ routes, and a point set's report is only given when they agree:
   are sorted by angle, and L_p(q), the points strictly left of p -> q, is
   a half-turn window of that order, so level(p, q) = min(L, n-2-L) and
 
-      cr = C(n,4) - sum_p [C(n-1,3) - sum_q C(L_p(q), 2)],
+      cr = C(n,4) - sum_p [C(n-1,3) - sum_q C(L_p(q), 2)]
+         = sum_p sum_q C(L_p(q), 2) - 3 C(n,4),
 
   since a 4-set is not convex iff one of its points lies in the triangle
   of the other three, and the triangles around p that miss it are counted
   once each by their first vertex counterclockwise (Rote, Woeginger, Zhu &
-  Wang 1991, "Counting k-subsets and convex k-gons in the plane").
+  Wang 1991, "Counting k-subsets and convex k-gons in the plane").  Each
+  pair's direction q - p is folded once into the upper half turn (negated
+  when it points down), so p -> q and q -> p share it and differ only in
+  the half turn they came from.  One exact sort of the n - 1 folded
+  directions around p merges both halves, and the window is a count of
+  ranks: the item at merged position c, from half h with o earlier items
+  of half h, has L_p(q) = (|half h| - 1 - o) + (c - o).
 
 Route B does not use the sweep's geometry (`PointSet.angles`); it shares
 only the generic exact sort (`geom._sort_exact` on `geom._ratio_key`
@@ -38,7 +45,6 @@ evaluates the identity in both closed forms, the second through
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import comb, inf
 
@@ -68,76 +74,62 @@ def pair_levels(ps: PointSet) -> dict[tuple[int, int], int]:
     return levels
 
 
-def _collinear(p, q, r):
-    return GeneralPositionError(
-        f"not in general position: points {p}, {q}, {r} are collinear",
-        triples=(tuple(sorted((p, q, r))),),
-    )
-
-
 def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
     """Route B: the level of every pair (i, j), i < j, and the crossing
     number, from the radial order of the other points around each point
     (see the module docstring).  O(n^2 log n).
 
-    Around p the direction to q is (Xq*Wp - Xp*Wq, Yq*Wp - Yp*Wq) on the
-    homogeneous coordinates, Wp*Wq > 0 times q - p.  The directions are
-    split into the half turns [0, pi) and [pi, 2*pi) and each half is
-    sorted on the float key -dx/dy (-inf at dy = 0), which increases with
-    the angle.  The key is a correctly rounded quotient of ints, so keys
-    that differ are in exact order; `_sort_exact` re-sorts runs of equal
-    keys by exact cross products.  The antipode of q's direction has q's key in the
-    other half, so L_p(q) is the rest of q's half plus a bisection of the
-    other half, again with equal keys decided exactly.  Any exact tie is a
-    collinear triple: GeneralPositionError."""
+    The direction of pair p < q is (Xq*Wp - Xp*Wq, Yq*Wp - Yp*Wq) on the
+    homogeneous coordinates, Wp*Wq > 0 times q - p.  It is made once and
+    folded into [0, pi): negated when dy < 0, or dy = 0 and dx < 0, with
+    the float key -dx/dy (-inf at dy = 0), which increases with the
+    angle.  Around p the direction to q came from half h (0 for [0, pi),
+    1 for [pi, 2*pi)), and q -> p from the other half.  A point's list is
+    filled as its pairs are made and dropped once sorted.  In the merged
+    order the later items of q's half are left of p -> q, and so are the
+    earlier items of the other half, whose unfolded directions lie within
+    a half turn after q's: hence the rank formula.  `_sort_exact` orders
+    equal keys by the cross product; a zero one is a collinear triple, p
+    between q and r (other halves) or at one end (one half), and raises
+    GeneralPositionError."""
     hom = ps.homogeneous
     n = len(hom)
+    around = [[] for _ in range(n)]  # (key, dx, dy, h, q) per q, filled as pairs are made
+    down = [0] * n  # |half 1| around each point
+    mid = (n - 1) // 2  # L < mid iff L < n - 2 - L
     levels = {}
-    inside = 0  # sum over p of the triangles of other points that contain p
+    total = 0  # sum over p and q of C(L_p(q), 2)
+
+    def cmp(u, v):  # exact order of two folded directions around the current p
+        cross = u[1] * v[2] - u[2] * v[1]
+        if not cross:
+            triple = tuple(sorted((p, u[4], v[4])))
+            raise GeneralPositionError(f"not in general position: points {p}, {u[4]}, {v[4]} "
+                                       "are collinear", triples=(triple,))
+        return -1 if cross > 0 else 1
+
     for p, (xp, yp, wp) in enumerate(hom):
-        halves = ([], [])
-        for q, (xq, yq, wq) in enumerate(hom):
-            if q == p:
-                continue
+        items, around[p] = around[p], None
+        for q in range(p + 1, n):
+            xq, yq, wq = hom[q]
             dx, dy = xq * wp - xp * wq, yq * wp - yp * wq
-            if dy > 0:
-                key = _ratio_key(-dx, dy)
-            elif dy < 0:
-                key = _ratio_key(dx, -dy)
-            else:
-                key = -inf
-            halves[dy < 0 or (dy == 0 and dx < 0)].append((key, dx, dy, q))
-        for half in halves:
-            half[:] = _sort_exact(half, [item[0] for item in half],
-                                  lambda u, v: _radial_cmp(p, u, v))
-        keys = ([item[0] for item in halves[0]], [item[0] for item in halves[1]])
-        triangles = comb(n - 1, 3)
-        for h in (0, 1):
-            mine, other, other_keys = halves[h], halves[1 - h], keys[1 - h]
-            rest = len(mine)
-            for key, dx, dy, q in mine:
-                rest -= 1
-                at = bisect_left(other_keys, key)
-                end = bisect_right(other_keys, key, at)
-                for _, rx, ry, r in other[at:end]:  # equal keys: count those before -d
-                    cross = ry * dx - rx * dy
-                    if not cross:
-                        raise _collinear(p, q, r)
-                    at += cross > 0
-                left = rest + at
-                triangles -= left * (left - 1) // 2
-                if p < q:
-                    levels[p, q] = min(left, n - 2 - left)
-        inside += triangles
-    return levels, comb(n, 4) - inside
-
-
-def _radial_cmp(p, u, v) -> int:
-    """Exact order of two directions around p in one half turn."""
-    cross = u[1] * v[2] - u[2] * v[1]
-    if not cross:
-        raise _collinear(p, u[3], v[3])
-    return -1 if cross > 0 else 1
+            h = dy < 0 or (dy == 0 and dx < 0)
+            if h:
+                dx, dy = -dx, -dy
+            down[p if h else q] += 1
+            key = _ratio_key(-dx, dy) if dy else -inf
+            items.append((key, dx, dy, h, q))
+            around[q].append((key, dx, dy, not h, p))
+        rest = (n - 2 - down[p], down[p] - 1)  # |half h| - 1
+        seen = [0, 0]
+        for c, (_, _, _, h, q) in enumerate(_sort_exact(items, [it[0] for it in items], cmp)):
+            o = seen[h]
+            seen[h] = o + 1
+            left = rest[h] - o + c - o
+            total += left * (left - 1) // 2
+            if p < q:
+                levels[p, q] = left if left < mid else n - 2 - left
+    return levels, total - 3 * comb(n, 4)
 
 
 def check_routes(ps: PointSet, h: Halfperiod) -> int:

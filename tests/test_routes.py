@@ -152,6 +152,91 @@ def test_radial_counts_reject_collinear_triples():
             radial_counts(PointSet(pts))
 
 
+
+def _folded(ps, p):
+    """(float key, half, exact slope) of each direction q - p folded into
+    the upper half turn, the way route B sorts them around p; the slope
+    -dx/dy is None at dy = 0."""
+    out = []
+    for q in range(ps.n):
+        if q != p:
+            dx, dy = ps.points[q].x - ps.points[p].x, ps.points[q].y - ps.points[p].y
+            half = dy < 0 or (dy == 0 and dx < 0)
+            if half:
+                dx, dy = -dx, -dy
+            try:
+                key = float(-dx / dy) if dy else float("-inf")
+            except OverflowError:
+                key = float("inf") if dx < 0 else float("-inf")
+            out.append((key, half, -dx / dy if dy else None))
+    return out
+
+
+def _straddling(ps):
+    """The points around which two folded directions from different halves
+    have one float key but differ exactly."""
+    return {p for p in range(ps.n)
+            for k1, h1, e1 in _folded(ps, p) for k2, h2, e2 in _folded(ps, p)
+            if k1 == k2 and h1 != h2 and e1 != e2}
+
+
+# Points on the convex curve (i * BIG + i(i+1)/2, i), plus two off it:
+# around every inner point i the neighbours on either side fold to slopes
+# -(BIG + i) and -(BIG + i + 1), which round to one float.
+STRADDLE = [P(i * BIG + i * (i + 1) // 2, i) for i in range(6)] + [P(5, -7), P(-3 * BIG, 11)]
+
+
+def test_radial_counts_merge_float_ties_across_the_half_turns():
+    ps = PointSet(STRADDLE)
+    assert ps.general_position
+    assert {1, 2, 3, 4} <= _straddling(ps)
+    _assert_routes_agree(ps)
+
+
+def test_radial_counts_merge_overflow_keys_in_both_halves():
+    # Around point 2 (the origin) four directions overflow a float, two in
+    # each half turn and of both signs, and one horizontal direction keys
+    # as -inf like the negative overflows.
+    pts = [P(HUGE, 1), P(-HUGE, 1), P(0, 0), P(-HUGE - 1, -1), P(HUGE + 2, -1), P(7, 0), P(3, 5)]
+    ps = PointSet(pts)
+    assert ps.general_position
+    around = {(key, half) for key, half, _ in _folded(ps, 2)}
+    inf = float("inf")
+    assert {(inf, False), (inf, True), (-inf, False), (-inf, True)} <= around
+    _assert_routes_agree(ps)
+
+
+@pytest.mark.parametrize("far", [-BIG, 2 * BIG])
+def test_radial_counts_name_the_collinear_triple_away_from_point_0(far):
+    # Point 1 is between points 2 and 3 (far = -BIG: antipodal directions
+    # around it) or at one end (far = 2 BIG: one direction twice), among
+    # float-equal keys that differ exactly (BIG + 1).
+    ps = PointSet([P(3, 7), P(0, 0), P(BIG, 1), P(far, far // BIG), P(BIG + 1, 1)])
+    assert ps.collinear_triples == ((1, 2, 3),)
+    with pytest.raises(GeneralPositionError) as err:
+        radial_counts(ps)
+    assert err.value.triples == ((1, 2, 3),)
+    assert "collinear" in str(err.value)
+
+
+def _fan_point(rng):
+    t = rng.randrange(-20, 21)
+    return BIG * t + rng.randrange(-60, 61), t
+
+
+def test_radial_counts_on_fans_of_tied_keys():
+    """Derandomised: near-parallel points (BIG t + a, t) with small t and
+    a, so most folded slopes round to one float around every point."""
+    rng = random.Random(20261020)
+    for _ in range(40):
+        n = rng.randint(5, 14)
+        ps = _general_position(rng, n, _fan_point)
+        folded = [key for p in range(n) for key, _, _ in _folded(ps, p)]
+        tied = sum(folded.count(key) > 1 for key in folded)
+        assert 2 * tied > len(folded)
+        assert _straddling(ps)
+        _assert_routes_agree(ps)
+
 def test_initial_order_equals_the_rational_projection_order():
     rng = random.Random(7)
     for _ in range(30):

@@ -25,6 +25,10 @@ take milliseconds each:
   work.  On S_5 and S_10 also `summarize` (the `analyze` certificate: both
   routes and both identity forms) with the set's sweep passed in.  A
   kernel the tree does not have is recorded as null.
+* `radial_counts` over the default `selftest identities` corpus
+  (`selftest.build_corpus(500, 12, 20240901)`: 500 random sets with
+  5 <= n <= 12), in this process: the small-n regime that the perfbench
+  `points` workload's `analyze` ops run.
 * construction stages, in this process, each the median of WORD_REPEATS
   runs: on S_5, `PointSet(...)` of its perturbed points (the duplicate
   check and the homogeneous triples), `perturb_collinear_families` of its
@@ -78,6 +82,7 @@ from time import perf_counter
 
 SIZES = (5, 10, 20)
 SUMMARIZE_SIZES = (5, 10)
+CORPUS = (500, 12, 20240901)  # selftest identities' default trials, nmax and seed
 CLI_SR_SIZES = (30, 40)
 REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
@@ -97,7 +102,7 @@ def median_time(fn, repeats=REPEATS, setup=None) -> float:
 
 
 def kernel_times() -> dict:
-    from kedges import circseq, constructions, edgestats
+    from kedges import circseq, constructions, edgestats, selftest
     from kedges.geom import PointSet
 
     radial = getattr(edgestats, "radial_counts", None)
@@ -118,6 +123,13 @@ def kernel_times() -> dict:
             h = circseq.halfperiod_from_points(warm, tie_break=True)
             row["summarize"] = median_time(lambda: edgestats.summarize(warm, h))
         out[f"S_{r}"] = row
+    trials, nmax, seed = CORPUS
+    sets = [ps for ps, _ in selftest.build_corpus(trials, nmax, seed)]
+    out[f"corpus {trials} sets"] = {
+        "n": f"5..{nmax}",
+        "radial_counts": None if radial is None else median_time(
+            lambda: [radial(ps) for ps in sets]),
+    }
     return out
 
 
