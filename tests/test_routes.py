@@ -152,7 +152,6 @@ def test_radial_counts_reject_collinear_triples():
             radial_counts(PointSet(pts))
 
 
-
 def _folded(ps, p):
     """(float key, half, exact slope) of each direction q - p folded into
     the upper half turn, the way route B sorts them around p; the slope
@@ -175,9 +174,13 @@ def _folded(ps, p):
 def _straddling(ps):
     """The points around which two folded directions from different halves
     have one float key but differ exactly."""
-    return {p for p in range(ps.n)
-            for k1, h1, e1 in _folded(ps, p) for k2, h2, e2 in _folded(ps, p)
-            if k1 == k2 and h1 != h2 and e1 != e2}
+    out = set()
+    for p in range(ps.n):
+        around = _folded(ps, p)
+        if any(k1 == k2 and h1 != h2 and e1 != e2
+               for k1, h1, e1 in around for k2, h2, e2 in around):
+            out.add(p)
+    return out
 
 
 # Points on the convex curve (i * BIG + i(i+1)/2, i), plus two off it:
@@ -236,6 +239,7 @@ def test_radial_counts_on_fans_of_tied_keys():
         assert 2 * tied > len(folded)
         assert _straddling(ps)
         _assert_routes_agree(ps)
+
 
 def test_initial_order_equals_the_rational_projection_order():
     rng = random.Random(7)
