@@ -191,15 +191,11 @@ def asymptotic_constants() -> dict:
     total = Fraction(277, 729)
     return {
         "integral1": i1,
-        "integral1_target": t1,
         "integral1_ok": i1 == t1,
         "integral2": i2,
-        "integral2_target": t2,
         "integral2_ok": i2 == t2,
         "sum": i1 + i2,
-        "sum_target": total,
         "sum_ok": i1 + i2 == total,
-        "crossing_constant": total,
         "crossing_constant_exceeds_0.379972": total > Fraction("0.379972"),
         "three_decomposable_constant": (2 / 27) * (15 - pi * pi),
         # pi < 355/113, so the constant exceeds (2/27)(15 - (355/113)^2) = 0.3800291...

@@ -203,11 +203,14 @@ def require_valid(h: Halfperiod) -> Halfperiod:
 def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     """Halfperiod of the circular sequence of a point set.
 
-    The sweep starts just below the smallest event angle, from the set's
-    `initial_order` (its projections onto the first event direction, ties
-    broken by the order just before that event).  Labels 1..n are
-    assigned in that order, so `initial` is the identity.
-    The events are the set's own sorted angle runs (`PointSet.angles`).
+    The sweep starts at angle 0-, from the set's `initial_order` (by x,
+    ties broken by descending y): no event angle lies below 0, so that is
+    the order just before the first event.  Labels 1..n are assigned in
+    that order, so `initial` is the identity.  The events are the set's
+    own sorted angle runs (`PointSet.angles`), each recorded as a swap of
+    the slots its two labels stand in.  The one validity check is the
+    axiom walk of `require_valid`: an event whose labels do not stand in
+    adjacent slots fails it as a recorded pair the slots do not hold.
 
     Point pairs spanning parallel lines swap at the same direction; by
     default that is a hard error listing the clashing pairs (silently
@@ -244,11 +247,6 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
         sa, sb = slot_of[la], slot_of[lb]
         if sa > sb:
             la, lb, sa, sb = lb, la, sb, sa
-        if sb != sa + 1:
-            raise InputError(
-                f"sweep inconsistency at step {step}: labels {la},{lb} not adjacent "
-                "(unexpected degeneracy)"
-            )
         trans.append(_new_transposition((step, sb, (la, lb))))
         slot_of[la], slot_of[lb] = sb, sa
 

@@ -41,7 +41,7 @@ from .constructions import (
     check_3decomposable,
 )
 from .edgestats import summarize
-from .errors import GeneralPositionError, InputError, KedgesError
+from .errors import InputError, KedgesError
 from .geom import read_points, write_points
 from .selftest import SUITES, run_scope
 
@@ -451,8 +451,6 @@ def main(argv=None) -> int:
         return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, GeneralPositionError) and exc.triples:
-            print(f"collinear triples: {list(exc.triples)}", file=sys.stderr)
         return 2
     except (KedgesError, AssertionError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)

@@ -383,9 +383,9 @@ def build_sr(cfg: SrConfig) -> SrResult:
     """Build and certify the 9r-point family in one attempt with the
     parameters `cfg` derives from r.  Certificates: the structure of the
     families, A'' strictly left of every other point, the slope margin,
-    general position after the perturbation, the audit against the
-    `bounds` table and the split, and both counting routes.  Any failure
-    raises VerificationError."""
+    general position after the perturbation (the sweep's own check), the
+    audit against the `bounds` table and the split, and both counting
+    routes.  Any failure raises VerificationError."""
     r = cfg.r
     try:
         A, Ap, rot = _build_sr_family(r, cfg.precision)
@@ -402,8 +402,6 @@ def build_sr(cfg: SrConfig) -> SrResult:
         raw = PointSet(pts)
         _certify_app_slopes(raw, r)
         ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
-        if not ps.general_position:
-            raise VerificationError("perturbed set still has collinear triples")
         h = halfperiod_from_points(ps, tie_break=True)
         audit = tuple(sr_audit(ps, h.point_levels))
         bad = [row for row in audit if not row.ok]
@@ -430,13 +428,36 @@ def _ring(q: int, scale: int, phase: float):
     return out
 
 
+def _certify_equality(name: str, precision: int, pts, k: int,
+                      want: dict[str, int]) -> tuple[PointSet, Halfperiod]:
+    """The point set of `pts` and its halfperiod, certified in one sweep:
+    each count `want` names (E_j, E_>=k or s(k, pi), checked in its order)
+    must equal its closed form there, and both counting routes must agree.
+    Any failure, a degenerate point set included, raises VerificationError
+    naming the builder, the precision and the check that failed."""
+    try:
+        ps = PointSet(pts)
+        h = halfperiod_from_points(ps, tie_break=True)
+        counts = h.level_counts
+        got = {f"E_{j}": e for j, e in enumerate(counts)}
+        got.update({"E_>=k": sum(counts[k:]), "s": compute_s(h, k)})
+        for label, closed in want.items():
+            if got[label] != closed:
+                raise VerificationError(f"{label} = {got[label]}, want {closed}")
+        check_routes(ps, h)
+    except (VerificationError, InputError) as exc:
+        raise VerificationError(
+            f"{name} could not be certified at precision {precision}: {exc}") from None
+    return ps, h
+
+
 def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointSet, Halfperiod]:
-    """2k+1 regular-polygon vertices plus n-2k-1 points near the center,
-    returned with the halfperiod the certificate was read from.
+    """2k+1 regular-polygon vertices plus c = n-2k-1 points near the
+    center, returned with the halfperiod the certificate was read from.
 
     Certified properties: E_j = 2k+1 for every j < k, E_{>=k} =
-    C(n-2k-1,2) + (2k+1)(n-2k-1), s(k, pi) = n-2k-1, and equality
-    E_{>=k} = (n-2k-1) E_{k-1} + C(s,2)."""
+    C(c,2) + (2k+1)c and s(k, pi) = c.  Together they are the equality
+    E_{>=k} = c E_{k-1} + C(s,2) of the central inequality's corollary."""
     if k < 1:
         raise InputError("k >= 1 required")
     _check_precision(precision)
@@ -445,32 +466,17 @@ def build_polygon_center(k: int, n: int, precision: int = 10**6) -> tuple[PointS
     q, c = 2 * k + 1, n - 2 * k - 1
     pts = [Point(Fraction(x), Fraction(y)) for x, y in _ring(q, precision, phase=1.0 / 7)]
     pts += [Point(Fraction(j), Fraction(j * j)) for j in range(1, c + 1)]
-    try:
-        ps = PointSet(pts).require_general_position()
-        h = halfperiod_from_points(ps, tie_break=True)
-        counts = h.level_counts
-        geq = sum(counts[k:])
-        if any(counts[j] != q for j in range(k)):
-            raise VerificationError(f"outer edge counts wrong: {counts[:k]}")
-        if geq != comb2(c) + q * c:
-            raise VerificationError(f"E_>=k = {geq}, want {comb2(c) + q * c}")
-        s = compute_s(h, k)
-        if s != c:
-            raise VerificationError(f"s = {s}, want {c}")
-        if geq != (n - 2 * k - 1) * counts[k - 1] + comb2(s):
-            raise VerificationError("equality case failed")
-        check_routes(ps, h)
-    except (VerificationError, InputError) as exc:
-        raise VerificationError(
-            f"polygon-center could not be certified at precision {precision}: {exc}") from None
-    return ps, h
+    want = {f"E_{j}": q for j in range(k)}
+    want.update({"E_>=k": comb2(c) + q * c, "s": c})
+    return _certify_equality("polygon-center", precision, pts, k, want)
 
 
 def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[PointSet, Halfperiod]:
     """(2t+1)-gon with each vertex replaced by m points on a small segment
     pointing at the center, returned with the halfperiod the certificate
     was read from.  With n = (2t+1)m and k = tm, certifies E_{k-1} = n,
-    E_{>=k} = 2(2t+1) C(m,2) = (n-2k-1) E_{k-1}, s = 0."""
+    E_{>=k} = 2(2t+1) C(m,2) and s = 0.  Since n-2k-1 = m-1, they are the
+    equality E_{>=k} = (n-2k-1) E_{k-1} + C(s,2)."""
     if t < 1 or m < 1:
         raise InputError("t >= 1, m >= 1 required")
     _check_precision(precision)
@@ -484,23 +490,8 @@ def build_cluster_polygon(t: int, m: int, precision: int = 10**6) -> tuple[Point
             radial, wobble = (100 - j) * 100 * precision, j * j
             pts.append(Point(Fraction(x * radial - y * wobble, den),
                              Fraction(y * radial + x * wobble, den)))
-    try:
-        ps = PointSet(pts).require_general_position()
-        h = halfperiod_from_points(ps, tie_break=True)
-        counts = h.level_counts
-        geq = sum(counts[k:])
-        if counts[k - 1] != n:
-            raise VerificationError(f"E_(k-1) = {counts[k - 1]}, want {n}")
-        if geq != 2 * q * comb2(m):
-            raise VerificationError(f"E_>=k = {geq}, want {2 * q * comb2(m)}")
-        s = compute_s(h, k)
-        if s != 0:
-            raise VerificationError(f"s = {s}, want 0")
-        check_routes(ps, h)
-    except (VerificationError, InputError) as exc:
-        raise VerificationError(
-            f"cluster-polygon could not be certified at precision {precision}: {exc}") from None
-    return ps, h
+    want = {f"E_{k - 1}": n, "E_>=k": 2 * q * comb2(m), "s": 0}
+    return _certify_equality("cluster-polygon", precision, pts, k, want)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +509,16 @@ def check_3decomposable(ps: PointSet, partition):
     The projection order of the points changes only at spanned-line
     normals, so one direction per open angular gap between consecutive
     normals is exhaustive.  The search is one sweep over the circular
-    sequence (Goodman & Pollack), on integers: start from the order just
-    before the first angle run (`PointSet.initial_order`, the halfperiod's)
-    and cross the set's angle runs (`PointSet.angles`) in turn.  At a run,
-    every line spanned with that normal reverses its points, a contiguous
-    block of the order whose ends are the line's first and last slots; a
-    two-point line, every line of a set in general position, is a swap of
-    two adjacent slots.  A running count of part boundaries is updated at
-    the block ends only; three blocks (two boundaries) in the gap after a
-    run put part 3 - first - last between the others.  Each part's witness
+    sequence (Goodman & Pollack), on integers: start from the order at
+    angle 0- (`PointSet.initial_order`, by x with ties by descending y, the
+    halfperiod's start) and cross the set's angle runs (`PointSet.angles`)
+    in turn.  At a run, every line spanned with that normal reverses its
+    points, a contiguous block of the order whose ends are the line's first
+    and last slots; a two-point line, every line of a set in general
+    position, is a swap of two adjacent slots.  A running count of part
+    boundaries is updated at the block ends only; three blocks (two
+    boundaries) in the gap after a run put part 3 - first - last between
+    the others.  Each part's witness
     is its first such gap, given as the sum of the rational normals of the
     lowest-index pairs on either side (their difference for the gap that
     wraps past angle pi): the only Fractions the search makes."""

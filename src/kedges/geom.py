@@ -255,21 +255,20 @@ class PointSet:
 
     @cached_property
     def initial_order(self) -> tuple[int, ...]:
-        """The point indices in projection order just before the first
-        angle run, where the circular sequence starts: sorted by projection
-        onto the first event direction, ties (the points of a line in that
-        run) broken by the clockwise-rotated direction.  The projections of
-        point i are proj[i] / W_i on the homogeneous coordinates, compared
-        exactly by cross-multiplying.  Needs n >= 2."""
-        ea, eb = self.angles[0][0][0]
-        proj = [(x * ea + y * eb, x * eb - y * ea, w) for x, y, w in self.homogeneous]
+        """The point indices in projection order at angle 0-, where the
+        circular sequence starts: sorted by x, ties (the points of a
+        vertical line) broken by descending y.  Every event angle is in
+        [0, pi), so this is the order just before the first angle run.
+        x is X / W on the homogeneous coordinates, compared exactly by
+        cross-multiplying."""
+        hom = self.homogeneous
 
         def cmp(i, j):
-            (p1, t1, w1), (p2, t2, w2) = proj[i], proj[j]
-            d = p1 * w2 - p2 * w1 or t1 * w2 - t2 * w1
+            (x1, y1, w1), (x2, y2, w2) = hom[i], hom[j]
+            d = x1 * w2 - x2 * w1 or y2 * w1 - y1 * w2
             return (d > 0) - (d < 0)
 
-        keys = [_ratio_key(p, w) for p, _, w in proj]
+        keys = [_ratio_key(x, w) for x, _, w in hom]
         return tuple(_sort_exact(list(range(self.n)), keys, cmp))
 
     @cached_property

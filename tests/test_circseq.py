@@ -55,6 +55,21 @@ def test_parallel_pairs_tie():
     assert validate_allowable(h) == []
 
 
+def test_corrupted_sweep_is_refused():
+    # two consecutive angle runs that share a point do not commute: crossed
+    # in the wrong order, the second swaps labels that are not adjacent
+    pts = random_general_position_set(10, random.Random(5)).points
+    angles = list(PointSet(pts).angles)
+    g = next(g for g in range(1, len(angles) - 1)
+             if {i for _, *pair in angles[g] for i in pair}
+             & {i for _, *pair in angles[g + 1] for i in pair})
+    angles[g], angles[g + 1] = angles[g + 1], angles[g]
+    corrupted = PointSet(pts)
+    vars(corrupted)["angles"] = tuple(angles)  # the cached sweep events
+    with pytest.raises(InputError, match="step"):
+        halfperiod_from_points(corrupted, tie_break=True)
+
+
 def test_validate_flags_corruption():
     h = halfperiod_from_points(PointSet([P(0, 0), P(7, 1), P(5, 6), P(1, 3)]))
     # repeat one transposition in place of another

@@ -63,8 +63,9 @@ def test_analyze_stdout_on_sr_is_pinned(r, digest, sr, tmp_path, capsys):
 
 def test_analyze_collinear_exit_2(collinear_file, capsys):
     assert main(["analyze", collinear_file]) == 2
-    err = capsys.readouterr().err
-    assert "collinear triples" in err and "(0, 1, 2)" in err
+    # one line: the count and the first triple, never the whole list
+    assert capsys.readouterr().err == (
+        "error: not in general position: 1 collinear triple(s), first (0, 1, 2)\n")
 
 
 def test_analyze_missing_file(tmp_path, capsys):

@@ -597,6 +597,25 @@ def test_polygon_verification_failure_reports(build, args, precision, monkeypatc
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("build, args, precision, s_extra, message", [
+    (build_polygon_center, (3, 12), 13, 0, "E_0 = 6, want 7"),
+    (build_cluster_polygon, (2, 3), 1, 0, "E_>=k = 27, want 30"),
+    (build_polygon_center, (2, 9), 10**6, 1, "s = 5, want 4"),
+    (build_cluster_polygon, (1, 3), 10**6, 1, "s = 1, want 0"),
+], ids=["polygon-center-E_j", "cluster-polygon-E_>=k", "polygon-center-s", "cluster-polygon-s"])
+def test_equality_certificate_names_the_failed_count(build, args, precision, s_extra, message,
+                                                     monkeypatch):
+    # each count is checked against its closed form, in order, and the first
+    # that differs is named with both values
+    from kedges import constructions
+
+    monkeypatch.setattr(constructions, "compute_s", lambda h, k: compute_s(h, k) + s_extra)
+    name = build.__name__.removeprefix("build_").replace("_", "-")
+    with pytest.raises(VerificationError) as exc:
+        build(*args, precision=precision)
+    assert str(exc.value) == f"{name} could not be certified at precision {precision}: {message}"
+
+
 def test_sr_34_certifies_with_the_parameters_it_derives():
     # S_34's features are far finer than S_12's; both parameters follow r
     cfg = SrConfig(r=34)
