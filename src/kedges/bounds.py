@@ -34,9 +34,9 @@ Bound inventory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi
+from typing import NamedTuple
 
 from .edgestats import identity_leq_form
 from .errors import InputError
@@ -250,8 +250,7 @@ def lemma_brackets(n: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundTableRow:
+class BoundTableRow(NamedTuple):
     k: int
     aichholzer: int
     u_k: int | None

@@ -58,7 +58,6 @@ never bad data.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -301,8 +300,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralReport:
+class CentralReport(NamedTuple):
     k: int
     s: int
     K: int

@@ -15,13 +15,12 @@ that correspondence is what turns sweep combinatorics into edge counts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import islice
 from math import comb
 from typing import NamedTuple
 
 from .errors import DirectionTieError, InputError
-from .geom import PointSet
+from .geom import Frozen, PointSet
 
 
 class Transposition(NamedTuple):
@@ -42,8 +41,7 @@ class Transposition(NamedTuple):
 _new_transposition = functools.partial(tuple.__new__, Transposition)
 
 
-@dataclass(frozen=True)
-class Halfperiod:
+class Halfperiod(Frozen):
     """n, an initial permutation of 1..n, and C(n,2) transpositions.
 
     Construction does not enforce the allowable-sequence axioms; use
@@ -60,13 +58,32 @@ class Halfperiod:
 
     A halfperiod swept from a point set also records the point index
     behind each label (`point_index`, label l is point point_index[l-1]);
-    it takes no part in equality.
+    it takes no part in equality, hash or repr.
     """
 
     n: int
     initial: tuple[int, ...]
     transpositions: tuple[Transposition, ...]
-    point_index: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    point_index: tuple[int, ...] | None
+
+    def __init__(self, n, initial, transpositions, point_index=None):
+        vars(self).update(n=n, initial=initial, transpositions=transpositions,
+                          point_index=point_index)
+
+    def _key(self):
+        return self.n, self.initial, self.transpositions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Halfperiod(n={self.n!r}, initial={self.initial!r}, "
+                f"transpositions={self.transpositions!r})")
 
     @functools.cached_property
     def axiom_walk(self) -> tuple[tuple[str, ...], tuple, tuple]:

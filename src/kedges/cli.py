@@ -158,18 +158,7 @@ def cmd_bounds(args) -> int:
         if not rows:
             raise InputError(f"k={args.k} out of range for n={args.n}")
     if args.format == "json":
-        print(json.dumps([
-            {
-                "k": r.k,
-                "aichholzer": r.aichholzer,
-                "u_k": r.u_k,
-                "u_prime_k": r.u_prime_k,
-                "explicit": r.explicit,
-                "best": r.best,
-                "source": r.source,
-            }
-            for r in rows
-        ], indent=2))
+        print(json.dumps([r._asdict() for r in rows], indent=2))
     else:
         def line(k, a, u, u_prime, e, best, source):
             u_prime = f" {u_prime:>9}" if args.with_u_prime else ""

@@ -47,14 +47,15 @@ Fraction made per emitted coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import bound_table, comb2
 from .circseq import Halfperiod, compute_s, halfperiod_from_points
 from .edgestats import check_routes
 from .errors import InputError, VerificationError
 from .geom import (
+    Frozen,
     Point,
     PointSet,
     _event_direction,
@@ -96,8 +97,7 @@ def sr_expected_monochromatic(r: int, k: int) -> int:
     return 6 * comb2(r + 1) + 3
 
 
-@dataclass(frozen=True)
-class SrAuditRow:
+class SrAuditRow(NamedTuple):
     """E_<=k of an S_r set next to the lower bound it must attain
     (`bound_table(9r)` best), and its bichromatic / monochromatic split
     next to the split's closed forms."""
@@ -166,8 +166,7 @@ def _check_precision(precision: int):
         ) from None
 
 
-@dataclass(frozen=True)
-class SrConfig:
+class SrConfig(Frozen):
     """S_r's parameters.  Only r is set; the rest is read off it.
 
     The family's features shrink geometrically with r (each recursive step
@@ -180,9 +179,10 @@ class SrConfig:
 
     far_factor = Fraction(2 * 10**4)  # the rightmost A'' point is at x = -far_factor
 
-    def __post_init__(self):
-        if self.r < 3:
+    def __init__(self, r):
+        if r < 3:
             raise InputError("r >= 3 required")
+        vars(self)["r"] = r
 
     @property
     def precision(self) -> int:
@@ -193,8 +193,7 @@ class SrConfig:
         return Fraction(10**5, self.precision)
 
 
-@dataclass(frozen=True)
-class SrResult:
+class SrResult(NamedTuple):
     raw: PointSet             # both in the `sr_class_tags` layout
     perturbed: PointSet
     config: SrConfig

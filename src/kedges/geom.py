@@ -49,17 +49,29 @@ every builder reports a failed certificate).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import inf, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import GeneralPositionError, InputError, PointFileError
 
 
-@dataclass(frozen=True)
-class Point:
+class Frozen:
+    """Base of the package's immutable plain classes: __init__ sets the
+    fields (the annotations in the class body) through the instance
+    __dict__, and assigning or deleting an attribute raises
+    AttributeError.  cached_property still fills the __dict__."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(NamedTuple):
     """Planar point with exact rational coordinates."""
 
     x: object
@@ -164,19 +176,19 @@ def _lines(run):
     return lines.values()
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """Ordered list of distinct points with a general-position certificate.
 
     The certificate is computed, never assumed: `general_position` is True
     iff no line spanned by the set holds three of its points, read exactly
-    off the sorted sweep events (`angles`).
+    off the sorted sweep events (`angles`).  Equality, hash and repr are
+    on `points` alone.
     """
 
     points: tuple[Point, ...]
     # Integer (X, Y, W) per point, W > 0, and the point's identity: see the
     # module docstring.
-    homogeneous: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    homogeneous: tuple[tuple[int, int, int], ...]
 
     def __init__(self, points):
         pts = tuple(points)
@@ -191,8 +203,18 @@ class PointSet:
             if key in seen:
                 raise InputError(f"duplicate points at indices {seen[key]} and {i}")
             seen[key] = i
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "homogeneous", hom)
+        vars(self).update(points=pts, homogeneous=hom)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def __repr__(self):
+        return f"PointSet(points={self.points!r})"
 
     def __len__(self):
         return len(self.points)

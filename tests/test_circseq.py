@@ -55,6 +55,15 @@ def test_parallel_pairs_tie():
     assert validate_allowable(h) == []
 
 
+def test_halfperiod_is_immutable_and_equal_without_point_index():
+    h = halfperiod_from_points(PointSet([P(0, 0), P(4, 1), P(1, 3)]))
+    abstract = Halfperiod(h.n, h.initial, h.transpositions)
+    assert h.point_index is not None and abstract.point_index is None
+    assert h == abstract and hash(h) == hash(abstract)
+    with pytest.raises(AttributeError):
+        h.n = 4
+
+
 def test_corrupted_sweep_is_refused():
     # two consecutive angle runs that share a point do not commute: crossed
     # in the wrong order, the second swaps labels that are not adjacent

@@ -667,6 +667,14 @@ def test_import_builds_no_parser():
     assert (done.returncode, done.stdout) == (0, "0\n")
 
 
+def test_import_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: milliseconds of
+    # start-up added to every CLI command
+    done = _run_python("-c", "import sys; before = set(sys.modules); import kedges.cli; "
+                       "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
 def test_parser_keeps_nothing_between_calls(octagon_file, capsys):
     assert build_parser() is build_parser()
     assert main(["bounds", "--n", "10", "--k", "3"]) == 0

@@ -39,6 +39,12 @@ def test_sr_config_validation():
         SrConfig(r=2)
 
 
+def test_sr_config_is_immutable():
+    cfg = SrConfig(r=3)
+    with pytest.raises(AttributeError):
+        cfg.r = 4
+
+
 def test_s3_raw_collinearities(s3):
     # exactly the three flat families (one per rotation class) are collinear
     triples = s3.raw.collinear_triples

@@ -27,6 +27,13 @@ def test_orientation_basic():
     assert orientation(P(0, 0), P(1, 0), P(0, -1)) == -1
 
 
+def test_point_set_is_immutable_and_prints_its_points():
+    ps = PointSet([P(0, 0), P(1, 2)])
+    with pytest.raises(AttributeError):
+        ps.points = ()
+    assert repr(ps) == "PointSet(points=(Point(0, 0), Point(1, 2)))"
+
+
 def test_orientation_base_coordinates():
     # The determinant over the first three base points of the recursive
     # construction, cross-checked against an independent big-int evaluation.

@@ -1,6 +1,6 @@
 """Every public top-level function or class of the package, every public
-method or property of a package class, and every public field of a package
-dataclass or NamedTuple is reached from the package itself (by a CLI
+method or property of a package class, and every public field (annotated
+name) of a package class is reached from the package itself (by a CLI
 handler, a selftest suite or another kernel); the oracles only the tests
 use live in tests/oracles.py.  A method is reached only by a call,
 `obj.name(...)`; a property by any lookup, `obj.name`; a field by a lookup
@@ -102,16 +102,15 @@ def _unreached_methods(modules) -> list:
 
 
 def _fields(modules):
-    """(file, "Class.name", field count) of each public field of a top-level
-    NamedTuple or @dataclass class (any spelling); the count is None for a
-    dataclass, whose instances do not unpack."""
+    """(file, "Class.name", field count) of each public field, an annotated
+    name in the body of a top-level class (NamedTuple, dataclass or plain
+    class); the count is None unless the class is a NamedTuple (any
+    spelling), since only a NamedTuple's instances unpack."""
     for filename, tree in modules.items():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
             named_tuple = any(_name(b) == "NamedTuple" for b in cls.bases)
-            if not named_tuple and not any(_name(d) == "dataclass" for d in cls.decorator_list):
-                continue
             names = [node.target.id for node in cls.body
                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
             for name in names:
@@ -286,3 +285,16 @@ def test_a_field_is_reached_by_a_lookup_or_an_unpacking():
     starred = source.replace("a, b in rows", "a, *b in rows")
     assert _unread_fields({"m.py": ast.parse(starred)}) == [
         "m.py:Result.margin", "m.py:Row.k", "m.py:Row.leq"]
+
+
+def test_a_plain_class_field_is_reached_only_by_a_lookup():
+    source = ("class Config:\n"
+              "    r: int\n"
+              "    far: int\n"
+              "    scale = 3\n"
+              "    def __init__(self, r):\n"
+              "        vars(self).update(r=r, far=2 * r)\n"
+              "def use(cfg):\n"
+              "    a, b = cfg.r, cfg.scale\n"
+              "    return a + b\n")
+    assert _unread_fields({"m.py": ast.parse(source)}) == ["m.py:Config.far"]

@@ -55,8 +55,12 @@ take milliseconds each:
 * CLI calls, each a fresh `python -m kedges` process: `construct sr
   --r 5/10/20` and `analyze` on the file each of them writes,
   `decompose3` with the letter partition on the S_5 file, `construct sr
-  --r 30/40` alone (CLI_SR_SIZES), and `verify sr --r 20`.
+  --r 30/40` alone (CLI_SR_SIZES), `verify sr --r 20`, and `halving-bound
+  --n 20`, whose wall time is nearly all interpreter and package start-up.
   A command that exits non-zero is recorded as null after its first run.
+* start-up, each a fresh `python -c` process: `import kedges, kedges.cli`
+  timed inside the child (IMPORT_SNIPPET, the perfbench `setup_s` sample),
+  which includes compiling every module when no bytecode is cached.
 
 The result is stored under each LABEL in FILE together with an environment
 block (python, cpu count, git revision of DIR); other labels already in
@@ -88,6 +92,9 @@ REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
 WORD_REPEATS = 31
 PROCESSES = 3
+# perfbench/run.py import_time: the package import alone, in a fresh child
+IMPORT_SNIPPET = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+                  "import kedges, kedges.cli; print(time.perf_counter() - t)")
 
 
 def median_time(fn, repeats=REPEATS, setup=None) -> float:
@@ -254,7 +261,16 @@ def cli_times(src: Path) -> dict:
             if r == 5:
                 out["decompose3 S_5"] = timed("decompose3", path, "--partition", "1-15/16-30/31-45")
     out["verify sr --r 20"] = timed("verify", "sr", "--r", "20")
+    out["halving-bound --n 20"] = timed("halving-bound", "--n", "20")
     return out
+
+
+def import_time(src: Path) -> float:
+    """Median seconds of REPEATS fresh-process imports of kedges and kedges.cli."""
+    argv = [sys.executable, "-c", IMPORT_SNIPPET, str(src / "src")]
+    return statistics.median(
+        float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+        for _ in range(REPEATS))
 
 
 def one_process(src: Path) -> dict:
@@ -266,6 +282,7 @@ def one_process(src: Path) -> dict:
         "halfperiod_kernels_s": halfperiod_times(),
         "bounds_s": bound_times(),
         "cli_s": cli_times(src),
+        "startup_s": {"import kedges, kedges.cli": import_time(src)},
     }
 
 
