@@ -19,7 +19,7 @@ from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-from .errors import DirectionTieError, InputError
+from .errors import InputError
 from .geom import Frozen, PointSet
 
 
@@ -217,7 +217,7 @@ def require_valid(h: Halfperiod) -> Halfperiod:
 # ---------------------------------------------------------------------------
 
 
-def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
+def halfperiod_from_points(ps: PointSet) -> Halfperiod:
     """Halfperiod of the circular sequence of a point set.
 
     The sweep starts at angle 0-, from the set's `initial_order` (by x,
@@ -229,27 +229,16 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
     axiom walk of `require_valid`: an event whose labels do not stand in
     adjacent slots fails it as a recorded pair the slots do not hold.
 
-    Point pairs spanning parallel lines swap at the same direction; by
-    default that is a hard error listing the clashing pairs (silently
-    picking an order could in principle be observable), `tie_break=True`
-    opts into lexicographic-by-pair-index order, which is sound because
-    general position forces simultaneously swapping pairs to be disjoint
-    and slot-disjoint.
+    Point pairs spanning parallel lines swap at the same direction, and
+    an angle run keeps them in pair-index order.  General position makes
+    the pairs of one run disjoint and slot-disjoint, so any order of them
+    is a simple allowable sequence, which the central inequality and the
+    bounds cover.
     """
     ps.require_general_position()
     n = ps.n
     if n < 2:
         raise InputError("need at least 2 points")
-    angles = ps.angles
-    if not tie_break:
-        ties = [tuple((i, j) for _, i, j in run) for run in angles if len(run) > 1]
-        if ties:
-            raise DirectionTieError(
-                f"{len(ties)} group(s) of point pairs span parallel lines "
-                f"(first group: {ties[0]}); pass --tie-break (tie_break=True in Python) "
-                "to order them by pair index",
-                groups=ties,
-            )
 
     order = ps.initial_order
     label_of = [0] * n
@@ -258,7 +247,7 @@ def halfperiod_from_points(ps: PointSet, tie_break: bool = False) -> Halfperiod:
 
     slot_of = list(range(-1, n))  # slot_of[label], 0-based; label 0 unused
     trans = []
-    events = (ev for run in angles for ev in run)
+    events = (ev for run in ps.angles for ev in run)
     for step, (_, i, j) in enumerate(events, start=1):
         la, lb = label_of[i], label_of[j]
         sa, sb = slot_of[la], slot_of[lb]

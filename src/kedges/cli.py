@@ -131,7 +131,7 @@ def cmd_classify(args) -> int:
     if args.halfperiod:
         h = require_valid(read_halfperiod(args.file))
     else:
-        h = halfperiod_from_points(read_points(args.file), tie_break=args.tie_break)
+        h = halfperiod_from_points(read_points(args.file))
     rep = verify_central(h, args.k)
     head = {
         "n": h.n,
@@ -365,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--halfperiod", action="store_true",
                    help="treat FILE as a halfperiod file instead of a point file")
-    p.add_argument("--tie-break", action="store_true",
-                   help="order parallel-pair events by pair index instead of failing")
 
     p = sub.add_parser("bounds", help="per-k lower bounds for E_<=k(n)")
     p.add_argument("--n", type=int, required=True)

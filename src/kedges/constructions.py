@@ -401,7 +401,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
         raw = PointSet(pts)
         _certify_app_slopes(raw, r)
         ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         audit = tuple(sr_audit(ps, h.point_levels))
         bad = [row for row in audit if not row.ok]
         if bad:
@@ -436,7 +436,7 @@ def _certify_equality(name: str, precision: int, pts, k: int,
     naming the builder, the precision and the check that failed."""
     try:
         ps = PointSet(pts)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         counts = h.level_counts
         got = {f"E_{j}": e for j, e in enumerate(counts)}
         got.update({"E_>=k": sum(counts[k:]), "s": compute_s(h, k)})

@@ -103,9 +103,8 @@ def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
     def cmp(u, v):  # exact order of two folded directions around the current p
         cross = u[1] * v[2] - u[2] * v[1]
         if not cross:
-            triple = tuple(sorted((p, u[4], v[4])))
             raise GeneralPositionError(f"not in general position: points {p}, {u[4]}, {v[4]} "
-                                       "are collinear", triples=(triple,))
+                                       "are collinear")
         return -1 if cross > 0 else 1
 
     for p, (xp, yp, wp) in enumerate(hom):
@@ -213,13 +212,13 @@ def summarize(ps: PointSet, h: Halfperiod | None = None) -> tuple[tuple[int, ...
     """(edge vector, crossing number) of a point set.
 
     The edge vector is the sweep's `Halfperiod.level_counts` (route A; pass
-    the halfperiod as `h` when it is already built with tie_break=True).
+    the halfperiod as `h` when it is already built).
     Its pair levels are checked against the radial orders (route B) pair by
     pair, and route B's crossing number against both forms of the
     identity; any disagreement raises AssertionError (it would mean a
     kernel bug, not bad input)."""
     if h is None:
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
     cr_radial = check_routes(ps, h)
     n, counts = h.n, h.level_counts
     form1 = 3 * comb(n, 4) - sum(k * (n - k - 2) * ek for k, ek in enumerate(counts))

@@ -21,21 +21,8 @@ class PointFileError(InputError):
 
 
 class GeneralPositionError(InputError):
-    """Raised when an operation requires general position and collinear
-    triples exist; carries the offending index triples."""
-
-    def __init__(self, message, triples=()):
-        super().__init__(message)
-        self.triples = tuple(triples)
-
-
-class DirectionTieError(InputError):
-    """Two point pairs span parallel lines and no tie-break was requested;
-    carries the list of clashing pair groups."""
-
-    def __init__(self, message, groups=()):
-        super().__init__(message)
-        self.groups = tuple(groups)
+    """Raised when an operation requires general position and three of
+    the points are collinear."""
 
 
 class VerificationError(KedgesError):

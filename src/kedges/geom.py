@@ -51,8 +51,8 @@ from __future__ import annotations
 import re
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
-from itertools import combinations, groupby
-from math import inf, isqrt, lcm
+from itertools import groupby
+from math import comb, inf, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import GeneralPositionError, InputError, PointFileError
@@ -303,23 +303,20 @@ class PointSet(Frozen):
             for line in _lines(run) if len(line) >= 3
         )
 
-    @cached_property
-    def collinear_triples(self) -> tuple[tuple[int, int, int], ...]:
-        """All index triples (i<j<k) of collinear points, in lexicographic
-        order: the C(m,3) triples of each line in `collinear_lines`."""
-        return tuple(sorted(t for line in self.collinear_lines for t in combinations(line, 3)))
-
     @property
     def general_position(self) -> bool:
-        return not self.collinear_triples
+        return not self.collinear_lines
 
     def require_general_position(self):
-        bad = self.collinear_triples
-        if bad:
+        """self, or GeneralPositionError naming the number of collinear
+        index triples (C(m,3) per line of m points) and the least one (a
+        line's least triple is its first three indices)."""
+        lines = self.collinear_lines
+        if lines:
+            count = sum(comb(len(line), 3) for line in lines)
             raise GeneralPositionError(
-                f"not in general position: {len(bad)} collinear triple(s), "
-                f"first {bad[0]}",
-                triples=bad,
+                f"not in general position: {count} collinear triple(s), "
+                f"first {min(line[:3] for line in lines)}"
             )
         return self
 

@@ -60,11 +60,11 @@ def run_bounds_suite() -> list:
 
 def build_corpus(trials: int, nmax: int, seed: int):
     """`trials` random general-position sets, 5 <= n <= nmax, from one
-    seeded generator, each with its halfperiod (tie_break=True): the
-    identity and central suites share one sweep per set."""
+    seeded generator, each with its halfperiod: the identity and central
+    suites share one sweep per set."""
     rng = random.Random(seed)
     sets = [random_general_position_set(rng.randrange(5, nmax + 1), rng) for _ in range(trials)]
-    return [(ps, halfperiod_from_points(ps, tie_break=True)) for ps in sets]
+    return [(ps, halfperiod_from_points(ps)) for ps in sets]
 
 
 # Corpus sets up to this size are also checked against the O(n^3) and

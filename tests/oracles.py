@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from kedges.circseq import Halfperiod, Transposition, _check_k, require_valid
 from kedges.edgestats import pair_levels
@@ -26,8 +27,8 @@ def P(x, y) -> Point:
 
 def collinear_triples(ps: PointSet) -> list[tuple[int, int, int]]:
     """All index triples (i<j<k) of collinear points, in lexicographic
-    order, by the exhaustive O(n^3) scan: the oracle for
-    PointSet.collinear_triples, which reads them off the angle runs."""
+    order, by the exhaustive O(n^3) scan: the oracle for `line_triples`,
+    which reads them off the angle runs."""
     hom = ps.homogeneous
     bad = []
     for i, j, a, b, c in ps.pair_lines():
@@ -36,6 +37,12 @@ def collinear_triples(ps: PointSet) -> list[tuple[int, int, int]]:
             if a * xk + b * yk + c * wk == 0:
                 bad.append((i, j, k))
     return bad
+
+
+def line_triples(ps: PointSet) -> list[tuple[int, int, int]]:
+    """The C(m,3) index triples of each line in `PointSet.collinear_lines`,
+    in lexicographic order."""
+    return sorted(t for line in ps.collinear_lines for t in combinations(line, 3))
 
 
 def convex_polygon_set(n: int, scale: int = 10**9, phase: float = 0.37) -> PointSet:

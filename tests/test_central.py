@@ -37,7 +37,7 @@ def test_classification_tally_and_consistency():
     rng = random.Random(43)
     for _ in range(15):
         ps = random_general_position_set(10, rng)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         records = classify(h, 3)
         crit = [r for r in records if r.kind == "k-critical"]
         assert len(crit) == h.level_counts[2]
@@ -54,7 +54,7 @@ def test_classification_tally_and_consistency():
 
 def test_classification_covers_all_transpositions():
     ps = convex_polygon_set(8)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     records = classify(h, 2)
     assert len(records) == comb(8, 2)
     kinds = {r.kind for r in records}
@@ -63,7 +63,7 @@ def test_classification_covers_all_transpositions():
 
 
 def test_rearrange_fixed_point():
-    h = halfperiod_from_points(convex_polygon_set(8), tie_break=True)
+    h = halfperiod_from_points(convex_polygon_set(8))
     lam = rearrange_essential(h, 3)
     assert lam.transpositions == h.transpositions  # already all-essential
     lam2 = rearrange_essential(lam, 2)
@@ -74,7 +74,7 @@ def test_rearrange_preserves_protected_counts():
     rng = random.Random(47)
     for _ in range(20):
         ps = random_general_position_set(8, rng)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         ev = h.level_counts
         lam = rearrange_essential(h, 2)
         assert validate_allowable(lam) == []
@@ -87,7 +87,7 @@ def test_rearrange_preserves_protected_counts():
 
 def test_rearrange_convex_keeps_full_vector():
     for n in (6, 8, 9, 11):
-        h = halfperiod_from_points(convex_polygon_set(n), tie_break=True)
+        h = halfperiod_from_points(convex_polygon_set(n))
         for k in range(1, (n - 1) // 2 + 1):
             assert rearrange_essential(h, k).level_counts == h.level_counts
 
@@ -96,13 +96,13 @@ def test_rearrange_preserves_s():
     rng = random.Random(53)
     for _ in range(10):
         ps = random_general_position_set(9, rng)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         for k in range(1, 5):
             assert compute_s(rearrange_essential(h, k), k) == compute_s(h, k)
 
 
 def test_verify_central_convex_hexagon():
-    h = halfperiod_from_points(convex_polygon_set(6), tie_break=True)
+    h = halfperiod_from_points(convex_polygon_set(6))
     rep = verify_central(h, 2)
     assert rep.K == 6 and rep.E_geq_k == 3
     assert rep.bound_value == (6 - 5) * 6 - Fraction(rep.s, 2) * (6 - 6 + 1)
@@ -114,7 +114,7 @@ def test_verify_central_random_sweep():
     checked = 0
     for _ in range(60):
         ps = random_general_position_set(rng.randrange(5, 13), rng)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         for k in range(1, (ps.n - 1) // 2 + 1):
             rep = verify_central(h, k)
             checked += 1
@@ -125,7 +125,7 @@ def test_verify_central_random_sweep():
 
 
 def test_verify_central_k_range():
-    h = halfperiod_from_points(convex_polygon_set(6), tie_break=True)
+    h = halfperiod_from_points(convex_polygon_set(6))
     with pytest.raises(InputError, match="k out of range"):
         verify_central(h, 3)
     with pytest.raises(InputError, match="k out of range"):
@@ -137,7 +137,7 @@ def test_odd_extreme_k():
     # center positions at all; every weight is 0.
     rng = random.Random(61)
     ps = random_general_position_set(9, rng)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     rep = verify_central(h, 4)
     assert rep.all_ok
     records = [r for r in classify(h, 4) if r.kind == "k-critical"]
@@ -243,7 +243,7 @@ def test_abstract_halfperiods_satisfy_central_checks():
 @pytest.mark.parametrize("r", [3, 4])
 def test_sr_halfperiods_satisfy_central_checks(r, sr):
     # the certified S_3 and S_4 sets (n = 27, 36), at every admissible k
-    h = halfperiod_from_points(sr(r).perturbed, tie_break=True)
+    h = halfperiod_from_points(sr(r).perturbed)
     for k in range(1, (h.n - 1) // 2 + 1):
         rep = verify_central(h, k)
         assert rep.all_ok, (h.n, k, rep.aux_checks)
@@ -300,8 +300,7 @@ def halfperiods(draw, min_n=5):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.integers(0, 4)) == 0:
         return halfperiod_from_points(
-            random_general_position_set(draw(st.integers(min_n, 14)), rng), tie_break=True
-        )
+            random_general_position_set(draw(st.integers(min_n, 14)), rng))
     return _reduced_word(draw(st.integers(min_n, 30)), rng)
 
 
@@ -519,8 +518,7 @@ RECORD_TEXT_CASES = [("word", 9, 1), ("word", 16, 3), ("word", 24, 5), ("points"
 def _case_halfperiod(source, n, seed):
     if source == "word":
         return _reduced_word(n, random.Random(seed))
-    return halfperiod_from_points(random_general_position_set(n, random.Random(seed)),
-                                  tie_break=True)
+    return halfperiod_from_points(random_general_position_set(n, random.Random(seed)))
 
 
 @pytest.mark.parametrize("source, n, seed", RECORD_TEXT_CASES)

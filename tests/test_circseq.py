@@ -13,7 +13,7 @@ from kedges.circseq import (
     read_halfperiod,
     validate_allowable,
 )
-from kedges.errors import DirectionTieError, GeneralPositionError, InputError
+from kedges.errors import GeneralPositionError, InputError
 from kedges.gensets import random_general_position_set
 from kedges.geom import PointSet
 from oracles import (
@@ -48,10 +48,7 @@ def test_collinear_input_rejected():
 
 def test_parallel_pairs_tie():
     square = PointSet([P(0, 0), P(1, 0), P(0, 1), P(1, 1)])
-    with pytest.raises(DirectionTieError) as exc:
-        halfperiod_from_points(square)
-    assert exc.value.groups  # the clashing pairs are reported
-    h = halfperiod_from_points(square, tie_break=True)
+    h = halfperiod_from_points(square)
     assert validate_allowable(h) == []
 
 
@@ -76,7 +73,7 @@ def test_corrupted_sweep_is_refused():
     corrupted = PointSet(pts)
     vars(corrupted)["angles"] = tuple(angles)  # the cached sweep events
     with pytest.raises(InputError, match="step"):
-        halfperiod_from_points(corrupted, tie_break=True)
+        halfperiod_from_points(corrupted)
 
 
 def test_validate_flags_corruption():
@@ -178,7 +175,7 @@ def test_pairs_cover_everything():
     rng = random.Random(3)
     for _ in range(10):
         ps = random_general_position_set(rng.randrange(5, 10), rng)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         pairs = {frozenset(t.pair) for t in h.transpositions}
         assert len(pairs) == comb(ps.n, 2)
         assert validate_allowable(h) == []
@@ -186,7 +183,7 @@ def test_pairs_cover_everything():
 
 def test_k_center_basics():
     ps = convex_polygon_set(7)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     n = 7
     for k in (1, 2, 3):
         c0 = k_center(h, 0, k)
@@ -199,7 +196,7 @@ def test_k_center_basics():
 def test_k_center_singletons_n5():
     rng = random.Random(8)
     ps = random_general_position_set(5, rng)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     for i in range(comb(5, 2) + 1):
         assert len(k_center(h, i, 2)) == 1
 
@@ -207,7 +204,7 @@ def test_k_center_singletons_n5():
 def test_compute_s_trace_shape():
     rng = random.Random(21)
     ps = random_general_position_set(9, rng)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     for k in range(1, 5):
         c0 = k_center(h, 0, k)
         sizes = [len(c0 & k_center(h, i, k)) for i in range(comb(9, 2) + 1)]
@@ -217,14 +214,14 @@ def test_compute_s_trace_shape():
 
 def test_convex_s_upper_bound():
     ps = convex_polygon_set(9)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     assert compute_s(h, 1) <= 9 - 3
 
 
 def test_rotation_and_reversal_preserve_statistics():
     rng = random.Random(13)
     ps = random_general_position_set(8, rng)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     for steps in (1, 7, 19):
         rot = rotate_halfperiod(h, steps)
         assert validate_allowable(rot) == []
@@ -236,7 +233,7 @@ def test_rotation_and_reversal_preserve_statistics():
 
 def test_halfperiod_file_roundtrip(tmp_path):
     ps = convex_polygon_set(6)
-    h = halfperiod_from_points(ps, tie_break=True)
+    h = halfperiod_from_points(ps)
     path = tmp_path / "hp.txt"
     write_halfperiod(path, h)
     back = read_halfperiod(path)

@@ -74,7 +74,7 @@ def test_analyze_missing_file(tmp_path, capsys):
 
 
 def test_classify_points(octagon_file, capsys):
-    assert main(["classify", octagon_file, "--k", "2", "--tie-break"]) == 0
+    assert main(["classify", octagon_file, "--k", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["holds"] is True
     assert out["K"] == 8
@@ -84,13 +84,33 @@ def test_classify_points(octagon_file, capsys):
     assert len(crit) == 8 and all(r["class"] != "non-critical" for r in crit)
 
 
+# `classify` on the octagon, whose 12 groups of parallel pairs swap in
+# pair-index order: the bytes the same command printed with the former
+# `--tie-break` flag.
+@pytest.mark.parametrize("k, digest", [
+    (1, "509133789e6148444b0131c63c9809ad7ced1a2f9f4a6677fef886884df03822"),
+    (2, "84365383f920e2442796e40b66252db5a348f6ef657d6a6a0db3d16119e6abf4"),
+    (3, "dee7dd8552b631e80eee7d51f0dbd72eab5340754a160b5c8b9edb4e68262309"),
+], ids=["k1", "k2", "k3"])
+def test_classify_stdout_on_octagon_is_pinned(k, digest, octagon_file, capsys):
+    assert main(["classify", octagon_file, "--k", str(k)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_classify_has_no_tie_break_option(octagon_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", octagon_file, "--k", "2", "--tie-break"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tie-break" in capsys.readouterr().err
+
+
 def test_classify_halfperiod_file(octagon_file, tmp_path, capsys):
     from kedges.circseq import halfperiod_from_points
     from kedges.geom import read_points
     from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
-    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
+    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file)))
     assert main(["classify", str(hp), "--halfperiod", "--k", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["holds"] is True
@@ -347,7 +367,7 @@ def test_decompose3_stdout_on_s4_s5_is_pinned(r, digest, sr, tmp_path, capsys):
 def test_classify_bound_value_prints_as_p_over_q(tmp_path, capsys):
     path = tmp_path / "heptagon.pts"
     write_points(path, convex_polygon_set(7))
-    assert main(["classify", str(path), "--k", "1", "--tie-break"]) == 0
+    assert main(["classify", str(path), "--k", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["bound_value"] == "53/2"
 
 
@@ -487,7 +507,7 @@ def _halfperiod_lines(octagon_file, tmp_path):
     from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
-    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
+    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file)))
     return hp.read_text().splitlines()
 
 
@@ -641,7 +661,7 @@ def test_closed_stdout_pipe_ends_the_run_without_a_traceback(module, tmp_path):
     path = tmp_path / "poly60.pts"
     write_points(path, convex_polygon_set(60))
     proc = subprocess.Popen(
-        [sys.executable, "-m", module, "classify", str(path), "--k", "5", "--tie-break"],
+        [sys.executable, "-m", module, "classify", str(path), "--k", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
     )
     assert proc.stdout.read(8) == b'{\n  "n":'
@@ -682,13 +702,8 @@ def test_parser_keeps_nothing_between_calls(octagon_file, capsys):
     assert main(["bounds", "--n", "10"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + len(bound_table(10))
 
-    # the octagon has parallel pairs: only --tie-break orders them
-    assert main(["classify", octagon_file, "--k", "2", "--tie-break"]) == 0
+    assert main(["classify", octagon_file, "--k", "2"]) == 0
     capsys.readouterr()
-    assert main(["classify", octagon_file, "--k", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: 12 group(s) of point pairs")
-    assert "--tie-break" in err
 
     with pytest.raises(SystemExit) as exc:
         main(["classify", octagon_file])
@@ -713,7 +728,7 @@ def test_handlers_are_found_by_name_at_call_time(monkeypatch, capsys):
     "argv",
     [
         ["analyze", "OCT"],
-        ["classify", "OCT", "--k", "2", "--tie-break"],
+        ["classify", "OCT", "--k", "2"],
         ["classify", "HP", "--halfperiod", "--k", "3"],
         ["bounds", "--n", "60", "--format", "json"],
         ["bounds", "--n", "36", "--with-u-prime", "--format", "json"],
@@ -727,7 +742,7 @@ def test_json_reports_print_as_json_dumps(argv, octagon_file, tmp_path, capsys):
     from oracles import write_halfperiod
 
     hp = tmp_path / "oct.hp"
-    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file), tie_break=True))
+    write_halfperiod(hp, halfperiod_from_points(read_points(octagon_file)))
     argv = [octagon_file if a == "OCT" else str(hp) if a == "HP" else a for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -31,7 +31,7 @@ from kedges.edgestats import pair_levels
 from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
 from kedges.geom import Point, PointSet, _lines, rotation_cw_2pi3_maps
-from oracles import P, edge_vector_bruteforce
+from oracles import P, collinear_triples, edge_vector_bruteforce, line_triples
 
 
 def test_sr_config_validation():
@@ -47,8 +47,8 @@ def test_sr_config_is_immutable():
 
 def test_s3_raw_collinearities(s3):
     # exactly the three flat families (one per rotation class) are collinear
-    triples = s3.raw.collinear_triples
-    assert set(triples) == {(6, 7, 8), (15, 16, 17), (24, 25, 26)}
+    assert line_triples(s3.raw) == collinear_triples(s3.raw) == [(6, 7, 8), (15, 16, 17),
+                                                                 (24, 25, 26)]
     tags = sr_class_tags(3)
     assert all(tags[i] == "A''" for i in (6, 7, 8))
     assert all(tags[i] == "B''" for i in (15, 16, 17))
@@ -263,7 +263,7 @@ def test_slope_certificate_matches_all_pairs_reference(case):
 
 def test_s3_tightness(s3):
     assert s3.perturbed.general_position
-    leq = list(accumulate(halfperiod_from_points(s3.perturbed, tie_break=True).level_counts))
+    leq = list(accumulate(halfperiod_from_points(s3.perturbed).level_counts))
     best = bound_table(27)
     for k in range(12):
         assert leq[k] == best[k].best
@@ -275,7 +275,7 @@ def test_s3_halfperiod_cross_check(s3):
     # C(27,2) = 351 transpositions and the same edge vector as brute force
     from math import comb
 
-    h = halfperiod_from_points(s3.perturbed, tie_break=True)
+    h = halfperiod_from_points(s3.perturbed)
     assert len(h.transpositions) == comb(27, 2) == 351
     assert h.level_counts == edge_vector_bruteforce(s3.perturbed)
     # k = 12: one k-critical transposition per (k-1)-edge
@@ -299,7 +299,7 @@ def test_s3_split(s3):
 
 
 def test_sr_audit_reuses_build_levels(s3):
-    h = halfperiod_from_points(s3.perturbed, tie_break=True)
+    h = halfperiod_from_points(s3.perturbed)
     levels = h.point_levels
     assert levels == pair_levels(s3.perturbed)
     rows = sr_audit(s3.perturbed, levels)
@@ -312,7 +312,7 @@ def test_sr_audit_reuses_build_levels(s3):
 
 def test_s4_tightness():
     res = build_sr(SrConfig(r=4))
-    leq = list(accumulate(halfperiod_from_points(res.perturbed, tie_break=True).level_counts))
+    leq = list(accumulate(halfperiod_from_points(res.perturbed).level_counts))
     best = bound_table(36)
     for k in range(16):
         assert leq[k] == best[k].best
@@ -330,7 +330,7 @@ def test_sr_expected_consistency():
 
 def test_polygon_center_9():
     ps, h = build_polygon_center(3, 9)
-    assert h == halfperiod_from_points(ps, tie_break=True)
+    assert h == halfperiod_from_points(ps)
     ev = edge_vector_bruteforce(ps)
     assert ev[2] == 7
     assert sum(ev[3:]) == 15
@@ -356,7 +356,7 @@ def test_polygon_center_degenerate_rejected():
 
 def test_cluster_polygon_cases():
     ps, h = build_cluster_polygon(1, 3)
-    assert h == halfperiod_from_points(ps, tie_break=True)
+    assert h == halfperiod_from_points(ps)
     ev = edge_vector_bruteforce(ps)
     assert (ev[2], sum(ev[3:])) == (9, 18)
     assert compute_s(h, 3) == 0

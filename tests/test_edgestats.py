@@ -42,7 +42,7 @@ def test_convex_position_pattern():
 
 
 def test_halfperiod_route_convex_hexagon():
-    h = halfperiod_from_points(convex_polygon_set(6), tie_break=True)
+    h = halfperiod_from_points(convex_polygon_set(6))
     assert h.level_counts == (6, 6, 3)
 
 
@@ -51,7 +51,7 @@ def test_halfperiod_route_matches_bruteforce():
     for _ in range(25):
         ps = random_general_position_set(rng.randrange(5, 11), rng)
         ev = edge_vector_bruteforce(ps)
-        h = halfperiod_from_points(ps, tie_break=True)
+        h = halfperiod_from_points(ps)
         assert h.level_counts == ev
 
 
@@ -107,7 +107,7 @@ def test_summarize_convex_octagon():
 def test_summarize_halfperiod_input():
     # summarize takes point sets only; a halfperiod's crossing number is
     # read off its edge vector by both identity forms
-    h = halfperiod_from_points(convex_polygon_set(7), tie_break=True)
+    h = halfperiod_from_points(convex_polygon_set(7))
     assert _identity_forms(7, h.level_counts) == (comb(7, 4), comb(7, 4))
 
 
