@@ -18,8 +18,9 @@ integer (X, Y, W) with x = X/W, y = Y/W and W = lcm(den x, den y) > 0,
 and orientation(p, q, r) has the sign of the 3x3 integer determinant of
 the rows (W, X, Y), since that determinant is the rational one times
 Wp*Wq*Wr > 0 (Fortune & Van Wyk 1996).  Plain int arithmetic decides the
-same signs without a gcd per operation.  `orientation` on Points stays
-the exact-rational reference.
+same signs without a gcd per operation.  The exact-rational
+`orientation` on Points, the reference the tests hold these signs to,
+lives in tests/oracles.py.
 
 A PointSet computes its triples once, when it is made, and a point's
 triple is its identity there: the coordinates are in lowest terms, so the
@@ -79,19 +80,6 @@ class Point(NamedTuple):
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
-
-
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of the determinant of (q-p, r-p): +1 if r is strictly left of
-    the directed line p->q, -1 if strictly right, 0 iff collinear."""
-    if p.x == q.x and p.y == q.y:
-        raise InputError("degenerate pair: orientation needs two distinct base points")
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
 
 
 def line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point:

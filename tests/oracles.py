@@ -1,11 +1,12 @@
 """Test-only oracles and halfperiod tools.
 
-Each is a second, slower route to a number the package computes, or a
-helper the property tests use to make and transform inputs; nothing in
-kedges calls them.  The tests import them as `from oracles import ...`.
-The O(n^3) and O(n^4) oracles that `selftest identities` runs
-(`edgestats.pair_levels`, `edgestats.crossings_bruteforce`) stay in the
-package.
+Each is a second, slower route to a number the package computes, a
+check of a property the package's output rests on (the S_r placement's
+structure), or a helper the property tests use to make and transform
+inputs; nothing in kedges calls them.  The tests import them as
+`from oracles import ...`.  The O(n^3) and O(n^4) oracles that
+`selftest identities` runs (`edgestats.pair_levels`,
+`edgestats.crossings_bruteforce`) stay in the package.
 """
 
 from __future__ import annotations
@@ -15,14 +16,86 @@ from fractions import Fraction
 from itertools import combinations
 
 from kedges.circseq import Halfperiod, Transposition, _check_k, require_valid
+from kedges.constructions import SrConfig, _build_sr_family
 from kedges.edgestats import pair_levels
 from kedges.errors import InputError
-from kedges.geom import Point, PointSet, orientation
+from kedges.geom import Point, PointSet, line_intersection
 
 
 def P(x, y) -> Point:
     """Point constructor that coerces ints/strings to exact rationals."""
     return Point(Fraction(x), Fraction(y))
+
+
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Sign of the determinant of (q-p, r-p): +1 if r is strictly left of
+    the directed line p->q, -1 if strictly right, 0 iff collinear.  The
+    exact-rational reference for the integer signs of the point-set
+    kernels."""
+    if p.x == q.x and p.y == q.y:
+        raise InputError("degenerate pair: orientation needs two distinct base points")
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    if d > 0:
+        return 1
+    if d < 0:
+        return -1
+    return 0
+
+
+def _segment_param(u: Point, v: Point, w: Point):
+    """Parameter of w along segment u->v (w assumed on line uv)."""
+    d = (v.x - u.x, v.y - u.y)
+    return ((w.x - u.x) * d[0] + (w.y - u.y) * d[1]) / (d[0] * d[0] + d[1] * d[1])
+
+
+def sr_structure_failures(r: int) -> list[str]:
+    """Every violated structural property of the S_r placement, exactly,
+    on the families `build_sr` places (`_build_sr_family` at the
+    precision SrConfig(r) derives); empty when all hold.  In order:
+
+    * (IV) at every stage t and every j <= t: the line A'_t A_j cuts the
+      open segment b_t b_inf (b = the rotated A);
+    * at every stage t < r, the prime cut: the line b_{t+1} a_inf cuts
+      the open segment A'_t a'_inf, where A'_{t+1} is placed;
+    * (I) and (II) on the finished families: the points of A (of A') lie
+      on their family line, in order from the second point, short of
+      a_inf (of a'_inf);
+    * (III): every line A'_i A_j cuts the open segment b_i b_{i+1}.
+
+    Points never move once placed, so (I)-(III) on the finished families
+    cover every earlier stage."""
+    A, Ap, rot = _build_sr_family(r, SrConfig(r).precision)
+    a_inf = line_intersection(A[2], A[3], rot(rot(A[2])), rot(rot(A[3])))
+    ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
+    b_inf = rot(a_inf)
+    failures = []
+
+    def interior(u, v, w, what):
+        if not 0 < _segment_param(u, v, w) < 1:
+            failures.append(f"{what}: point not interior to segment")
+
+    for t in range(3, r + 1):
+        b_t = rot(A[t])
+        for j in range(2, t + 1):
+            interior(b_t, b_inf, line_intersection(Ap[t], A[j], b_t, b_inf), f"(IV) t={t} j={j}")
+        if t < r:
+            y_cut = line_intersection(rot(A[t + 1]), a_inf, Ap[t], ap_inf)
+            interior(Ap[t], ap_inf, y_cut, f"extension t={t}: prime cut point")
+    for fam, inf, name in ((A, a_inf, "(I)"), (Ap, ap_inf, "(II)")):
+        base = fam[2]
+        failures += [f"{name}: point {i} off the family line"
+                     for i in range(3, r + 1) if orientation(base, inf, fam[i])]
+        params = [_segment_param(base, inf, fam[i]) for i in range(2, r + 1)]
+        if any(not a < b for a, b in zip(params, params[1:])):
+            failures.append(f"{name}: points out of order along the segment")
+        if not params[-1] < 1:
+            failures.append(f"{name}: family overruns the segment")
+    b = {i: rot(A[i]) for i in range(2, r + 1)}
+    for i in range(2, r):
+        for j in range(2, r + 1):
+            interior(b[i], b[i + 1], line_intersection(Ap[i], A[j], b[i], b[i + 1]),
+                     f"(III) i={i} j={j}")
+    return failures
 
 
 def collinear_triples(ps: PointSet) -> list[tuple[int, int, int]]:

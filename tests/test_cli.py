@@ -270,12 +270,14 @@ def test_construct_raw_has_collinear_families(tmp_path, capsys):
     (12, [], "7ab5892910907fc6dba4c019ace1f6121814c439fb6d8f13370362a6cd0ec040"),
     (12, ["--raw"], "c70efb77118aba4dced921b166d24f7de65d75dae155341e1560e46710f6e735"),
     (20, [], "1d87c663efbb0b19b7615b389b98745c8bf33b692024185b0931a8c01a086e08"),
-], ids=["perturbed", "raw", "r12-perturbed", "r12-raw", "r20-perturbed"])
+    (40, [], "8930d63d3abb4bb36586f4aa67400791caec65ac751fe5dae1ed0e0b01d457a6"),
+], ids=["perturbed", "raw", "r12-perturbed", "r12-raw", "r20-perturbed", "r40-perturbed"])
 def test_construct_sr_bytes_are_pinned(r, flags, digest, tmp_path, capsys):
     # The certified coordinates and the letter-major layout (sr_class_tags),
     # byte for byte: decompose3's 1-9/10-18/19-27 partition relies on it.
     # r = 12 is the largest r whose derived parameters are precision 10^12
-    # and epsilon 10^-7; r = 20 pins a set built at precision 10^20.
+    # and epsilon 10^-7; r = 20 and r = 40 pin sets built at precision 10^20
+    # and 10^40.
     out_file = tmp_path / f"s{r}.pts"
     assert main(["construct", "sr", "--r", str(r), *flags, "-o", str(out_file)]) == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

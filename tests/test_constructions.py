@@ -31,7 +31,13 @@ from kedges.edgestats import pair_levels
 from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
 from kedges.geom import Point, PointSet, _lines, rotation_cw_2pi3_maps
-from oracles import P, collinear_triples, edge_vector_bruteforce, line_triples
+from oracles import (
+    P,
+    collinear_triples,
+    edge_vector_bruteforce,
+    line_triples,
+    sr_structure_failures,
+)
 
 
 def test_sr_config_validation():
@@ -583,6 +589,24 @@ def test_sr_verification_failure_reports(monkeypatch):
         build_sr(SrConfig(r=3))
 
 
+@pytest.mark.parametrize("r", [*range(3, 31), 40, 50])
+def test_sr_structure_holds(r):
+    # (I)-(IV) and every prime cut, on the placement build_sr emits; S_r is
+    # a function of r alone, so these r are checked here once and for all
+    assert sr_structure_failures(r) == []
+
+
+def test_sr_structure_names_a_misplaced_point(monkeypatch):
+    # a placement past the end of its segment.  build_sr's certificates read
+    # only the emitted points, and the set misplaced this way is still tight
+    # and passes them, so the structure is checked here
+    from kedges import constructions
+
+    monkeypatch.setattr(constructions, "_dyadic_between", lambda lo, hi: hi + (hi - lo) / 4)
+    assert ("extension t=3: prime cut point: point not interior to segment"
+            in sr_structure_failures(4))
+
+
 @pytest.mark.parametrize("build, args, precision", [
     (build_polygon_center, (3, 9), 10),
     (build_cluster_polygon, (2, 2), 1),
@@ -593,9 +617,9 @@ def test_polygon_verification_failure_reports(build, args, precision, monkeypatc
 
     calls = []
 
-    def counted(ps, **kwargs):
+    def counted(ps):
         calls.append(ps.n)
-        return halfperiod_from_points(ps, **kwargs)
+        return halfperiod_from_points(ps)
 
     monkeypatch.setattr(constructions, "halfperiod_from_points", counted)
     with pytest.raises(VerificationError, match=f"could not be certified at precision {precision}: "):

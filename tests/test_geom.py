@@ -13,12 +13,11 @@ from kedges.geom import (
     Point,
     PointSet,
     line_intersection,
-    orientation,
     read_points,
     rotation_cw_2pi3_maps,
     write_points,
 )
-from oracles import P, collinear_triples, line_triples
+from oracles import P, collinear_triples, line_triples, orientation
 
 
 def test_orientation_basic():

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from kedges.circseq import halfperiod_from_points
 from kedges.edgestats import crossings_bruteforce, pair_levels
 from kedges.errors import GeneralPositionError, InputError
-from kedges.geom import Point, PointSet, orientation
-from oracles import P, collinear_triples, line_triples
+from kedges.geom import Point, PointSet
+from oracles import P, collinear_triples, line_triples, orientation
 
 BIG = 2**160
 

@@ -23,11 +23,7 @@ take milliseconds each:
   `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
   whose event sort is already cached, so each figure is that kernel's own
   work.  On S_5 and S_10 also `summarize` (the `analyze` certificate: both
-  routes and both identity forms) with the set's sweep passed in.  A
-  kernel the tree does not have is recorded as null.  On a tree whose
-  `halfperiod_from_points` still takes `tie_break` (and by default rejects
-  parallel pairs, which S_r has) the sweep is called with tie_break=True,
-  the pair-index order that later trees always take.
+  routes and both identity forms) with the set's sweep passed in.
 * `radial_counts` over the default `selftest identities` corpus
   (`selftest.build_corpus(500, 12, 20240901)`: 500 random sets with
   5 <= n <= 12), in this process: the small-n regime that the perfbench
@@ -74,8 +70,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
-import inspect
 import io
 import json
 import os
@@ -117,10 +111,6 @@ def kernel_times() -> dict:
     from kedges import circseq, constructions, edgestats, selftest
     from kedges.geom import PointSet
 
-    radial = getattr(edgestats, "radial_counts", None)
-    sweep = circseq.halfperiod_from_points
-    if "tie_break" in inspect.signature(sweep).parameters:
-        sweep = functools.partial(sweep, tie_break=True)
     out = {}
     for r in SIZES:
         cfg = constructions.SrConfig(r=r)
@@ -130,19 +120,18 @@ def kernel_times() -> dict:
         row = {"n": ps.n}
         row["build_sr"] = median_time(lambda: constructions.build_sr(cfg))
         row["PointSet.angles"] = median_time(lambda: PointSet(ps.points).angles)
-        row["halfperiod_from_points"] = median_time(lambda: sweep(warm))
-        row["radial_counts"] = None if radial is None else median_time(lambda: radial(warm))
+        row["halfperiod_from_points"] = median_time(lambda: circseq.halfperiod_from_points(warm))
+        row["radial_counts"] = median_time(lambda: edgestats.radial_counts(warm))
         row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
         if r in SUMMARIZE_SIZES:
-            h = sweep(warm)
+            h = circseq.halfperiod_from_points(warm)
             row["summarize"] = median_time(lambda: edgestats.summarize(warm, h))
         out[f"S_{r}"] = row
     trials, nmax, seed = CORPUS
     sets = [ps for ps, _ in selftest.build_corpus(trials, nmax, seed)]
     out[f"corpus {trials} sets"] = {
         "n": f"5..{nmax}",
-        "radial_counts": None if radial is None else median_time(
-            lambda: [radial(ps) for ps in sets]),
+        "radial_counts": median_time(lambda: [edgestats.radial_counts(ps) for ps in sets]),
     }
     return out
 
