@@ -19,12 +19,13 @@ precision they are given as the polygon's integer radius.
   avoiding A'' off the pairs adjacent in y order alone: for y_p < y_r <
   y_q, pq's dx/dy is a positive-weighted mean of pr's and rq's, so it
   never exceeds both in absolute value.  The raw set is intentionally
-  degenerate (whole families are collinear); a verified perturbation
-  produces the general-position set whose counts are checked against
-  that bound and the split's closed forms.  Those certificates are all
-  on the emitted points; the families' structural properties (I)-(IV)
-  are properties of the placement, a deterministic function of r, and
-  the tests check them.
+  degenerate: the families `sr_collinear_families` names are collinear,
+  and perturbing them, with no sweep of the raw set, produces the
+  general-position set whose counts are checked against that bound and
+  the split's closed forms.  Those certificates are all on the emitted
+  points; the families' structural properties (I)-(IV), and that the
+  names are the raw set's collinear lines, are properties of the
+  placement, a deterministic function of r, and the tests check them.
 * build_polygon_center: 2k+1 polygon vertices plus n-2k-1 points near the
   center; meets the central inequality's corollary with equality at
   s = n-2k-1.
@@ -78,6 +79,14 @@ def sr_class_tags(r: int) -> tuple[str, ...]:
     double-primed.  A tag's letter is the color used by the bichromatic /
     monochromatic split."""
     return tuple(letter + prime for letter in "ABC" for prime in ("", "'", "''") for _ in range(r))
+
+
+def sr_collinear_families(r: int) -> tuple[tuple[int, ...], ...]:
+    """The raw S_r set's collinear families in the `sr_class_tags` layout,
+    as disjoint index tuples: each plain and primed block's points 2..r
+    (once r >= 4 makes them three) and each whole double-primed block."""
+    return tuple(tuple(range(c * r + (c % 3 != 2), (c + 1) * r))  # point 1 is off the line
+                 for c in range(9) if c % 3 == 2 or r >= 4)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +243,7 @@ def _build_sr_family(r: int, precision: int):
     rot, rot_inv = rotation_cw_2pi3_maps(precision)
     A = {i: Point(Fraction(x), Fraction(y)) for i, (x, y) in _BASE_A.items()}
     Ap = {i: Point(Fraction(x), Fraction(y)) for i, (x, y) in _BASE_AP.items()}
-    c2, c3 = rot(rot(A[2])), rot(rot(A[3]))
-    a_inf = line_intersection(A[2], A[3], c2, c3)
+    a_inf = line_intersection(A[2], A[3], rot(rot(A[2])), rot(rot(A[3])))
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
     b_inf = rot(a_inf)
 
@@ -253,6 +261,17 @@ def _build_sr_family(r: int, precision: int):
         Ap[t + 1] = _point_on_line_at_x(Ap[t], ap_inf, _dyadic_between(lo, hi))
 
     return A, Ap, rot
+
+
+def _sr_raw_points(cfg: SrConfig) -> list[Point]:
+    """The raw S_r set in the `sr_class_tags` layout: A, A', and A'' on the
+    x-axis at x = -far_factor * 2^(r-i), then that block's two rotations."""
+    r = cfg.r
+    A, Ap, rot = _build_sr_family(r, cfg.precision)
+    block_a = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
+    block_a += [Point(-cfg.far_factor * (1 << (r - i)), Fraction(0)) for i in range(1, r + 1)]
+    block_b = [rot(p) for p in block_a]
+    return block_a + block_b + [rot(p) for p in block_b]
 
 
 def _certify_app_slopes(raw: PointSet, r):
@@ -295,28 +314,17 @@ def _certify_app_slopes(raw: PointSet, r):
     return max1, min2
 
 
-def perturb_collinear_families(ps: PointSet, epsilon) -> PointSet:
-    """Break every maximal collinear family (`ps.collinear_lines`): its
-    i-th point (ordered along the line) moves off the line by i*epsilon,
-    directed away from the configuration's centroid.  Exactness of the
-    off-line displacement is what the downstream predicates certify.
+def perturb_collinear_families(ps: PointSet, families, epsilon) -> PointSet:
+    """Break each family (disjoint index tuples of collinear points, as
+    `sr_collinear_families` names them): its i-th point along the line
+    moves off it by i*epsilon, away from the configuration's centroid.
+    The sweep of the perturbed set certifies that no collinearity is left.
 
     The line's unit is the family's first step (from its first to its
     second point) scaled to max-norm 1, so the offset direction is
     (-DY, DX) / S with S = max(|DX|, |DY|).  Orders, steps and sides are
     decided on integers over the common denominator D of the whole set
     (the lcm of its W); each moved coordinate is one Fraction."""
-    families = ps.collinear_lines
-    if not families:
-        return ps
-    seen = set()
-    for members in families:
-        for i in members:
-            if i in seen:
-                raise VerificationError(
-                    f"point {i} lies on two collinear families; cannot perturb independently"
-                )
-            seen.add(i)
     hom = ps.homogeneous
     d = math.lcm(*{w for _, _, w in hom})
     xd = [x * (d // w) for x, _, w in hom]
@@ -349,20 +357,11 @@ def build_sr(cfg: SrConfig) -> SrResult:
     routes.  Any failure raises VerificationError."""
     r = cfg.r
     try:
-        A, Ap, rot = _build_sr_family(r, cfg.precision)
-        # A, A' and their two rotations; A'' is placed on the x-axis after them.
-        inner_a = [A[i] for i in range(1, r + 1)] + [Ap[i] for i in range(1, r + 1)]
-        inner_b = [rot(p) for p in inner_a]
-        inner_c = [rot(p) for p in inner_b]
-        far = cfg.far_factor
-        if not -far < min(p.x for p in inner_a + inner_b + inner_c):
+        raw = PointSet(_sr_raw_points(cfg))
+        if not -cfg.far_factor < min(p.x for p, t in zip(raw, sr_class_tags(r)) if t != "A''"):
             raise VerificationError("A'' is not left of every other point")
-        app_a = [Point(-far * (1 << (r - i)), Fraction(0)) for i in range(1, r + 1)]
-        app_b = [rot(p) for p in app_a]
-        pts = inner_a + app_a + inner_b + app_b + inner_c + [rot(p) for p in app_b]
-        raw = PointSet(pts)
         _certify_app_slopes(raw, r)
-        ps = perturb_collinear_families(raw, cfg.perturbation_epsilon)
+        ps = perturb_collinear_families(raw, sr_collinear_families(r), cfg.perturbation_epsilon)
         h = halfperiod_from_points(ps)
         audit = tuple(sr_audit(ps, h.point_levels))
         bad = [row for row in audit if not row.ok]

@@ -34,10 +34,10 @@ placement in constructions.
 A PointSet sorts its sweep events once (`PointSet.angles`, the circular
 sequence of Goodman & Pollack in runs of equal angle).  The points of a
 spanned line swap at one angle, so the runs hold every collinearity: the
-general-position certificate, the collinear families of the S_r
-construction and the blocks of the 3-decomposition sweep are the lines
-of those runs.  The tests check them against an exhaustive O(n^3)
-triple scan.
+general-position certificate and the blocks of the 3-decomposition sweep
+are the lines of those runs (S_r's placement names its collinear
+families, so `build_sr` sweeps only its perturbed set).  The tests check
+them against an exhaustive O(n^3) triple scan.
 
 The one unavoidably inexact operation is rotation by 2*pi/3 (irrational
 cosine pair).  rotation_cw_2pi3_maps builds it as an exact *rational*

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from kedges import constructions
 from kedges.circseq import Halfperiod, Transposition, _check_k, require_valid
-from kedges.constructions import SrConfig, _build_sr_family
 from kedges.edgestats import pair_levels
 from kedges.errors import InputError
 from kedges.geom import Point, PointSet, line_intersection
@@ -51,8 +51,12 @@ def _segment_param(u: Point, v: Point, w: Point):
 def sr_structure_failures(r: int) -> list[str]:
     """Every violated structural property of the S_r placement, exactly,
     on the families `build_sr` places (`_build_sr_family` at the
-    precision SrConfig(r) derives); empty when all hold.  In order:
+    precision SrConfig(r) derives, in the layout `_sr_raw_points`
+    assembles); empty when all hold.  In order:
 
+    * the families: the raw set's spanned lines with three or more points
+      (`PointSet.collinear_lines`) are the families `build_sr` perturbs,
+      `sr_collinear_families(r)`;
     * (IV) at every stage t and every j <= t: the line A'_t A_j cuts the
       open segment b_t b_inf (b = the rotated A);
     * at every stage t < r, the prime cut: the line b_{t+1} a_inf cuts
@@ -64,11 +68,17 @@ def sr_structure_failures(r: int) -> list[str]:
 
     Points never move once placed, so (I)-(III) on the finished families
     cover every earlier stage."""
-    A, Ap, rot = _build_sr_family(r, SrConfig(r).precision)
+    cfg = constructions.SrConfig(r)
+    failures = []
+    lines = set(PointSet(constructions._sr_raw_points(cfg)).collinear_lines)
+    named = set(constructions.sr_collinear_families(r))
+    if lines != named:
+        failures.append(f"families: collinear lines not named {sorted(lines - named)}, "
+                        f"named families not collinear {sorted(named - lines)}")
+    A, Ap, rot = constructions._build_sr_family(r, cfg.precision)
     a_inf = line_intersection(A[2], A[3], rot(rot(A[2])), rot(rot(A[3])))
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])
     b_inf = rot(a_inf)
-    failures = []
 
     def interior(u, v, w, what):
         if not 0 < _segment_param(u, v, w) < 1:

@@ -22,6 +22,7 @@ from kedges.constructions import (
     sr_expected_monochromatic,
     sr_audit,
     sr_class_tags,
+    sr_collinear_families,
     sr_letter_partition,
     witness_failures,
 )
@@ -51,46 +52,41 @@ def test_sr_config_is_immutable():
         cfg.r = 4
 
 
-def test_s3_raw_collinearities(s3):
-    # exactly the three flat families (one per rotation class) are collinear
+def test_s3_raw_collinearities(s3, sr):
+    # exactly the named families are collinear, by the O(n^3) scan rather
+    # than the sweep: at r = 3 the three flat families (one per rotation
+    # class), from r = 4 also each plain and primed block's points 2..r
     assert line_triples(s3.raw) == collinear_triples(s3.raw) == [(6, 7, 8), (15, 16, 17),
                                                                  (24, 25, 26)]
     tags = sr_class_tags(3)
     assert all(tags[i] == "A''" for i in (6, 7, 8))
     assert all(tags[i] == "B''" for i in (15, 16, 17))
     assert all(tags[i] == "C''" for i in (24, 25, 26))
+    for r in (3, 4, 5):
+        assert collinear_triples(sr(r).raw) == sorted(
+            t for family in sr_collinear_families(r) for t in combinations(family, 3))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_build_sr_never_sweeps_the_raw_set(r):
+    # the families are named, not read off the raw set's event sort
+    assert "angles" not in vars(build_sr(SrConfig(r)).raw)
 
 
 def test_perturb_moves_exactly_the_flat_families(s3):
     raw = s3.raw
-    moved = perturb_collinear_families(raw, s3.config.perturbation_epsilon)
+    moved = perturb_collinear_families(raw, sr_collinear_families(3),
+                                       s3.config.perturbation_epsilon)
     changed = {i for i in range(raw.n) if moved[i] != raw[i]}
     assert changed == {6, 7, 8, 15, 16, 17, 24, 25, 26}
     assert moved.general_position
 
 
-def test_perturb_rejects_a_point_on_two_families():
-    plus = PointSet([P(0, 0), P(1, 0), P(2, 0), P(0, 1), P(0, 2)])
-    with pytest.raises(VerificationError, match="two collinear families"):
-        perturb_collinear_families(plus, Fraction(1, 100))
-
-
-def ref_perturb_collinear_families(ps, epsilon):
+def ref_perturb_collinear_families(ps, families, epsilon):
     """The perturbation in Fraction arithmetic, as the reference: the
     centroid as a Fraction mean, each family ordered by its (x, y)
     Fractions, and each moved coordinate p + perp * offset with the unit
     perp = (-dy, dx) / max(|dx|, |dy|) of the family's first step."""
-    families = ps.collinear_lines
-    if not families:
-        return ps
-    seen = set()
-    for members in families:
-        for i in members:
-            if i in seen:
-                raise VerificationError(
-                    f"point {i} lies on two collinear families; cannot perturb independently"
-                )
-            seen.add(i)
     points = ps.points
     cx = sum((p.x for p in points), Fraction(0)) / ps.n
     cy = sum((p.y for p in points), Fraction(0)) / ps.n
@@ -111,31 +107,25 @@ def ref_perturb_collinear_families(ps, epsilon):
     return PointSet(out)
 
 
-def _perturb_outcome(perturb, ps, epsilon):
-    try:
-        return perturb(ps, epsilon).points
-    except VerificationError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("r", range(3, 13))
 def test_perturb_matches_fraction_reference_on_sr(r, sr):
     # the integer perturbation emits the reference's Fractions, so the
     # written file is byte for byte the same
-    res = sr(r)
+    res, families = sr(r), sr_collinear_families(r)
     eps = res.config.perturbation_epsilon
-    got = perturb_collinear_families(res.raw, eps)
-    assert got.points == ref_perturb_collinear_families(res.raw, eps).points == res.perturbed.points
+    got = perturb_collinear_families(res.raw, families, eps)
+    assert got.points == ref_perturb_collinear_families(res.raw, families, eps).points == \
+        res.perturbed.points
     assert [str(c) for p in got for c in (p.x, p.y)] == \
         [str(c) for p in res.perturbed for c in (p.x, p.y)]
-    assert perturb_collinear_families(res.perturbed, eps) is res.perturbed
 
 
 @st.composite
 def collinear_grid_sets(draw):
     """Small-grid point sets with mixed denominators, where one to three
     families of 3-5 points sit on lines (some of them parallel, some
-    sharing a point) among a few scattered points; and an epsilon."""
+    sharing a point) among a few scattered points; and an epsilon.  The
+    test skips the sets whose spanned lines share a point."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     den = rng.choice((1, 2, 3, 6))
     pts = set()
@@ -156,8 +146,10 @@ def collinear_grid_sets(draw):
 @given(collinear_grid_sets())
 def test_perturb_matches_fraction_reference(case):
     ps, eps = case
-    assert _perturb_outcome(perturb_collinear_families, ps, eps) == \
-        _perturb_outcome(ref_perturb_collinear_families, ps, eps)
+    lines = ps.collinear_lines
+    assume(len({i for line in lines for i in line}) == sum(map(len, lines)))
+    assert perturb_collinear_families(ps, lines, eps).points == \
+        ref_perturb_collinear_families(ps, lines, eps).points
 
 
 def test_s3_class_structure(s3):
@@ -594,6 +586,33 @@ def test_sr_structure_holds(r):
     # (I)-(IV) and every prime cut, on the placement build_sr emits; S_r is
     # a function of r alone, so these r are checked here once and for all
     assert sr_structure_failures(r) == []
+
+
+def test_sr_structure_names_a_family_left_unnamed(monkeypatch):
+    # a family left out of the names stays collinear after the perturbation,
+    # which the sweep of the perturbed set reports
+    from kedges import constructions
+
+    named = sr_collinear_families(4)
+    monkeypatch.setattr(constructions, "sr_collinear_families", lambda r: named[1:])
+    with pytest.raises(VerificationError,
+                       match=r"^S_4 could not be certified: not in general position: "
+                             r"1 collinear triple\(s\), first \(1, 2, 3\)$"):
+        build_sr(SrConfig(r=4))
+    assert any(f.startswith("families: collinear lines not named [(1, 2, 3)]")
+               for f in sr_structure_failures(4))
+
+
+def test_sr_structure_names_a_family_off_its_line(monkeypatch):
+    # a named "family" that is not collinear is perturbed like the others,
+    # and build_sr still certifies the set; the names are checked here
+    from kedges import constructions
+
+    named = sr_collinear_families(4)
+    monkeypatch.setattr(constructions, "sr_collinear_families", lambda r: named + ((0, 12, 24),))
+    assert all(row.ok for row in build_sr(SrConfig(r=4)).audit)
+    assert ("families: collinear lines not named [], named families not collinear [(0, 12, 24)]"
+            in sr_structure_failures(4))
 
 
 def test_sr_structure_names_a_misplaced_point(monkeypatch):

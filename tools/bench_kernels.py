@@ -31,8 +31,10 @@ take milliseconds each:
 * construction stages, in this process, each the median of WORD_REPEATS
   runs: on S_5, `PointSet(...)` of its perturbed points (the duplicate
   check and the homogeneous triples), `perturb_collinear_families` of its
-  raw set and `check_3decomposable` of its perturbed set with the letter
-  partition (both sets' event sorts already cached); and
+  raw set with the families `sr_collinear_families(5)` names (null on a
+  tree without that function), and `check_3decomposable` of its
+  perturbed set with the letter partition (its event sort already
+  cached); and
   `build_cluster_polygon(3, 4)`, the largest cluster-polygon build of the
   perfbench `points` grid.
 * halfperiod kernels, in this process, on one seeded random reduced word
@@ -142,7 +144,8 @@ def stage_times() -> dict:
 
     res = constructions.build_sr(constructions.SrConfig(r=5))
     raw, ps, eps = res.raw, res.perturbed, res.config.perturbation_epsilon
-    part = constructions.sr_letter_partition(5)  # build_sr cached both sets' event sorts
+    part = constructions.sr_letter_partition(5)  # build_sr cached the perturbed set's event sort
+    named = getattr(constructions, "sr_collinear_families", None)
 
     def timed(fn):
         return median_time(fn, WORD_REPEATS)
@@ -151,8 +154,8 @@ def stage_times() -> dict:
         "S_5 stages": {
             "n": ps.n,
             "PointSet": timed(lambda: PointSet(ps.points)),
-            "perturb_collinear_families": timed(
-                lambda: constructions.perturb_collinear_families(raw, eps)),
+            "perturb_collinear_families": None if named is None else timed(
+                lambda: constructions.perturb_collinear_families(raw, named(5), eps)),
             "check_3decomposable": timed(lambda: constructions.check_3decomposable(ps, part)),
         },
         "cluster-polygon t=3 m=4": {
