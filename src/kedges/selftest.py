@@ -23,7 +23,7 @@ from .constructions import (
     witness_failures,
 )
 from .edgestats import crossings_bruteforce, pair_levels, summarize
-from .errors import InputError
+from .errors import InputError, RearrangementError, VerificationError
 from .gensets import random_general_position_set
 
 
@@ -100,13 +100,18 @@ def run_identity_suite(corpus) -> list:
 def run_central_suite(corpus) -> list:
     """verify_central on every corpus instance for every admissible k,
     including all auxiliary weight/cutting checks on the rearranged
-    halfperiods.  Zero violations expected."""
+    halfperiods.  Zero violations expected; a RearrangementError is a
+    failed instance."""
     fails = []
     instances = 0
     for idx, (ps, h) in enumerate(corpus):
         for k in range(1, (ps.n - 1) // 2 + 1):
             instances += 1
-            rep = verify_central(h, k)
+            try:
+                rep = verify_central(h, k)
+            except RearrangementError as exc:
+                fails.append((idx, ps.n, k, str(exc)))
+                continue
             if not rep.all_ok:
                 fails.append((idx, ps.n, k, rep.aux_checks))
     return [
@@ -118,12 +123,30 @@ def run_central_suite(corpus) -> list:
     ]
 
 
+def _equality_check(name, build, ok):
+    """One check on an equality construction at k = 3: ok(E_2, E_>=3, s)
+    on the halfperiod build() certified, or its VerificationError."""
+    try:
+        _, h = build()
+    except VerificationError as exc:
+        return _result(name, False, str(exc))
+    counts, s = h.level_counts, compute_s(h, 3)
+    geq = sum(counts[3:])
+    return _result(name, ok(counts[2], geq, s), f"E_2={counts[2]} E_>=3={geq} s={s}")
+
+
 def run_constructions_suite(rmax: int) -> list:
     """S_r tightness and split audits for 3 <= r <= rmax, plus both
-    equality constructions."""
+    equality constructions.  A builder's VerificationError is one failed
+    check: sr-certificate-r{r} in place of that r's three, or the equality
+    construction's own check, with the message as its detail."""
     out = []
     for r in range(3, rmax + 1):
-        res = build_sr(SrConfig(r=r))
+        try:
+            res = build_sr(SrConfig(r=r))
+        except VerificationError as exc:
+            out.append(_result(f"sr-certificate-r{r}", False, str(exc)))
+            continue
         rows = res.audit
         bad = [row.k for row in rows if not row.tight]
         out.append(_result(f"sr-tightness-r{r}", not bad, f"bad k: {bad}"))
@@ -134,17 +157,12 @@ def run_constructions_suite(rmax: int) -> list:
         bad = [0, 1, 2] if witness is None else witness_failures(ps, partition, witness)
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
-    _, h = build_polygon_center(3, 9)
-    counts, s = h.level_counts, compute_s(h, 3)
-    geq = sum(counts[3:])
-    ok = counts[2] == 7 and geq == 15 and s == 2 and geq == 2 * 7 + bounds.comb2(s)
-    out.append(_result("polygon-center-9", ok, f"E_2={counts[2]} E_>=3={geq} s={s}"))
-
-    _, h = build_cluster_polygon(1, 3)
-    counts, s = h.level_counts, compute_s(h, 3)
-    geq = sum(counts[3:])
-    ok = counts[2] == 9 and geq == 18 and s == 0
-    out.append(_result("cluster-polygon-9", ok, f"E_2={counts[2]} E_>=3={geq} s={s}"))
+    out.append(_equality_check(
+        "polygon-center-9", lambda: build_polygon_center(3, 9),
+        lambda e2, geq, s: e2 == 7 and geq == 15 and s == 2 and geq == 2 * 7 + bounds.comb2(s)))
+    out.append(_equality_check(
+        "cluster-polygon-9", lambda: build_cluster_polygon(1, 3),
+        lambda e2, geq, s: e2 == 9 and geq == 18 and s == 0))
     return out
 
 

@@ -2,10 +2,12 @@
 
 import functools
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from kedges.circseq import (
     validate_allowable,
 )
 from kedges.cli import _records_text, main
-from kedges.errors import InputError
+from kedges.errors import InputError, RearrangementError
 from kedges.gensets import random_general_position_set
 from oracles import convex_polygon_set, write_halfperiod
 
@@ -228,6 +230,88 @@ def test_invalid_halfperiod_rejected_by_every_kernel(kernel, how):
     for _ in range(2):  # the cached verdict is the same verdict
         with pytest.raises(InputError, match="invalid halfperiod"):
             kernel(bad)
+
+
+def _walked_as(h, transpositions):
+    """A halfperiod of these transpositions that carries h's axiom walk, so
+    its k-critical list and validity are h's: a fault the walk never saw."""
+    bad = Halfperiod(h.n, h.initial, tuple(transpositions))
+    vars(bad)["axiom_walk"] = h.axiom_walk
+    return bad
+
+
+def _plant_pair(h, k, monkeypatch):
+    """Block 0's first swap recorded with a pair its slots do not hold."""
+    ts = list(h.transpositions)
+    step, pos, (a, b) = ts[0]
+    ts[0] = Transposition(step, pos, (a, b + 1))
+    rearrange_essential(_walked_as(h, ts), k)
+
+
+def _plant_slot(h, k, monkeypatch):
+    """Every k-critical swap recorded one slot further out."""
+    ts = list(h.transpositions)
+    for idx, boundary, _p, _q in h.k_critical(k):
+        step, pos, pair = ts[idx]
+        ts[idx] = Transposition(step, pos - 1 if boundary == "k" else pos + 1, pair)
+    rearrange_essential(_walked_as(h, ts), k)
+
+
+def _plant_boundary(h, k, monkeypatch):
+    """The cached k-critical list with every boundary flipped."""
+    crit = h.k_critical(k)
+    vars(h)["_k_critical_by_k"][k] = tuple(
+        (idx, "n-k" if boundary == "k" else "k", p, q) for idx, boundary, p, q in crit)
+    rearrange_essential(h, k)
+
+
+def _plant_step(h, k, monkeypatch):
+    """The replay numbers its output swaps from 2."""
+    real = central._new_transposition
+    monkeypatch.setattr(central, "_new_transposition", lambda t: real((t[0] + 1, *t[1:])))
+    rearrange_essential(h, k)
+
+
+def _plant_counts(h, k, monkeypatch):
+    """The input's cached edge counts with one more 0-edge."""
+    counts = h.level_counts
+    vars(h)["level_counts"] = (counts[0] + 1, *counts[1:])
+    rearrange_essential(h, k)
+
+
+def _plant_s(h, k, monkeypatch):
+    """compute_s reads one more on every halfperiod but h."""
+    real = central.compute_s
+    monkeypatch.setattr(central, "compute_s", lambda g, j: real(g, j) + (g is not h))
+    verify_central(h, k)
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_plant_pair, "pair (5, 7) not adjacent in the replay"),
+    (_plant_slot, "pair (1, 3) displaced from slot 2"),
+    (_plant_boundary, "essential walk out of order at slot 4"),
+    (_plant_step, "rearranged halfperiod invalid: step 1: recorded step number 2"),
+    (_plant_counts, "rearrangement changed protected edge counts: "
+                    "(7, 9, 13, 11, 6) -> (6, 9, 13, 11, 6)"),
+    (_plant_s, "rearrangement changed s(k, pi)"),
+], ids=["adjacent", "slot", "walk", "invalid", "counts", "s"])
+def test_each_rearrangement_error_names_its_fault(plant, message, monkeypatch):
+    """One planted fault per RearrangementError in central.py, each in a
+    value the replay or the verifier reads."""
+    with pytest.raises(RearrangementError) as exc:
+        plant(_reduced_word(10, random.Random(5)), 3, monkeypatch)
+    assert str(exc.value) == message
+
+
+def test_bench_word_is_this_generators_word():
+    """tools/bench_kernels.py writes its word with a copy of _reduced_word;
+    the word must stay the same."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    h = _reduced_word(48, random.Random(2024))
+    assert tool.reduced_word(48, 2024) == [tuple(t) for t in h.transpositions]
 
 
 def test_abstract_halfperiods_satisfy_central_checks():

@@ -433,6 +433,57 @@ def test_selftest_quick_sweeps(capsys):
     assert "[PASS]" in out
 
 
+def test_selftest_reports_a_failed_certificate_and_keeps_every_other_check(monkeypatch, capsys):
+    """A VerificationError inside build_sr at r = 4 is one FAIL line in
+    place of S_4's three; every other check still runs and prints."""
+    from kedges import constructions
+    from kedges.errors import VerificationError
+
+    argv = ["selftest", "all", "--trials", "5", "--nmax", "6"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    real = constructions.check_routes
+
+    def planted(ps, h):
+        if ps.n == 36:
+            raise VerificationError("planted")
+        return real(ps, h)
+
+    monkeypatch.setattr(constructions, "check_routes", planted)
+    assert main(argv) == 1
+    r4 = [i for i, line in enumerate(clean) if line.split()[1].endswith("-r4")]
+    assert len(r4) == 3 and r4 == list(range(r4[0], r4[0] + 3))
+    assert capsys.readouterr().out.splitlines() == [
+        *clean[:r4[0]],
+        "[FAIL] sr-certificate-r4  (S_4 could not be certified: planted)",
+        *clean[r4[-1] + 1:-1],
+        "13/14 checks passed",
+    ]
+
+
+@pytest.mark.parametrize("argv, runner, error, line", [
+    (["constructions", "--rmax", "3"], "build_polygon_center", "VerificationError",
+     "[FAIL] polygon-center-9  (planted)"),
+    (["constructions", "--rmax", "3"], "build_cluster_polygon", "VerificationError",
+     "[FAIL] cluster-polygon-9  (planted)"),
+    (["central", "--trials", "2", "--nmax", "5", "--seed", "1"], "verify_central",
+     "RearrangementError", "[FAIL] central-theorem-sweep  "
+     "(failures: [(0, 5, 1, 'planted'), (0, 5, 2, 'planted'), (1, 5, 1, 'planted')])"),
+], ids=["polygon-center", "cluster-polygon", "central"])
+def test_selftest_reports_a_raised_check_as_one_fail_line(argv, runner, error, line,
+                                                          monkeypatch, capsys):
+    from kedges import errors, selftest
+
+    def planted(*args):
+        raise getattr(errors, error)("planted")
+
+    monkeypatch.setattr(selftest, runner, planted)
+    assert main(["selftest", *argv]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    assert sum(row.startswith("[FAIL]") for row in out) == 1
+
+
 def test_selftest_deterministic(capsys):
     main(["selftest", "identities", "--trials", "6", "--nmax", "8"])
     first = capsys.readouterr().out

@@ -1,77 +1,64 @@
 #!/usr/bin/env python3
 """Time the point-set kernels, the halfperiod kernels, the bound pipeline and
-a few CLI calls of one or more kedges source trees, each in several fresh
-processes.
+a few CLI calls of two or more kedges source trees, in paired rounds.
 
     python3 tools/bench_kernels.py --run parent=DIR1 --run change=DIR2 -o FILE
 
-Each DIR is a source checkout (kedges is imported from DIR/src).  Every
-label is timed in PROCESSES (3) fresh processes, one per round, and the
-labels take turns going first: round r starts at label r mod the number of
-labels.  A single-process median can drift by x2 between processes on a
-shared host, so FILE stores, for each figure, the median, min and max of
-the per-process figures.  `--src DIR` times one tree in this process and
-prints its figures as JSON (what each of those processes runs).
+Each DIR is a source checkout (kedges is imported from DIR/src).  Each
+label is timed in one fresh process per round, for ROUNDS (10) rounds, and
+round r starts at label r mod the number of labels.  A process's figures
+can drift by x2 against another's on a shared host, so figures are
+compared only within a round.  FILE, written afresh, keeps every round's
+figures for each label and which label went first, and for each later
+label a `paired` block with, per figure: `ratio`, the median over rounds
+of label / first label; `won`, the rounds where the label was strictly
+lower (ties count for neither); and `first_iqr`, the first label's
+interquartile range over its median.  A claim reads "x0.87, ahead in 9 of
+10".  `--src DIR` times one tree in this process and prints its figures as
+JSON (what each round's process runs).
 
-In one process, each figure is the median wall time in seconds of REPEATS
-(5) runs, or of WORD_REPEATS (31) runs for the halfperiod kernels, which
-take milliseconds each:
+Each figure is the median wall time in seconds of REPEATS (5) runs, or of
+WORD_REPEATS (31) for the stages and halfperiod kernels (milliseconds):
 
-* kernels, in this process, on S_5, S_10 and S_20: `build_sr` itself
-  (the whole certified build), then, on the sets it emits,
-  `PointSet.angles` on a fresh PointSet (the event sort), and
-  `halfperiod_from_points`, `radial_counts` and `pair_levels` on a set
-  whose event sort is already cached, so each figure is that kernel's own
-  work.  On S_5 and S_10 also `summarize` (the `analyze` certificate: both
-  routes and both identity forms) with the set's sweep passed in.
-* `radial_counts` over the default `selftest identities` corpus
-  (`selftest.build_corpus(500, 12, 20240901)`: 500 random sets with
-  5 <= n <= 12), in this process: the small-n regime that the perfbench
-  `points` workload's `analyze` ops run.
-* construction stages, in this process, each the median of WORD_REPEATS
-  runs: on S_5, `PointSet(...)` of its perturbed points (the duplicate
-  check and the homogeneous triples), `perturb_collinear_families` of its
-  raw set with the families `sr_collinear_families(5)` names (null on a
-  tree without that function), and `check_3decomposable` of its
-  perturbed set with the letter partition (its event sort already
-  cached); and
-  `build_cluster_polygon(3, 4)`, the largest cluster-polygon build of the
-  perfbench `points` grid.
-* halfperiod kernels, in this process, on one seeded random reduced word
-  with n = 48 and k = 8 (the top stratum of the perfbench `abstract`
-  workload): `read_halfperiod` of its file, `validate_allowable`,
-  `rearrange_essential`, `verify_central` and `classify` on the read
-  halfperiod (its axiom walk already cached), `level_counts` and
-  `k_critical(k)` on a fresh copy of it whose axiom walk alone is made
-  (untimed) before each run, `cli._records_text` of the `classify
-  --halfperiod` report's records (the part of the report `classify`
-  renders through one template; null on a tree without it), and that
-  whole command through `cli.main` with stdout discarded.
-* bound stage, in this process: `cr_lower_bound(n)` over n = 28..99 (the
-  `cr-table 28..99` and `tables section5` sweep), `lemma_brackets(n)`
-  over n = 6..200 (the `selftest bounds` bracket check) and
-  `bound_table(n)` over n = 8..200 (the range of the perfbench `bounds`
-  ops), each called with its default signature, so every tree times the
-  same calls.
-* CLI calls, each a fresh `python -m kedges` process: `construct sr
-  --r 5/10/20` and `analyze` on the file each of them writes,
-  `decompose3` with the letter partition on the S_5 file, `construct sr
-  --r 30/40` alone (CLI_SR_SIZES), `verify sr --r 20`, and `halving-bound
-  --n 20`, whose wall time is nearly all interpreter and package start-up.
-  A command that exits non-zero is recorded as null after its first run.
-* start-up, each a fresh `python -c` process: `import kedges, kedges.cli`
-  timed inside the child (IMPORT_SNIPPET, the perfbench `setup_s` sample),
-  which includes compiling every module when no bytecode is cached.
-
-The result is stored under each LABEL in FILE together with an environment
-block (python, cpu count, git revision of DIR); other labels already in
-FILE are kept.
+* kernels on S_5, S_10 and S_20: `build_sr` (the whole certified build),
+  `PointSet.angles` on a fresh PointSet of its points (the event sort),
+  and `halfperiod_from_points` and `radial_counts` on a set whose event
+  sort is cached, so each is that kernel's own work; on S_5 and S_10 also
+  `summarize` (the `analyze` certificate) with the sweep passed in.
+* the default `selftest identities` corpus (`selftest.build_corpus(500,
+  12, 20240901)`, 500 swept sets with 5 <= n <= 12): `radial_counts` on
+  every set (the small-n regime of the perfbench `points` `analyze` ops),
+  and the oracles `pair_levels` and `crossings_bruteforce` on the sets
+  with n <= `selftest.ORACLE_NMAX`, the calls `selftest identities` makes.
+* construction stages on S_5: `PointSet(...)` of its perturbed points,
+  `perturb_collinear_families` of its raw set and named families, and
+  `check_3decomposable` with the letter partition; and
+  `build_cluster_polygon(3, 4)`, the largest of the perfbench `points` grid.
+* halfperiod kernels on one seeded random reduced word, n = 48 and k = 8
+  (the top stratum of the perfbench `abstract` workload): `read_halfperiod`
+  of its file; `validate_allowable`, `rearrange_essential`,
+  `verify_central` and `classify` on the read halfperiod (axiom walk
+  cached); `level_counts` and `k_critical(k)` on a fresh copy whose axiom
+  walk alone is made, untimed, before each run; `cli._records_text` of the
+  `classify --halfperiod` records; and that command through `cli.main`.
+* bounds: `cr_lower_bound` over n = 28..99 (`tables section5`),
+  `lemma_brackets` over n = 6..200 (`selftest bounds`) and `bound_table`
+  over n = 8..200 (the perfbench `bounds` ops).
+* CLI calls, each a fresh `python -m kedges` process: `construct sr --r
+  5/10/20` and `analyze` on each file it writes, `decompose3` on the S_5
+  file, `construct sr --r 30/40`, `verify sr --r 20` and `halving-bound
+  --n 20` (nearly all start-up).  A command that exits non-zero fails the
+  run.
+* start-up: `import kedges, kedges.cli` timed inside a fresh `python -c`
+  child (IMPORT_SNIPPET, the perfbench `setup_s` sample), no bytecode
+  cache assumed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -92,7 +79,8 @@ CLI_SR_SIZES = (30, 40)
 REPEATS = 5
 WORD_N, WORD_K, WORD_SEED = 48, 8, 2024
 WORD_REPEATS = 31
-PROCESSES = 3
+ROUNDS = 10
+SIZE_KEYS = ("n", "k")  # row fields that name the input, not a time
 # perfbench/run.py import_time: the package import alone, in a fresh child
 IMPORT_SNIPPET = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
                   "import kedges, kedges.cli; print(time.perf_counter() - t)")
@@ -124,7 +112,6 @@ def kernel_times() -> dict:
         row["PointSet.angles"] = median_time(lambda: PointSet(ps.points).angles)
         row["halfperiod_from_points"] = median_time(lambda: circseq.halfperiod_from_points(warm))
         row["radial_counts"] = median_time(lambda: edgestats.radial_counts(warm))
-        row["pair_levels"] = median_time(lambda: edgestats.pair_levels(warm))
         if r in SUMMARIZE_SIZES:
             h = circseq.halfperiod_from_points(warm)
             row["summarize"] = median_time(lambda: edgestats.summarize(warm, h))
@@ -134,6 +121,13 @@ def kernel_times() -> dict:
     out[f"corpus {trials} sets"] = {
         "n": f"5..{nmax}",
         "radial_counts": median_time(lambda: [edgestats.radial_counts(ps) for ps in sets]),
+    }
+    small = [ps for ps in sets if ps.n <= selftest.ORACLE_NMAX]
+    out[f"corpus {len(small)} oracle sets"] = {
+        "n": f"5..{selftest.ORACLE_NMAX}",
+        "pair_levels": median_time(lambda: [edgestats.pair_levels(ps) for ps in small]),
+        "crossings_bruteforce": median_time(
+            lambda: [edgestats.crossings_bruteforce(ps) for ps in small]),
     }
     return out
 
@@ -145,17 +139,15 @@ def stage_times() -> dict:
     res = constructions.build_sr(constructions.SrConfig(r=5))
     raw, ps, eps = res.raw, res.perturbed, res.config.perturbation_epsilon
     part = constructions.sr_letter_partition(5)  # build_sr cached the perturbed set's event sort
-    named = getattr(constructions, "sr_collinear_families", None)
+    families = constructions.sr_collinear_families(5)
 
-    def timed(fn):
-        return median_time(fn, WORD_REPEATS)
-
+    timed = functools.partial(median_time, repeats=WORD_REPEATS)
     return {
         "S_5 stages": {
             "n": ps.n,
             "PointSet": timed(lambda: PointSet(ps.points)),
-            "perturb_collinear_families": None if named is None else timed(
-                lambda: constructions.perturb_collinear_families(raw, named(5), eps)),
+            "perturb_collinear_families": timed(
+                lambda: constructions.perturb_collinear_families(raw, families, eps)),
             "check_3decomposable": timed(lambda: constructions.check_3decomposable(ps, part)),
         },
         "cluster-polygon t=3 m=4": {
@@ -165,24 +157,25 @@ def stage_times() -> dict:
     }
 
 
-def reduced_word(circseq, n: int, seed: int):
-    """A seeded random reduced word of the reversal of 1..n, as DIR's
-    Halfperiod: from the identity, swap a random adjacent ascent until the
-    order is reversed (the generator of tests/test_central.py)."""
+def reduced_word(n: int, seed: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """The (step, position, pair) rows of a seeded random reduced word of
+    the reversal of 1..n: from the identity, swap a random adjacent ascent
+    until the order is reversed (the generator of tests/test_central.py)."""
     rng = random.Random(seed)
     perm = list(range(1, n + 1))
-    ts = []
+    rows = []
     for step in range(1, comb(n, 2) + 1):
         j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
-        ts.append(circseq.Transposition(step, j + 1, (perm[j], perm[j + 1])))
+        rows.append((step, j + 1, (perm[j], perm[j + 1])))
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return circseq.Halfperiod(n, tuple(range(1, n + 1)), tuple(ts))
+    return rows
 
 
-def write_halfperiod(path, h):
-    """Write h in the halfperiod file format every tree's read_halfperiod reads."""
-    lines = [str(h.n), " ".join(map(str, h.initial))]
-    lines += [f"{t.step} {t.position} {t.pair[0]} {t.pair[1]}" for t in h.transpositions]
+def write_halfperiod(path, n: int, rows):
+    """Write the halfperiod from the identity of 1..n with these rows, in
+    the file format read_halfperiod reads."""
+    lines = [str(n), " ".join(map(str, range(1, n + 1)))]
+    lines += [f"{step} {pos} {a} {b}" for step, pos, (a, b) in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -191,13 +184,10 @@ def halfperiod_times() -> dict:
 
     n, k = WORD_N, WORD_K
 
-    def timed(module, name, call):
-        fn = getattr(module, name, None)
-        return None if fn is None else median_time(lambda: call(fn), WORD_REPEATS)
-
+    timed = functools.partial(median_time, repeats=WORD_REPEATS)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"w{n}.hp"
-        write_halfperiod(path, reduced_word(circseq, n, WORD_SEED))
+        write_halfperiod(path, n, reduced_word(n, WORD_SEED))
 
         def main_stdout():
             buf = io.StringIO()
@@ -210,17 +200,20 @@ def halfperiod_times() -> dict:
         def walked():
             return circseq.require_valid(circseq.Halfperiod(n, h.initial, h.transpositions))
 
-        row = {"n": n, "k": k}
-        row["read_halfperiod"] = timed(circseq, "read_halfperiod", lambda f: f(path))
-        row["validate_allowable"] = timed(circseq, "validate_allowable", lambda f: f(h))
-        row["level_counts"] = median_time(lambda g: g.level_counts, WORD_REPEATS, walked)
-        row["k_critical"] = median_time(lambda g: g.k_critical(k), WORD_REPEATS, walked)
-        row["rearrange_essential"] = timed(central, "rearrange_essential", lambda f: f(h, k))
-        row["verify_central"] = timed(central, "verify_central", lambda f: f(h, k))
-        row["classify"] = timed(central, "classify", lambda f: f(h, k))
         records = central.classify(h, k)
-        row["_records_text"] = timed(cli, "_records_text", lambda f: f(records, "\n  "))
-        row["main classify"] = median_time(main_stdout, WORD_REPEATS)
+        row = {
+            "n": n,
+            "k": k,
+            "read_halfperiod": timed(lambda: circseq.read_halfperiod(path)),
+            "validate_allowable": timed(lambda: circseq.validate_allowable(h)),
+            "level_counts": timed(lambda g: g.level_counts, setup=walked),
+            "k_critical": timed(lambda g: g.k_critical(k), setup=walked),
+            "rearrange_essential": timed(lambda: central.rearrange_essential(h, k)),
+            "verify_central": timed(lambda: central.verify_central(h, k)),
+            "classify": timed(lambda: central.classify(h, k)),
+            "_records_text": timed(lambda: cli._records_text(records, "\n  ")),
+            "main classify": timed(main_stdout),
+        }
     return {f"word n={n} k={k}": row}
 
 
@@ -241,14 +234,9 @@ def cli_times(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
 
     def timed(*argv):
-        times = []
-        for _ in range(REPEATS):
-            t0 = perf_counter()
-            if subprocess.run([sys.executable, "-m", "kedges", *argv], env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode:
-                return None
-            times.append(perf_counter() - t0)
-        return statistics.median(times)
+        return median_time(lambda: subprocess.run(
+            [sys.executable, "-m", "kedges", *argv], env=env, check=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -285,17 +273,20 @@ def one_process(src: Path) -> dict:
     }
 
 
-def spread(samples):
-    """{median, min, max} of each figure over the per-process results, which
-    share one shape; sizes (n, k) are kept as they are, and a figure that is
-    null in any process is null."""
-    first = samples[0]
-    if isinstance(first, dict):
-        return {key: first[key] if key in ("n", "k") else spread([s[key] for s in samples])
-                for key in first}
-    if any(s is None for s in samples):
-        return None
-    return {"median": statistics.median(samples), "min": min(samples), "max": max(samples)}
+def paired(first: list, other: list):
+    """{ratio, won, first_iqr} of each figure, from the per-round figures
+    of the first label and of another one, which share one shape; sizes
+    (SIZE_KEYS) are kept as they are."""
+    head = first[0]
+    if isinstance(head, dict):
+        return {key: head[key] if key in SIZE_KEYS else
+                paired([f[key] for f in first], [o[key] for o in other]) for key in head}
+    q1, _, q3 = statistics.quantiles(first, n=4)
+    return {
+        "ratio": statistics.median(o / f for f, o in zip(first, other)),
+        "won": sum(o < f for f, o in zip(first, other)),
+        "first_iqr": (q3 - q1) / statistics.median(first),
+    }
 
 
 def environment(src: Path) -> dict:
@@ -331,25 +322,29 @@ def main(argv=None) -> int:
 
     runs = dict(args.run)
     labels = list(runs)
-    samples = {label: [] for label in labels}
-    for rnd in range(PROCESSES):
-        for label in labels[rnd % len(labels):] + labels[:rnd % len(labels)]:
+    rounds = {label: [] for label in labels}
+    first = []
+    for rnd in range(ROUNDS):
+        order = labels[rnd % len(labels):] + labels[:rnd % len(labels)]
+        first.append(order[0])
+        for label in order:
             out = subprocess.run([sys.executable, __file__, "--src", str(runs[label])],
                                  capture_output=True, text=True, check=True).stdout
-            samples[label].append(json.loads(out))
-            print(f"round {rnd + 1}/{PROCESSES}: {label} done", file=sys.stderr)
+            rounds[label].append(json.loads(out))
+            print(f"round {rnd + 1}/{ROUNDS}: {label} done", file=sys.stderr)
 
-    data = json.loads(args.output.read_text()) if args.output.exists() else {}
-    data["what"] = ("median, min and max over fresh processes of each process's median "
-                    "wall seconds; see tools/bench_kernels.py")
-    for label in labels:
-        data.setdefault("runs", {})[label] = {
-            "env": environment(runs[label]),
-            "processes": PROCESSES,
-            "repeats": REPEATS,
-            "word_repeats": WORD_REPEATS,
-            **spread(samples[label]),
-        }
+    data = {
+        "what": ("each round's median wall seconds per label, one fresh process per label "
+                 "and round; paired: per figure, median of label/first over rounds, rounds "
+                 "won, first label's IQR/median; see tools/bench_kernels.py"),
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
+        "word_repeats": WORD_REPEATS,
+        "first": first,
+        "runs": {label: {"env": environment(runs[label]), "rounds": rounds[label]}
+                 for label in labels},
+        "paired": {label: paired(rounds[labels[0]], rounds[label]) for label in labels[1:]},
+    }
     args.output.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
