@@ -13,6 +13,7 @@ import pytest
 import kedges
 from kedges.bounds import bound_table
 from kedges.cli import build_parser, main
+from kedges.errors import RearrangementError, VerificationError
 from kedges.geom import write_points
 from oracles import convex_polygon_set
 
@@ -437,7 +438,6 @@ def test_selftest_reports_a_failed_certificate_and_keeps_every_other_check(monke
     """A VerificationError inside build_sr at r = 4 is one FAIL line in
     place of S_4's three; every other check still runs and prints."""
     from kedges import constructions
-    from kedges.errors import VerificationError
 
     argv = ["selftest", "all", "--trials", "5", "--nmax", "6"]
     assert main(argv) == 0
@@ -462,20 +462,20 @@ def test_selftest_reports_a_failed_certificate_and_keeps_every_other_check(monke
 
 
 @pytest.mark.parametrize("argv, runner, error, line", [
-    (["constructions", "--rmax", "3"], "build_polygon_center", "VerificationError",
+    (["constructions", "--rmax", "3"], "build_polygon_center", VerificationError,
      "[FAIL] polygon-center-9  (planted)"),
-    (["constructions", "--rmax", "3"], "build_cluster_polygon", "VerificationError",
+    (["constructions", "--rmax", "3"], "build_cluster_polygon", VerificationError,
      "[FAIL] cluster-polygon-9  (planted)"),
     (["central", "--trials", "2", "--nmax", "5", "--seed", "1"], "verify_central",
-     "RearrangementError", "[FAIL] central-theorem-sweep  "
+     RearrangementError, "[FAIL] central-theorem-sweep  "
      "(failures: [(0, 5, 1, 'planted'), (0, 5, 2, 'planted'), (1, 5, 1, 'planted')])"),
 ], ids=["polygon-center", "cluster-polygon", "central"])
 def test_selftest_reports_a_raised_check_as_one_fail_line(argv, runner, error, line,
                                                           monkeypatch, capsys):
-    from kedges import errors, selftest
+    from kedges import selftest
 
     def planted(*args):
-        raise getattr(errors, error)("planted")
+        raise error("planted")
 
     monkeypatch.setattr(selftest, runner, planted)
     assert main(["selftest", *argv]) == 1
