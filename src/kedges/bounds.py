@@ -14,9 +14,8 @@ Bound inventory:
                         3 C(k+2,2) + 3 C(k+2-floor(n/3),2)
                         - max(0, (k+1-floor(n/3)) (n-3 floor(n/3))),
                         clamped at C(n,2).
-* u_sequence         -- the recursive improvement, seeded at
-                        m-1 = ceil((4n-11)/9) - 1 with the exact-n/3
-                        correction term, then
+* u_sequence         -- the recursive improvement, seeded with the
+                        closed form at m-1 = ceil((4n-11)/9) - 1, then
                         u_k = ceil((C(n,2) + (n-2k-3) u_{k-1})/(n-2k-2)).
 * explicit_bound     -- the asymptotic closed form
                         C(n,2) - (1/9) sqrt(1-(2k+2)/n) (5n^2+19n-31),
@@ -89,16 +88,12 @@ def _u_recursion(n: int, m: int, seed: int) -> dict[int, int]:
 
 
 def u_sequence(n: int) -> dict[int, int]:
-    """u_k for m-1 <= k <= floor((n-3)/2), as exact integers.
-
-    The seed term 3 (m - floor(n/3)) (n/3 - floor(n/3)) reduces to the
-    integer (m - floor(n/3)) (n - 3 floor(n/3))."""
+    """u_k for m-1 <= k <= floor((n-3)/2), as exact integers, seeded with
+    the closed form at m - 1."""
     if n < 3:
         raise InputError(f"n too small for the recursion: {n}")
     m = m_start(n)
-    q = n // 3
-    seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q) - (m - q) * (n - 3 * q)
-    return _u_recursion(n, m, seed)
+    return _u_recursion(n, m, aichholzer_bound(n, m - 1))
 
 
 def explicit_bound(n: int, k: int) -> float:

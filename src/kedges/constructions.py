@@ -11,21 +11,17 @@ precision they are given as the polygon's integer radius.
 * build_sr: the recursive 9r-point family whose (<=k)-edge counts meet the
   `bounds` table's best lower bound for every k <= 4r-1.  Nine classes of
   size r (A, A', A'', and their images under rotation by 2*pi/3), emitted
-  as plain point sets in the fixed order `sr_class_tags` states; the A'' points
-  sit on the x-axis far to the left, so far that any line through one of
-  them and a non-rotated-double-prime point is flatter than any line
-  avoiding A'' entirely.  The slope certificate compares integer slopes
-  of the raw set's homogeneous coordinates, and reads the flattest line
-  avoiding A'' off the pairs adjacent in y order alone: for y_p < y_r <
-  y_q, pq's dx/dy is a positive-weighted mean of pr's and rq's, so it
-  never exceeds both in absolute value.  The raw set is intentionally
+  as plain point sets in the fixed order `sr_class_tags` states; the A''
+  points sit on the x-axis far to the left.  The raw set is intentionally
   degenerate: the families `sr_collinear_families` names are collinear,
   and perturbing them, with no sweep of the raw set, produces the
   general-position set whose counts are checked against that bound and
   the split's closed forms.  Those certificates are all on the emitted
-  points; the families' structural properties (I)-(IV), and that the
-  names are the raw set's collinear lines, are properties of the
-  placement, a deterministic function of r, and the tests check them.
+  points.  The placement's premises are properties of a deterministic
+  function of r, and the tests check them: the families' structure
+  (I)-(IV), that the names are the raw set's collinear lines, A'' left of
+  every other point, and every line from A'' to a point outside B'' and
+  C'' flatter than any line avoiding A''.
 * build_polygon_center: 2k+1 polygon vertices plus n-2k-1 points near the
   center; meets the central inequality's corollary with equality at
   s = n-2k-1.
@@ -42,10 +38,10 @@ boundaries deciding each angular gap.
 Where Fraction remains: the emitted Point values and their file text, the
 S_r placement (the A and A' families, the rotation maps and the A''
 tail), and the three printed witness directions.  Every decision in
-between (the slope certificate, the perturbation's orders and sides, the
-cluster polygon's coordinates, the 3-decomposition sweep) is made on
-integers: `PointSet.homogeneous` or one common denominator, with one
-Fraction made per emitted coordinate.
+between (the perturbation's orders and sides, the cluster polygon's
+coordinates, the 3-decomposition sweep) is made on integers:
+`PointSet.homogeneous` or one common denominator, with one Fraction made
+per emitted coordinate.
 """
 
 from __future__ import annotations
@@ -274,46 +270,6 @@ def _sr_raw_points(cfg: SrConfig) -> list[Point]:
     return block_a + block_b + [rot(p) for p in block_b]
 
 
-def _certify_app_slopes(raw: PointSet, r):
-    """(max1, min2): max |slope| over lines (A'' x non-double-prime-rotate),
-    which must stay below min |slope| over the non-vertical lines avoiding
-    A''.  Every slope is an integer ratio of `raw.homogeneous` differences,
-    compared by cross-multiplication.
-
-    max1 scans its r * (7r - 1) pairs.  min2 scans only the pairs adjacent
-    in exact y order among the points off A'': for y_p < y_r < y_q, pq's
-    dx/dy is the mean of pr's and rq's weighted by their dy > 0, so the
-    largest |dx/dy|, the flattest line, is always between y-neighbours.
-    Two points of equal y are neighbours too, and give slope 0."""
-    tags = sr_class_tags(r)
-    hom = raw.homogeneous
-    app = [i for i, t in enumerate(tags) if t == "A''"]
-    bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
-    max_num, max_den = 0, 1
-    for i in app:
-        xi, yi, wi = hom[i]
-        for j, (xj, yj, wj) in enumerate(hom):
-            if j == i or j in bpp_cpp:
-                continue
-            dx, dy = abs(xj * wi - xi * wj), abs(yj * wi - yi * wj)
-            if not dx:
-                raise VerificationError("slope certificate: vertical line through A''")
-            if dy * max_den > max_num * dx:
-                max_num, max_den = dy, dx
-    max1 = Fraction(max_num, max_den)
-    others = [hom[i] for i in sorted((i for i, t in enumerate(tags) if t != "A''"),
-                                     key=lambda i: raw[i].y)]
-    min_num = min_den = None
-    for (xp, yp, wp), (xq, yq, wq) in zip(others, others[1:]):
-        dx, dy = abs(xq * wp - xp * wq), yq * wp - yp * wq
-        if dx and (min_num is None or dy * min_den < min_num * dx):
-            min_num, min_den = dy, dx
-    min2 = None if min_num is None else Fraction(min_num, min_den)
-    if min2 is None or not max1 < min2:
-        raise VerificationError(f"slope certificate: {max1} is not below {min2}")
-    return max1, min2
-
-
 def perturb_collinear_families(ps: PointSet, families, epsilon) -> PointSet:
     """Break each family (disjoint index tuples of collinear points, as
     `sr_collinear_families` names them): its i-th point along the line
@@ -350,17 +306,14 @@ def perturb_collinear_families(ps: PointSet, families, epsilon) -> PointSet:
 
 def build_sr(cfg: SrConfig) -> SrResult:
     """Build and certify the 9r-point family in one attempt with the
-    parameters `cfg` derives from r.  Certificates, all on the emitted
-    points: A'' strictly left of every other point, the slope margin,
-    general position after the perturbation (the sweep's own check), the
-    audit against the `bounds` table and the split, and both counting
-    routes.  Any failure raises VerificationError."""
+    parameters `cfg` derives from r: place, perturb the named families,
+    sweep, audit, and check both counting routes.  Certificates, all on the
+    emitted points: general position after the perturbation (the sweep's
+    own check), the audit against the `bounds` table and the split, and
+    both routes.  Any failure raises VerificationError."""
     r = cfg.r
     try:
         raw = PointSet(_sr_raw_points(cfg))
-        if not -cfg.far_factor < min(p.x for p, t in zip(raw, sr_class_tags(r)) if t != "A''"):
-            raise VerificationError("A'' is not left of every other point")
-        _certify_app_slopes(raw, r)
         ps = perturb_collinear_families(raw, sr_collinear_families(r), cfg.perturbation_epsilon)
         h = halfperiod_from_points(ps)
         audit = tuple(sr_audit(ps, h.point_levels))

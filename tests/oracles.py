@@ -48,6 +48,40 @@ def _segment_param(u: Point, v: Point, w: Point):
     return ((w.x - u.x) * d[0] + (w.y - u.y) * d[1]) / (d[0] * d[0] + d[1] * d[1])
 
 
+def _abs_slope(p: Point, q: Point):
+    """|slope| of line pq as a rational, or None for a vertical line."""
+    return None if p.x == q.x else abs((q.y - p.y) / (q.x - p.x))
+
+
+def app_slope_margin(points, r: int) -> tuple:
+    """(max1, min2) of a point list in the S_r layout (`sr_class_tags`):
+    max1 the largest |slope| over the lines A'' x (not B''/C''), None if
+    one is vertical; min2 the smallest over the non-vertical lines avoiding
+    A'', None if there is none.
+
+    min2 reads only the pairs adjacent in y order among the points off A'':
+    for y_p < y_r < y_q, pq's dx/dy is the mean of pr's and rq's weighted by
+    their dy > 0, so the largest |dx/dy|, the flattest line, is always
+    between y-neighbours.  Two points of equal y are neighbours too, and
+    give slope 0."""
+    tags = constructions.sr_class_tags(r)
+    slopes = [_abs_slope(p, q) for i, (p, t) in enumerate(zip(points, tags)) if t == "A''"
+              for j, (q, u) in enumerate(zip(points, tags)) if j != i and u not in ("B''", "C''")]
+    max1 = None if any(s is None for s in slopes) else max(slopes)
+    others = sorted((p for p, t in zip(points, tags) if t != "A''"), key=lambda p: p.y)
+    min2 = min((s for p, q in zip(others, others[1:]) if (s := _abs_slope(p, q)) is not None),
+               default=None)
+    return max1, min2
+
+
+def app_min2_all_pairs(points, r: int):
+    """`app_slope_margin`'s min2 by the all-pairs scan, as the reference for
+    its y-neighbour reading."""
+    others = [p for p, t in zip(points, constructions.sr_class_tags(r)) if t != "A''"]
+    return min((s for p, q in combinations(others, 2) if (s := _abs_slope(p, q)) is not None),
+               default=None)
+
+
 def sr_structure_failures(r: int) -> list[str]:
     """Every violated structural property of the S_r placement, exactly,
     on the families `build_sr` places (`_build_sr_family` at the
@@ -57,6 +91,10 @@ def sr_structure_failures(r: int) -> list[str]:
     * the families: the raw set's spanned lines with three or more points
       (`PointSet.collinear_lines`) are the families `build_sr` perturbs,
       `sr_collinear_families(r)`;
+    * (V): every A'' point lies strictly left of every other point;
+    * (VI): max1 < min2 (`app_slope_margin`), so every line through A''
+      and a point outside B'' and C'' is flatter than every line avoiding
+      A'';
     * (IV) at every stage t and every j <= t: the line A'_t A_j cuts the
       open segment b_t b_inf (b = the rotated A);
     * at every stage t < r, the prime cut: the line b_{t+1} a_inf cuts
@@ -70,11 +108,21 @@ def sr_structure_failures(r: int) -> list[str]:
     cover every earlier stage."""
     cfg = constructions.SrConfig(r)
     failures = []
-    lines = set(PointSet(constructions._sr_raw_points(cfg)).collinear_lines)
+    raw = constructions._sr_raw_points(cfg)
+    lines = set(PointSet(raw).collinear_lines)
     named = set(constructions.sr_collinear_families(r))
     if lines != named:
         failures.append(f"families: collinear lines not named {sorted(lines - named)}, "
                         f"named families not collinear {sorted(named - lines)}")
+    tags = constructions.sr_class_tags(r)
+    if not max(p.x for p, t in zip(raw, tags) if t == "A''") < \
+            min(p.x for p, t in zip(raw, tags) if t != "A''"):
+        failures.append("(V): A'' is not left of every other point")
+    max1, min2 = app_slope_margin(raw, r)
+    if max1 is None:
+        failures.append("(VI): a line through A'' is vertical")
+    elif min2 is None or not max1 < min2:
+        failures.append(f"(VI): max1 = {max1} is not below min2 = {min2}")
     A, Ap, rot = constructions._build_sr_family(r, cfg.precision)
     a_inf = line_intersection(A[2], A[3], rot(rot(A[2])), rot(rot(A[3])))
     ap_inf = line_intersection(Ap[2], Ap[3], A[2], A[3])

@@ -10,6 +10,7 @@ from kedges.bounds import (
     aichholzer_bound,
     asymptotic_constants,
     bound_table,
+    comb2,
     cr_lower_bound,
     explicit_bound,
     halving_upper_bound,
@@ -42,6 +43,16 @@ def test_u_sequence_anchors():
     assert (u[11], u[12]) == (249, 314)
     u = u_sequence(20)
     assert (u[7], u[8]) == (113, 152)
+
+
+def test_u_sequence_seed_is_the_papers_term():
+    # the paper's seed 3 C(m+1,2) + 3 C(m+1-q,2) - 3 (m-q) (n/3 - q), with
+    # q = floor(n/3), whose last term is the integer (m-q) (n-3q): the
+    # closed form at m - 1 that u_sequence is seeded with
+    for n in range(3, 2001):
+        m, q = m_start(n), n // 3
+        seed = 3 * comb2(m + 1) + 3 * comb2(m + 1 - q) - (m - q) * (n - 3 * q)
+        assert u_sequence(n)[m - 1] == seed
 
 
 def test_u_sequence_properties():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kedges.circseq import compute_s, halfperiod_from_points
 from kedges.constructions import (
     SrConfig,
-    _certify_app_slopes,
     build_cluster_polygon,
     build_polygon_center,
     build_sr,
@@ -34,6 +33,8 @@ from kedges.gensets import random_general_position_set
 from kedges.geom import Point, PointSet, _lines, rotation_cw_2pi3_maps
 from oracles import (
     P,
+    app_min2_all_pairs,
+    app_slope_margin,
     collinear_triples,
     edge_vector_bruteforce,
     line_triples,
@@ -76,7 +77,7 @@ def test_build_sr_never_sweeps_the_raw_set(r):
 def test_perturb_moves_exactly_the_flat_families(s3):
     raw = s3.raw
     moved = perturb_collinear_families(raw, sr_collinear_families(3),
-                                       s3.config.perturbation_epsilon)
+                                       SrConfig(3).perturbation_epsilon)
     changed = {i for i in range(raw.n) if moved[i] != raw[i]}
     assert changed == {6, 7, 8, 15, 16, 17, 24, 25, 26}
     assert moved.general_position
@@ -112,7 +113,7 @@ def test_perturb_matches_fraction_reference_on_sr(r, sr):
     # the integer perturbation emits the reference's Fractions, so the
     # written file is byte for byte the same
     res, families = sr(r), sr_collinear_families(r)
-    eps = res.config.perturbation_epsilon
+    eps = SrConfig(r).perturbation_epsilon
     got = perturb_collinear_families(res.raw, families, eps)
     assert got.points == ref_perturb_collinear_families(res.raw, families, eps).points == \
         res.perturbed.points
@@ -159,7 +160,7 @@ def test_s3_class_structure(s3):
     for start, cls in zip(range(0, 27, 3), ("A", "A'", "A''", "B", "B'", "B''", "C", "C'", "C''")):
         assert tags[start:start + 3] == (cls,) * 3
     # each letter's points are the previous letter's rotated by 2*pi/3
-    rot, _ = rotation_cw_2pi3_maps(s3.config.precision)
+    rot, _ = rotation_cw_2pi3_maps(SrConfig(3).precision)
     assert [rot(p) for p in s3.raw[:18]] == list(s3.raw[9:])
 
 
@@ -170,48 +171,12 @@ def test_sr_letter_partition_follows_class_tags(r):
     assert sorted(i for g in part for i in g) == list(range(9 * r))
 
 
-def test_s3_slope_certificate(s3):
-    max1, min2 = _certify_app_slopes(s3.raw, 3)
-    assert max1 < min2
-
-
-def _abs_slope(p, q):
-    """|slope| of line pq as a rational, or None for vertical."""
-    if p.x == q.x:
-        return None
-    return abs((p.y - q.y) / (p.x - q.x))
-
-
-def ref_certify_app_slopes(points, r):
-    """The slope certificate by the all-pairs scan in Fraction arithmetic,
-    as the reference: max |slope| over the lines (A'' x not B''/C''), min
-    |slope| over every non-vertical pair off A''."""
-    tags = sr_class_tags(r)
-    app = [i for i, t in enumerate(tags) if t == "A''"]
-    bpp_cpp = {i for i, t in enumerate(tags) if t in ("B''", "C''")}
-    others = [i for i in range(len(points)) if i not in app]
-    max1 = Fraction(0)
-    for i in app:
-        for j in range(len(points)):
-            if j == i or j in bpp_cpp:
-                continue
-            s = _abs_slope(points[i], points[j])
-            if s is None:
-                raise VerificationError("slope certificate: vertical line through A''")
-            max1 = max(max1, s)
-    min2 = min((s for a, b in combinations(others, 2)
-                if (s := _abs_slope(points[a], points[b])) is not None), default=None)
-    if min2 is None or not max1 < min2:
-        raise VerificationError(f"slope certificate: {max1} is not below {min2}")
-    return max1, min2
-
-
 @st.composite
 def slope_cases(draw):
     """(points, r): 9r random rationals (r = 1..3) with mixed denominators,
     where one pair off A'' may share its y (min2 = 0), one pair may share
-    its x (a vertical line, through A'' or not), or every point off A'' may
-    lie on one vertical line (no min2)."""
+    its x (a vertical line), or every point off A'' may lie on one vertical
+    line (no min2)."""
     r = draw(st.integers(1, 3))
     n = 9 * r
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -223,7 +188,7 @@ def slope_cases(draw):
         i, j = rng.sample(off_app, 2)
         xy[j] = (xy[j][0], xy[i][1])
     elif plant == "vertical":
-        i, j = rng.sample(range(n), 2)
+        i, j = rng.sample(off_app, 2)
         xy[j] = (xy[i][0], xy[j][1])
     elif plant == "vertical-line":
         for i in off_app:
@@ -232,31 +197,24 @@ def slope_cases(draw):
     return [P(x, y) for x, y in xy], r
 
 
-def _certificate_outcome(certify, points, r):
-    try:
-        return certify(points, r)
-    except VerificationError as exc:
-        return str(exc)
-
-
-def _check_slope_certificate(points, r):
-    got = _certificate_outcome(lambda pts, r: _certify_app_slopes(PointSet(pts), r), points, r)
-    assert got == _certificate_outcome(ref_certify_app_slopes, points, r)
-    return got
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(slope_cases())
+def test_slope_certificate_matches_all_pairs_reference(case):
+    # the y-neighbour reading of min2 on sets that are not S_r: on S_3..S_12
+    # the flattest line also joins x-neighbours, so those sets alone do not
+    # tell a y-order reading from an x-order one
+    points, r = case
+    assert app_slope_margin(points, r)[1] == app_min2_all_pairs(points, r)
 
 
 @pytest.mark.parametrize("r", range(3, 13))
 def test_slope_certificate_matches_all_pairs_reference_on_sr(r, sr):
-    # min2 reads only the y-adjacent pairs off A''; the reference reads all
+    # the oracle's min2 reads only the y-adjacent pairs off A''; the
+    # reference reads all of them
     res = sr(r)
-    assert _check_slope_certificate(res.raw.points, r) == _certify_app_slopes(res.raw, r)
-    _check_slope_certificate(res.perturbed.points, r)
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(slope_cases())
-def test_slope_certificate_matches_all_pairs_reference(case):
-    _check_slope_certificate(*case)
+    for points in (res.raw.points, res.perturbed.points):
+        min2 = app_min2_all_pairs(points, r)
+        assert min2 is not None and app_slope_margin(points, r)[1] == min2
 
 
 def test_s3_tightness(s3):
@@ -575,15 +533,39 @@ def test_selftest_rejects_swapped_witness(monkeypatch):
 
 
 def test_sr_verification_failure_reports(monkeypatch):
-    # an absurdly coarse rotation cannot certify, and there is no retry
+    # an absurdly coarse rotation cannot certify, and there is no retry:
+    # the audit refuses the set
     monkeypatch.setattr(SrConfig, "precision", 1)
-    with pytest.raises(VerificationError, match="could not be certified"):
+    with pytest.raises(VerificationError, match="could not be certified: audit mismatch"):
         build_sr(SrConfig(r=3))
+
+
+@pytest.mark.parametrize("far, slope_failure", [
+    (100, "(VI): max1 = 15 is not below min2 = 853127969/18750000000"),
+    (700, "(VI): a line through A'' is vertical"),  # A''_3 = (-700, 0), A_1 = (-700, -50)
+])
+def test_sr_tail_too_near_fails_the_audit(far, slope_failure, monkeypatch):
+    # an A'' tail reaching in to x = -far lies among the other points: the
+    # counts are not tight, and the oracle names both broken premises
+    monkeypatch.setattr(SrConfig, "far_factor", Fraction(far))
+    with pytest.raises(VerificationError, match=r"^S_3 could not be certified: audit mismatch"):
+        build_sr(SrConfig(r=3))
+    assert sr_structure_failures(3) == ["(V): A'' is not left of every other point", slope_failure]
+
+
+def test_sr_tail_too_steep_is_named_by_the_tests(monkeypatch):
+    # A'' at x = -2000 is still left of every other point and S_3's counts
+    # are still tight, so build_sr certifies it; only the slope margin, a
+    # premise of the placement, fails, and the oracle names it
+    monkeypatch.setattr(SrConfig, "far_factor", Fraction(2000))
+    assert all(row.ok for row in build_sr(SrConfig(r=3)).audit)
+    failures = sr_structure_failures(3)
+    assert len(failures) == 1 and failures[0].startswith("(VI): max1 = ")
 
 
 @pytest.mark.parametrize("r", [*range(3, 31), 40, 50])
 def test_sr_structure_holds(r):
-    # (I)-(IV) and every prime cut, on the placement build_sr emits; S_r is
+    # (I)-(VI) and every prime cut, on the placement build_sr emits; S_r is
     # a function of r alone, so these r are checked here once and for all
     assert sr_structure_failures(r) == []
 

@@ -136,8 +136,9 @@ def stage_times() -> dict:
     from kedges import constructions
     from kedges.geom import PointSet
 
-    res = constructions.build_sr(constructions.SrConfig(r=5))
-    raw, ps, eps = res.raw, res.perturbed, res.config.perturbation_epsilon
+    cfg = constructions.SrConfig(r=5)
+    res = constructions.build_sr(cfg)
+    raw, ps, eps = res.raw, res.perturbed, cfg.perturbation_epsilon
     part = constructions.sr_letter_partition(5)  # build_sr cached the perturbed set's event sort
     families = constructions.sr_collinear_families(5)
 
