@@ -40,19 +40,22 @@ finds the block each center transposition lands in, the other replays the
 result once from the initial permutation, one slot swap per
 transposition, checking adjacency and slots as it goes.
 
-rearrange_essential and verify_central read the edge counts off the
-halfperiod's cached tuple `Halfperiod.level_counts`: K = counts[k-1] and
-E_{>=k} = sum(counts[k:]).  The rearrangement's output check compares
-counts[:k] and E_{>=k} of its input and output.
+Each quantity has one certificate:
 
-The verifier recomputes everything from scratch on each call and checks
-the inequality on h, and on the rearranged halfperiod the per-class
-weight bounds, the cutting bound 2C <= 4k + K - n + s, the augmenting
-coverage, and the two summed inequalities the final calculation rests
-on.  It reads only the K k-critical records of the rearranged halfperiod
-(critical_records), never the full C(n,2)-record classification.  All of
-these must hold on every valid halfperiod; a violation indicates a bug,
-never bad data.
+* s(k, pi) is derived where it is used: critical_records reads it with
+  compute_s, an O(K) walk over the cached k-critical tuple, and the
+  caller never passes it in.
+* rearrange_essential certifies its output: the axiom walk, the
+  protected counts E_0..E_{k-1} and E_{>=k} (off the cached tuple
+  `Halfperiod.level_counts`, K = counts[k-1], E_{>=k} = sum(counts[k:])),
+  and s(k, pi), each compared with its input's.
+* verify_central checks the inequality on h, and on the rearranged
+  halfperiod the per-class weight bounds, the cutting bound 2C <= 4k + K
+  - n + s, the augmenting coverage, and the two summed inequalities the
+  final calculation rests on.  It reads only the K k-critical records of
+  the rearranged halfperiod (critical_records), never the full
+  C(n,2)-record classification.  All of these must hold on every valid
+  halfperiod; a violation indicates a bug, never bad data.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class TranspositionRecord(NamedTuple):
 _new_record = functools.partial(tuple.__new__, TranspositionRecord)
 
 
-def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionRecord]:
+def critical_records(h: Halfperiod, k: int) -> list[TranspositionRecord]:
     """The records of tau_1..tau_K, the k-critical transpositions, in order.
 
     tau_j's weight counts the center transpositions in B_j's own slice
@@ -92,7 +95,7 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
     tau_j, a running count over h.k_critical(k); the cutting test compares
     tau_j's boundary with the next k-critical boundary p_j stands at, read
     off one backward pass over the same list.  Heaviness compares the
-    weight with n-2k-1-s for the given s = s(k, pi).
+    weight with n-2k-1-s, s = s(k, pi) read off the same list.
     """
     _check_k(h.n, k)
     n = h.n
@@ -109,7 +112,7 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
 
     trans = h.transpositions
     ends = [c[0] for c in crit[1:]] + [len(trans)]
-    light_max = n - 2 * k - 1 - s_value
+    light_max = n - 2 * k - 1 - compute_s(h, k)
     records = []
     overlap = len(c0)
     for j, ((idx, boundary, p, leaving), end) in enumerate(zip(crit, ends)):
@@ -142,22 +145,17 @@ def critical_records(h: Halfperiod, k: int, s_value: int) -> list[TranspositionR
     return records
 
 
-def classify(h: Halfperiod, k: int, s_value: int | None = None) -> list[TranspositionRecord]:
+def classify(h: Halfperiod, k: int) -> list[TranspositionRecord]:
     """Per-transposition records: block membership, class, weight, and
     essentiality, straight from the definitions, one block at a time.
     Block j >= 1 opens with tau_j's record from critical_records, which
     also marks where it starts; every other transposition is a center or
     outer one, essential unless it sits in the center of B_j (j >= 1)
     without p_j.
-
-    Heaviness needs s(k, pi); it is computed here unless the caller passes
-    it in.
     """
     _check_k(h.n, k)
     n = h.n
-    if s_value is None:
-        s_value = compute_s(h, k)
-    crit = critical_records(h, k, s_value)
+    crit = critical_records(h, k)
     trans = h.transpositions
     # critical_records accepted h, so its steps are numbered 1..C(n,2) and
     # tau_j stands at index step - 1.
@@ -206,7 +204,8 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     is not adjacent, a tau_j or outer swap of a rebuilt block whose slots
     do not hold its pair, a walk step whose neighbour is no partner, an
     output that fails the axiom walk (this also catches a wrong center
-    order left at a block's end), or changed protected counts.
+    order left at a block's end), changed protected counts, or a changed
+    s(k, pi).
     """
     _check_k(h.n, k)
     require_valid(h)
@@ -292,6 +291,8 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
         raise RearrangementError(
             f"rearrangement changed protected edge counts: {before} -> {after}"
         )
+    if compute_s(out, k) != compute_s(h, k):
+        raise RearrangementError("rearrangement changed s(k, pi)")
     return out
 
 
@@ -329,8 +330,9 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
 
     The main inequality is evaluated on the original halfperiod; the
     classification-level checks run on the rearranged one, where the
-    class/weight bounds are actually asserted by the argument.  E_{k-1},
-    E_{>=k} and s agree between the two (asserted)."""
+    class/weight bounds are actually asserted by the argument.
+    rearrange_essential certifies that E_{k-1}, E_{>=k} and s agree
+    between the two."""
     _check_k(h.n, k)
     n = h.n
     counts = h.level_counts
@@ -340,10 +342,7 @@ def verify_central(h: Halfperiod, k: int) -> CentralReport:
     bound = (n - 2 * k - 1) * K - Fraction(s, 2) * (K - n + 1)
     holds = E_geq <= bound
 
-    lam = rearrange_essential(h, k)
-    if compute_s(lam, k) != s:
-        raise RearrangementError("rearrangement changed s(k, pi)")
-    records = critical_records(lam, k, s)
+    records = critical_records(rearrange_essential(h, k), k)
 
     tallies = {"A": 0, "N": 0, "R": 0, "C": 0, "S_light": 0, "S_heavy": 0}
     for r in records:

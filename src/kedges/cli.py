@@ -146,7 +146,7 @@ def cmd_classify(args) -> int:
     }
     # "records" goes in as head's last key, before the "\n}" that closes
     # json.dumps(head, indent=2).
-    records = _records_text(classify_records(h, args.k, s_value=rep.s), "\n  ")
+    records = _records_text(classify_records(h, args.k), "\n  ")
     print(json.dumps(head, indent=2)[:-2] + ',\n  "records": ' + records + "\n}")
     return 0 if rep.all_ok else 1
 

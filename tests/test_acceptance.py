@@ -1,41 +1,61 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criteria 5-9 read the selftest runners and `sr_audit`, so these
-tests and `kedges selftest all` run one implementation of each check.
-Every comparison is exact; the only tolerances are the wall-clock budgets
-stated alongside each criterion.
+lines.  Every criterion but 6 reads a selftest runner through a module
+fixture: criteria 1-4, 10 and 11 the bounds suite, 5 and 9 the
+constructions suite, 7 and 8 the identity and central suites on one
+corpus; criterion 6 reads `sr_audit`.  So these tests and `kedges selftest
+all` run one implementation of each check, and the fixtures run every
+suite of `selftest all` with its defaults.  The published anchor values
+are asserted on the `golden` tables the runners compare against.  Every
+comparison is exact; the only tolerances are the wall-clock budgets
+stated alongside each criterion, each against its whole suite's time.
 """
 
 import time
 
 import pytest
 
-from kedges import bounds, golden
+from kedges import golden
+from kedges.cli import build_parser
 from kedges.constructions import sr_audit
 from kedges.edgestats import pair_levels
 from kedges.selftest import (
+    SUITES,
     build_corpus,
+    run_bounds_suite,
     run_central_suite,
     run_constructions_suite,
     run_identity_suite,
 )
 
-CORPUS_SEED = 20240901
+CORPUS_TRIALS, CORPUS_NMAX, CORPUS_SEED = 500, 12, 20240901
+RMAX = 5
+
+
+def _timed_checks(run):
+    """One run of a suite: its checks by name, and its wall time."""
+    t0 = time.time()
+    results = run()
+    return {name: (ok, detail) for name, ok, detail in results}, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return build_corpus(trials=500, nmax=12, seed=CORPUS_SEED)
+    return build_corpus(trials=CORPUS_TRIALS, nmax=CORPUS_NMAX, seed=CORPUS_SEED)
+
+
+@pytest.fixture(scope="module")
+def bounds_suite():
+    """The golden tables, the section 5 table, the bracket lemmas and the
+    asymptotic constants."""
+    return _timed_checks(run_bounds_suite)
 
 
 @pytest.fixture(scope="module")
 def constructions():
-    """One run of the constructions suite (S_3..S_5 and both equality
-    constructions): its checks by name, and its wall time."""
-    t0 = time.time()
-    results = run_constructions_suite(rmax=5)
-    return {name: (ok, detail) for name, ok, detail in results}, time.time() - t0
+    """S_3..S_RMAX and both equality constructions."""
+    return _timed_checks(lambda: run_constructions_suite(rmax=RMAX))
 
 
 def _report(num, ok, budget, elapsed, desc):
@@ -45,35 +65,34 @@ def _report(num, ok, budget, elapsed, desc):
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget ({elapsed:.2f}s)"
 
 
-def test_criterion_01_table1_halving():
-    t0 = time.time()
-    got = tuple(bounds.halving_upper_bound(n) for n in golden.TABLE1_N)
-    _report(1, got == golden.TABLE1_H, 1.0, time.time() - t0,
-            f"halving upper bounds for n=14..27: {got}")
+def test_criterion_01_table1_halving(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["table1-halving"]
+    _report(1, ok, 1.0, elapsed, f"halving upper bounds for n=14..27: {detail}")
 
 
-def test_criterion_02_table1_crossings():
-    t0 = time.time()
-    got = tuple(bounds.cr_lower_bound(n) for n in golden.TABLE1_N)
-    anchors = (bounds.cr_lower_bound(20),
-               bounds.cr_lower_bound(23),
-               bounds.cr_lower_bound(24))
-    _report(2, got == golden.TABLE1_CR and anchors == (1657, 3077, 3699),
-            1.0, time.time() - t0, f"crossing lower bounds for n=14..27: {got}")
+def test_criterion_02_table1_crossings(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["table1-crossing"]
+    table = dict(zip(golden.TABLE1_N, golden.TABLE1_CR))
+    anchors = (table[20], table[23], table[24])
+    _report(2, ok and anchors == (1657, 3077, 3699), 1.0, elapsed,
+            f"crossing lower bounds for n=14..27: {detail}")
 
 
-def test_criterion_03_table2_upper():
-    t0 = time.time()
-    got = tuple(bounds.halving_upper_bound(n) for n in golden.TABLE2_N)
-    _report(3, got == golden.TABLE2_H_UPPER, 1.0, time.time() - t0,
-            f"halving upper bounds for n=28..33: {got}")
+def test_criterion_03_table2_upper(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["table2-halving-upper"]
+    _report(3, ok, 1.0, elapsed, f"halving upper bounds for n=28..33: {detail}")
 
 
-def test_criterion_04_section5_table():
-    t0 = time.time()
-    got = {n: bounds.cr_lower_bound(n) for n in golden.SECTION5_CR}
-    ok = got == golden.SECTION5_CR and got[28] == 7233 and got[50] == 84146 and got[99] == 1402932
-    _report(4, ok, 5.0, time.time() - t0, "all 72 published values for 28 <= n <= 99")
+def test_criterion_04_section5_table(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["section5-table"]
+    table = golden.SECTION5_CR
+    anchors = (table[28], table[50], table[99])
+    _report(4, ok and len(table) == 72 and anchors == (7233, 84146, 1402932), 5.0, elapsed,
+            f"all 72 published values for 28 <= n <= 99: {detail}")
 
 
 def test_criterion_05_sr_tightness(constructions):
@@ -118,19 +137,25 @@ def test_criterion_09_equality_constructions(constructions):
             "cluster-polygon(t=1,m=3): E_2=9, E_>=3=18, s=0")
 
 
-def test_criterion_10_asymptotic_constants():
-    t0 = time.time()
-    rep = bounds.asymptotic_constants()
-    ok = (rep["integral1_ok"] and rep["integral2_ok"] and rep["sum_ok"]
-          and rep["crossing_constant_exceeds_0.379972"]
-          and rep["three_decomposable_exceeds_0.380029"])
-    _report(10, ok, 1.0, time.time() - t0,
-            f"integrals = 86/243, 19/729 exactly (sum 277/729); "
-            f"(2/27)(15-pi^2) = {rep['three_decomposable_constant']:.8f} > 0.380029")
+def test_criterion_10_asymptotic_constants(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["asymptotic-constants"]
+    _report(10, ok, 1.0, elapsed,
+            f"integrals = 86/243, 19/729 exactly (sum 277/729), "
+            f"(2/27)(15-pi^2) > 0.380029; {detail}")
 
 
-def test_criterion_11_lemma_brackets():
-    t0 = time.time()
-    bad = [n for n in range(6, 201) if bounds.lemma_brackets(n)]
-    _report(11, not bad, 10.0, time.time() - t0,
-            f"bracket lemmas hold exactly for all 6 <= n <= 200; failures: {bad}")
+def test_criterion_11_lemma_brackets(bounds_suite):
+    results, elapsed = bounds_suite
+    ok, detail = results["lemma-brackets-6..200"]
+    _report(11, ok, 10.0, elapsed, f"bracket lemmas hold exactly for all 6 <= n <= 200; {detail}")
+
+
+def test_fixtures_run_what_selftest_all_runs():
+    """The fixtures run all four suites of `kedges selftest all`, on its
+    default corpus and with an rmax no lower than its default, so the
+    tier-1 run covers every check that command makes."""
+    args = build_parser().parse_args(["selftest", "all"])
+    assert SUITES == ("bounds", "identities", "central", "constructions")
+    assert (CORPUS_TRIALS, CORPUS_NMAX, CORPUS_SEED) == (args.trials, args.nmax, args.seed)
+    assert RMAX >= args.rmax

@@ -217,12 +217,10 @@ def _corrupt(h, how):
         lambda h: compute_s(h, 2),
         lambda h: rearrange_essential(h, 2),
         lambda h: classify(h, 2),
-        lambda h: classify(h, 2, s_value=0),
         lambda h: verify_central(h, 2),
         lambda h: h.level_counts,
     ],
-    ids=["compute_s", "rearrange_essential", "classify", "classify-s", "verify_central",
-         "edge_vector"],
+    ids=["compute_s", "rearrange_essential", "classify", "verify_central", "edge_vector"],
 )
 def test_invalid_halfperiod_rejected_by_every_kernel(kernel, how):
     bad = _corrupt(_reduced_word(7, random.Random(73)), how)
@@ -279,11 +277,12 @@ def _plant_counts(h, k, monkeypatch):
     rearrange_essential(h, k)
 
 
-def _plant_s(h, k, monkeypatch):
-    """compute_s reads one more on every halfperiod but h."""
+def _plant_s(h, k, monkeypatch, kernel=verify_central):
+    """compute_s reads one more on every halfperiod but h; `kernel` is the
+    verifier or the rearrangement that certifies s for it."""
     real = central.compute_s
     monkeypatch.setattr(central, "compute_s", lambda g, j: real(g, j) + (g is not h))
-    verify_central(h, k)
+    kernel(h, k)
 
 
 @pytest.mark.parametrize("plant, message", [
@@ -294,10 +293,12 @@ def _plant_s(h, k, monkeypatch):
     (_plant_counts, "rearrangement changed protected edge counts: "
                     "(7, 9, 13, 11, 6) -> (6, 9, 13, 11, 6)"),
     (_plant_s, "rearrangement changed s(k, pi)"),
-], ids=["adjacent", "slot", "walk", "invalid", "counts", "s"])
+    (functools.partial(_plant_s, kernel=rearrange_essential), "rearrangement changed s(k, pi)"),
+], ids=["adjacent", "slot", "walk", "invalid", "counts", "s", "s-rearrange"])
 def test_each_rearrangement_error_names_its_fault(plant, message, monkeypatch):
     """One planted fault per RearrangementError in central.py, each in a
-    value the replay or the verifier reads."""
+    value the replay or its output certificate reads; the s fault is seen
+    by rearrange_essential itself and through verify_central."""
     with pytest.raises(RearrangementError) as exc:
         plant(_reduced_word(10, random.Random(5)), 3, monkeypatch)
     assert str(exc.value) == message
@@ -450,14 +451,13 @@ def test_rearrangement_matches_fixpoint_reference_on_long_words(n, seed):
         assert evl[:k] == ev[:k] and sum(evl[k:]) == sum(ev[k:]), k
 
 
-def ref_classify(h, k, s_value=None):
+def ref_classify(h, k):
     """Reference: the per-index classification.  Block membership, the
     k-critical involvements of every label, the C_0 overlap after each
     tau_j, the label leaving at it, and every block's weight are each kept
     in a map over transposition indices before any record is built."""
     n = h.n
-    if s_value is None:
-        s_value = compute_s(h, k)
+    s_value = compute_s(h, k)
     c0 = frozenset(h.initial[k : n - k])
     l0 = frozenset(h.initial[:k])
 
@@ -539,13 +539,11 @@ def ref_classify(h, k, s_value=None):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(halfperiods(), st.integers(0, 2**16))
-def test_classification_matches_per_index_reference(h, salt):
+@given(halfperiods())
+def test_classification_matches_per_index_reference(h):
     for k in range(1, (h.n - 1) // 2 + 1):
-        s_other = (salt + k) % (h.n - 2 * k)  # any s in 0..n-2k-1 moves heaviness
         for g in (h, rearrange_essential(h, k)):
             assert classify(g, k) == ref_classify(g, k), (h.n, k)
-            assert classify(g, k, s_value=s_other) == ref_classify(g, k, s_other), (h.n, k)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -553,9 +551,8 @@ def test_classification_matches_per_index_reference(h, salt):
 def test_critical_records_match_the_reference_k_critical_records(h):
     for k in range(1, (h.n - 1) // 2 + 1):
         for g in (h, rearrange_essential(h, k)):
-            s = compute_s(g, k)
-            want = [r for r in ref_classify(g, k, s) if r.kind == "k-critical"]
-            assert critical_records(g, k, s) == want, (h.n, k)
+            want = [r for r in ref_classify(g, k) if r.kind == "k-critical"]
+            assert critical_records(g, k) == want, (h.n, k)
 
 
 def test_verify_central_builds_no_full_classification(monkeypatch):
