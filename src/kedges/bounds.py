@@ -4,9 +4,9 @@ Every bound is exact: the recursions run over ints with exact ceilings
 and the rational values are fractions.Fraction.  The ceiling/floor
 boundaries are off-by-one sensitive (n = 29 hits the halving formula
 exactly at 1926/18 = 107), which is why no float decides anything.  The
-floats are display values: `explicit`, the asymptotic closed form in the
-bound table, and asymptotic_constants' (2/27)(15 - pi^2).  Only
-lemma_brackets compares against a square root, by exact squaring.
+one float is a display value: `explicit`, the asymptotic closed form in
+the bound table.  Only lemma_brackets compares against a square root, by
+exact squaring.
 
 Bound inventory:
 
@@ -34,7 +34,7 @@ Bound inventory:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, pi
+from math import comb
 from typing import NamedTuple
 
 from .edgestats import identity_leq_form
@@ -192,8 +192,8 @@ def asymptotic_constants() -> dict:
         "sum": i1 + i2,
         "sum_ok": i1 + i2 == total,
         "crossing_constant_exceeds_0.379972": total > Fraction("0.379972"),
-        "three_decomposable_constant": (2 / 27) * (15 - pi * pi),
-        # pi < 355/113, so the constant exceeds (2/27)(15 - (355/113)^2) = 0.3800291...
+        # pi < 355/113, so the 3-decomposable constant (2/27)(15 - pi^2)
+        # exceeds (2/27)(15 - (355/113)^2) = 0.3800291...
         "three_decomposable_exceeds_0.380029":
             Fraction(2, 27) * (15 - Fraction(355, 113) ** 2) > Fraction("0.380029"),
     }

@@ -52,9 +52,9 @@ class Halfperiod(Frozen):
 
     The fields are immutable, so the axiom walk is made at most once per
     instance (`axiom_walk`): the violations, which require_valid reads,
-    and the slot pairs and transposition indices at each position, which
-    `level_counts` and each `k_critical(k)` read (and cache) in place of
-    a rescan of the transpositions.
+    and the per-position index of the transpositions, which `level_counts`
+    and each `k_critical(k)` read (and cache) in place of a rescan of the
+    transpositions.
 
     A halfperiod swept from a point set also records the point index
     behind each label (`point_index`, label l is point point_index[l-1]);
@@ -86,23 +86,22 @@ class Halfperiod(Frozen):
                 f"transpositions={self.transpositions!r})")
 
     @functools.cached_property
-    def axiom_walk(self) -> tuple[tuple[str, ...], tuple, tuple]:
-        """(violations, slot pairs, index) of this instance's one
-        validate_allowable walk: slot pair t is (left, right) as the labels
-        stood in the two swapped slots just before transposition t, and
-        index[j] lists in order the indices of the transpositions at
-        position j, 0 <= j <= n (empty if the initial permutation failed)."""
-        slots: list[tuple[int, int]] = []
-        at: list[list[int]] = []
-        report = validate_allowable(self, (slots, at))
-        return tuple(report), tuple(slots), tuple(map(tuple, at))
+    def axiom_walk(self) -> tuple[tuple[str, ...], tuple]:
+        """(violations, index) of this instance's one validate_allowable
+        walk: index[j], 0 <= j <= n, lists in order (t, left, right) for
+        the transposition of index t at position j, left and right the
+        labels standing in its two slots just before it (empty if the
+        initial permutation failed)."""
+        at: list[list[tuple[int, int, int]]] = []
+        report = validate_allowable(self, at)
+        return tuple(report), tuple(map(tuple, at))
 
     @functools.cached_property
     def level_counts(self) -> tuple[int, ...]:
         """(E_0, ..., E_{floor(n/2)-1}) read once per instance off the axiom
         walk's per-position index: a swap at slots (j, j+1) is a
         (min(j, n-j) - 1)-edge.  Requires a valid halfperiod."""
-        at = require_valid(self).axiom_walk[2]
+        at = require_valid(self).axiom_walk[1]
         n = self.n
         counts = [0] * (n // 2)
         for j in range(1, n):
@@ -133,40 +132,39 @@ class Halfperiod(Frozen):
         """(index, boundary, entering, leaving) of each k-critical
         transposition in order: a swap in slots (k, k+1) lets the left
         label into the k-center, one in slots (n-k, n-k+1) the right one.
-        Read once per k and instance off the axiom walk's slot pairs at
-        positions k and n-k of its per-position index; requires a valid
-        halfperiod and 1 <= k < n/2."""
+        Read once per k and instance off positions k and n-k of the axiom
+        walk's per-position index; requires a valid halfperiod and
+        1 <= k < n/2."""
         cache = self._k_critical_by_k
         crit = cache.get(k)
         if crit is None:
             _check_k(self.n, k)
-            _report, slots, at = require_valid(self).axiom_walk
-            crit = [(idx, "k", *slots[idx]) for idx in at[k]]
-            crit += [(idx, "n-k", slots[idx][1], slots[idx][0]) for idx in at[self.n - k]]
+            at = require_valid(self).axiom_walk[1]
+            crit = [(idx, "k", left, right) for idx, left, right in at[k]]
+            crit += [(idx, "n-k", right, left) for idx, left, right in at[self.n - k]]
             crit.sort()
             crit = cache[k] = tuple(crit)
         return crit
 
 
-def validate_allowable(h: Halfperiod, walk: tuple[list, list] | None = None) -> list[str]:
+def validate_allowable(h: Halfperiod, at: list | None = None) -> list[str]:
     """Check the simple-allowable-sequence axioms; returns the list of
     violations (empty iff h is a valid halfperiod).
 
     Violations are data, not errors: axioms checked are the step numbering
     1..C(n,2), slot adjacency of the recorded pairs, every pair swapped
     exactly once, the expected transposition count, and final permutation
-    = reverse of initial.  When `walk` = (slots, at) is given, slots gets
-    the labels standing in the swapped slots before each in-range
-    transposition and, once the initial permutation passes, at gets n + 1
-    lists, at[j] the indices of the transpositions at position j.
+    = reverse of initial.  When the list `at` is given and the initial
+    permutation passes, it gets n + 1 lists: at[j] holds, in order,
+    (t, left, right) for the in-range transposition of index t at position
+    j, left and right the labels standing in its two slots just before it.
     """
     report = []
     n = h.n
     if len(h.initial) != n or sorted(h.initial) != list(range(1, n + 1)):
         report.append(f"initial is not a permutation of 1..{n}")
         return report
-    if walk is not None:
-        slots, at = walk
+    if at is not None:
         at.extend([] for _ in range(n + 1))
     expected = comb(n, 2)
     if len(h.transpositions) != expected:
@@ -183,9 +181,8 @@ def validate_allowable(h: Halfperiod, walk: tuple[list, list] | None = None) -> 
             continue
         j = position - 1
         a, b = here = perm[j], perm[j + 1]
-        if walk is not None:
-            slots.append(here)
-            at[position].append(idx)
+        if at is not None:
+            at[position].append((idx, a, b))
         if pair != here and pair != (b, a):
             report.append(
                 f"step {idx + 1}: recorded pair {pair} but slots hold {here}"

@@ -13,7 +13,9 @@ Subcommands:
   decompose3        search for a 3-decomposition witness of a point file
   selftest          verification suites (bounds | identities | central | constructions | all)
 
-Exit codes: 0 success, 1 internal/assertion failure, 2 input error.
+Exit codes: 0 success, 1 a failed check or certificate, 2 input error.
+main maps InputError to exit 2 and any other KedgesError, such as a
+VerificationError, to exit 1; both print one line on stderr.
 
 The parser is built once per process, on the first call of main, so handlers
 get everything through args; main calls cmd_<command> ('-' read as '_').
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KedgesError, AssertionError) as exc:
+    except KedgesError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
 

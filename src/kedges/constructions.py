@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .bounds import bound_table, comb2
 from .circseq import Halfperiod, compute_s, halfperiod_from_points
-from .edgestats import check_routes
+from .edgestats import summarize
 from .errors import InputError, VerificationError
 from .geom import (
     Frozen,
@@ -307,10 +307,10 @@ def perturb_collinear_families(ps: PointSet, families, epsilon) -> PointSet:
 def build_sr(cfg: SrConfig) -> SrResult:
     """Build and certify the 9r-point family in one attempt with the
     parameters `cfg` derives from r: place, perturb the named families,
-    sweep, audit, and check both counting routes.  Certificates, all on the
-    emitted points: general position after the perturbation (the sweep's
-    own check), the audit against the `bounds` table and the split, and
-    both routes.  Any failure raises VerificationError."""
+    sweep, audit, and summarize.  Certificates, all on the emitted points:
+    general position after the perturbation (the sweep's own check), the
+    audit against the `bounds` table and the split, and `summarize`, the
+    certificate `analyze` runs.  Any failure raises VerificationError."""
     r = cfg.r
     try:
         raw = PointSet(_sr_raw_points(cfg))
@@ -320,7 +320,7 @@ def build_sr(cfg: SrConfig) -> SrResult:
         bad = [row for row in audit if not row.ok]
         if bad:
             raise VerificationError(f"audit mismatch {bad[0]}")
-        check_routes(ps, h)
+        summarize(ps, h)
     except (VerificationError, InputError) as exc:
         # A degenerate intersection mid-build is a failed certificate too.
         raise VerificationError(f"S_{r} could not be certified: {exc}") from None
@@ -345,9 +345,10 @@ def _certify_equality(name: str, precision: int, pts, k: int,
                       want: dict[str, int]) -> tuple[PointSet, Halfperiod]:
     """The point set of `pts` and its halfperiod, certified in one sweep:
     each count `want` names (E_j, E_>=k or s(k, pi), checked in its order)
-    must equal its closed form there, and both counting routes must agree.
-    Any failure, a degenerate point set included, raises VerificationError
-    naming the builder, the precision and the check that failed."""
+    must equal its closed form there, and the set must pass `summarize`,
+    the certificate `analyze` runs.  Any failure, a degenerate point set
+    included, raises VerificationError naming the builder, the precision
+    and the check that failed."""
     try:
         ps = PointSet(pts)
         h = halfperiod_from_points(ps)
@@ -357,7 +358,7 @@ def _certify_equality(name: str, precision: int, pts, k: int,
         for label, closed in want.items():
             if got[label] != closed:
                 raise VerificationError(f"{label} = {got[label]}, want {closed}")
-        check_routes(ps, h)
+        summarize(ps, h)
     except (VerificationError, InputError) as exc:
         raise VerificationError(
             f"{name} could not be certified at precision {precision}: {exc}") from None

@@ -34,9 +34,12 @@ small-n selftest check.
 The edge vector (E_0, ..., E_{floor(n/2)-1}) is a plain tuple of ints,
 the sweep's cached `Halfperiod.level_counts`.  Nothing re-checks it;
 every pair of a valid halfperiod is exactly one j-edge, so it sums to
-C(n,2) and its last entry is the halving-line count.  `summarize`
-evaluates the identity in both closed forms, the second through
-`identity_leq_form` on the prefix sums E_{<=k}:
+C(n,2) and its last entry is the halving-line count.  `summarize` is
+the one certificate of a point set: `analyze`, `selftest identities` and
+the builders run it, and any disagreement of the routes or of the
+identity forms raises VerificationError.  It evaluates the identity in
+both closed forms, the second through `identity_leq_form` on the prefix
+sums E_{<=k}:
 
     cr = 3 C(n,4) - sum_k k (n-k-2) E_k
        = sum_{k<=n/2-2} (n-2k-3) E_{<=k} - (3/4) C(n,3)
@@ -49,7 +52,7 @@ from itertools import accumulate
 from math import comb, inf
 
 from .circseq import Halfperiod, halfperiod_from_points
-from .errors import GeneralPositionError, InputError
+from .errors import GeneralPositionError, InputError, VerificationError
 from .geom import PointSet, _ratio_key, _sort_exact
 
 
@@ -131,22 +134,6 @@ def radial_counts(ps: PointSet) -> tuple[dict[tuple[int, int], int], int]:
     return levels, total - 3 * comb(n, 4)
 
 
-def check_routes(ps: PointSet, h: Halfperiod) -> int:
-    """Compare route A's pair levels (h, swept from ps) with route B's and
-    return route B's crossing number.  Any difference is a kernel bug, not
-    bad input, so it raises AssertionError."""
-    levels, cr = radial_counts(ps)
-    swept = h.point_levels
-    if swept != levels:
-        pair = next(pair for pair in sorted(levels.keys() | swept.keys())
-                    if swept.get(pair) != levels.get(pair))
-        raise AssertionError(
-            f"pair {pair} has level {swept.get(pair)} in the sweep and "
-            f"{levels.get(pair)} in the radial orders"
-        )
-    return cr
-
-
 def crossings_bruteforce(ps: PointSet) -> int:
     """Number of crossing segment pairs = number of 4-point subsets in
     convex position.
@@ -193,7 +180,7 @@ def identity_leq_form(n: int, leq_values) -> int:
     where L_k are the supplied values for E_{<=k}.  Also used by the bounds
     pipeline with per-k lower bounds in place of true counts.  The value is
     evaluated as eight times itself; a remainder mod 8 is a kernel bug, so it
-    raises AssertionError.
+    raises VerificationError.
     """
     top = n // 2 - 2
     leq_values = list(leq_values)
@@ -204,27 +191,32 @@ def identity_leq_form(n: int, leq_values) -> int:
         eight += 2 * comb(n, 2)
     value, rem = divmod(eight, 8)
     if rem:
-        raise AssertionError(f"E_<=k identity is not an integer: {eight}/8")
+        raise VerificationError(f"E_<=k identity is not an integer: {eight}/8")
     return value
 
 
 def summarize(ps: PointSet, h: Halfperiod | None = None) -> tuple[tuple[int, ...], int]:
-    """(edge vector, crossing number) of a point set.
+    """(edge vector, crossing number) of a point set, certified.
 
     The edge vector is the sweep's `Halfperiod.level_counts` (route A; pass
-    the halfperiod as `h` when it is already built).
-    Its pair levels are checked against the radial orders (route B) pair by
-    pair, and route B's crossing number against both forms of the
-    identity; any disagreement raises AssertionError (it would mean a
-    kernel bug, not bad input)."""
+    the halfperiod as `h` when it is already built).  Its pair levels are
+    checked against the radial orders (route B) pair by pair, and route B's
+    crossing number against both forms of the identity; any disagreement
+    raises VerificationError (it would mean a kernel bug, not bad input)."""
     if h is None:
         h = halfperiod_from_points(ps)
-    cr_radial = check_routes(ps, h)
+    levels, cr_radial = radial_counts(ps)
+    swept = h.point_levels
+    if swept != levels:
+        pair = next(pair for pair in sorted(levels.keys() | swept.keys())
+                    if swept.get(pair) != levels.get(pair))
+        raise VerificationError(f"pair {pair} has level {swept.get(pair)} in the sweep and "
+                                f"{levels.get(pair)} in the radial orders")
     n, counts = h.n, h.level_counts
     form1 = 3 * comb(n, 4) - sum(k * (n - k - 2) * ek for k, ek in enumerate(counts))
     form2 = identity_leq_form(n, accumulate(counts))
     if not cr_radial == form1 == form2:
-        raise AssertionError(
+        raise VerificationError(
             f"crossing identity mismatch: radial={cr_radial} form1={form1} form2={form2}"
         )
     return counts, form1

@@ -2,9 +2,11 @@
 
 InputError covers everything caused by bad user input (malformed files,
 degenerate point sets); the CLI maps it to exit code 2.  VerificationError
-covers internal certificate failures (a construction whose claimed counts
-could not be validated, a rearrangement that broke an invariant); the CLI
-maps those, and any other unexpected exception, to exit code 1.
+covers every failed certificate (a construction whose claimed counts
+could not be validated, a rearrangement that broke an invariant, two
+counting routes or identity forms that disagree); the CLI maps it, and
+any other KedgesError, to exit code 1.  Any other exception is a bug and
+ends in a traceback.
 """
 
 

@@ -2,8 +2,10 @@
 acceptance tests.
 
 Each runner returns a list of (name, ok, detail) check results; a suite
-passes iff every ok flag is True.  The randomized suites take an explicit
-seed so reruns are byte-identical.
+passes iff every ok flag is True.  A failed certificate is always a
+VerificationError, and each runner turns one into a failed check, so the
+other checks still run.  The randomized suites take an explicit seed so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,17 +78,17 @@ def run_identity_suite(corpus) -> list:
     """edgestats.summarize on every corpus set: the sweep's pair levels vs
     the radial orders', and the radial crossing count vs both identity
     forms; sets with n <= ORACLE_NMAX are also checked against brute
-    force.  Zero tolerance; a raised AssertionError is a failure."""
+    force.  Zero tolerance; a raised VerificationError is a failed set."""
     fails = []
     for idx, (ps, h) in enumerate(corpus):
         try:
             _, crossings = summarize(ps, h)
             if ps.n <= ORACLE_NMAX:
                 if pair_levels(ps) != h.point_levels:
-                    raise AssertionError("pair levels differ from brute force")
+                    raise VerificationError("pair levels differ from brute force")
                 if crossings_bruteforce(ps) != crossings:
-                    raise AssertionError("crossings differ from brute force")
-        except AssertionError as exc:
+                    raise VerificationError("crossings differ from brute force")
+        except VerificationError as exc:
             fails.append((idx, ps.n, str(exc)))
     return [
         _result(

@@ -133,6 +133,15 @@ def test_validate_message_position_out_of_range():
     ]
 
 
+def test_validate_message_position_out_of_range_at_n():
+    ts = list(VALID4)
+    ts[5] = Transposition(6, 4, ts[5].pair)
+    assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
+        "step 6: position 4 out of range 1..3",
+        FINAL,
+    ]
+
+
 def test_validate_message_recorded_pair_not_in_slots():
     ts = list(VALID4)
     ts[0] = Transposition(1, 2, (2, 4))

@@ -434,31 +434,78 @@ def test_selftest_quick_sweeps(capsys):
     assert "[PASS]" in out
 
 
+def _plant_radial_level(monkeypatch, n):
+    """Route B reports the least pair of every n-point set one level up."""
+    from kedges import edgestats
+
+    real = edgestats.radial_counts
+
+    def planted(ps):
+        levels, cr = real(ps)
+        if ps.n == n:
+            levels[min(levels)] += 1
+        return levels, cr
+
+    monkeypatch.setattr(edgestats, "radial_counts", planted)
+
+
 def test_selftest_reports_a_failed_certificate_and_keeps_every_other_check(monkeypatch, capsys):
     """A VerificationError inside build_sr at r = 4 is one FAIL line in
-    place of S_4's three; every other check still runs and prints."""
+    place of S_4's three; every other check still runs and prints.  The
+    error is planted twice: raised by summarize itself, and a route
+    disagreement that summarize finds."""
     from kedges import constructions
 
     argv = ["selftest", "all", "--trials", "5", "--nmax", "6"]
     assert main(argv) == 0
     clean = capsys.readouterr().out.splitlines()
-    real = constructions.check_routes
+    r4 = [i for i, line in enumerate(clean) if line.split()[1].endswith("-r4")]
+    assert len(r4) == 3 and r4 == list(range(r4[0], r4[0] + 3))
+    real = constructions.summarize
 
     def planted(ps, h):
         if ps.n == 36:
             raise VerificationError("planted")
         return real(ps, h)
 
-    monkeypatch.setattr(constructions, "check_routes", planted)
-    assert main(argv) == 1
-    r4 = [i for i, line in enumerate(clean) if line.split()[1].endswith("-r4")]
-    assert len(r4) == 3 and r4 == list(range(r4[0], r4[0] + 3))
-    assert capsys.readouterr().out.splitlines() == [
-        *clean[:r4[0]],
-        "[FAIL] sr-certificate-r4  (S_4 could not be certified: planted)",
-        *clean[r4[-1] + 1:-1],
-        "13/14 checks passed",
-    ]
+    def fails_r4_only(detail):
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            *clean[:r4[0]],
+            f"[FAIL] sr-certificate-r4  (S_4 could not be certified: {detail})",
+            *clean[r4[-1] + 1:-1],
+            "13/14 checks passed",
+        ]
+
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "summarize", planted)
+        fails_r4_only("planted")
+    _plant_radial_level(monkeypatch, 36)
+    fails_r4_only("pair (0, 1) has level 16 in the sweep and 17 in the radial orders")
+
+
+def test_a_route_disagreement_fails_the_equality_builders_one_line_each(monkeypatch, capsys):
+    assert main(["selftest", "constructions", "--rmax", "3"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    _plant_radial_level(monkeypatch, 9)
+    assert main(["selftest", "constructions", "--rmax", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == clean[:3]
+    assert out[3].startswith("[FAIL] polygon-center-9  (polygon-center could not be "
+                             "certified at precision 1000000: pair ")
+    assert out[4].startswith("[FAIL] cluster-polygon-9  (cluster-polygon could not be "
+                             "certified at precision 1000000: pair ")
+    assert out[5:] == ["3/5 checks passed"]
+
+
+def test_a_route_disagreement_in_construct_is_one_line(monkeypatch, tmp_path, capsys):
+    _plant_radial_level(monkeypatch, 36)
+    out_file = tmp_path / "s4.pts"
+    assert main(["construct", "sr", "--r", "4", "-o", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_file.exists()
+    assert captured.err.startswith("internal failure: S_4 could not be certified: pair ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, runner, error, line", [
@@ -606,6 +653,7 @@ _BAD_FILES = {
     "NON_UTF8_PTS": b"3\n0 0\n1 \xff\n0 1\n",
     "NON_UTF8_HP": b"3\n1 2 3\n1 1 1 \xff\n",
     "HUGE_HP": b"%d\n1 2 3\n" % 10**18,
+    "POSITION_N_HP": b"3\n1 2 3\n1 1 1 2\n2 3 1 3\n3 1 2 3\n",
     "HUGE_COORD": b"1\n" + b"1" * 5000 + b" 0\n",
     "LONG_BAD_COORD": b"1\n0 1." + b"5" * 5000 + b"\n",
     "LONG_COUNT": b"1" * 5000 + b"\n0 0\n",
@@ -633,6 +681,7 @@ _BAD_FILES = {
         ["analyze", "NON_UTF8_PTS"],
         ["classify", "NON_UTF8_HP", "--halfperiod", "--k", "1"],
         ["classify", "HUGE_HP", "--halfperiod", "--k", "1"],
+        ["classify", "POSITION_N_HP", "--halfperiod", "--k", "1"],
         ["analyze", "HUGE_COORD"],
         ["analyze", "LONG_BAD_COORD"],
         ["analyze", "LONG_COUNT"],
@@ -643,6 +692,7 @@ _BAD_FILES = {
          "precision-polygon-center-negative", "precision-polygon-center-float-overflow",
          "precision-cluster-polygon-float-overflow", "rmax-constructions", "rmax-all",
          "analyze-non-utf8", "classify-non-utf8", "classify-huge-header",
+         "classify-position-n",
          "analyze-huge-coordinate", "analyze-long-bad-coordinate", "analyze-long-point-count",
          "analyze-long-x-y-line"],
 )

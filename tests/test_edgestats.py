@@ -13,7 +13,7 @@ from kedges.edgestats import (
     identity_leq_form,
     summarize,
 )
-from kedges.errors import InputError
+from kedges.errors import InputError, VerificationError
 from kedges.gensets import random_general_position_set
 from kedges.geom import PointSet
 from oracles import P, convex_polygon_set, edge_vector_bruteforce
@@ -72,7 +72,7 @@ def test_identity_leq_form_lower_bound_vector_n24():
     leq = [3, 9, 18, 30, 45, 63, 84, 108, 138, 174, 225]
     assert identity_leq_form(24, leq) == 3699
     # a value that is not a whole number is a kernel bug, not bad input
-    with pytest.raises(AssertionError, match="not an integer"):
+    with pytest.raises(VerificationError, match="not an integer"):
         identity_leq_form(24, [Fraction(1, 16)] + leq[1:])
     # fewer values than k = 0..n/2-2 is bad input
     with pytest.raises(InputError, match=r"need E_<=k values for k = 0\.\.10"):
