@@ -38,7 +38,11 @@ classify adds the center and outer records around them.
 rearrange_essential builds that halfperiod in two forward passes: one
 finds the block each center transposition lands in, the other replays the
 result once from the initial permutation, one slot swap per
-transposition, checking adjacency and slots as it goes.
+transposition, checking adjacency and slots as it goes.  The replay has
+no nested function: one inline loop serves the blocks that are not
+rebuilt (their own swaps, then the swaps that landed in them), another
+the rebuilt ones (tau_j, p_j's walk, then the outer swaps), over a
+list-indexed slot map.
 
 Each quantity has one certificate:
 
@@ -190,12 +194,14 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     center, 0 before any.  Every block in (L, j] then holds the swap as a
     nonessential one and is rebuilt.
 
-    Two forward passes.  The landing pass finds where each center swap
-    lands and which blocks are rebuilt.  The replay pass starts from
-    h.initial with a slot map: block 0 and every block that is not
+    Two forward passes, with no nested function and no call per swap but
+    the one that builds its Transposition.  The landing pass finds where
+    each center swap lands and which blocks are rebuilt.  The replay pass
+    starts from h.initial with a slot map (a list indexed by label) and
+    has one loop per block kind.  Block 0 and every block that is not
     rebuilt replay their own swaps, then the swaps that landed in them
-    from later blocks, in h's order, each at the slot the map gives its
-    pair; a rebuilt B_j replays tau_j, then p_j's monotone walk across
+    from later blocks, in h's order, each at the slots the map gives its
+    pair.  A rebuilt B_j replays tau_j, then p_j's monotone walk across
     the partners of its landed swaps (its own essential ones included),
     then its outer swaps in h's order.  Every position outside
     k+1..n-k-1 is kept, hence E_0..E_{k-1} and E_{>=k}.
@@ -210,6 +216,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     _check_k(h.n, k)
     require_valid(h)
     n = h.n
+    hi = n - k  # center positions are k+1..hi-1
     trans = h.transpositions
     crit = h.k_critical(k)
     starts = [0] + [c[0] for c in crit]
@@ -217,70 +224,90 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
 
     # Landing pass.  low[j] ends as the earliest landing of any center
     # swap in B_j or later, so B_j is rebuilt iff low[j] < j.
-    last = dict.fromkeys(h.initial, 0)
+    last = [0] * (n + 1)
     landed = [[] for _ in starts]
     low = list(range(len(starts)))
     for j, (start, end) in enumerate(zip(starts, ends)):
         if j:
             last[crit[j - 1][2]] = j
-        for i in range(start, end):
-            _step, pos, (a, b) = trans[i]
-            land = max(last[a], last[b])
-            if k < pos < n - k and land < j:
-                landed[land].append(i)
-                low[j] = min(low[j], land)
+        for t in trans[start:end]:
+            if k < t[1] < hi:
+                a, b = t[2]
+                land = last[a] if last[a] > last[b] else last[b]
+                if land < j:
+                    landed[land].append(t)
+                    if land < low[j]:
+                        low[j] = land
     for j in reversed(range(len(low) - 1)):
         low[j] = min(low[j], low[j + 1])
 
-    # Replay pass.
+    # Replay pass.  step numbers the output swaps; cur[slot[x]] == x.
+    new = _new_transposition  # read at call time, so a patched module name is used
     cur = list(h.initial)
-    slot = {lab: i for i, lab in enumerate(cur)}
+    slot = [0] * (n + 1)
+    for i, lab in enumerate(cur):
+        slot[lab] = i
     seq = []
-
-    def swap(j, pair=None):
-        a, b = cur[j], cur[j + 1]
-        seq.append(_new_transposition((len(seq) + 1, j + 1, pair or (a, b))))
-        cur[j], cur[j + 1] = b, a
-        slot[a], slot[b] = j + 1, j
-
-    def swap_labels(pair, keep=False):
-        ja, jb = slot[pair[0]], slot[pair[1]]
-        if abs(ja - jb) != 1:
-            raise RearrangementError(f"pair {pair} not adjacent in the replay")
-        swap(min(ja, jb), pair if keep else None)
-
-    def swap_in_place(t):
-        j = t.position - 1
-        if {cur[j], cur[j + 1]} != set(t.pair):
-            raise RearrangementError(f"pair {t.pair} displaced from slot {t.position}")
-        swap(j)
-
+    append = seq.append
+    step = 0
     for j, (start, end) in enumerate(zip(starts, ends)):
         if low[j] == j:
-            for t in trans[start:end]:
-                swap_labels(t.pair, keep=True)
-            for i in landed[j]:
-                swap_labels(trans[i].pair)
+            # Own swaps keep the pair h records; a landed swap records its
+            # slots' order.
+            for swaps, keep in ((trans[start:end], True), (landed[j], False)):
+                for t in swaps:
+                    pair = t[2]
+                    a, b = pair
+                    ja, jb = slot[a], slot[b]
+                    if ja + 1 == jb:
+                        m = ja
+                    elif jb + 1 == ja:
+                        m = jb
+                        if not keep:
+                            pair = (b, a)
+                    else:
+                        raise RearrangementError(f"pair {pair} not adjacent in the replay")
+                    step += 1
+                    append(new((step, m + 1, pair)))
+                    cur[ja], cur[jb] = b, a
+                    slot[a], slot[b] = jb, ja
             continue
         _idx, boundary, p, _leaving = crit[j - 1]
-        partners = {lab for i in landed[j] for lab in trans[i].pair}
+        partners = {lab for t in landed[j] for lab in t[2]}
         outer = []
         for t in trans[start + 1 : end]:
-            if not k < t.position < n - k:
+            if not k < t[1] < hi:
                 outer.append(t)
-            elif p in t.pair:
-                partners.update(t.pair)
+            elif p in t[2]:
+                partners.update(t[2])
         partners.discard(p)
-        swap_in_place(trans[start])
-        step = 1 if boundary == "k" else -1
-        while partners:
-            jp = slot[p]
-            if cur[jp + step] not in partners:
-                raise RearrangementError(f"essential walk out of order at slot {jp + 1}")
-            partners.discard(cur[jp + step])
-            swap(min(jp, jp + step))
-        for t in outer:
-            swap_in_place(t)
+        forward = boundary == "k"
+        # tau_j, then p_j's walk (which empties partners), then the outer
+        # swaps, each checked against the slots h gives it.
+        for t in (trans[start], *outer):
+            _step, pos, pair = t
+            x, y = cur[pos - 1], cur[pos]
+            a, b = pair
+            if not (x == a and y == b or x == b and y == a):
+                raise RearrangementError(f"pair {pair} displaced from slot {pos}")
+            step += 1
+            append(new((step, pos, (x, y))))
+            cur[pos - 1], cur[pos] = y, x
+            slot[x], slot[y] = pos, pos - 1
+            while partners:
+                jp = slot[p]
+                jq = jp + 1 if forward else jp - 1
+                q = cur[jq]
+                if q not in partners:
+                    raise RearrangementError(f"essential walk out of order at slot {jp + 1}")
+                partners.discard(q)
+                step += 1
+                if forward:
+                    append(new((step, jq, (p, q))))
+                else:
+                    append(new((step, jp, (q, p))))
+                cur[jp], cur[jq] = q, p
+                slot[q], slot[p] = jp, jq
 
     out = Halfperiod(n, h.initial, tuple(seq))
     report = out.axiom_walk[0]

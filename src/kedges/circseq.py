@@ -158,6 +158,10 @@ def validate_allowable(h: Halfperiod, at: list | None = None) -> list[str]:
     permutation passes, it gets n + 1 lists: at[j] holds, in order,
     (t, left, right) for the in-range transposition of index t at position
     j, left and right the labels standing in its two slots just before it.
+
+    The "swapped again" table is a dict keyed by the int a*(n+1) + b of
+    each sorted label pair (a, b), one entry per in-range transposition
+    read, so its size is bounded by the input and not by (n+1)^2.
     """
     report = []
     n = h.n
@@ -172,7 +176,8 @@ def validate_allowable(h: Halfperiod, at: list | None = None) -> list[str]:
             f"expected C({n},2) = {expected} transpositions, found {len(h.transpositions)}"
         )
     perm = list(h.initial)
-    seen: dict[tuple[int, int], int] = {}  # keyed by the sorted label pair
+    width = n + 1
+    seen: dict[int, int] = {}  # a*(n+1) + b of a sorted label pair -> its first step
     for idx, (step, position, pair) in enumerate(h.transpositions):
         if step != idx + 1:
             report.append(f"step {idx + 1}: recorded step number {step}")
@@ -180,21 +185,22 @@ def validate_allowable(h: Halfperiod, at: list | None = None) -> list[str]:
             report.append(f"step {idx + 1}: position {position} out of range 1..{n - 1}")
             continue
         j = position - 1
-        a, b = here = perm[j], perm[j + 1]
+        a, b = here = perm[j], perm[position]
         if at is not None:
             at[position].append((idx, a, b))
         if pair != here and pair != (b, a):
             report.append(
                 f"step {idx + 1}: recorded pair {pair} but slots hold {here}"
             )
-        key = here if a < b else (b, a)
+        key = a * width + b if a < b else b * width + a
         if key in seen:
             report.append(
-                f"step {idx + 1}: pair {key} swapped again (first at step {seen[key]})"
+                f"step {idx + 1}: pair {here if a < b else (b, a)} swapped again "
+                f"(first at step {seen[key]})"
             )
         else:
             seen[key] = idx + 1
-        perm[j], perm[j + 1] = b, a
+        perm[j], perm[position] = b, a
     if perm != list(reversed(h.initial)):
         report.append("final permutation is not the reverse of the initial one")
     return report
@@ -309,15 +315,18 @@ def read_halfperiod(path) -> Halfperiod:
     except ValueError as exc:
         raise InputError(f"bad halfperiod header: {exc}") from None
     trans = []
+    append, new = trans.append, _new_transposition
     for no, ln in lines:
         toks = ln.split()
-        if not toks or toks[0].startswith("#"):
-            continue
-        if len(toks) != 4:
-            raise InputError(f"line {no}: expected 'step position labelA labelB'")
         try:
             step, pos, la, lb = map(int, toks)
         except ValueError:
+            # Not four integers: a blank or '#' line is skipped, else the
+            # arity is reported before the field.
+            if not toks or toks[0].startswith("#"):
+                continue
+            if len(toks) != 4:
+                raise InputError(f"line {no}: expected 'step position labelA labelB'") from None
             raise InputError(f"line {no}: non-integer field") from None
-        trans.append(_new_transposition((step, pos, (la, lb))))
+        append(new((step, pos, (la, lb))))
     return Halfperiod(n, initial, tuple(trans))

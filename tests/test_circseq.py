@@ -1,6 +1,7 @@
 """Halfperiod construction, validation, k-centers, s(k, pi)."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from kedges.circseq import (
     compute_s,
     halfperiod_from_points,
     read_halfperiod,
+    require_valid,
     validate_allowable,
 )
 from kedges.errors import GeneralPositionError, InputError
@@ -167,6 +169,26 @@ def test_validate_message_final_permutation():
     ]
 
 
+def test_validate_memory_is_bounded_by_the_transpositions_read(tmp_path):
+    """A 14 KB file that claims n = 3000 and holds one transposition: the
+    axiom walk's pair table grows with the transpositions read, not with
+    the (n+1)^2 label pairs it could key."""
+    n = 3000
+    path = tmp_path / "hp.txt"
+    path.write_text(f"{n}\n{' '.join(map(str, range(1, n + 1)))}\n1 1 1 2\n")
+    h = read_halfperiod(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as exc:
+            require_valid(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(
+        "invalid halfperiod: expected C(3000,2) = 4498500 transpositions, found 1; ")
+    assert peak < 2 << 20, peak
+
+
 def test_hand_built_abstract_halfperiod():
     # n = 4, positions [2, 1, 3, 2, 1, 3] starting from the identity.
     positions = [2, 1, 3, 2, 1, 3]
@@ -259,8 +281,16 @@ HP3 = "# n\n3\n\n1 2 3\n# steps\n1 1 1 2\n2 2 1 3\n3 1 2 3\n"
 
 def test_read_halfperiod_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "hp.txt"
-    path.write_text(HP3)
-    assert read_halfperiod(path) == Halfperiod(3, (1, 2, 3), tuple(_word((1, 2, 3), [1, 2, 1])))
+    want = Halfperiod(3, (1, 2, 3), tuple(_word((1, 2, 3), [1, 2, 1])))
+    for text in (
+        HP3,
+        HP3.replace("# steps", "# 1 2 3"),  # a comment with four tokens
+        HP3.replace("# steps", "#1 1 2 3"),  # a first token glued to '#'
+        HP3.replace("1 1 1 2\n", "1 1 1 2\n \t \n"),  # whitespace between transpositions
+        HP3.rstrip("\n"),  # no newline after the last transposition
+    ):
+        path.write_text(text)
+        assert read_halfperiod(path) == want, text
 
 
 @pytest.mark.parametrize(
@@ -279,6 +309,9 @@ def test_read_halfperiod_skips_comments_and_blank_lines(tmp_path):
                      "line 7: expected 'step position labelA labelB'", id="five-fields"),
         pytest.param(HP3.replace("3 1 2 3", "3 1 2 c"), "line 8: non-integer field",
                      id="non-integer"),
+        pytest.param(HP3.replace("2 2 1 3\n", "# five next\n2 2 1 3 4\n"),
+                     "line 8: expected 'step position labelA labelB'",
+                     id="five-fields-after-comment"),
         # the header is reported before a bad transposition line
         pytest.param("# n\nthree\n1 2 3\n1 1 x\n", "bad halfperiod header: invalid literal "
                      "for int() with base 10: 'three'", id="header-first"),

@@ -41,6 +41,9 @@ WORD_REPEATS (31) for the stages and halfperiod kernels (milliseconds):
   cached); `level_counts` and `k_critical(k)` on a fresh copy whose axiom
   walk alone is made, untimed, before each run; `cli._records_text` of the
   `classify --halfperiod` records; and that command through `cli.main`.
+  The row's `calls` block holds, per kernel, the function calls of one
+  more run under cProfile, made after the timed ones: an exact count,
+  the same in every process on one tree.
 * bounds: `cr_lower_bound` over n = 28..99 (`tables section5`),
   `lemma_brackets` over n = 6..200 (`selftest bounds`) and `bound_table`
   over n = 8..200 (the perfbench `bounds` ops).
@@ -58,11 +61,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import functools
 import io
 import json
 import os
 import platform
+import pstats
 import random
 import statistics
 import subprocess
@@ -95,6 +100,15 @@ def median_time(fn, repeats=REPEATS, setup=None) -> float:
         fn(*arg)
         times.append(perf_counter() - t0)
     return statistics.median(times)
+
+
+def call_count(fn, setup=None) -> int:
+    """Function calls (Python and built-in, as cProfile counts them) of one
+    untimed run of fn(), or of fn(setup()) with setup unprofiled."""
+    arg = () if setup is None else (setup(),)
+    prof = cProfile.Profile()
+    prof.runcall(fn, *arg)
+    return pstats.Stats(prof).total_calls
 
 
 def kernel_times() -> dict:
@@ -202,19 +216,20 @@ def halfperiod_times() -> dict:
             return circseq.require_valid(circseq.Halfperiod(n, h.initial, h.transpositions))
 
         records = central.classify(h, k)
-        row = {
-            "n": n,
-            "k": k,
-            "read_halfperiod": timed(lambda: circseq.read_halfperiod(path)),
-            "validate_allowable": timed(lambda: circseq.validate_allowable(h)),
-            "level_counts": timed(lambda g: g.level_counts, setup=walked),
-            "k_critical": timed(lambda g: g.k_critical(k), setup=walked),
-            "rearrange_essential": timed(lambda: central.rearrange_essential(h, k)),
-            "verify_central": timed(lambda: central.verify_central(h, k)),
-            "classify": timed(lambda: central.classify(h, k)),
-            "_records_text": timed(lambda: cli._records_text(records, "\n  ")),
-            "main classify": timed(main_stdout),
+        kernels = {  # name: (fn, setup)
+            "read_halfperiod": (lambda: circseq.read_halfperiod(path), None),
+            "validate_allowable": (lambda: circseq.validate_allowable(h), None),
+            "level_counts": (lambda g: g.level_counts, walked),
+            "k_critical": (lambda g: g.k_critical(k), walked),
+            "rearrange_essential": (lambda: central.rearrange_essential(h, k), None),
+            "verify_central": (lambda: central.verify_central(h, k), None),
+            "classify": (lambda: central.classify(h, k), None),
+            "_records_text": (lambda: cli._records_text(records, "\n  "), None),
+            "main classify": (main_stdout, None),
         }
+        row = {"n": n, "k": k}
+        row.update((name, timed(fn, setup=setup)) for name, (fn, setup) in kernels.items())
+        row["calls"] = {name: call_count(fn, setup) for name, (fn, setup) in kernels.items()}
     return {f"word n={n} k={k}": row}
 
 
