@@ -67,7 +67,6 @@ import io
 import json
 import os
 import platform
-import pstats
 import random
 import statistics
 import subprocess
@@ -104,11 +103,14 @@ def median_time(fn, repeats=REPEATS, setup=None) -> float:
 
 def call_count(fn, setup=None) -> int:
     """Function calls (Python and built-in, as cProfile counts them) of one
-    untimed run of fn(), or of fn(setup()) with setup unprofiled."""
+    untimed run of fn(), or of fn(setup()) with setup unprofiled.  Summed
+    over the profiler's own entries, one per code object: pstats merges
+    entries by (file, line, name), so it would keep only one of the
+    NamedTuple constructors, which all read `<string>:1 <lambda>`."""
     arg = () if setup is None else (setup(),)
     prof = cProfile.Profile()
     prof.runcall(fn, *arg)
-    return pstats.Stats(prof).total_calls
+    return sum(entry.callcount for entry in prof.getstats())
 
 
 def kernel_times() -> dict:
