@@ -1,10 +1,13 @@
-"""The seeded random point sets of the selftest corpus."""
+"""The seeded random inputs of the selftest suites: general-position point
+sets and random reduced words of the reversal (abstract halfperiods)."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
+from .circseq import Halfperiod, Transposition, require_valid
 from .errors import InputError
 from .geom import Point, PointSet
 
@@ -23,3 +26,18 @@ def random_general_position_set(n: int, rng: random.Random) -> PointSet:
         if ps.general_position:
             return ps
     raise InputError(f"could not draw a general-position {n}-set (box={box})")
+
+
+def random_reduced_word(n: int, rng: random.Random) -> Halfperiod:
+    """A random simple allowable sequence from the identity of 1..n: swap
+    a random adjacent pair still in increasing order, one rng.choice per
+    step, until the order is reversed.  These include non-stretchable
+    sequences.  Returned through require_valid, so its axiom walk is made
+    and cached.  Deterministic for a given rng state."""
+    perm = list(range(1, n + 1))
+    ts = []
+    for step in range(1, comb(n, 2) + 1):
+        j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
+        ts.append(Transposition(step, j + 1, (perm[j], perm[j + 1])))
+        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    return require_valid(Halfperiod(n, tuple(range(1, n + 1)), tuple(ts)))

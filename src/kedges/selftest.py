@@ -5,7 +5,10 @@ Each runner returns a list of (name, ok, detail) check results; a suite
 passes iff every ok flag is True.  A failed certificate is always a
 VerificationError, and each runner turns one into a failed check, so the
 other checks still run.  The randomized suites take an explicit seed so
-reruns are byte-identical.
+reruns are byte-identical: the identity and central suites share one
+corpus of swept point sets, and the central suite also sweeps as many
+random reduced words (abstract halfperiods, stretchable or not) drawn from
+a second generator on the same seed.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .constructions import (
 )
 from .edgestats import crossings_bruteforce, pair_levels, summarize
 from .errors import InputError, RearrangementError, VerificationError
-from .gensets import random_general_position_set
+from .gensets import random_general_position_set, random_reduced_word
 
 
 def _result(name, ok, detail=""):
@@ -69,6 +72,14 @@ def build_corpus(trials: int, nmax: int, seed: int):
     return [(ps, halfperiod_from_points(ps)) for ps in sets]
 
 
+def build_words(trials: int, nmax: int, seed: int):
+    """`trials` random reduced words of the reversal, 5 <= n <= nmax, from
+    their own seeded generator, so the corpus is the same with or without
+    them: the central suite's abstract halfperiods."""
+    rng = random.Random(seed)
+    return [random_reduced_word(rng.randrange(5, nmax + 1), rng) for _ in range(trials)]
+
+
 # Corpus sets up to this size are also checked against the O(n^3) and
 # O(n^4) oracles (pair_levels, crossings_bruteforce).
 ORACLE_NMAX = 8
@@ -99,23 +110,23 @@ def run_identity_suite(corpus) -> list:
     ]
 
 
-def run_central_suite(corpus) -> list:
-    """verify_central on every corpus instance for every admissible k,
-    including all auxiliary weight/cutting checks on the rearranged
-    halfperiods.  Zero violations expected; a RearrangementError is a
-    failed instance."""
+def run_central_suite(corpus, words) -> list:
+    """verify_central on every corpus halfperiod, then on every word, for
+    every admissible k, including all auxiliary weight/cutting checks on
+    the rearranged halfperiods.  Zero violations expected; a
+    RearrangementError is a failed instance."""
     fails = []
     instances = 0
-    for idx, (ps, h) in enumerate(corpus):
-        for k in range(1, (ps.n - 1) // 2 + 1):
+    for idx, h in enumerate([h for _, h in corpus] + words):
+        for k in range(1, (h.n - 1) // 2 + 1):
             instances += 1
             try:
                 rep = verify_central(h, k)
             except RearrangementError as exc:
-                fails.append((idx, ps.n, k, str(exc)))
+                fails.append((idx, h.n, k, str(exc)))
                 continue
             if not rep.all_ok:
-                fails.append((idx, ps.n, k, rep.aux_checks))
+                fails.append((idx, h.n, k, rep.aux_checks))
     return [
         _result(
             "central-theorem-sweep",
@@ -171,7 +182,7 @@ def run_scope(scope: str, trials: int, nmax: int, rmax: int, seed: int) -> list:
     """Run one suite of SUITES, or all four in order for 'all' (the CLI's
     parser admits no other scope).  Every argument the chosen suites use
     is checked before any of them runs, and the identity and central
-    suites share one corpus."""
+    suites share one corpus; the central suite also runs the words."""
     names = SUITES if scope == "all" else (scope,)
     uses_corpus = "identities" in names or "central" in names
     if uses_corpus and (trials < 1 or nmax < 5):
@@ -185,7 +196,7 @@ def run_scope(scope: str, trials: int, nmax: int, rmax: int, seed: int) -> list:
     if "identities" in names:
         out += run_identity_suite(corpus)
     if "central" in names:
-        out += run_central_suite(corpus)
+        out += run_central_suite(corpus, build_words(trials, nmax, seed))
     if "constructions" in names:
         out += run_constructions_suite(rmax)
     return out

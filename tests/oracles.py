@@ -12,13 +12,23 @@ inputs; nothing in kedges calls them.  The tests import them as
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from kedges import constructions
-from kedges.circseq import Halfperiod, Transposition, _check_k, require_valid
+from kedges.circseq import (
+    Halfperiod,
+    Transposition,
+    _check_k,
+    halfperiod_from_points,
+    require_valid,
+)
 from kedges.edgestats import pair_levels
 from kedges.errors import InputError
+from kedges.gensets import random_general_position_set, random_reduced_word
 from kedges.geom import Point, PointSet, line_intersection
 
 
@@ -245,6 +255,18 @@ def reverse_halfperiod(h: Halfperiod) -> Halfperiod:
         for i, t in enumerate(reversed(h.transpositions))
     ]
     return require_valid(Halfperiod(n, h.initial, tuple(seq)))
+
+
+@st.composite
+def halfperiods(draw, min_n=5, max_n=30):
+    """Strategy: from a drawn seed, one draw in five the halfperiod of a
+    swept random general-position set, min_n <= n <= min(14, max_n), and
+    otherwise a random reduced word, min_n <= n <= max_n."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        return halfperiod_from_points(
+            random_general_position_set(draw(st.integers(min_n, min(14, max_n))), rng))
+    return random_reduced_word(draw(st.integers(min_n, max_n)), rng)
 
 
 def write_halfperiod(path, h: Halfperiod):

@@ -4,9 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every criterion but 6 reads a selftest runner through a module
 fixture: criteria 1-4, 10 and 11 the bounds suite, 5 and 9 the
 constructions suite, 7 and 8 the identity and central suites on one
-corpus; criterion 6 reads `sr_audit`.  So these tests and `kedges selftest
-all` run one implementation of each check, and the fixtures run every
-suite of `selftest all` with its defaults.  The published anchor values
+corpus, 8 also on the random reduced words; criterion 6 reads
+`sr_audit`.  So these tests and `kedges selftest all` run one
+implementation of each check, and the fixtures run every suite of
+`selftest all` with its defaults.  The published anchor values
 are asserted on the `golden` tables the runners compare against.  Every
 comparison is exact; the only tolerances are the wall-clock budgets
 stated alongside each criterion, each against its whole suite's time.
@@ -16,13 +17,14 @@ import time
 
 import pytest
 
-from kedges import golden
-from kedges.cli import build_parser
+from kedges import golden, selftest
+from kedges.cli import build_parser, main
 from kedges.constructions import sr_audit
 from kedges.edgestats import pair_levels
 from kedges.selftest import (
     SUITES,
     build_corpus,
+    build_words,
     run_bounds_suite,
     run_central_suite,
     run_constructions_suite,
@@ -43,6 +45,11 @@ def _timed_checks(run):
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus(trials=CORPUS_TRIALS, nmax=CORPUS_NMAX, seed=CORPUS_SEED)
+
+
+@pytest.fixture(scope="module")
+def words():
+    return build_words(trials=CORPUS_TRIALS, nmax=CORPUS_NMAX, seed=CORPUS_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +128,12 @@ def test_criterion_07_identity_suite(corpus):
             f"(zero tolerance); {detail}")
 
 
-def test_criterion_08_central_sweep(corpus):
+def test_criterion_08_central_sweep(corpus, words):
     t0 = time.time()
-    [(_, ok, detail)] = run_central_suite(corpus)
+    [(_, ok, detail)] = run_central_suite(corpus, words)
     _report(8, ok, 120.0, time.time() - t0,
-            f"central inequality + weight/cutting checks on {detail} (zero violations)")
+            f"central inequality + weight/cutting checks on {detail} of {len(corpus)} "
+            f"swept sets and {len(words)} random reduced words (zero violations)")
 
 
 def test_criterion_09_equality_constructions(constructions):
@@ -151,11 +159,40 @@ def test_criterion_11_lemma_brackets(bounds_suite):
     _report(11, ok, 10.0, elapsed, f"bracket lemmas hold exactly for all 6 <= n <= 200; {detail}")
 
 
-def test_fixtures_run_what_selftest_all_runs():
+def test_fixtures_run_what_selftest_all_runs(monkeypatch, capsys):
     """The fixtures run all four suites of `kedges selftest all`, on its
-    default corpus and with an rmax no lower than its default, so the
-    tier-1 run covers every check that command makes."""
+    default corpus and words and with an rmax no lower than its default,
+    so the tier-1 run covers every check that command makes: the command
+    builds its corpus and words with the builders the fixtures call, on
+    the same arguments, and hands them to the same runners."""
     args = build_parser().parse_args(["selftest", "all"])
     assert SUITES == ("bounds", "identities", "central", "constructions")
     assert (CORPUS_TRIALS, CORPUS_NMAX, CORPUS_SEED) == (args.trials, args.nmax, args.seed)
     assert RMAX >= args.rmax
+
+    built, ran = {}, {}
+
+    def builder(name):
+        def build(trials, nmax, seed):
+            built[name] = (trials, nmax, seed)
+            return name
+        return build
+
+    def runner(name):
+        def run(*inputs):
+            ran[name] = inputs
+            return []
+        return run
+
+    monkeypatch.setattr(selftest, "build_corpus", builder("corpus"))
+    monkeypatch.setattr(selftest, "build_words", builder("words"))
+    for name in ("run_bounds_suite", "run_identity_suite", "run_central_suite",
+                 "run_constructions_suite"):
+        monkeypatch.setattr(selftest, name, runner(name))
+    main(["selftest", "all"])
+    capsys.readouterr()
+    defaults = (CORPUS_TRIALS, CORPUS_NMAX, CORPUS_SEED)
+    assert built == {"corpus": defaults, "words": defaults}
+    assert ran == {"run_bounds_suite": (), "run_identity_suite": ("corpus",),
+                   "run_central_suite": ("corpus", "words"),
+                   "run_constructions_suite": (args.rmax,)}

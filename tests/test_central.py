@@ -2,16 +2,13 @@
 
 import functools
 import hashlib
-import importlib.util
 import json
 import random
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kedges.central as central
 import kedges.circseq as circseq
@@ -31,8 +28,8 @@ from kedges.circseq import (
 )
 from kedges.cli import _records_text, main
 from kedges.errors import InputError, RearrangementError
-from kedges.gensets import random_general_position_set
-from oracles import convex_polygon_set, write_halfperiod
+from kedges.gensets import random_general_position_set, random_reduced_word
+from oracles import convex_polygon_set, halfperiods, write_halfperiod
 
 
 def test_classification_tally_and_consistency():
@@ -146,19 +143,6 @@ def test_odd_extreme_k():
     assert all(r.weight == 0 for r in records)
 
 
-def _reduced_word(n, rng):
-    """A random simple allowable sequence from the identity: swap a random
-    adjacent pair still in increasing order until the order is reversed.
-    These include non-stretchable sequences."""
-    perm = list(range(1, n + 1))
-    ts = []
-    for step in range(1, comb(n, 2) + 1):
-        j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
-        ts.append(Transposition(step, j + 1, (perm[j], perm[j + 1])))
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return Halfperiod(n, tuple(range(1, n + 1)), tuple(ts))
-
-
 def test_axioms_walked_once_per_halfperiod(monkeypatch):
     walked = []
     real = circseq.validate_allowable
@@ -168,7 +152,7 @@ def test_axioms_walked_once_per_halfperiod(monkeypatch):
         return real(h, walk)
 
     monkeypatch.setattr(circseq, "validate_allowable", counting)
-    h = _reduced_word(14, random.Random(71))
+    h = random_reduced_word(14, random.Random(71))
     rep = verify_central(h, 4)
     classify(h, 4)
     assert rep.all_ok
@@ -188,7 +172,7 @@ def test_edge_levels_tallied_once_per_halfperiod(monkeypatch):
     prop = functools.cached_property(counting)
     prop.__set_name__(Halfperiod, "level_counts")
     monkeypatch.setattr(Halfperiod, "level_counts", prop)
-    h = _reduced_word(14, random.Random(71))
+    h = random_reduced_word(14, random.Random(71))
     rep = verify_central(h, 4)
     classify(h, 4)
     assert rep.all_ok
@@ -223,7 +207,7 @@ def _corrupt(h, how):
     ids=["compute_s", "rearrange_essential", "classify", "verify_central", "edge_vector"],
 )
 def test_invalid_halfperiod_rejected_by_every_kernel(kernel, how):
-    bad = _corrupt(_reduced_word(7, random.Random(73)), how)
+    bad = _corrupt(random_reduced_word(7, random.Random(73)), how)
     assert validate_allowable(bad)
     for _ in range(2):  # the cached verdict is the same verdict
         with pytest.raises(InputError, match="invalid halfperiod"):
@@ -300,25 +284,14 @@ def test_each_rearrangement_error_names_its_fault(plant, message, monkeypatch):
     value the replay or its output certificate reads; the s fault is seen
     by rearrange_essential itself and through verify_central."""
     with pytest.raises(RearrangementError) as exc:
-        plant(_reduced_word(10, random.Random(5)), 3, monkeypatch)
+        plant(random_reduced_word(10, random.Random(5)), 3, monkeypatch)
     assert str(exc.value) == message
-
-
-def test_bench_word_is_this_generators_word():
-    """tools/bench_kernels.py writes its word with a copy of _reduced_word;
-    the word must stay the same."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    h = _reduced_word(48, random.Random(2024))
-    assert tool.reduced_word(48, 2024) == [tuple(t) for t in h.transpositions]
 
 
 def test_abstract_halfperiods_satisfy_central_checks():
     rng = random.Random(79)
     for n in (9, 12, 16):
-        h = _reduced_word(n, rng)
+        h = random_reduced_word(n, rng)
         for k in range(1, (n - 1) // 2 + 1):
             rep = verify_central(h, k)
             assert rep.all_ok, (n, k, rep.aux_checks)
@@ -380,15 +353,6 @@ def ref_rearrange_essential(h, k):
         seq = seq[:start] + rebuilt + seq[end:]
 
 
-@st.composite
-def halfperiods(draw, min_n=5):
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.integers(0, 4)) == 0:
-        return halfperiod_from_points(
-            random_general_position_set(draw(st.integers(min_n, 14)), rng))
-    return _reduced_word(draw(st.integers(min_n, 30)), rng)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(halfperiods())
 def test_rearrangement_matches_fixpoint_reference(h):
@@ -441,7 +405,7 @@ def test_walk_tallies_match_a_direct_scan(h):
 # classify word: long chains of nonessential swaps carried across blocks.
 @pytest.mark.parametrize("n, seed", [(48, 2024), (40, 83)])
 def test_rearrangement_matches_fixpoint_reference_on_long_words(n, seed):
-    h = _reduced_word(n, random.Random(seed))
+    h = random_reduced_word(n, random.Random(seed))
     ev = h.level_counts
     for k in range(1, (n - 1) // 2 + 1):
         lam = rearrange_essential(h, k)
@@ -560,7 +524,7 @@ def test_verify_central_builds_no_full_classification(monkeypatch):
         raise AssertionError("verify_central called classify")
 
     monkeypatch.setattr(central, "classify", refuse)
-    h = _reduced_word(14, random.Random(71))
+    h = random_reduced_word(14, random.Random(71))
     for k in range(1, 7):
         assert verify_central(h, k).all_ok, k
 
@@ -576,7 +540,7 @@ CLASSIFY_N40_SHA256 = {
 @pytest.mark.parametrize("k", sorted(CLASSIFY_N40_SHA256))
 def test_classify_stdout_on_a_large_word_is_pinned(k, tmp_path, capsys):
     path = tmp_path / "w40.hp"
-    write_halfperiod(path, _reduced_word(40, random.Random(83)))
+    write_halfperiod(path, random_reduced_word(40, random.Random(83)))
     assert main(["classify", str(path), "--halfperiod", "--k", str(k)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_N40_SHA256[k]
@@ -598,7 +562,7 @@ RECORD_TEXT_CASES = [("word", 9, 1), ("word", 16, 3), ("word", 24, 5), ("points"
 
 def _case_halfperiod(source, n, seed):
     if source == "word":
-        return _reduced_word(n, random.Random(seed))
+        return random_reduced_word(n, random.Random(seed))
     return halfperiod_from_points(random_general_position_set(n, random.Random(seed)))
 
 
@@ -635,7 +599,7 @@ def test_records_text_cases_cover_every_field_value():
 @pytest.mark.parametrize("value", ["1", 1.0, 0.0], ids=repr)
 @pytest.mark.parametrize("name", ["entering", "aug_m", "weight", "heavy", "essential"])
 def test_records_text_rejects_a_str_or_float_field(name, value):
-    records = classify(_reduced_word(7, random.Random(5)), 2)
+    records = classify(random_reduced_word(7, random.Random(5)), 2)
     records[3] = records[3]._replace(**{name: value})
     with pytest.raises(TypeError):
         _records_text(records)

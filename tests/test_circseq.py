@@ -5,7 +5,9 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
+from kedges.central import verify_central
 from kedges.circseq import (
     Halfperiod,
     Transposition,
@@ -21,6 +23,7 @@ from kedges.geom import PointSet
 from oracles import (
     P,
     convex_polygon_set,
+    halfperiods,
     k_center,
     reverse_halfperiod,
     rotate_halfperiod,
@@ -249,17 +252,17 @@ def test_convex_s_upper_bound():
     assert compute_s(h, 1) <= 9 - 3
 
 
-def test_rotation_and_reversal_preserve_statistics():
-    rng = random.Random(13)
-    ps = random_general_position_set(8, rng)
-    h = halfperiod_from_points(ps)
-    for steps in (1, 7, 19):
-        rot = rotate_halfperiod(h, steps)
-        assert validate_allowable(rot) == []
-        assert rot.level_counts == h.level_counts
-    rev = reverse_halfperiod(h)
-    assert validate_allowable(rev) == []
-    assert rev.level_counts == h.level_counts
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(halfperiods(min_n=3, max_n=19))
+def test_rotation_and_reversal_preserve_statistics(h):
+    """Each rotation of the circular sequence, and its reversal, is a
+    valid halfperiod with h's edge counts on which the central checks
+    hold at every k."""
+    for g in (*(rotate_halfperiod(h, steps) for steps in (1, 7, 19)), reverse_halfperiod(h)):
+        assert validate_allowable(g) == []
+        assert g.level_counts == h.level_counts
+        for k in range(1, (h.n - 1) // 2 + 1):
+            assert verify_central(g, k).all_ok, (h.n, k)
 
 
 def test_halfperiod_file_roundtrip(tmp_path):

@@ -669,6 +669,9 @@ _BAD_FILES = {
         ["selftest", "identities", "--nmax", "4"],
         ["selftest", "identities", "--trials", "0"],
         ["cr-table", "--from", "99", "--to", "28"],
+        ["bounds", "--n", "27", "--k", "13"],
+        ["bounds", "--n", "27", "--k", "-1"],
+        ["construct", "polygon-center", "--k", "0", "--n", "5", "-o", "OUT"],
         ["construct", "cluster-polygon", "--t", "1", "--m", "3", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "0", "-o", "OUT"],
         ["construct", "polygon-center", "--k", "3", "--n", "9", "--precision", "-1", "-o", "OUT"],
@@ -688,6 +691,7 @@ _BAD_FILES = {
         ["analyze", "LONG_XY_LINE"],
     ],
     ids=["partition", "partition-reversed", "nmax", "trials", "cr-table-range",
+         "bounds-k-above-range", "bounds-k-negative", "polygon-center-k-0",
          "precision-cluster-polygon-0", "precision-polygon-center-0",
          "precision-polygon-center-negative", "precision-polygon-center-float-overflow",
          "precision-cluster-polygon-float-overflow", "rmax-constructions", "rmax-all",

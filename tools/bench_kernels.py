@@ -35,7 +35,9 @@ WORD_REPEATS (31) for the stages and halfperiod kernels (milliseconds):
   `check_3decomposable` with the letter partition; and
   `build_cluster_polygon(3, 4)`, the largest of the perfbench `points` grid.
 * halfperiod kernels on one seeded random reduced word, n = 48 and k = 8
-  (the top stratum of the perfbench `abstract` workload): `read_halfperiod`
+  (the top stratum of the perfbench `abstract` workload), drawn by the
+  timed tree's own `gensets.random_reduced_word`, so every DIR must have
+  that function (trees older than it cannot be timed): `read_halfperiod`
   of its file; `validate_allowable`, `rearrange_essential`,
   `verify_central` and `classify` on the read halfperiod (axiom walk
   cached); `level_counts` and `k_critical(k)` on a fresh copy whose axiom
@@ -72,7 +74,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -174,37 +175,22 @@ def stage_times() -> dict:
     }
 
 
-def reduced_word(n: int, seed: int) -> list[tuple[int, int, tuple[int, int]]]:
-    """The (step, position, pair) rows of a seeded random reduced word of
-    the reversal of 1..n: from the identity, swap a random adjacent ascent
-    until the order is reversed (the generator of tests/test_central.py)."""
-    rng = random.Random(seed)
-    perm = list(range(1, n + 1))
-    rows = []
-    for step in range(1, comb(n, 2) + 1):
-        j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
-        rows.append((step, j + 1, (perm[j], perm[j + 1])))
-        perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return rows
-
-
-def write_halfperiod(path, n: int, rows):
-    """Write the halfperiod from the identity of 1..n with these rows, in
-    the file format read_halfperiod reads."""
-    lines = [str(n), " ".join(map(str, range(1, n + 1)))]
-    lines += [f"{step} {pos} {a} {b}" for step, pos, (a, b) in rows]
+def write_halfperiod(path, h):
+    """Write the halfperiod h in the file format read_halfperiod reads."""
+    lines = [str(h.n), " ".join(map(str, h.initial))]
+    lines += [f"{step} {pos} {a} {b}" for step, pos, (a, b) in h.transpositions]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def halfperiod_times() -> dict:
-    from kedges import central, circseq, cli
+    from kedges import central, circseq, cli, gensets
 
     n, k = WORD_N, WORD_K
 
     timed = functools.partial(median_time, repeats=WORD_REPEATS)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"w{n}.hp"
-        write_halfperiod(path, n, reduced_word(n, WORD_SEED))
+        write_halfperiod(path, gensets.random_reduced_word(n, random.Random(WORD_SEED)))
 
         def main_stdout():
             buf = io.StringIO()
