@@ -64,12 +64,11 @@ Each quantity has one certificate:
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .circseq import Halfperiod, _check_k, _new_transposition, compute_s, require_valid
+from .circseq import Halfperiod, _check_k, compute_s, require_valid
 from .errors import RearrangementError
 
 
@@ -85,10 +84,6 @@ class TranspositionRecord(NamedTuple):
     weight: int | None = None
     heavy: bool | None = None
     essential: bool = True
-
-
-# TranspositionRecord((eleven fields)) without the frame of its own __new__.
-_new_record = functools.partial(tuple.__new__, TranspositionRecord)
 
 
 def critical_records(h: Halfperiod, k: int) -> list[TranspositionRecord]:
@@ -138,10 +133,10 @@ def critical_records(h: Halfperiod, k: int) -> list[TranspositionRecord]:
             cls = "departing-cutting"
         else:
             cls = "departing-stalling"
-        t = trans[idx]
+        step, pos, pair = trans[idx]
         records.append(
             TranspositionRecord(
-                step=t.step, position=t.position, pair=t.pair, block_index=j + 1,
+                step=step, position=pos, pair=pair, block_index=j + 1,
                 kind="k-critical", cls=cls, entering=p, aug_m=aug_m, weight=w,
                 heavy=w > light_max, essential=True,
             )
@@ -149,13 +144,19 @@ def critical_records(h: Halfperiod, k: int) -> list[TranspositionRecord]:
     return records
 
 
-def classify(h: Halfperiod, k: int) -> list[TranspositionRecord]:
+def classify(h: Halfperiod, k: int) -> list[tuple]:
     """Per-transposition records: block membership, class, weight, and
     essentiality, straight from the definitions, one block at a time.
     Block j >= 1 opens with tau_j's record from critical_records, which
     also marks where it starts; every other transposition is a center or
     outer one, essential unless it sits in the center of B_j (j >= 1)
     without p_j.
+
+    Each row is a plain tuple with the fields of TranspositionRecord in
+    order: (step, position, (left, right), block_index, kind, cls,
+    entering, aug_m, weight, heavy, essential), read by unpacking or
+    through TranspositionRecord._make.  h's transpositions are the plain
+    tuples (step, position, (left, right)).
     """
     _check_k(h.n, k)
     n = h.n
@@ -168,14 +169,15 @@ def classify(h: Halfperiod, k: int) -> list[TranspositionRecord]:
     entering = None
     for bi, (cut, end) in enumerate(zip([-1, *cuts], [*cuts, len(trans)])):
         if bi:
-            records.append(crit[bi - 1])
-            entering = crit[bi - 1].entering
+            tau = crit[bi - 1]
+            records.append(tuple(tau))
+            entering = tau.entering
         for step, pos, pair in trans[cut + 1 : end]:
             center = k < pos < n - k
-            records.append(_new_record((
+            records.append((
                 step, pos, pair, bi, "center" if center else "outer", "non-critical",
                 None, None, None, None, not center or bi == 0 or entering in pair,
-            )))
+            ))
     return records
 
 
@@ -194,9 +196,9 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
     center, 0 before any.  Every block in (L, j] then holds the swap as a
     nonessential one and is rebuilt.
 
-    Two forward passes, with no nested function and no call per swap but
-    the one that builds its Transposition.  The landing pass finds where
-    each center swap lands and which blocks are rebuilt.  The replay pass
+    Two forward passes, with no nested function and no call per swap:
+    each output transposition is a tuple literal.  The landing pass finds
+    where each center swap lands and which blocks are rebuilt.  The replay pass
     starts from h.initial with a slot map (a list indexed by label) and
     has one loop per block kind.  Block 0 and every block that is not
     rebuilt replay their own swaps, then the swaps that landed in them
@@ -242,7 +244,6 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
         low[j] = min(low[j], low[j + 1])
 
     # Replay pass.  step numbers the output swaps; cur[slot[x]] == x.
-    new = _new_transposition  # read at call time, so a patched module name is used
     cur = list(h.initial)
     slot = [0] * (n + 1)
     for i, lab in enumerate(cur):
@@ -268,7 +269,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
                     else:
                         raise RearrangementError(f"pair {pair} not adjacent in the replay")
                     step += 1
-                    append(new((step, m + 1, pair)))
+                    append((step, m + 1, pair))
                     cur[ja], cur[jb] = b, a
                     slot[a], slot[b] = jb, ja
             continue
@@ -291,7 +292,7 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
             if not (x == a and y == b or x == b and y == a):
                 raise RearrangementError(f"pair {pair} displaced from slot {pos}")
             step += 1
-            append(new((step, pos, (x, y))))
+            append((step, pos, (x, y)))
             cur[pos - 1], cur[pos] = y, x
             slot[x], slot[y] = pos, pos - 1
             while partners:
@@ -303,9 +304,9 @@ def rearrange_essential(h: Halfperiod, k: int) -> Halfperiod:
                 partners.discard(q)
                 step += 1
                 if forward:
-                    append(new((step, jq, (p, q))))
+                    append((step, jq, (p, q)))
                 else:
-                    append(new((step, jp, (q, p))))
+                    append((step, jp, (q, p)))
                 cur[jp], cur[jq] = q, p
                 slot[q], slot[p] = jp, jq
 

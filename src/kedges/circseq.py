@@ -10,6 +10,14 @@ allowable sequences whether or not they are stretchable.
 
 A transposition acting on slots (j, j+1) encodes a (min(j, n-j) - 1)-edge;
 that correspondence is what turns sweep combinatorics into edge counts.
+
+A transposition is the plain tuple (step, position, (left, right)): step
+is its 1-based index in the halfperiod, position the 1-based left slot of
+the swap, and (left, right) the labels as they stood in those two slots
+just before it.  A halfperiod holds C(n,2) of them, so they are built as
+tuple literals and read by unpacking.  central.classify's rows are plain
+tuples too, one per transposition, with the fields of
+central.TranspositionRecord in order.
 """
 
 from __future__ import annotations
@@ -17,32 +25,14 @@ from __future__ import annotations
 import functools
 from itertools import islice
 from math import comb
-from typing import NamedTuple
 
 from .errors import InputError
 from .geom import Frozen, PointSet
 
 
-class Transposition(NamedTuple):
-    """One adjacent swap: slots (position, position+1), 1-based.
-
-    `pair` is (left_label, right_label) as they stood immediately before
-    the swap; step is the 1-based index within the halfperiod.  A halfperiod
-    holds C(n,2) of them, so each is a plain immutable tuple.
-    """
-
-    step: int
-    position: int
-    pair: tuple[int, int]
-
-
-# Transposition((step, position, pair)) without the Python frame of the
-# NamedTuple's own __new__ (`_make` runs this same call, in a frame).
-_new_transposition = functools.partial(tuple.__new__, Transposition)
-
-
 class Halfperiod(Frozen):
-    """n, an initial permutation of 1..n, and C(n,2) transpositions.
+    """n, an initial permutation of 1..n, and C(n,2) transpositions, each
+    the plain tuple (step, position, (left, right)).
 
     Construction does not enforce the allowable-sequence axioms; use
     validate_allowable to obtain the violation report (empty iff valid).
@@ -63,7 +53,7 @@ class Halfperiod(Frozen):
 
     n: int
     initial: tuple[int, ...]
-    transpositions: tuple[Transposition, ...]
+    transpositions: tuple[tuple[int, int, tuple[int, int]], ...]
     point_index: tuple[int, ...] | None
 
     def __init__(self, n, initial, transpositions, point_index=None):
@@ -119,9 +109,9 @@ class Halfperiod(Frozen):
         require_valid(self)
         n, index = self.n, self.point_index
         levels = {}
-        for t in self.transpositions:
-            i, j = index[t.pair[0] - 1], index[t.pair[1] - 1]
-            levels[(i, j) if i < j else (j, i)] = min(t.position, n - t.position) - 1
+        for _step, pos, (a, b) in self.transpositions:
+            i, j = index[a - 1], index[b - 1]
+            levels[(i, j) if i < j else (j, i)] = min(pos, n - pos) - 1
         return levels
 
     @functools.cached_property
@@ -256,7 +246,7 @@ def halfperiod_from_points(ps: PointSet) -> Halfperiod:
         sa, sb = slot_of[la], slot_of[lb]
         if sa > sb:
             la, lb, sa, sb = lb, la, sb, sa
-        trans.append(_new_transposition((step, sb, (la, lb))))
+        trans.append((step, sb, (la, lb)))
         slot_of[la], slot_of[lb] = sb, sa
 
     h = Halfperiod(n, tuple(range(1, n + 1)), tuple(trans), order)
@@ -315,7 +305,7 @@ def read_halfperiod(path) -> Halfperiod:
     except ValueError as exc:
         raise InputError(f"bad halfperiod header: {exc}") from None
     trans = []
-    append, new = trans.append, _new_transposition
+    append = trans.append
     for no, ln in lines:
         toks = ln.split()
         try:
@@ -328,5 +318,5 @@ def read_halfperiod(path) -> Halfperiod:
             if len(toks) != 4:
                 raise InputError(f"line {no}: expected 'step position labelA labelB'") from None
             raise InputError(f"line {no}: non-integer field") from None
-        append(new((step, pos, (la, lb))))
+        append((step, pos, (la, lb)))
     return Halfperiod(n, initial, tuple(trans))

@@ -65,14 +65,15 @@ def _field_text(v) -> str:
 
 def _records_text(records, pad="\n") -> str:
     """The text of json.dumps(list_of_record_dicts, indent=2), nested at
-    `pad` (a newline and the enclosing indent), for classify's
-    TranspositionRecords, without a dict per record: every record fills
-    one %-template whose keys are encoded once.  The optional fields
-    print through _field_text, as null, true, false or an int.  step,
-    position, pair and block are ints by construction and print through
-    %d.  A record whose entering, aug_m, weight and heavy are None and
-    whose essential is a bool (every non-critical one) fills only the %d
-    head; its tail is made once per (kind, class, essential)."""
+    `pad` (a newline and the enclosing indent), for classify's rows
+    (plain tuples in TranspositionRecord field order), without a dict
+    per record: every record fills one %-template whose keys are encoded
+    once.  The optional fields print through _field_text, as null, true,
+    false or an int.  step, position, pair and block are ints by
+    construction and print through %d.  A record whose entering, aug_m,
+    weight and heavy are None and whose essential is a bool (every
+    non-critical one) fills only the %d head; its tail is made once per
+    (kind, class, essential)."""
     if not records:
         return "[]"
     item = pad + "  "

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .circseq import Halfperiod, Transposition, require_valid
+from .circseq import Halfperiod, require_valid
 from .errors import InputError
 from .geom import Point, PointSet
 
@@ -38,6 +38,6 @@ def random_reduced_word(n: int, rng: random.Random) -> Halfperiod:
     ts = []
     for step in range(1, comb(n, 2) + 1):
         j = rng.choice([q for q in range(n - 1) if perm[q] < perm[q + 1]])
-        ts.append(Transposition(step, j + 1, (perm[j], perm[j + 1])))
+        ts.append((step, j + 1, (perm[j], perm[j + 1])))
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
     return require_valid(Halfperiod(n, tuple(range(1, n + 1)), tuple(ts)))

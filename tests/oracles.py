@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from kedges import constructions
 from kedges.circseq import (
     Halfperiod,
-    Transposition,
     _check_k,
     halfperiod_from_points,
     require_valid,
@@ -218,8 +217,8 @@ def permutation(h: Halfperiod, i: int) -> tuple[int, ...]:
     if not 0 <= i <= len(h.transpositions):
         raise InputError(f"permutation index {i} out of range")
     perm = list(h.initial)
-    for t in h.transpositions[:i]:
-        j = t.position - 1
+    for _step, pos, _pair in h.transpositions[:i]:
+        j = pos - 1
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
     return tuple(perm)
 
@@ -238,10 +237,9 @@ def rotate_halfperiod(h: Halfperiod, steps: int = 1) -> Halfperiod:
     n = h.n
     steps %= len(h.transpositions)
     seq = list(h.transpositions[steps:]) + [
-        Transposition(0, n - t.position, (t.pair[1], t.pair[0]))
-        for t in h.transpositions[:steps]
+        (0, n - pos, (b, a)) for _step, pos, (a, b) in h.transpositions[:steps]
     ]
-    seq = [Transposition(i + 1, t.position, t.pair) for i, t in enumerate(seq)]
+    seq = [(i + 1, pos, pair) for i, (_step, pos, pair) in enumerate(seq)]
     return require_valid(Halfperiod(n, permutation(h, steps), tuple(seq)))
 
 
@@ -251,8 +249,8 @@ def reverse_halfperiod(h: Halfperiod) -> Halfperiod:
     require_valid(h)
     n = h.n
     seq = [
-        Transposition(i + 1, n - t.position, (t.pair[1], t.pair[0]))
-        for i, t in enumerate(reversed(h.transpositions))
+        (i + 1, n - pos, (b, a))
+        for i, (_step, pos, (a, b)) in enumerate(reversed(h.transpositions))
     ]
     return require_valid(Halfperiod(n, h.initial, tuple(seq)))
 
@@ -274,5 +272,5 @@ def write_halfperiod(path, h: Halfperiod):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{h.n}\n")
         fh.write(" ".join(str(x) for x in h.initial) + "\n")
-        for t in h.transpositions:
-            fh.write(f"{t.step} {t.position} {t.pair[0]} {t.pair[1]}\n")
+        for step, pos, (a, b) in h.transpositions:
+            fh.write(f"{step} {pos} {a} {b}\n")

@@ -21,9 +21,9 @@ from kedges.central import (
 )
 from kedges.circseq import (
     Halfperiod,
-    Transposition,
     compute_s,
     halfperiod_from_points,
+    read_halfperiod,
     validate_allowable,
 )
 from kedges.cli import _records_text, main
@@ -32,12 +32,17 @@ from kedges.gensets import random_general_position_set, random_reduced_word
 from oracles import convex_polygon_set, halfperiods, write_halfperiod
 
 
+def _classified(h, k):
+    """classify's rows, which are plain tuples, read by field name."""
+    return [TranspositionRecord._make(row) for row in classify(h, k)]
+
+
 def test_classification_tally_and_consistency():
     rng = random.Random(43)
     for _ in range(15):
         ps = random_general_position_set(10, rng)
         h = halfperiod_from_points(ps)
-        records = classify(h, 3)
+        records = _classified(h, 3)
         crit = [r for r in records if r.kind == "k-critical"]
         assert len(crit) == h.level_counts[2]
         c0 = frozenset(h.initial[3 : 10 - 3])
@@ -54,7 +59,7 @@ def test_classification_tally_and_consistency():
 def test_classification_covers_all_transpositions():
     ps = convex_polygon_set(8)
     h = halfperiod_from_points(ps)
-    records = classify(h, 2)
+    records = _classified(h, 2)
     assert len(records) == comb(8, 2)
     kinds = {r.kind for r in records}
     assert kinds <= {"k-critical", "center", "outer"}
@@ -81,7 +86,7 @@ def test_rearrange_preserves_protected_counts():
         assert evl[:1] == ev[:1]  # E_0, ..., E_{k-1}
         assert sum(evl[2:]) == sum(ev[2:])
         # no nonessential center transpositions remain
-        assert all(r.essential for r in classify(lam, 2))
+        assert all(r.essential for r in _classified(lam, 2))
 
 
 def test_rearrange_convex_keeps_full_vector():
@@ -139,7 +144,7 @@ def test_odd_extreme_k():
     h = halfperiod_from_points(ps)
     rep = verify_central(h, 4)
     assert rep.all_ok
-    records = [r for r in classify(h, 4) if r.kind == "k-critical"]
+    records = [r for r in _classified(h, 4) if r.kind == "k-critical"]
     assert all(r.weight == 0 for r in records)
 
 
@@ -183,12 +188,12 @@ def test_edge_levels_tallied_once_per_halfperiod(monkeypatch):
 
 def _corrupt(h, how):
     ts = list(h.transpositions)
-    t = ts[4]
+    step, pos, pair = ts[4]
     if how == "step":
-        ts[4] = Transposition(t.step + 1, t.position, t.pair)
+        ts[4] = (step + 1, pos, pair)
     elif how == "pair":
-        other = next(lab for lab in h.initial if lab not in t.pair)
-        ts[4] = Transposition(t.step, t.position, (t.pair[0], other))
+        other = next(lab for lab in h.initial if lab not in pair)
+        ts[4] = (step, pos, (pair[0], other))
     else:  # truncated
         ts.pop()
     return Halfperiod(h.n, h.initial, tuple(ts))
@@ -226,7 +231,7 @@ def _plant_pair(h, k, monkeypatch):
     """Block 0's first swap recorded with a pair its slots do not hold."""
     ts = list(h.transpositions)
     step, pos, (a, b) = ts[0]
-    ts[0] = Transposition(step, pos, (a, b + 1))
+    ts[0] = (step, pos, (a, b + 1))
     rearrange_essential(_walked_as(h, ts), k)
 
 
@@ -235,7 +240,7 @@ def _plant_slot(h, k, monkeypatch):
     ts = list(h.transpositions)
     for idx, boundary, _p, _q in h.k_critical(k):
         step, pos, pair = ts[idx]
-        ts[idx] = Transposition(step, pos - 1 if boundary == "k" else pos + 1, pair)
+        ts[idx] = (step, pos - 1 if boundary == "k" else pos + 1, pair)
     rearrange_essential(_walked_as(h, ts), k)
 
 
@@ -249,8 +254,11 @@ def _plant_boundary(h, k, monkeypatch):
 
 def _plant_step(h, k, monkeypatch):
     """The replay numbers its output swaps from 2."""
-    real = central._new_transposition
-    monkeypatch.setattr(central, "_new_transposition", lambda t: real((t[0] + 1, *t[1:])))
+    def renumbered(n, initial, transpositions):
+        return Halfperiod(n, initial, tuple(
+            (step + 1, pos, pair) for step, pos, pair in transpositions))
+
+    monkeypatch.setattr(central, "Halfperiod", renumbered)
     rearrange_essential(h, k)
 
 
@@ -313,7 +321,7 @@ def ref_rearrange_essential(h, k):
     nonessential center transposition, and rebuilds it: nonessential swaps
     first, then tau_j, then p_j's essential walk, then the outer swaps."""
     n = h.n
-    seq = [(t.position, t.pair) for t in h.transpositions]
+    seq = [(pos, pair) for _step, pos, pair in h.transpositions]
 
     def swap(perm, pos):
         perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
@@ -328,7 +336,7 @@ def ref_rearrange_essential(h, k):
         bad = [(start, end, p, at_k) for (start, p, at_k), end in zip(cuts, ends)
                if any(k < pos < n - k and p not in pair for pos, pair in seq[start + 1 : end])]
         if not bad:
-            return tuple(Transposition(i + 1, pos, pair) for i, (pos, pair) in enumerate(seq))
+            return tuple((i + 1, pos, pair) for i, (pos, pair) in enumerate(seq))
         start, end, p, at_k = bad[-1]
         perm = list(h.initial)
         for pos, _ in seq[:start]:
@@ -360,7 +368,7 @@ def test_rearrangement_matches_fixpoint_reference(h):
         lam = rearrange_essential(h, k)
         assert lam.transpositions == ref_rearrange_essential(h, k), (h.n, k)
         assert validate_allowable(lam) == []
-        assert all(r.essential for r in classify(lam, k) if r.kind == "center")
+        assert all(r.essential for r in _classified(lam, k) if r.kind == "center")
         assert compute_s(lam, k) == compute_s(h, k)
         ev, evl = h.level_counts, lam.level_counts
         assert evl[:k] == ev[:k] and sum(evl[k:]) == sum(ev[k:])
@@ -371,8 +379,8 @@ def ref_level_counts(h):
     (min(j, n-j) - 1)-edge."""
     n = h.n
     counts = [0] * (n // 2)
-    for t in h.transpositions:
-        counts[min(t.position, n - t.position) - 1] += 1
+    for _step, pos, _pair in h.transpositions:
+        counts[min(pos, n - pos) - 1] += 1
     return tuple(counts)
 
 
@@ -380,12 +388,12 @@ def ref_k_critical(h, k):
     """The k-critical transpositions by a scan of h.transpositions that
     replays h for the labels standing in each swap's slots."""
     n, perm, crit = h.n, list(h.initial), []
-    for idx, t in enumerate(h.transpositions):
-        j = t.position - 1
+    for idx, (_step, pos, _pair) in enumerate(h.transpositions):
+        j = pos - 1
         left, right = perm[j], perm[j + 1]
-        if t.position == k:
+        if pos == k:
             crit.append((idx, "k", left, right))
-        elif t.position == n - k:
+        elif pos == n - k:
             crit.append((idx, "n-k", right, left))
         perm[j], perm[j + 1] = right, left
     return tuple(crit)
@@ -410,7 +418,7 @@ def test_rearrangement_matches_fixpoint_reference_on_long_words(n, seed):
     for k in range(1, (n - 1) // 2 + 1):
         lam = rearrange_essential(h, k)
         assert lam.transpositions == ref_rearrange_essential(h, k), k
-        assert all(r.essential for r in classify(lam, k) if r.kind == "center"), k
+        assert all(r.essential for r in _classified(lam, k) if r.kind == "center"), k
         evl = lam.level_counts
         assert evl[:k] == ev[:k] and sum(evl[k:]) == sum(ev[k:]), k
 
@@ -444,23 +452,23 @@ def ref_classify(h, k):
         involvements.setdefault(leaving, []).append((idx, "leave"))
 
     weight_of_block = dict.fromkeys(range(len(entering_of)), 0)
-    for idx, t in enumerate(h.transpositions):
-        if k + 1 <= t.position <= n - k - 1:
-            if not (t.pair[0] in c0 and t.pair[1] in c0):
+    for idx, (_step, pos, (a, b)) in enumerate(h.transpositions):
+        if k + 1 <= pos <= n - k - 1:
+            if not (a in c0 and b in c0):
                 weight_of_block[block_of[idx]] += 1
 
     def next_involvement(p, idx):
-        here = h.transpositions[idx].position
+        here = h.transpositions[idx][1]
         for later_idx, _role in involvements.get(p, []):
             if later_idx > idx:
-                there = h.transpositions[later_idx].position
+                there = h.transpositions[later_idx][1]
                 return "opposite" if there != here else "same"
         return "none"
 
     records = []
-    for idx, t in enumerate(h.transpositions):
+    for idx, (step, pos, pair) in enumerate(h.transpositions):
         bi = block_of[idx]
-        if t.position in (k, n - k):
+        if pos in (k, n - k):
             boundary, p = cuts[idx]
             w = weight_of_block[bi]
             aug_m = None
@@ -479,23 +487,23 @@ def ref_classify(h, k):
                     cls = "departing-cutting" if nxt == "opposite" else "departing-stalling"
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    step=step, position=pos, pair=pair, block_index=bi,
                     kind="k-critical", cls=cls, entering=p, aug_m=aug_m, weight=w,
                     heavy=w > n - 2 * k - 1 - s_value, essential=True,
                 )
             )
-        elif k + 1 <= t.position <= n - k - 1:
-            essential = True if bi == 0 else entering_of[bi] in t.pair
+        elif k + 1 <= pos <= n - k - 1:
+            essential = True if bi == 0 else entering_of[bi] in pair
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    step=step, position=pos, pair=pair, block_index=bi,
                     kind="center", cls="non-critical", essential=essential,
                 )
             )
         else:
             records.append(
                 TranspositionRecord(
-                    step=t.step, position=t.position, pair=t.pair, block_index=bi,
+                    step=step, position=pos, pair=pair, block_index=bi,
                     kind="outer", cls="non-critical", essential=True,
                 )
             )
@@ -517,6 +525,21 @@ def test_critical_records_match_the_reference_k_critical_records(h):
         for g in (h, rearrange_essential(h, k)):
             want = [r for r in ref_classify(g, k) if r.kind == "k-critical"]
             assert critical_records(g, k) == want, (h.n, k)
+
+
+def test_transpositions_and_classify_rows_are_plain_tuples(tmp_path):
+    """Every transposition a kernel builds and every classify row is a
+    tuple, not an instance of a tuple subclass."""
+    word = random_reduced_word(12, random.Random(7))
+    swept = halfperiod_from_points(random_general_position_set(10, random.Random(7)))
+    path = tmp_path / "w12.hp"
+    write_halfperiod(path, word)
+    made = [word, swept, read_halfperiod(path)]
+    made += [rearrange_essential(h, k) for h in (word, swept) for k in (2, 3)]
+    for h in made:
+        assert all(type(t) is tuple and type(t[2]) is tuple for t in h.transpositions)
+        for k in (2, 3):
+            assert all(type(row) is tuple for row in classify(h, k))
 
 
 def test_verify_central_builds_no_full_classification(monkeypatch):
@@ -552,7 +575,7 @@ def _record_dicts(records):
         {"step": r.step, "position": r.position, "pair": list(r.pair), "block": r.block_index,
          "kind": r.kind, "class": r.cls, "entering": r.entering, "aug_m": r.aug_m,
          "weight": r.weight, "heavy": r.heavy, "essential": r.essential}
-        for r in records
+        for r in map(TranspositionRecord._make, records)
     ]
 
 
@@ -583,7 +606,7 @@ def test_records_text_cases_cover_every_field_value():
     for source, n, seed in RECORD_TEXT_CASES:
         h = _case_halfperiod(source, n, seed)
         for k in range(1, (n - 1) // 2 + 1):
-            for r in classify(h, k):
+            for r in _classified(h, k):
                 seen |= {("kind", r.kind), ("class", r.cls),
                          ("entering", type(r.entering)), ("aug_m", type(r.aug_m)),
                          ("heavy", r.heavy), ("essential", r.essential)}
@@ -600,6 +623,6 @@ def test_records_text_cases_cover_every_field_value():
 @pytest.mark.parametrize("name", ["entering", "aug_m", "weight", "heavy", "essential"])
 def test_records_text_rejects_a_str_or_float_field(name, value):
     records = classify(random_reduced_word(7, random.Random(5)), 2)
-    records[3] = records[3]._replace(**{name: value})
+    records[3] = TranspositionRecord._make(records[3])._replace(**{name: value})
     with pytest.raises(TypeError):
         _records_text(records)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from kedges.central import verify_central
 from kedges.circseq import (
     Halfperiod,
-    Transposition,
     compute_s,
     halfperiod_from_points,
     read_halfperiod,
@@ -34,7 +33,7 @@ from oracles import (
 def test_triangle_sweep():
     h = halfperiod_from_points(PointSet([P(0, 0), P(4, 1), P(1, 3)]))
     assert len(h.transpositions) == 3
-    assert all(t.position in (1, 2) for t in h.transpositions)
+    assert all(pos in (1, 2) for _step, pos, _pair in h.transpositions)
     assert validate_allowable(h) == []
 
 
@@ -42,7 +41,7 @@ def test_convex_quadrilateral_positions():
     h = halfperiod_from_points(PointSet([P(0, 0), P(7, 1), P(5, 6), P(1, 3)]))
     assert len(h.transpositions) == 6
     # diagonals swap in the middle: E_0 = 4, E_1 = 2
-    mids = sum(1 for t in h.transpositions if t.position == 2)
+    mids = sum(1 for _step, pos, _pair in h.transpositions if pos == 2)
     assert mids == 2
 
 
@@ -97,7 +96,7 @@ def _word(initial, positions):
     labels that stand in its slots."""
     perm, ts = list(initial), []
     for step, pos in enumerate(positions, start=1):
-        ts.append(Transposition(step, pos, (perm[pos - 1], perm[pos])))
+        ts.append((step, pos, (perm[pos - 1], perm[pos])))
         perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
     return ts
 
@@ -123,7 +122,8 @@ def test_validate_message_transposition_count():
 
 def test_validate_message_recorded_step_number():
     ts = list(VALID4)
-    ts[2] = Transposition(7, ts[2].position, ts[2].pair)
+    _step, pos, pair = ts[2]
+    ts[2] = (7, pos, pair)
     assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
         "step 3: recorded step number 7"
     ]
@@ -131,7 +131,7 @@ def test_validate_message_recorded_step_number():
 
 def test_validate_message_position_out_of_range():
     ts = list(VALID4)
-    ts[5] = Transposition(6, 0, ts[5].pair)
+    ts[5] = (6, 0, ts[5][2])
     assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
         "step 6: position 0 out of range 1..3",
         FINAL,
@@ -140,7 +140,7 @@ def test_validate_message_position_out_of_range():
 
 def test_validate_message_position_out_of_range_at_n():
     ts = list(VALID4)
-    ts[5] = Transposition(6, 4, ts[5].pair)
+    ts[5] = (6, 4, ts[5][2])
     assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
         "step 6: position 4 out of range 1..3",
         FINAL,
@@ -149,11 +149,11 @@ def test_validate_message_position_out_of_range_at_n():
 
 def test_validate_message_recorded_pair_not_in_slots():
     ts = list(VALID4)
-    ts[0] = Transposition(1, 2, (2, 4))
+    ts[0] = (1, 2, (2, 4))
     assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == [
         "step 1: recorded pair (2, 4) but slots hold (2, 3)"
     ]
-    ts[0] = Transposition(1, 2, (3, 2))  # the slot pair in either order is no violation
+    ts[0] = (1, 2, (3, 2))  # the slot pair in either order is no violation
     assert validate_allowable(Halfperiod(4, (1, 2, 3, 4), tuple(ts))) == []
 
 
@@ -199,7 +199,7 @@ def test_hand_built_abstract_halfperiod():
     ts = []
     for i, pos in enumerate(positions, start=1):
         pair = (perm[pos - 1], perm[pos])
-        ts.append(Transposition(i, pos, pair))
+        ts.append((i, pos, pair))
         perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
     h = Halfperiod(4, (1, 2, 3, 4), tuple(ts))
     assert validate_allowable(h) == []
@@ -210,7 +210,7 @@ def test_pairs_cover_everything():
     for _ in range(10):
         ps = random_general_position_set(rng.randrange(5, 10), rng)
         h = halfperiod_from_points(ps)
-        pairs = {frozenset(t.pair) for t in h.transpositions}
+        pairs = {frozenset(pair) for _step, _pos, pair in h.transpositions}
         assert len(pairs) == comb(ps.n, 2)
         assert validate_allowable(h) == []
 
